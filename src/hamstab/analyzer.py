@@ -28,8 +28,9 @@ from .testfunctions import (
     PlaneWaveCos,
     Separable,
     TestFunction,
+    jet_orders,
 )
-from .variation import as_functional, evaluate_functional
+from .variation import as_functional, evaluate_functional, jet_field
 
 __all__ = [
     "ModeVector",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 WITNESS_RTOL = 1e-8
+# Relative gap below which two probe values are a rounding-level tie.
+TIE_RTOL = 1e-12
 SOS_RESIDUAL_TOL = 1e-10
 
 LABEL_POSITIVE = "positive_definite"
@@ -438,12 +441,16 @@ def _random_field(domains, rng) -> TestFunction:
     return Separable(factors, label="random-field")
 
 
-def _witness_norm2(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
-    def fld(pts):
-        val, _, _ = u.jet(pts)
-        return val * val
+def _value_square(points, jet):
+    return jet[0] * jet[0]
 
-    return integrate(fld, as_functional(functional).domains, gridspec, boxes=u.axis_boxes)
+
+def _witness_norm2(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
+    """``int u^2``: the jet form ``e0 e0^T``, sum-factorized on separable probes."""
+    form = np.zeros((len(jet_orders(u.n)),) * 2)
+    form[0, 0] = 1.0
+    field = jet_field(_value_square, form, u)
+    return integrate(field, as_functional(functional).domains, gridspec, boxes=u.axis_boxes)
 
 
 # ------------------------------------------------------------------ classify
@@ -506,18 +513,43 @@ def _as_entry(target) -> CatalogEntry:
 def _sign_witnesses(entry, pool, gridspec) -> tuple[Witness | None, Witness | None, list[float]]:
     """Evaluate labeled probes, return the best +/- witnesses above the
     norm-scaled threshold."""
-    best_pos: Witness | None = None
-    best_neg: Witness | None = None
     values = []
+    above: dict[int, list] = {1: [], -1: []}
     for u in pool:
         val = evaluate_functional(entry.functional, u, gridspec)
         values.append(val)
         thresh = WITNESS_RTOL * max(_witness_norm2(entry.functional, u, gridspec), 1e-30)
-        if val > thresh and (best_pos is None or val > best_pos.value):
-            best_pos = Witness(u.label, val)
-        if val < -thresh and (best_neg is None or val < best_neg.value):
-            best_neg = Witness(u.label, val)
-    return best_pos, best_neg, values
+        for sign in (1, -1):
+            if sign * val > thresh:
+                above[sign].append((u, val))
+    pos, neg = (_best_witness(entry, above[sign], sign, gridspec) for sign in (1, -1))
+    return pos, neg, values
+
+
+def _best_witness(entry, candidates, sign: int, gridspec) -> Witness | None:
+    """The first candidate of largest ``sign * value``.
+
+    Values within ``TIE_RTOL`` of the best are ties at rounding level (as
+    for probes that mirror each other on a symmetric functional); they are
+    ordered by the reference mesh quadrature, so the reported probe does not
+    depend on the rounding of the sum-factorized path.
+    """
+    if not candidates:
+        return None
+    top = max(sign * v for _, v in candidates)
+    tied = [(u, v) for u, v in candidates if top - sign * v <= TIE_RTOL * top]
+    if len(tied) > 1:
+        ref = [sign * _mesh_value(entry.functional, u, gridspec) for u, _ in tied]
+        tied = [tied[ref.index(max(ref))]]
+    u, val = tied[0]
+    return Witness(u.label, val)
+
+
+def _mesh_value(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
+    """The functional's value on ``u`` by the reference mesh quadrature."""
+    functional = as_functional(functional)
+    field = jet_field(functional.integrand, None, u)
+    return integrate(field, functional.domains, gridspec, boxes=u.axis_boxes)
 
 
 def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
@@ -756,7 +788,7 @@ def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     radii = entry.spectral["radii"]
     c = entry.spectral["c"]
     rep = spectral_criterion(radii, c)
-    signed = [lam * (lam - c) for _, lam, _ in [(k, l, s) for k, l, s in rep.mode_table]]
+    signed = [s for _, _, s in rep.mode_table]
     evidence = [
         EvidenceRecord(
             len(rep.mode_table),

@@ -30,6 +30,7 @@ from .geometry import AmbientFlat
 from .immersion import AxisDomain, LagrangianChart, chart_from_components
 from .jets import Jet2, jcos, jcosh, jsin, jsinh
 from .quadrature import GridSpec
+from .variation import SecondVariationFunctional, polarized_form
 
 __all__ = [
     "CatalogIdError",
@@ -60,7 +61,13 @@ class CatalogIdError(ValueError):
 
 @dataclass
 class ClosedFormFunctional:
-    """Quadratic functional given directly by a pointwise integrand."""
+    """Quadratic functional given directly by a pointwise integrand.
+
+    ``constant_coefficients`` declares the integrand a constant quadratic
+    form in the jet; its matrix ``jet_form`` is then polarized from the
+    integrand when the functional is built (raising if the declaration is
+    wrong), so that every evaluation does the same work.
+    """
 
     domains: tuple[AxisDomain, ...]
     integrand: Callable[[np.ndarray, tuple], np.ndarray] = field(repr=False)
@@ -68,6 +75,12 @@ class ClosedFormFunctional:
     expected_verdict: str | None = None
     provenance: str = ""
     name: str = ""
+    constant_coefficients: bool = False
+    jet_form: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.constant_coefficients:
+            self.jet_form = polarized_form(self.integrand, len(self.domains))
 
 
 @dataclass(frozen=True)
@@ -412,6 +425,7 @@ def make_geodesic_tube(space_form, row, metric_choice: str = "G") -> ClosedFormF
         expected_verdict=expected,
         provenance=f"geodesic-tube table row {t.space}:{t.row_key}, metric {metric_choice}",
         name=f"tube:{t.space}:{t.row_key}:{metric_choice}",
+        constant_coefficients=True,
     )
 
 
@@ -509,6 +523,9 @@ def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) 
         expected_verdict=None,
         provenance="rank-one surface in the tangent bundle of a Riemannian surface",
         name=tag,
+        constant_coefficients=not any(
+            callable(v) for v in (curve.kappa, curve.K_along, curve.a_profile)
+        ),
     )
 
 
@@ -599,8 +616,6 @@ def _int(vals: list[str], what: str) -> int:
 
 def resolve(catalog_id: str) -> CatalogEntry:
     """Resolve a catalog ID string to an entry; strict grammar."""
-    from .variation import SecondVariationFunctional  # local import, avoids a cycle
-
     parts = catalog_id.split(":")
     kind = parts[0]
 

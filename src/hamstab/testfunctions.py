@@ -8,6 +8,13 @@ chart points, plus per-axis support metadata:
 * ``axis_boxes[j]``: half-width of a box outside which the function and its
   listed partials vanish below 1e-14 (``None`` if unbounded support).
 
+Products of one-variable factors, and sums and dilations of them, also
+report ``separable_terms()``: ``(coefficient, per-axis factors)`` pairs whose
+sum is the function, which lets the quadrature integrate quadratic forms in
+the jet axis by axis.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
+i <= j)``; :func:`jet_orders` gives each coordinate's per-axis derivative
+orders.
+
 Gaussian-type factors are treated as compactly supported with a declared
 box of ten standard deviations, where the tail is far below the vanishing
 threshold.
@@ -15,6 +22,7 @@ threshold.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +43,8 @@ __all__ = [
     "random_trig_poly",
     "random_bump_poly",
     "compatible_with",
+    "jet_orders",
+    "jet_from_coordinates",
 ]
 
 GAUSS_BOX_SIGMAS = 10.0
@@ -50,6 +60,11 @@ class TestFunction:
 
     def jet(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def separable_terms(self) -> list[tuple[float, list]] | None:
+        """``(coefficient, per-axis factors)`` terms summing to this function,
+        or None when it is not a sum of products of one-variable factors."""
+        return None
 
     def __add__(self, other: "TestFunction") -> "LinComb":
         return LinComb([(1.0, self), (1.0, other)])
@@ -83,6 +98,39 @@ def compatible_with(u: TestFunction, domains) -> bool:
             if box is None or box > dom.size * (1 + 1e-12):
                 return False
     return True
+
+
+@functools.cache
+def _hessian_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the ``d2u_ij`` (i <= j) coordinates."""
+    index = np.triu_indices(n)
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+@functools.cache
+def jet_orders(n: int) -> np.ndarray:
+    """Per-axis derivative orders, shape (J, n), of the jet coordinates
+    ``(u, du_0..du_{n-1}, d2u_ij for i <= j)``; J = 1 + n + n(n+1)/2.
+    The array is shared between callers and read-only."""
+    eye = np.eye(n, dtype=int)
+    rows = [np.zeros(n, dtype=int), *eye]
+    rows += [eye[i] + eye[j] for i, j in zip(*_hessian_index(n))]
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+def jet_from_coordinates(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jets ``(u, du, d2u)`` with symmetric ``d2u`` from (N, J) coordinates
+    ordered as in :func:`jet_orders`."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    hess = np.empty((len(coords), n, n))
+    rows, cols = _hessian_index(n)
+    hess[:, rows, cols] = coords[:, n + 1 :]
+    hess[:, cols, rows] = coords[:, n + 1 :]
+    return coords[:, 0], coords[:, 1 : n + 1], hess
 
 
 # --------------------------------------------------------------------- 1-d
@@ -159,6 +207,20 @@ class PolyGauss1D(Func1D):
         return self.p(x) * g, self.p1(x) * g, self.p2(x) * g
 
 
+class Scaled1D(Func1D):
+    """f(scale * x), the one-axis factor of a dilated product."""
+
+    def __init__(self, base: Func1D, scale: float):
+        self.base = base
+        self.scale = float(scale)
+        self.period = None if base.period is None else base.period / self.scale
+        self.box = None if base.box is None else base.box / self.scale
+
+    def jet1(self, x):
+        v, d1, d2 = self.base.jet1(self.scale * x)
+        return v, self.scale * d1, self.scale**2 * d2
+
+
 def HermGauss1D(degree: int, sigma: float = 1.0) -> PolyGauss1D:
     """Probabilists' Hermite polynomial of given degree times a Gaussian."""
     coeffs = np.polynomial.hermite_e.herme2poly([0.0] * degree + [1.0])
@@ -202,6 +264,9 @@ class Separable(TestFunction):
                         pjk = pjk * v[l]
                 hess[:, j, k] = hess[:, k, j] = d1[j] * d1[k] * pjk
         return u, du, hess
+
+    def separable_terms(self):
+        return [(1.0, self.factors)]
 
 
 class PlaneWaveCos(TestFunction):
@@ -299,6 +364,15 @@ class LinComb(TestFunction):
     def compatible_terms(self, domains) -> bool:
         return all(compatible_with(f, domains) for _, f in self.terms)
 
+    def separable_terms(self):
+        out = []
+        for c, f in self.terms:
+            parts = f.separable_terms()
+            if parts is None:
+                return None
+            out += [(c * d, factors) for d, factors in parts]
+        return out
+
     def jet(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         c0, f0 = self.terms[0]
@@ -337,6 +411,15 @@ class AxisScaled(TestFunction):
         du = self.prefactor * du * self.scales
         hess = self.prefactor * hess * np.einsum("i,j->ij", self.scales, self.scales)
         return u, du, hess
+
+    def separable_terms(self):
+        parts = self.base.separable_terms()
+        if parts is None:
+            return None
+        return [
+            (self.prefactor * c, [Scaled1D(f, s) for f, s in zip(factors, self.scales)])
+            for c, factors in parts
+        ]
 
 
 def isotropic_rescale(u: TestFunction, t: float) -> AxisScaled:

@@ -22,6 +22,13 @@ checked by :func:`bochner_residual`.
 
 Sign convention: ``lap = div grad``, so on the flat unit torus
 ``-lap cos(s_1) = cos(s_1)`` (eigenvalue +1).
+
+A functional whose integrand is a constant quadratic form ``j^T M j`` in the
+jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``, found once by
+:func:`polarized_form` from the integrand itself; point-dependent
+functionals carry None.  :func:`evaluate_functional` hands ``M`` and the
+test function's separable terms to the quadrature, which sum-factorizes
+when both are present.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 from . import quadrature
 from .immersion import AxisDomain, LagrangianChart, induced_geometry_batch
 from .quadrature import GridSpec
-from .testfunctions import LinComb, TestFunction, compatible_with
+from .testfunctions import LinComb, TestFunction, compatible_with, jet_from_coordinates, jet_orders
 
 __all__ = [
     "MetricField",
@@ -43,6 +50,8 @@ __all__ = [
     "SecondVariationFunctional",
     "RawHessianFunctional",
     "as_functional",
+    "polarized_form",
+    "jet_field",
     "evaluate_functional",
     "second_variation",
     "second_variation_raw",
@@ -150,16 +159,58 @@ def laplacian(u: TestFunction, m: MetricField, s) -> float:
 
 # --------------------------------------------------------------- functionals
 
+# Relative mismatch between a polarized form and its integrand that marks
+# the coefficients as point-dependent.
+FORM_CHECK_RTOL = 1e-9
+
+
+def polarized_form(integrand, n: int) -> np.ndarray:
+    """The constant (J, J) matrix ``M`` with ``integrand(s, j) = j^T M j``.
+
+    One batched integrand call at the origin on the unit jets ``e_p`` and
+    ``e_p + e_q`` (p < q, coordinates of
+    :func:`hamstab.testfunctions.jet_orders`) gives ``M_pp = V(e_p)`` and
+    ``M_pq = (V(e_p + e_q) - M_pp - M_qq) / 2``.  ``M`` is then checked
+    against the integrand at fixed points and jets; a mismatch means the
+    coefficients are not constant and raises ``ValueError``.
+    """
+    size = len(jet_orders(n))
+    unit = np.eye(size)
+    p, q = np.triu_indices(size, k=1)
+    coords = np.concatenate([unit, unit[p] + unit[q]])
+    vals = np.asarray(integrand(np.zeros((len(coords), n)), jet_from_coordinates(coords, n)), dtype=float)
+    form = np.diag(vals[:size])
+    form[p, q] = form[q, p] = 0.5 * (vals[size:] - vals[p] - vals[q])
+
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-3.0, 3.0, size=(4, n))
+    jets = rng.standard_normal((4, size))
+    got = np.asarray(integrand(pts, jet_from_coordinates(jets, n)), dtype=float)
+    want = np.einsum("np,pq,nq->n", jets, form, jets)
+    scale = np.einsum("np,pq,nq->n", np.abs(jets), np.abs(form), np.abs(jets))
+    if np.any(np.abs(got - want) > FORM_CHECK_RTOL * np.maximum(scale, 1.0)):
+        raise ValueError(
+            "the integrand was declared to have constant coefficients but is not a "
+            "constant quadratic form in the jet"
+        )
+    return form
+
+
+def _constant_geometry(chart: LagrangianChart):
+    if not chart.geometry_is_constant:
+        return None
+    geo = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
+    return geo["g_inv"][0], geo["C"][0], geo["nH_cov"][0]
+
+
 class SecondVariationFunctional:
     """Pointwise second-variation integrand of a chart, quadratic in the jet."""
 
     def __init__(self, chart: LagrangianChart):
         self.chart = chart
         self.domains = chart.domains
-        self._const = None
-        if chart.geometry_is_constant:
-            geo = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
-            self._const = (geo["g_inv"][0], geo["C"][0], geo["nH_cov"][0])
+        self._const = _constant_geometry(chart)
+        self.jet_form = None if self._const is None else polarized_form(self.integrand, chart.dim)
 
     def integrand(self, points: np.ndarray, jet) -> np.ndarray:
         u, du, d2u = jet
@@ -215,10 +266,8 @@ class RawHessianFunctional:
             )
         self.chart = chart
         self.domains = chart.domains
-        self._const = None
-        if chart.geometry_is_constant:
-            geo = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
-            self._const = (geo["g_inv"][0], geo["C"][0], geo["nH_cov"][0])
+        self._const = _constant_geometry(chart)
+        self.jet_form = None if self._const is None else polarized_form(self.integrand, chart.dim)
 
     def integrand(self, points: np.ndarray, jet) -> np.ndarray:
         u, du, d2u = jet
@@ -261,18 +310,26 @@ def _check_compatible(u: TestFunction, domains) -> None:
     )
 
 
+def jet_field(integrand, form: np.ndarray | None, u: TestFunction) -> quadrature.JetFormField:
+    """The field ``s -> integrand(s, jet of u at s)``, carrying the constant
+    form ``M`` of the integrand (or None) and the separable terms of ``u``."""
+    return quadrature.JetFormField(
+        pointwise=lambda pts: integrand(pts, u.jet(pts)),
+        form=form,
+        terms=None if form is None else u.separable_terms(),
+    )
+
+
 def evaluate_functional(functional, u: TestFunction, gridspec: GridSpec | None = None) -> float:
     """Quadrature value of a quadratic functional on a test function.
 
     The grid uses the functional's domains; line boxes default to the test
-    function's declared support boxes.
+    function's declared support boxes.  Functionals carrying a constant
+    ``jet_form`` are sum-factorized on separable test functions.
     """
     functional = as_functional(functional)
     _check_compatible(u, functional.domains)
-
-    def field(pts):
-        return functional.integrand(pts, u.jet(pts))
-
+    field = jet_field(functional.integrand, getattr(functional, "jet_form", None), u)
     return quadrature.integrate(field, functional.domains, gridspec, boxes=u.axis_boxes)
 
 

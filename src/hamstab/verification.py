@@ -31,7 +31,14 @@ from .catalog import CurveData, make_hyperbola_product, make_torus, resolve
 from .immersion import check_h_minimal, check_lagrangian, induced_geometry_batch, sample_grid, trisymmetry_residual
 from .quadrature import GridSpec, integrate
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
-from .variation import MetricField, bochner_residual, evaluate_functional, reilly_residual, second_variation
+from .variation import (
+    MetricField,
+    bochner_residual,
+    evaluate_functional,
+    polarized_form,
+    reilly_residual,
+    second_variation,
+)
 
 __all__ = ["CheckResult", "run_criterion", "run_all", "CRITERIA"]
 
@@ -395,6 +402,7 @@ class _lap_sq_functional:
             self.domains = tuple(AxisDomain.circle(2 * np.pi) for _ in range(m.dim))
         else:
             self.domains = tuple(AxisDomain.line() for _ in range(m.dim))
+        self.jet_form = polarized_form(self.integrand, m.dim) if m.constant else None
 
     def integrand(self, pts, jet):
         _, _, d2u = jet
