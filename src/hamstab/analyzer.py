@@ -380,19 +380,23 @@ def wirtinger_bound(curve, samples: int = 1024) -> WirtingerReport:
     first-Fourier-mode bound with threshold ``16 pi^2 / L^2``.  A sup above
     the threshold is inconclusive (the criterion is sufficient only).
     """
-    kappa = curve.kappa_fn()
-    K = curve.K_fn()
-    if curve.closed:
-        s = np.linspace(0.0, curve.length, samples, endpoint=False)
-    else:
-        s = np.linspace(-20.0, 20.0, samples)
-    sup = float(np.max(kappa(s) ** 2 + 2.0 * K(s)))
+    sup = _curvature_sup(curve, samples)
     if sup <= 0.0:
         return WirtingerReport(sup, None, "stable", "pointwise")
     if not curve.closed:
         raise ValueError("the length-based branch needs a closed curve")
     thr = 16.0 * np.pi**2 / curve.length**2
     return WirtingerReport(sup, thr, "stable" if sup <= thr else "inconclusive", "wirtinger")
+
+
+def _curvature_sup(curve, samples: int = 1024) -> float:
+    """``sup (kappa^2 + 2K)`` over one period of a closed curve, or over
+    ``[-20, 20]`` on an open one."""
+    if curve.closed:
+        s = np.linspace(0.0, curve.length, samples, endpoint=False)
+    else:
+        s = np.linspace(-20.0, 20.0, samples)
+    return float(np.max(curve.kappa_fn()(s) ** 2 + 2.0 * curve.K_fn()(s)))
 
 
 # ------------------------------------------------------------ witness library
@@ -601,18 +605,9 @@ def _classify_torus_modes(entry: CatalogEntry, gridspec, bound: int = 4) -> Stab
     simplicity = lambda kv: (sum(abs(x) for x in kv[0]), tuple(-x for x in kv[0]))
     pos_c = sorted((kv for kv in scan if kv[1] > tol), key=simplicity)
     neg_c = sorted((kv for kv in scan if kv[1] < -tol), key=simplicity)
-    pos = neg = None
-    if pos_c:
-        u = torus_mode_function(radii, pos_c[0][0])
-        val = evaluate_functional(entry.functional, u, gridspec)
-        if val > WITNESS_RTOL * _witness_norm2(entry.functional, u, gridspec):
-            pos = Witness(u.label, val)
-    if neg_c:
-        u = torus_mode_function(radii, neg_c[0][0])
-        val = evaluate_functional(entry.functional, u, gridspec)
-        if val < -WITNESS_RTOL * _witness_norm2(entry.functional, u, gridspec):
-            neg = Witness(u.label, val)
-    if pos and neg and pos.value > 0 > neg.value:
+    pool = [torus_mode_function(radii, c[0][0]) for c in (pos_c, neg_c) if c]
+    pos, neg, _ = _sign_witnesses(entry, pool, gridspec)
+    if pos and neg:
         return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence)
     return StabilityVerdict(
         LABEL_INCONCLUSIVE,
@@ -802,30 +797,39 @@ def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
         label = LABEL_POSITIVE if eps_sign > 0 else LABEL_NEGATIVE
         return StabilityVerdict(label, evidence=evidence, notes=[f"lam1 = {rep.lam1:g} >= c = {c:g}"])
     base = 2 * np.pi / entry.functional.domains[0].size
-    neg_u = Separable([Cos1D(base), Const1D()], label="mode:cos(s)")
-    pos_u = Separable([Cos1D(2 * base), Const1D()], label="mode:cos(2s)")
-    neg = Witness(neg_u.label, evaluate_functional(entry.functional, neg_u, gridspec))
-    pos = Witness(pos_u.label, evaluate_functional(entry.functional, pos_u, gridspec))
+    pool = [
+        Separable([Cos1D(2 * base), Const1D()], label="mode:cos(2s)"),
+        Separable([Cos1D(base), Const1D()], label="mode:cos(s)"),
+    ]
+    pos, neg, _ = _sign_witnesses(entry, pool, gridspec)
     notes = [
         f"lam1 = {rep.lam1:g} < c = {c:g}",
         "the diagonal mode cos(s+t) sits exactly at lam = c and evaluates to 0; "
         "cos(s) is the negative witness",
     ]
-    if pos.value > 0 > neg.value:
+    if pos and neg:
         return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence, notes=notes)
     return StabilityVerdict(LABEL_INCONCLUSIVE, pos, neg, evidence, notes=notes)
 
 
+def _sup_evidence(sup: float, threshold) -> list[EvidenceRecord]:
+    return [EvidenceRecord(1, sup, sup, f"sup(kappa^2 + 2K) = {sup:g}, threshold = {threshold}")]
+
+
 def _classify_tn_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
+    if not entry.curve.closed:
+        sup = _curvature_sup(entry.curve)
+        if sup > 0.0:
+            return StabilityVerdict(
+                LABEL_INCONCLUSIVE,
+                evidence=_sup_evidence(sup, None),
+                notes=[
+                    "the curve criterion needs kappa^2 + 2K <= 0 or a closed curve; "
+                    "this curve is open and sup > 0"
+                ],
+            )
     rep = wirtinger_bound(entry.curve)
-    evidence = [
-        EvidenceRecord(
-            1,
-            rep.sup_value,
-            rep.sup_value,
-            f"sup(kappa^2 + 2K) = {rep.sup_value:g}, threshold = {rep.threshold}",
-        )
-    ]
+    evidence = _sup_evidence(rep.sup_value, rep.threshold)
     if rep.verdict != "stable":
         return StabilityVerdict(
             LABEL_INCONCLUSIVE,

@@ -32,6 +32,7 @@ __all__ = [
     "induced_geometry_batch",
     "check_lagrangian",
     "check_h_minimal",
+    "central_divergence",
     "trisymmetry_residual",
     "sample_grid",
 ]
@@ -253,7 +254,6 @@ def check_h_minimal(
     ``rel_step`` times the axis scale.
     """
     pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
-    n = chart.dim
 
     def weighted_components(p: np.ndarray) -> np.ndarray:
         geo = induced_geometry_batch(chart, p)
@@ -261,16 +261,26 @@ def check_h_minimal(
         return geo["vol"][:, None] * xl
 
     base = induced_geometry_batch(chart, pts)
-    div = np.zeros(len(pts))
-    for l in range(n):
-        h = rel_step * chart.domains[l].scale
-        shift = np.zeros(n)
-        shift[l] = h
-        div += (weighted_components(pts + shift)[:, l] - weighted_components(pts - shift)[:, l]) / (
-            2 * h
-        )
-    div /= base["vol"]
+    steps = [rel_step * dom.scale for dom in chart.domains]
+    div = central_divergence(weighted_components, pts, steps) / base["vol"]
     return float(np.max(np.abs(div)))
+
+
+def central_divergence(weighted, pts: np.ndarray, steps) -> np.ndarray:
+    """Central-difference divergence ``sum_i d_i w[:, i]`` of a batched field.
+
+    ``weighted`` maps (N, n) points to (N, n, ...) values (a vector or
+    matrix field); the result is ``sum_i (w(p + h_i e_i)[:, i] -
+    w(p - h_i e_i)[:, i]) / (2 h_i)`` with ``h_i = steps[i]``, accumulated in
+    axis order, of shape (N, ...).
+    """
+    pts = np.atleast_2d(pts)
+    out = 0.0
+    for i, h in enumerate(steps):
+        shift = np.zeros(pts.shape[1])
+        shift[i] = h
+        out = out + (weighted(pts + shift)[:, i] - weighted(pts - shift)[:, i]) / (2 * h)
+    return out
 
 
 def trisymmetry_residual(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:

@@ -8,13 +8,15 @@ volume along the Hamiltonian field ``J grad u`` is
                  + g(nH, J grad u)^2   dv,
 
 where ``eps`` is the ambient sign (+1 complex, -1 split-complex), the
-ambient Ricci term drops because the ambients here are flat, and
+ambient Ricci term drops because the ambients here are flat,
+``dv = sqrt|det g| ds`` (the integrand includes the density), and
 
     g(nH, h(grad u, grad u)) = eps * C_ijk (grad u)^i (grad u)^j (g^{kl} H_l),
     g(nH, J grad u)          = H_k (grad u)^k.
 
-The intermediate (pre-trace-identity) form replaces ``(lap u)^2`` by the
-squared Hessian ``g^{ik} g^{jl} u_ij u_kl``; for compactly supported or
+The intermediate (pre-trace-identity) form differs only in its
+second-order term: it replaces ``(lap u)^2`` by the squared Hessian
+``g^{ik} g^{jl} u_ij u_kl``; for compactly supported or
 periodic ``u`` over a flat induced metric the two integrals agree, which is
 exactly the content of the integral trace identity checked by
 :func:`reilly_residual`, itself a corollary of the pointwise identity
@@ -39,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .immersion import AxisDomain, LagrangianChart, induced_geometry_batch
+from .immersion import AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch
 from .quadrature import GridSpec
 from .testfunctions import LinComb, TestFunction, compatible_with, jet_from_coordinates, jet_orders
 
@@ -64,7 +66,7 @@ __all__ = [
 
 @dataclass
 class MetricField:
-    """Metric (and optional Ricci) data as functions of the chart point.
+    """Metric data as a function of the chart point.
 
     ``constant`` marks coordinate systems in which the matrix is constant;
     non-constant metrics get their first derivatives by central differences
@@ -73,7 +75,6 @@ class MetricField:
 
     dim: int
     g_fn: Callable[[np.ndarray], np.ndarray]
-    ricci_fn: Callable[[np.ndarray], np.ndarray] | None = None
     constant: bool = False
     name: str = ""
 
@@ -92,18 +93,6 @@ class MetricField:
 
         return cls(dim=m.shape[0], g_fn=g_fn, constant=True, name=name)
 
-    @classmethod
-    def from_chart(cls, chart: LagrangianChart) -> "MetricField":
-        def g_fn(pts):
-            return induced_geometry_batch(chart, pts)["g"]
-
-        return cls(
-            dim=chart.dim,
-            g_fn=g_fn,
-            constant=chart.metric_is_constant,
-            name=chart.name or "chart",
-        )
-
     def g(self, pts) -> np.ndarray:
         return self.g_fn(np.atleast_2d(np.asarray(pts, dtype=float)))
 
@@ -113,12 +102,6 @@ class MetricField:
     def vol_density(self, pts) -> np.ndarray:
         return np.sqrt(np.abs(np.linalg.det(self.g(pts))))
 
-    def ricci(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.ricci_fn is None:
-            return np.zeros((len(pts), self.dim, self.dim))
-        return self.ricci_fn(pts)
-
 
 def gradient(u: TestFunction, m: MetricField, s) -> np.ndarray:
     """Raised gradient ``(grad u)^j = g^{ij} u_i`` at one point."""
@@ -127,7 +110,11 @@ def gradient(u: TestFunction, m: MetricField, s) -> np.ndarray:
     return (np.einsum("nij,nj->ni", m.g_inv(pt), du))[0]
 
 
-def _laplacian_batch(u: TestFunction, m: MetricField, pts: np.ndarray, rel_step: float = 1e-4):
+# Central-difference step of metric derivatives, relative to the axis scale.
+REL_STEP = 1e-4
+
+
+def _laplacian_batch(u: TestFunction, m: MetricField, pts: np.ndarray, rel_step: float = REL_STEP):
     _, du, d2u = u.jet(pts)
     ginv = m.g_inv(pts)
     lap = np.einsum("nij,nij->n", ginv, d2u)
@@ -138,18 +125,11 @@ def _laplacian_batch(u: TestFunction, m: MetricField, pts: np.ndarray, rel_step:
 
 def _divergence_coeffs(m: MetricField, pts: np.ndarray, rel_step: float) -> np.ndarray:
     """Central-difference ``b^j = (1/sqrt|g|) d_i (sqrt|g| g^{ij})``."""
-    n = m.dim
-    vol0 = m.vol_density(pts)
-    out = np.zeros((len(pts), n))
-    for i in range(n):
-        shift = np.zeros(n)
-        shift[i] = rel_step
-        plus = pts + shift
-        minus = pts - shift
-        fp = m.vol_density(plus)[:, None] * m.g_inv(plus)[:, i, :]
-        fm = m.vol_density(minus)[:, None] * m.g_inv(minus)[:, i, :]
-        out += (fp - fm) / (2 * rel_step)
-    return out / vol0[:, None]
+
+    def weighted(p):
+        return m.vol_density(p)[:, None, None] * m.g_inv(p)
+
+    return central_divergence(weighted, pts, [rel_step] * m.dim) / m.vol_density(pts)[:, None]
 
 
 def laplacian(u: TestFunction, m: MetricField, s) -> float:
@@ -196,63 +176,51 @@ def polarized_form(integrand, n: int) -> np.ndarray:
     return form
 
 
-def _constant_geometry(chart: LagrangianChart):
-    if not chart.geometry_is_constant:
-        return None
-    geo = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
-    return geo["g_inv"][0], geo["C"][0], geo["nH_cov"][0]
-
-
 class SecondVariationFunctional:
-    """Pointwise second-variation integrand of a chart, quadratic in the jet."""
+    """Pointwise second-variation integrand of a chart, quadratic in the jet.
+
+    The geometry arrays carry a leading point axis: the induced geometry at
+    each point, or on charts with ``geometry_is_constant`` the geometry at
+    the origin with a length-1 point axis that broadcasts against the jets.
+    Subclasses replace only :meth:`second_order_term`.
+    """
 
     def __init__(self, chart: LagrangianChart):
         self.chart = chart
         self.domains = chart.domains
-        self._const = _constant_geometry(chart)
-        self.jet_form = None if self._const is None else polarized_form(self.integrand, chart.dim)
+        self._origin = (
+            induced_geometry_batch(chart, np.zeros((1, chart.dim))) if chart.geometry_is_constant else None
+        )
+        self.jet_form = None if self._origin is None else polarized_form(self.integrand, chart.dim)
 
     def integrand(self, points: np.ndarray, jet) -> np.ndarray:
-        u, du, d2u = jet
-        chart = self.chart
-        eps = chart.ambient.eps
-        if self._const is not None:
-            ginv, C, H = self._const
-            grad_up = np.einsum("ij,nj->ni", ginv, du)
-            lap = np.einsum("ij,nij->n", ginv, d2u)
-            c_up = ginv @ H
-            hterm = eps * np.einsum("ijk,ni,nj,k->n", C, grad_up, grad_up, c_up)
-            pair = np.einsum("k,nk->n", H, grad_up)
-            return eps * (lap * lap - 2.0 * hterm) + pair * pair
-        geo = induced_geometry_batch(chart, points)
-        ginv = geo["g_inv"]
-        grad_up = np.einsum("nij,nj->ni", ginv, du)
-        lap = np.einsum("nij,nij->n", ginv, d2u)
-        if not chart.metric_is_constant:
-            lap += np.einsum("nj,nj->n", self._metric_divergence(points, geo), du)
-        c_up = np.einsum("nkl,nl->nk", ginv, geo["nH_cov"])
-        hterm = eps * np.einsum("nijk,ni,nj,nk->n", geo["C"], grad_up, grad_up, c_up)
-        pair = np.einsum("nk,nk->n", geo["nH_cov"], grad_up)
-        return eps * (lap * lap - 2.0 * hterm) + pair * pair
+        _, du, d2u = jet
+        eps = self.chart.ambient.eps
+        geo = self._origin if self._origin is not None else induced_geometry_batch(self.chart, points)
+        ginv, H = geo["g_inv"], geo["nH_cov"]
+        grad_up = np.einsum("...ij,...j->...i", ginv, du)
+        c_up = (ginv @ H[..., None])[..., 0]
+        hterm = eps * np.einsum("...ijk,...i,...j,...k->...", geo["C"], grad_up, grad_up, c_up)
+        pair = np.einsum("...k,...k->...", H, grad_up)
+        second = self.second_order_term(geo, du, d2u)
+        return (eps * (second - 2.0 * hterm) + pair * pair) * geo["vol"]
 
-    def _metric_divergence(self, points: np.ndarray, geo, rel_step: float = 1e-4) -> np.ndarray:
-        chart = self.chart
-        n = chart.dim
-        pts = geo["points"]
-        out = np.zeros((len(pts), n))
-        for i in range(n):
-            h = rel_step * chart.domains[i].scale
-            shift = np.zeros(n)
-            shift[i] = h
-            gp = induced_geometry_batch(chart, pts + shift)
-            gm = induced_geometry_batch(chart, pts - shift)
-            fp = gp["vol"][:, None] * gp["g_inv"][:, i, :]
-            fm = gm["vol"][:, None] * gm["g_inv"][:, i, :]
-            out += (fp - fm) / (2 * h)
-        return out / geo["vol"][:, None]
+    def second_order_term(self, geo, du, d2u) -> np.ndarray:
+        """``(lap u)^2``, with the finite-difference metric-derivative
+        correction of the Laplacian on charts whose metric varies."""
+        lap = np.einsum("...ij,...ij->...", geo["g_inv"], d2u)
+        if not self.chart.metric_is_constant:
+            steps = [REL_STEP * dom.scale for dom in self.domains]
+            div = central_divergence(self._weighted_inverse_metric, geo["points"], steps)
+            lap += np.einsum("nj,nj->n", div / geo["vol"][:, None], du)
+        return lap * lap
+
+    def _weighted_inverse_metric(self, points: np.ndarray) -> np.ndarray:
+        geo = induced_geometry_batch(self.chart, points)
+        return geo["vol"][:, None, None] * geo["g_inv"]
 
 
-class RawHessianFunctional:
+class RawHessianFunctional(SecondVariationFunctional):
     """Intermediate form with the squared Hessian in place of ``(lap u)^2``.
 
     Restricted to charts whose induced metric is constant in the chart
@@ -264,31 +232,12 @@ class RawHessianFunctional:
             raise ValueError(
                 "raw-Hessian form needs a chart with constant induced metric coefficients"
             )
-        self.chart = chart
-        self.domains = chart.domains
-        self._const = _constant_geometry(chart)
-        self.jet_form = None if self._const is None else polarized_form(self.integrand, chart.dim)
+        super().__init__(chart)
 
-    def integrand(self, points: np.ndarray, jet) -> np.ndarray:
-        u, du, d2u = jet
-        chart = self.chart
-        eps = chart.ambient.eps
-        if self._const is not None:
-            ginv, C, H = self._const
-            grad_up = np.einsum("ij,nj->ni", ginv, du)
-            hess_sq = np.einsum("ik,jl,nij,nkl->n", ginv, ginv, d2u, d2u)
-            c_up = ginv @ H
-            hterm = eps * np.einsum("ijk,ni,nj,k->n", C, grad_up, grad_up, c_up)
-            pair = np.einsum("k,nk->n", H, grad_up)
-            return eps * (hess_sq - 2.0 * hterm) + pair * pair
-        geo = induced_geometry_batch(chart, points)
+    def second_order_term(self, geo, du, d2u) -> np.ndarray:
+        """``g^{ik} g^{jl} u_ij u_kl``."""
         ginv = geo["g_inv"]
-        grad_up = np.einsum("nij,nj->ni", ginv, du)
-        hess_sq = np.einsum("nik,njl,nij,nkl->n", ginv, ginv, d2u, d2u)
-        c_up = np.einsum("nkl,nl->nk", ginv, geo["nH_cov"])
-        hterm = eps * np.einsum("nijk,ni,nj,nk->n", geo["C"], grad_up, grad_up, c_up)
-        pair = np.einsum("nk,nk->n", geo["nH_cov"], grad_up)
-        return eps * (hess_sq - 2.0 * hterm) + pair * pair
+        return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, d2u, d2u)
 
 
 def as_functional(target):
@@ -377,13 +326,13 @@ def bochner_residual(u: TestFunction, m: MetricField, s, step: float = 1e-3) -> 
 
     computed with exact first-level quantities and nested central
     differences (Richardson extrapolated) for the outer derivatives.
-    Restricted to metrics that are constant in the chart coordinates.
+    Restricted to metrics that are constant in the chart coordinates, whose
+    Ricci curvature vanishes.
     """
     if not m.constant:
         raise NotImplementedError("pointwise identity check needs flat-coordinate metrics")
     pt = np.asarray(s, dtype=float)
     ginv = m.g_inv(pt)[0]
-    ric = m.ricci(pt)[0]
 
     def w_grad(pts):
         # exact gradient of w = g(grad u, grad u): d_k w = 2 g^{ij} u_{ik} u_j
@@ -400,10 +349,9 @@ def bochner_residual(u: TestFunction, m: MetricField, s, step: float = 1e-3) -> 
 
     _, du0, d2u0 = u.jet(np.atleast_2d(pt))
     grad_up = ginv @ du0[0]
-    ric_term = float(grad_up @ ric @ grad_up)
     cross = float(grad_up @ d_lap)
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u0[0], d2u0[0]))
-    return 0.5 * lap_w - ric_term - cross - hess_sq
+    return 0.5 * lap_w - cross - hess_sq
 
 
 def _domains_from_support(u: TestFunction) -> tuple[AxisDomain, ...]:
@@ -430,7 +378,8 @@ def reilly_residual(
 
     Vanishes for periodic or compactly supported ``u``; the integration
     domain defaults to one period per periodic axis and the declared
-    support box per line axis.
+    support box per line axis.  Restricted to constant metrics, whose Ricci
+    term vanishes.
     """
     if not m.constant:
         raise NotImplementedError("integral trace identity implemented for constant metrics")
@@ -439,12 +388,9 @@ def reilly_residual(
     ginv0 = m.g_inv(np.zeros((1, m.dim)))[0]
 
     def field(pts):
-        _, du, d2u = u.jet(pts)
+        _, _, d2u = u.jet(pts)
         lap = np.einsum("ij,nij->n", ginv0, d2u)
         hess_sq = np.einsum("ik,jl,nij,nkl->n", ginv0, ginv0, d2u, d2u)
-        ric = m.ricci(pts)
-        grad_up = np.einsum("ij,nj->ni", ginv0, du)
-        ric_term = np.einsum("nij,ni,nj->n", ric, grad_up, grad_up)
-        return (lap * lap - hess_sq - ric_term) * vol
+        return (lap * lap - hess_sq) * vol
 
     return quadrature.integrate(field, doms, gridspec, boxes=u.axis_boxes)

@@ -27,15 +27,14 @@ from .analyzer import (
     verify_certificate,
     wirtinger_bound,
 )
-from .catalog import CurveData, make_hyperbola_product, make_torus, resolve
-from .immersion import check_h_minimal, check_lagrangian, induced_geometry_batch, sample_grid, trisymmetry_residual
+from .catalog import ClosedFormFunctional, CurveData, make_hyperbola_product, make_torus, resolve
+from .immersion import AxisDomain, check_h_minimal, check_lagrangian, induced_geometry_batch, sample_grid, trisymmetry_residual
 from .quadrature import GridSpec, integrate
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
 from .variation import (
     MetricField,
     bochner_residual,
     evaluate_functional,
-    polarized_form,
     reilly_residual,
     second_variation,
 )
@@ -116,13 +115,8 @@ def _criterion_2(ctx) -> list[CheckResult]:
     u = analyzer.torus_mode_function(radii, (1, 1))
     val = second_variation(chart, u, ctx.gridspec)
     expect = -8 * np.pi**2
-    m = MetricField.flat([-1.0, 1.0])
-
-    def lap_sq(pts):
-        _, _, d2u = u.jet(pts)
-        return np.einsum("ij,nij->n", m.g_inv(pts)[0], d2u) ** 2
-
-    delta_term = integrate(lap_sq, chart.domains, ctx.gridspec)
+    lap_sq = _lap_sq_functional(MetricField.flat([-1.0, 1.0]), periodic=True)
+    delta_term = evaluate_functional(lap_sq, u, ctx.gridspec)
     u_marginal = analyzer.torus_mode_function(radii, (1, -1))
     val_marginal = second_variation(chart, u_marginal, ctx.gridspec)
     return [
@@ -391,23 +385,16 @@ def _criterion_6(ctx) -> list[CheckResult]:
     ]
 
 
-class _lap_sq_functional:
-    """(lap u)^2 with a constant metric; scale reference for residuals."""
+def _lap_sq_functional(m: MetricField, periodic: bool) -> ClosedFormFunctional:
+    """``int (lap u)^2`` for a constant metric over one period (``periodic``)
+    or the default line truncation per axis."""
+    ginv = m.g_inv(np.zeros((1, m.dim)))[0]
+    domain = AxisDomain.circle(2 * np.pi) if periodic else AxisDomain.line()
 
-    def __init__(self, m: MetricField, periodic: bool):
-        from .immersion import AxisDomain
+    def integrand(pts, jet):
+        return np.einsum("ij,nij->n", ginv, jet[2]) ** 2
 
-        self.m = m
-        if periodic:
-            self.domains = tuple(AxisDomain.circle(2 * np.pi) for _ in range(m.dim))
-        else:
-            self.domains = tuple(AxisDomain.line() for _ in range(m.dim))
-        self.jet_form = polarized_form(self.integrand, m.dim) if m.constant else None
-
-    def integrand(self, pts, jet):
-        _, _, d2u = jet
-        ginv = self.m.g_inv(pts[:1])[0]
-        return np.einsum("ij,nij->n", ginv, d2u) ** 2
+    return ClosedFormFunctional(domains=(domain,) * m.dim, integrand=integrand, constant_coefficients=True)
 
 
 # ------------------------------------------------------------- criterion 7

@@ -309,6 +309,15 @@ def test_wirtinger_open_positive_raises():
         wirtinger_bound(CurveData(kappa=1.0, K_along=0.0))
 
 
+def test_tn_spectral_open_positive_is_inconclusive():
+    # neither branch of the curve criterion applies: an open curve with sup > 0
+    verdict = classify(resolve("tn:kappa=1,K=0"), strategy="spectral_criterion")
+    assert verdict.label == "inconclusive"
+    assert verdict.witness_pos is None and verdict.witness_neg is None
+    assert verdict.evidence[0].min_eig == verdict.evidence[0].max_eig == pytest.approx(1.0)
+    assert "closed curve" in verdict.notes[0]
+
+
 # --------------------------------------------------------------- libraries
 
 def test_witness_library_mixed_domains():

@@ -41,6 +41,14 @@ def test_analyze_strategy_override(runner):
     assert payload["label"] == "indefinite"
 
 
+def test_analyze_tn_spectral_open_curve(runner):
+    result = runner.invoke(
+        main, ["analyze", "--catalog-id", "tn:kappa=1,K=0", "--strategy", "spectral_criterion"]
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.output)["label"] == "inconclusive"
+
+
 def test_analyze_unknown_id_is_usage_error(runner):
     result = runner.invoke(main, ["analyze", "--catalog-id", "bogus:x=1"])
     assert result.exit_code == 2

@@ -6,6 +6,7 @@ from hamstab.immersion import (
     AxisDomain,
     DegenerateMetricError,
     LagrangianChart,
+    central_divergence,
     check_h_minimal,
     check_lagrangian,
     induced_geometry,
@@ -200,3 +201,40 @@ def test_mean_curvature_covector_constant(cid, expected_cov):
     grid = sample_grid(chart, per_axis=9)
     cov = induced_geometry_batch(chart, grid)["nH_cov"]
     assert np.max(np.abs(cov - np.asarray(expected_cov))) <= 1e-12
+
+
+def test_central_divergence_exact_on_quadratics():
+    # central differences are exact on polynomials of degree <= 2, so the
+    # divergence matches the analytic one to rounding, with unequal steps
+    rng = np.random.default_rng(5)
+    n = 3
+    pts = rng.uniform(-2.0, 2.0, size=(7, n))
+    steps = (0.1, 0.25, 0.5)
+
+    # vector field w_i(p) = p^T A_i p + B_i . p + c_i
+    A = rng.standard_normal((n, n, n))
+    B = rng.standard_normal((n, n))
+    c = rng.standard_normal(n)
+
+    def vector(p):
+        return np.einsum("nj,ijk,nk->ni", p, A, p) + p @ B.T + c
+
+    want = np.einsum("iik,nk->n", A, pts) + np.einsum("iki,nk->n", A, pts) + np.trace(B)
+    assert np.allclose(central_divergence(vector, pts, steps), want, rtol=0, atol=1e-12)
+
+    # matrix field W_ij(p) = p^T Q_ij p + R_ij . p + S_ij; divergence over i
+    Q = rng.standard_normal((n, 2, n, n))
+    R = rng.standard_normal((n, 2, n))
+    S = rng.standard_normal((n, 2))
+
+    def matrix(p):
+        return np.einsum("nk,ijkl,nl->nij", p, Q, p) + np.einsum("ijk,nk->nij", R, p) + S
+
+    want = (
+        np.einsum("ijik,nk->nj", Q, pts)
+        + np.einsum("ijki,nk->nj", Q, pts)
+        + np.einsum("iji->j", R)
+    )
+    got = central_divergence(matrix, pts, steps)
+    assert got.shape == (7, 2)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from hamstab.catalog import make_hyperbola_product, make_lagrangian_plane, make_torus
-from hamstab.immersion import AxisDomain
-from hamstab.quadrature import integrate
+from hamstab.geometry import AmbientFlat
+from hamstab.immersion import AxisDomain, chart_from_components
+from hamstab.jets import jcosh, jsin, jsinh
+from hamstab.quadrature import GridSpec, integrate
 from hamstab.testfunctions import (
     Const1D,
     Cos1D,
+    Func1D,
     Gauss1D,
     LinComb,
     PlaneWaveCos,
@@ -336,12 +339,60 @@ def test_reilly_indefinite_random_trig():
         assert abs(reilly_residual(u, m)) <= 1e-9
 
 
-def test_second_variation_functional_nonconstant_chart():
-    # the gradient-graph chart exercises the finite-difference Laplacian
-    # correction; the value must be finite and the form symmetric
-    from helpers import gradient_graph_chart
+WARP = 0.3
 
-    chart = gradient_graph_chart()
-    u = Separable([Gauss1D(0.5), Gauss1D(0.5)])
-    val = second_variation(chart, u)
-    assert np.isfinite(val)
+
+def _warp(S, j):
+    """Coordinate jet of ``x_j = s_j + WARP sin s_j``."""
+    return S[j] + jsin(S[j]) * WARP
+
+
+class _Warped1D(Func1D):
+    """``f(x(s))`` for ``x(s) = s + WARP sin s``, with chain-rule jets."""
+
+    period = None
+
+    def __init__(self, f: Func1D):
+        self.f = f
+        self.box = f.box + WARP  # |x(s) - s| <= WARP
+
+    def jet1(self, s):
+        v, d1, d2 = self.f.jet1(s + WARP * np.sin(s))
+        x1 = 1.0 + WARP * np.cos(s)
+        x2 = -WARP * np.sin(s)
+        return v, d1 * x1, d2 * x1 * x1 + d1 * x2
+
+
+def _warped_plane(p):
+    comps = []
+    for j in range(2):
+        comps += [lambda S, j=j: _warp(S, j), lambda S: S[0] * 0.0]
+    return chart_from_components(AmbientFlat.pseudo_kahler(2, p), (AxisDomain.line(),) * 2, comps)
+
+
+def _warped_hyperbola(radii, branch_signs):
+    comps = []
+    for j, (r, e) in enumerate(zip(radii, branch_signs)):
+        ch = lambda S, j=j, r=r: jcosh(_warp(S, j) / r) * r
+        sh = lambda S, j=j, r=r: jsinh(_warp(S, j) / r) * r
+        comps += [ch, sh] if e == 1 else [sh, ch]
+    return chart_from_components(AmbientFlat.para_kahler(2), (AxisDomain.line(),) * 2, comps)
+
+
+def test_second_variation_functional_nonconstant_chart():
+    # reparametrization invariance: a warped chart has a non-constant metric
+    # with |det g| != 1, and its integrand (finite-difference Laplacian
+    # correction and volume density included) must give the flat chart's
+    # value on the pulled-back probe
+    factors = [Gauss1D(0.8, 0.3), Gauss1D(1.2, -0.2)]
+    spec = GridSpec(line_nodes=200)
+    cases = [
+        (make_lagrangian_plane(2, p=0), _warped_plane(0)),
+        (make_lagrangian_plane(2, p=1), _warped_plane(1)),
+        (make_hyperbola_product((1.0, 2.0), (1, -1)), _warped_hyperbola((1.0, 2.0), (1, -1))),
+    ]
+    for flat, warped in cases:
+        assert not warped.geometry_is_constant
+        want = second_variation(flat, Separable(factors), spec)
+        got = second_variation(warped, Separable([_Warped1D(f) for f in factors]), spec)
+        assert abs(got - want) <= 1e-8 * abs(want), flat.name
