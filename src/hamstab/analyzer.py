@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, SumOfSquares
 from .immersion import AxisDomain, LagrangianChart
-from .quadrature import GridSpec, integrate  # noqa: F401  (re-exported op)
+from .quadrature import GridSpec, JetFormField, check_line_boxes, integrate
 from .testfunctions import (
     AnisotropicGaussian,
     AxisScaled,
@@ -28,9 +28,10 @@ from .testfunctions import (
     PlaneWaveCos,
     Separable,
     TestFunction,
+    compatible_with,
     jet_orders,
 )
-from .variation import as_functional, evaluate_functional, jet_field
+from .variation import _check_compatible, as_functional, evaluate_functional, jet_field
 
 __all__ = [
     "ModeVector",
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 WITNESS_RTOL = 1e-8
+# Note of the evidence record carrying (Q(u_w), Q(u_e1)) as (min, max).
+GRADIENT_FORM_NOTE = "gradient-form values Q(u_w), Q(u_e1) of the direction probes"
 # Relative gap below which two probe values are a rounding-level tie.
 TIE_RTOL = 1e-12
 SOS_RESIDUAL_TOL = 1e-10
@@ -267,15 +270,20 @@ def hyperbola_matrix_analysis(radii, branch_signs) -> HyperbolaMatrixReport:
 
 
 def gradient_form_value(radii, branch_signs, u: TestFunction, gridspec: GridSpec | None = None) -> float:
-    """Quadrature value of ``int Q(du, du) ds`` for the hyperbola gradient form."""
+    """Quadrature value of ``int Q(du, du) ds`` for the hyperbola gradient form:
+    the jet form with ``M_Q`` in its gradient block, sum-factorized on
+    separable probes."""
     rep = hyperbola_matrix_analysis(radii, branch_signs)
+    n = len(radii)
     domains = tuple(AxisDomain.line() for _ in radii)
+    form = np.zeros((len(jet_orders(n)),) * 2)
+    form[1 : n + 1, 1 : n + 1] = rep.matrix
 
-    def fld(pts):
-        _, du, _ = u.jet(pts)
+    def gradient_form(pts, jet):
+        _, du, _ = jet
         return np.einsum("ni,ij,nj->n", du, rep.matrix, du)
 
-    return integrate(fld, domains, gridspec, boxes=u.axis_boxes)
+    return integrate(jet_field(gradient_form, form, u), domains, gridspec, boxes=u.axis_boxes)
 
 
 def _directional_gaussian(direction, narrow: float, wide: float, label: str) -> AnisotropicGaussian:
@@ -310,10 +318,14 @@ def hyperbola_direction_probes(radii, branch_signs):
 
 @dataclass
 class ScalingReport:
+    """Values ``(t, V(u^t))`` of a dilation family; ``norms`` holds
+    ``int (u^t)^2`` per entry when the family was integrated in one pass."""
+
     probe_label: str
     axes: tuple[int, ...]
     prefactor_exponent: float
     entries: list[tuple[float, float]]
+    norms: list[float] | None = None
 
     @property
     def positives(self) -> list[float]:
@@ -341,25 +353,56 @@ def scaling_probe(
 
     The default exponent for all-axes scaling is ``a = n/2 - 1`` (volume
     normalization); axis-restricted families must state their exponent.
+
+    One pass: when the functional has a constant jet form ``M``, every
+    scaled axis is a line axis and the grid takes its boxes from the probe,
+    the grid of ``u^t`` is the grid of ``u`` with the scaled axes' nodes and
+    weights divided by ``t``.  There the jet coordinate ``c`` of ``u^t`` is
+    that of ``u`` times ``t^(a + pi_c)``, ``pi_c`` its derivative count along
+    the scaled axes, so every ``V(u^t)`` is ``t^-|axes|`` times the sum of the
+    form ``D_t M D_t`` (``D_t = diag(t^(a + pi_c))``) on the jets of ``u``,
+    and ``int (u^t)^2`` is ``t^(2a - |axes|) int u^2``.  The whole family and
+    the norm then take one integration; otherwise each ``t`` is evaluated on
+    its own grid.
     """
     functional = as_functional(functional)
-    n = len(functional.domains)
+    domains = functional.domains
+    n = len(domains)
     axes = tuple(range(n)) if axes is None else tuple(axes)
     if prefactor_exponent is None:
         if len(axes) != n:
             raise ValueError("axis-restricted scaling needs an explicit prefactor exponent")
         prefactor_exponent = n / 2.0 - 1.0
-    entries = []
-    for t in t_schedule:
-        scales = [t if j in axes else 1.0 for j in range(n)]
-        ut = AxisScaled(u, scales, float(t) ** prefactor_exponent, label=f"{u.label};t={t:g}")
-        entries.append((float(t), evaluate_functional(functional, ut, gridspec)))
-    return ScalingReport(
-        probe_label=u.label or "probe",
-        axes=axes,
-        prefactor_exponent=float(prefactor_exponent),
-        entries=entries,
+    a = float(prefactor_exponent)
+    schedule = [float(t) for t in t_schedule]
+    family = [
+        AxisScaled(u, [t if j in axes else 1.0 for j in range(n)], t**a, label=f"{u.label};t={t:g}")
+        for t in schedule
+    ]
+    report = ScalingReport(probe_label=u.label or "probe", axes=axes, prefactor_exponent=a, entries=[])
+    form = getattr(functional, "jet_form", None)
+    one_pass = (
+        form is not None
+        and (gridspec is None or gridspec.line_box is None)
+        and all(domains[j].kind == "line" for j in axes)
+        and compatible_with(u, domains)
     )
+    if not one_pass:
+        report.entries = [(t, evaluate_functional(functional, ut, gridspec)) for t, ut in zip(schedule, family)]
+        return report
+    for ut in family:
+        _check_compatible(ut, domains)
+        check_line_boxes(domains, gridspec, ut.axis_boxes)
+    pi = jet_orders(n)[:, list(axes)].sum(axis=1)
+    value_square = np.zeros_like(form)
+    value_square[0, 0] = 1.0
+    stack = [np.outer(d, d) * form for d in (t ** (a + pi) for t in schedule)] + [value_square]
+    field = JetFormField(None, np.array(stack), u.separable_terms(), u.jet)
+    sums = integrate(field, domains, gridspec, boxes=u.axis_boxes)
+    k = len(axes)
+    report.entries = [(t, float(v) * t**-k) for t, v in zip(schedule, sums[:-1])]
+    report.norms = [float(sums[-1]) * t ** (2 * a - k) for t in schedule]
+    return report
 
 
 # ------------------------------------------------------------ curve criterion
@@ -687,8 +730,26 @@ def verify_certificate(
 
 def _classify_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     if entry.kind == "hyperbola":
+        if entry.params["n"] < 3:
+            return StabilityVerdict(
+                LABEL_INCONCLUSIVE,
+                notes=[
+                    "the dilation family follows the negative direction w of the gradient "
+                    "form, which exists only for n >= 3"
+                ],
+            )
         return _classify_hyperbola_scaling(entry, gridspec)
-    n = len(as_functional(entry.functional).domains)
+    domains = as_functional(entry.functional).domains
+    n = len(domains)
+    circles = [j for j, dom in enumerate(domains) if dom.kind == "circle"]
+    if circles:
+        return StabilityVerdict(
+            LABEL_INCONCLUSIVE,
+            notes=[
+                f"the dilation family is a product of Gaussian bumps, which needs line axes; "
+                f"axes {circles} are circles"
+            ],
+        )
     if entry.kind == "tn":
         base = Separable([Gauss1D(1.0), Gauss1D(1.0)], label="bump")
         schedule = np.geomspace(0.05, 20.0, 7)
@@ -718,23 +779,23 @@ def _classify_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdict:
 
 
 def _scaling_witnesses(entry, base, report: ScalingReport, gridspec):
-    """Best scaled-family witnesses that clear the norm-scaled threshold."""
+    """Best scaled-family witnesses that clear the norm-scaled threshold; the
+    norms come from the report when it carries them."""
     n = len(as_functional(entry.functional).domains)
-    best = {1: None, -1: None}
-    for t, v in report.entries:
-        if v > 0 and (best[1] is None or v > best[1][1]):
-            best[1] = (t, v)
-        if v < 0 and (best[-1] is None or v < best[-1][1]):
-            best[-1] = (t, v)
     out = []
     for sign in (1, -1):
-        if best[sign] is None:
+        signed = [sign * v for _, v in report.entries]
+        best = signed.index(max(signed))
+        t, v = report.entries[best]
+        if not sign * v > 0:
             out.append(None)
             continue
-        t, v = best[sign]
-        scales = [t if j in report.axes else 1.0 for j in range(n)]
-        ut = AxisScaled(base, scales, t**report.prefactor_exponent)
-        thresh = WITNESS_RTOL * _witness_norm2(entry.functional, ut, gridspec)
+        if report.norms is not None:
+            norm2 = report.norms[best]
+        else:
+            scales = [t if j in report.axes else 1.0 for j in range(n)]
+            norm2 = _witness_norm2(entry.functional, AxisScaled(base, scales, t**report.prefactor_exponent), gridspec)
+        thresh = WITNESS_RTOL * norm2
         out.append(Witness(f"{report.probe_label};t={t:g}", v) if abs(v) > thresh else None)
     return out[0], out[1]
 
@@ -762,6 +823,7 @@ def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdi
             float(rep.eigenvalues[-1]),
             f"M_Q eigenvalues; inertia {rep.inertia}; w^T M_Q w = {rep.w_value:g}",
         ),
+        EvidenceRecord(2, qw, qe, GRADIENT_FORM_NOTE),
     ]
     notes = [
         f"gradient-form values: Q(u_w) = {qw:.6g} (< 0), Q(u_e1) = {qe:.6g} (> 0)",

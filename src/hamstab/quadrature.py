@@ -18,10 +18,17 @@ edge layer by ``sum |M_pq| B_p B_q`` (``B_p`` bounds coordinate p there from
 per-axis maxima); only a bound of at most 1e-10 skips the mesh.  A larger
 bound, a point-dependent form or a non-separable test function falls
 through to the mesh path, which makes the exact decision.
+
+A field may carry a ``(K, J, J)`` stack of forms, as a dilation family
+does (see :func:`hamstab.analyzer.scaling_probe`); :func:`integrate` then
+returns the K sums.  The Gram product is contracted with each form, or, on
+the mesh, the jets are evaluated once per chunk and each form is contracted
+with their coordinates in turn; every column gets the leak check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,14 +36,28 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .immersion import AxisDomain
-from .testfunctions import jet_orders
+from .testfunctions import jet_coordinates, jet_orders
 
-__all__ = ["GridSpec", "Grid", "JetFormField", "SupportError", "build_grid", "integrate", "pairwise_sum"]
+__all__ = [
+    "GridSpec",
+    "Grid",
+    "JetFormField",
+    "SupportError",
+    "build_grid",
+    "check_line_boxes",
+    "integrate",
+    "pairwise_sum",
+]
 
 MIN_NODES = 8
 
 # Largest number of mesh points evaluated in one vectorized block.
 CHUNK = 262144
+
+# Mesh points per block when contracting a stack of forms.  The stack's K
+# columns stay in memory for the whole mesh, so smaller blocks of jet
+# temporaries keep its peak memory at or below that of one form.
+STACK_CHUNK = CHUNK // 4
 
 # A field must vanish on the line-axis edge layers to this fraction of
 # 1 + its largest magnitude on the grid.
@@ -102,13 +123,17 @@ class JetFormField:
     ``pointwise`` evaluates it on mesh points.  ``form`` is the constant
     (J, J) matrix ``M`` over the jet coordinates of
     :func:`hamstab.testfunctions.jet_orders` (None if the coefficients depend
-    on the point), and ``terms`` the test function's separable terms (None if
-    it has none); with both present :func:`integrate` sum-factorizes.
+    on the point), or a (K, J, J) stack of such matrices, and ``terms`` the
+    test function's separable terms (None if it has none); with both present
+    :func:`integrate` sum-factorizes.  ``jet`` is the test function's jet,
+    which the mesh path of a stack contracts directly (``pointwise`` is then
+    unused).
     """
 
-    pointwise: Callable[[np.ndarray], np.ndarray]
+    pointwise: Callable[[np.ndarray], np.ndarray] | None
     form: np.ndarray | None = None
     terms: list | None = None
+    jet: Callable | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.pointwise(points)
@@ -139,20 +164,42 @@ def build_grid(
             weights.append(np.full(m, h))
             used_boxes.append(None)
         else:
-            box = spec.line_box
-            if box is None and boxes is not None and boxes[j] is not None:
-                box = float(boxes[j])
-            if box is None:
-                raise ValueError(f"line axis {j} needs a truncation box")
-            if box > dom.size * (1 + 1e-12):
-                raise SupportError(
-                    f"axis {j}: requested box {box} exceeds the domain truncation {dom.size}"
-                )
-            x, w = roots_legendre(spec.line_nodes)
+            box = _line_box(j, dom, spec, boxes)
+            x, w = _gauss_legendre(spec.line_nodes)
             nodes.append(x * box)
             weights.append(w * box)
             used_boxes.append(box)
     return Grid(domains, tuple(nodes), tuple(weights), tuple(used_boxes))
+
+
+def _line_box(j: int, dom: AxisDomain, spec: GridSpec, boxes) -> float:
+    box = spec.line_box
+    if box is None and boxes is not None and boxes[j] is not None:
+        box = float(boxes[j])
+    if box is None:
+        raise ValueError(f"line axis {j} needs a truncation box")
+    if box > dom.size * (1 + 1e-12):
+        raise SupportError(f"axis {j}: requested box {box} exceeds the domain truncation {dom.size}")
+    return box
+
+
+def check_line_boxes(domains, spec: GridSpec | None = None, boxes=None) -> None:
+    """Raise exactly as :func:`build_grid` would for these line boxes,
+    without building the grid."""
+    spec = spec or GridSpec()
+    for j, dom in enumerate(domains):
+        if dom.kind == "line":
+            _line_box(j, dom, spec, boxes)
+
+
+@functools.cache
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], shared by every
+    grid with ``m`` line nodes."""
+    x, w = roots_legendre(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -165,23 +212,29 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(v[0]) if v.size else 0.0
 
 
-def integrate(field, domains, spec: GridSpec | None = None, boxes=None) -> float:
+def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
     """Integrate ``field(points) -> (N,)`` over the tensor grid.
 
     Raises :class:`SupportError` if the field fails to vanish (relative to
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
     A :class:`JetFormField` with a constant form and separable terms is
-    sum-factorized when its edge bound clears the leak check.
+    sum-factorized when its edge bound clears the leak check.  A field with
+    a (K, J, J) stack of forms returns a (K,) array of sums.
     """
     grid = build_grid(domains, spec, boxes)
-    if isinstance(field, JetFormField) and field.form is not None and field.terms is not None:
-        value = _sum_factorized(grid, field.form, field.terms)
+    form = field.form if isinstance(field, JetFormField) else None
+    if form is not None and field.terms is not None:
+        value = _sum_factorized(grid, form, field.terms)
         if value is not None:
             return value
     pts, w = grid.points_and_weights()
-    vals = _evaluate_chunked(field, pts)
-    _check_support_leak(grid, pts, vals)
-    return pairwise_sum(vals * w)
+    stack = form is not None and form.ndim == 3
+    columns = _contract_stack(field.jet, form, pts) if stack else [_evaluate_chunked(field, pts)]
+    edges = _edge_masks(grid, pts)
+    for vals in columns:
+        _check_support_leak(edges, vals)
+    sums = [pairwise_sum(vals * w) for vals in columns]
+    return np.array(sums) if stack else sums[0]
 
 
 def _evaluate_chunked(field, pts: np.ndarray) -> np.ndarray:
@@ -194,14 +247,30 @@ def _evaluate_chunked(field, pts: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _check_support_leak(grid: Grid, pts: np.ndarray, vals: np.ndarray) -> None:
-    scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
+def _contract_stack(jet, forms: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(K, N) values ``j^T M_k j``: the jets once per chunk, one form at a time."""
+    out = np.empty((len(forms), len(pts)))
+    for i in range(0, len(pts), STACK_CHUNK):
+        coords = jet_coordinates(jet(pts[i : i + STACK_CHUNK]))
+        for k, m in enumerate(forms):
+            out[k, i : i + STACK_CHUNK] = np.einsum("np,np->n", coords @ m, coords)
+    return out
+
+
+def _edge_masks(grid: Grid, pts: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(axis, mask)`` of the outermost node layers of every line axis."""
+    out = []
     for j, dom in enumerate(grid.domains):
-        if dom.kind != "line":
-            continue
-        lo = grid.axis_nodes[j][0]
-        hi = grid.axis_nodes[j][-1]
-        edge = (pts[:, j] == lo) | (pts[:, j] == hi)
+        if dom.kind == "line":
+            lo = grid.axis_nodes[j][0]
+            hi = grid.axis_nodes[j][-1]
+            out.append((j, (pts[:, j] == lo) | (pts[:, j] == hi)))
+    return out
+
+
+def _check_support_leak(edges, vals: np.ndarray) -> None:
+    scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
+    for j, edge in edges:
         leak = float(np.max(np.abs(vals[edge]), initial=0.0))
         if leak > LEAK_RTOL * scale:
             raise SupportError(
@@ -210,9 +279,10 @@ def _check_support_leak(grid: Grid, pts: np.ndarray, vals: np.ndarray) -> None:
             )
 
 
-def _sum_factorized(grid: Grid, form: np.ndarray, terms) -> float | None:
+def _sum_factorized(grid: Grid, form: np.ndarray, terms):
     """``sum_x w(x) j(x)^T M j(x)`` from per-axis Gram matrices, or None when
-    the edge bound cannot certify the support-leak check.
+    the edge bound cannot certify the support-leak check.  A (K, J, J) stack
+    of forms shares the Gram product and gives a (K,) array.
 
     With ``j_p = sum_t c_t prod_k f_tk^(a_pk)`` the sum is
     ``sum_{t,s,p,q} c_t c_s M_pq prod_k G_k[t, s, a_pk, a_qk]`` where
@@ -225,7 +295,7 @@ def _sum_factorized(grid: Grid, form: np.ndarray, terms) -> float | None:
         np.array([factors[k].jet1(nodes) for _, factors in terms])
         for k, nodes in enumerate(grid.axis_nodes)
     ]
-    absform = np.abs(form)
+    forms = form.reshape((-1,) + form.shape[-2:])
     peaks = [np.max(np.abs(jk), axis=2) for jk in jets]
     for j, dom in enumerate(grid.domains):
         if dom.kind != "line":
@@ -233,10 +303,11 @@ def _sum_factorized(grid: Grid, form: np.ndarray, terms) -> float | None:
         edge = np.maximum(np.abs(jets[j][:, :, 0]), np.abs(jets[j][:, :, -1]))
         per_axis = [edge if k == j else peaks[k] for k in range(grid.dim)]
         bound = np.abs(coefs) @ np.prod([pk[:, orders[:, k]] for k, pk in enumerate(per_axis)], axis=0)
-        if bound @ absform @ bound > LEAK_RTOL:
+        if any(bound @ np.abs(m) @ bound > LEAK_RTOL for m in forms):
             return None
     prod = 1.0
     for k, jk in enumerate(jets):
         gram = np.einsum("tai,i,sbi->tsab", jk, grid.axis_weights[k], jk)
         prod = prod * gram[:, :, orders[:, k][:, None], orders[:, k][None, :]]
-    return float(np.einsum("t,s,tspq,pq->", coefs, coefs, prod, form))
+    values = [float(np.einsum("t,s,tspq,pq->", coefs, coefs, prod, m)) for m in forms]
+    return values[0] if form.ndim == 2 else np.array(values)

@@ -8,12 +8,14 @@ chart points, plus per-axis support metadata:
 * ``axis_boxes[j]``: half-width of a box outside which the function and its
   listed partials vanish below 1e-14 (``None`` if unbounded support).
 
-Products of one-variable factors, and sums and dilations of them, also
-report ``separable_terms()``: ``(coefficient, per-axis factors)`` pairs whose
-sum is the function, which lets the quadrature integrate quadratic forms in
-the jet axis by axis.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
+Products of one-variable factors (axis-aligned anisotropic Gaussians
+included), and sums and dilations of them, also report
+``separable_terms()``: ``(coefficient, per-axis factors)`` pairs whose sum
+is the function, which lets the quadrature integrate quadratic forms in the
+jet axis by axis.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
 i <= j)``; :func:`jet_orders` gives each coordinate's per-axis derivative
-orders.
+orders, and :func:`jet_coordinates` / :func:`jet_from_coordinates` convert
+between jets and coordinates.
 
 Gaussian-type factors are treated as compactly supported with a declared
 box of ten standard deviations, where the tail is far below the vanishing
@@ -45,6 +47,7 @@ __all__ = [
     "compatible_with",
     "jet_orders",
     "jet_from_coordinates",
+    "jet_coordinates",
 ]
 
 GAUSS_BOX_SIGMAS = 10.0
@@ -131,6 +134,14 @@ def jet_from_coordinates(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     hess[:, rows, cols] = coords[:, n + 1 :]
     hess[:, cols, rows] = coords[:, n + 1 :]
     return coords[:, 0], coords[:, 1 : n + 1], hess
+
+
+def jet_coordinates(jet) -> np.ndarray:
+    """(N, J) coordinates, ordered as in :func:`jet_orders`, of jets
+    ``(u, du, d2u)``; the inverse of :func:`jet_from_coordinates`."""
+    u, du, hess = jet
+    rows, cols = _hessian_index(du.shape[-1])
+    return np.concatenate([np.reshape(u, (-1, 1)), du, hess[:, rows, cols]], axis=1)
 
 
 # --------------------------------------------------------------------- 1-d
@@ -311,6 +322,13 @@ class AnisotropicGaussian(TestFunction):
             abs(c) + GAUSS_BOX_SIGMAS * w for c, w in zip(self.center, marginal)
         )
         self.label = label
+
+    def separable_terms(self):
+        """One product of ``Gauss1D(1 / sqrt(A_jj), c_j)`` factors when ``A``
+        is exactly diagonal; None otherwise."""
+        if np.any(self.A != np.diag(np.diag(self.A))):
+            return None
+        return [(1.0, [Gauss1D(1.0 / np.sqrt(a), c) for a, c in zip(np.diag(self.A), self.center)])]
 
     def jet(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center

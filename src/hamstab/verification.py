@@ -233,9 +233,8 @@ def _criterion_4(ctx) -> list[CheckResult]:
                 abs(rep.w_value - w_expected) <= 1e-12 and abs(rep.e1_value - 1.0) <= 1e-12,
             )
         )
-        u_w, u_e1, _ = hyperbola_direction_probes(radii, eps)
-        qw = gradient_form_value(radii, eps, u_w, entry.default_gridspec)
-        qe = gradient_form_value(radii, eps, u_e1, entry.default_gridspec)
+        verdict = classify(entry, gridspec=ctx.gridspec, seed=ctx.seed)
+        qw, qe = _gradient_form_values(entry, verdict)
         out.append(
             _check(
                 4,
@@ -248,7 +247,6 @@ def _criterion_4(ctx) -> list[CheckResult]:
                 qw < 0 < qe,
             )
         )
-        verdict = classify(entry, gridspec=ctx.gridspec, seed=ctx.seed)
         ok = (
             verdict.label == "indefinite"
             and verdict.witness_pos is not None
@@ -273,6 +271,20 @@ def _criterion_4(ctx) -> list[CheckResult]:
             )
         )
     return out
+
+
+def _gradient_form_values(entry, verdict) -> tuple[float, float]:
+    """``(Q(u_w), Q(u_e1))`` on the entry's default grid: read from the
+    verdict's evidence when the verdict used that grid, integrated otherwise."""
+    if GridSpec(**verdict.grid) == entry.default_gridspec:
+        record = next(e for e in verdict.evidence if e.note == analyzer.GRADIENT_FORM_NOTE)
+        return record.min_eig, record.max_eig
+    radii, eps = entry.params["radii"], entry.params["eps"]
+    u_w, u_e1, _ = hyperbola_direction_probes(radii, eps)
+    return (
+        gradient_form_value(radii, eps, u_w, entry.default_gridspec),
+        gradient_form_value(radii, eps, u_e1, entry.default_gridspec),
+    )
 
 
 # ------------------------------------------------------------- criterion 5

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hamstab.analyzer import (
+    GRADIENT_FORM_NOTE,
     ModeVector,
     assemble_form,
     classify,
@@ -16,7 +17,7 @@ from hamstab.analyzer import (
     wirtinger_bound,
     witness_library,
 )
-from hamstab.catalog import CurveData, make_geodesic_tube, resolve
+from hamstab.catalog import CurveData, default_catalog_ids, make_geodesic_tube, resolve
 from hamstab.quadrature import GridSpec
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
 from hamstab.variation import second_variation
@@ -195,6 +196,25 @@ def test_scaling_probe_requires_exponent_for_partial_axes():
     base = Separable([Gauss1D(1.0), Gauss1D(1.0)])
     with pytest.raises(ValueError, match="exponent"):
         scaling_probe(functional, base, (1.0,), axes=(0,))
+
+
+def test_scaling_probe_strategy_on_every_entry():
+    spec = GridSpec(circle_nodes=16, line_nodes=16)
+    for cid in default_catalog_ids():
+        verdict = classify(resolve(cid), strategy="scaling_probe", gridspec=spec)
+        assert verdict.label in ("indefinite", "inconclusive"), cid
+        if verdict.label == "inconclusive":
+            assert verdict.notes, cid
+
+
+def test_hyperbola_scaling_records_gradient_form_values():
+    entry = resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+")
+    spec = GridSpec(line_nodes=16)
+    verdict = classify(entry, strategy="scaling_probe", gridspec=spec)
+    record = next(e for e in verdict.evidence if e.note == GRADIENT_FORM_NOTE)
+    u_w, u_e1, _ = hyperbola_direction_probes(entry.params["radii"], entry.params["eps"])
+    assert record.min_eig == gradient_form_value(entry.params["radii"], entry.params["eps"], u_w, spec)
+    assert record.max_eig == gradient_form_value(entry.params["radii"], entry.params["eps"], u_e1, spec)
 
 
 def test_isotropic_default_exponent():

@@ -49,6 +49,16 @@ def test_analyze_tn_spectral_open_curve(runner):
     assert json.loads(result.output)["label"] == "inconclusive"
 
 
+def test_analyze_scaling_probe_on_circle_axes(runner):
+    result = runner.invoke(
+        main, ["analyze", "--catalog-id", "torus:n=1,r=1,p=0", "--strategy", "scaling_probe"]
+    )
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["label"] == "inconclusive"
+    assert any("circle" in note for note in payload["notes"])
+
+
 def test_analyze_unknown_id_is_usage_error(runner):
     result = runner.invoke(main, ["analyze", "--catalog-id", "bogus:x=1"])
     assert result.exit_code == 2
@@ -99,6 +109,12 @@ def test_sweep_kappa_verdict_flip(runner):
     # the threshold for L = 4 pi sits at kappa = 1
     assert float(rows[flip][0]) > 1.0
     assert all(v == "stable" for v in verdicts[:flip])
+
+
+def test_sweep_help_marks_unused_options(runner):
+    result = runner.invoke(main, ["sweep", "--help"])
+    assert result.exit_code == 0
+    assert result.output.count("accepted but unused") == 3
 
 
 def test_sweep_bad_axis(runner):

@@ -21,6 +21,9 @@ from hamstab.testfunctions import (
     LinComb,
     PlaneWaveCos,
     Separable,
+    jet_coordinates,
+    jet_from_coordinates,
+    jet_orders,
     random_bump_poly,
 )
 from hamstab.variation import SecondVariationFunctional, evaluate_functional, polarized_form
@@ -115,7 +118,7 @@ def test_fast_path_matches_mesh_path(case):
 @pytest.mark.parametrize(
     "cid, u",
     [
-        ("plane:n=2,p=0", AnisotropicGaussian(np.diag([1.0, 2.0]))),
+        ("plane:n=2,p=0", AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])),
         ("torus:n=2,r=1,1,p=1", PlaneWaveCos([1.0, 1.0])),
         ("torus:n=2,r=1,1,p=1", LinComb([(1.0, PlaneWaveCos([1.0, 0.0])), (1.0, Separable([Cos1D(1.0), Const1D()]))])),
     ],
@@ -127,6 +130,58 @@ def test_non_separable_probes_use_the_mesh(cid, u):
         val = evaluate_functional(functional, u, SMALL)
     assert len(calls) == 1
     assert val == mesh_value(functional, u, SMALL)
+
+
+def test_diagonal_anisotropic_gaussian_sum_factorizes():
+    functional = CATALOG["plane:n=2,p=1"].functional
+    u = AnisotropicGaussian(np.diag([1.0, 0.25]), center=[0.3, -0.5])
+    assert u.separable_terms() is not None
+    with counting_meshes() as calls:
+        fast = evaluate_functional(functional, u, SMALL)
+    assert calls == []
+    ref = mesh_value(functional, u, SMALL)
+    assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_gradient_form_value_sum_factorizes_axis_aligned_probes():
+    radii, eps = (1.0, 2.0, 3.0), (1, -1, 1)
+    _, u_e1, rep = analyzer.hyperbola_direction_probes(radii, eps)
+    with counting_meshes() as calls:
+        fast = analyzer.gradient_form_value(radii, eps, u_e1, SMALL)
+    assert calls == []
+    domains = (AxisDomain.line(),) * 3
+    ref = quadrature.integrate(
+        lambda pts: np.einsum("ni,ij,nj->n", u_e1.jet(pts)[1], rep.matrix, u_e1.jet(pts)[1]),
+        domains,
+        SMALL,
+        boxes=u_e1.axis_boxes,
+    )
+    assert abs(fast - ref) <= 1e-12 * abs(ref)
+
+
+def test_form_stacks_match_one_form_at_a_time():
+    functional = CATALOG["plane:n=2,p=1"].functional
+    forms = np.array([functional.jet_form, np.eye(len(functional.jet_form)), -2.0 * functional.jet_form])
+    for u in (Separable([Gauss1D(1.0), HermGauss1D(2, 0.8)]), AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])):
+        field = quadrature.JetFormField(None, forms, u.separable_terms(), u.jet)
+        with counting_meshes() as calls:
+            values = quadrature.integrate(field, functional.domains, SMALL, boxes=u.axis_boxes)
+        assert len(calls) == (u.separable_terms() is None)
+        for value, form in zip(values, forms):
+            ref = quadrature.integrate(
+                lambda pts: np.einsum("np,pq,nq->n", jet_coordinates(u.jet(pts)), form, jet_coordinates(u.jet(pts))),
+                functional.domains,
+                SMALL,
+                boxes=u.axis_boxes,
+            )
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+        with pytest.raises(SupportError, match="boundary"):
+            quadrature.integrate(field, functional.domains, GridSpec(line_nodes=16, line_box=3.0))
+
+
+def test_jet_coordinates_invert_jet_from_coordinates():
+    coords = np.random.default_rng(3).standard_normal((5, len(jet_orders(3))))
+    assert np.array_equal(jet_coordinates(jet_from_coordinates(coords, 3)), coords)
 
 
 def test_point_dependent_functionals_use_the_mesh():
@@ -165,6 +220,76 @@ def test_polarized_form_of_the_flat_laplacian_square():
     expect = np.zeros((6, 6))
     expect[np.ix_([3, 5], [3, 5])] = 1.0
     assert np.array_equal(form, expect)
+
+
+# A dilation family per entry: (probe axes, prefactor exponent, grid).
+FAMILIES = {
+    "hyperbola:n=3,r=1,1,1,eps=+,+,+": (None, None, SMALL),
+    "hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+": (None, None, GridSpec(line_nodes=8)),
+    "tube:AdS3:unbounded-definite:Gprime": (None, 0.0, SMALL),
+    "tn:kappa=1,K=0": ((0,), 1.5, SMALL),
+}
+
+
+def family_probe(entry):
+    if entry.kind == "hyperbola":
+        return analyzer.hyperbola_direction_probes(entry.params["radii"], entry.params["eps"])[0]
+    return Separable([Gauss1D(1.0), Gauss1D(1.0)], label="bump")
+
+
+def dilated(u, t, axes, a):
+    return AxisScaled(u, [t if j in axes else 1.0 for j in range(u.n)], t**a)
+
+
+def rounding_scale(functional, u, report, spec):
+    """``t^-|axes| sum_x w(x) |D_t j(x)|^T |M| |D_t j(x)|`` per family member:
+    the magnitude against which either path rounds its value."""
+    grid = quadrature.build_grid(functional.domains, spec, u.axis_boxes)
+    pts, w = grid.points_and_weights()
+    coords = np.abs(jet_coordinates(u.jet(pts)))
+    pi = jet_orders(u.n)[:, list(report.axes)].sum(axis=1)
+    out = []
+    for t, _ in report.entries:
+        c = coords * t ** (report.prefactor_exponent + pi)
+        out.append(t ** -len(report.axes) * np.sum(w * np.einsum("np,pq,nq->n", c, np.abs(functional.jet_form), c)))
+    return out
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.sampled_from(sorted(FAMILIES)), st.lists(st.floats(0.05, 20.0), min_size=1, max_size=4))
+def test_one_pass_dilation_family_matches_per_t(cid, schedule):
+    entry = CATALOG[cid]
+    axes, a, spec = FAMILIES[cid]
+    u = family_probe(entry)
+    with counting_meshes() as calls:
+        report = analyzer.scaling_probe(entry.functional, u, schedule, axes=axes, prefactor_exponent=a, gridspec=spec)
+    assert len(calls) == (0 if u.separable_terms() else 1)
+    scales = rounding_scale(entry.functional, u, report, spec)
+    for (t, value), norm2, scale in zip(report.entries, report.norms, scales):
+        ut = dilated(u, t, report.axes, report.prefactor_exponent)
+        ref = evaluate_functional(entry.functional, ut, spec)
+        assert abs(value - ref) <= 1e-13 * scale, (cid, t, value, ref)
+        ref_norm = analyzer._witness_norm2(entry.functional, ut, spec)
+        assert abs(norm2 - ref_norm) <= 1e-13 * ref_norm, (cid, t, norm2, ref_norm)
+
+
+def test_fixed_line_box_takes_the_per_t_loop():
+    entry = CATALOG["hyperbola:n=3,r=1,1,1,eps=+,+,+"]
+    u = family_probe(entry)
+    spec = GridSpec(line_nodes=16, line_box=60.0)
+    schedule = (0.5, 1.0, 2.0)
+    with counting_meshes() as calls:
+        report = analyzer.scaling_probe(entry.functional, u, schedule, gridspec=spec)
+    assert len(calls) == len(schedule)
+    assert report.norms is None
+    assert report.entries == [(t, evaluate_functional(entry.functional, dilated(u, t, (0, 1, 2), 0.5), spec)) for t in schedule]
+
+
+def test_one_pass_family_keeps_the_per_t_checks():
+    functional = CATALOG["tube:AdS3:unbounded-definite:Gprime"].functional
+    base = Separable([Gauss1D(1.0), Gauss1D(1.0)], label="bump")
+    with pytest.raises(ValueError, match="'bump;t=0.0001' is incompatible"):
+        analyzer.scaling_probe(functional, base, (1.0, 1e-4), prefactor_exponent=0.0)
 
 
 def test_tied_witnesses_follow_the_reference_path():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hamstab.immersion import AxisDomain
+from scipy.special import roots_legendre
+
+from hamstab import quadrature
 from hamstab.quadrature import GridSpec, SupportError, build_grid, integrate, pairwise_sum
 
 
@@ -96,3 +99,21 @@ def test_chunked_evaluation_consistency():
     finally:
         q.CHUNK = old
     assert chunked == direct
+
+
+def test_gauss_legendre_nodes_are_cached_read_only():
+    x, w = quadrature._gauss_legendre(12)
+    assert quadrature._gauss_legendre(12)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    ref_x, ref_w = roots_legendre(12)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    doms = (AxisDomain.line(), AxisDomain.circle(2 * np.pi))
+    spec = GridSpec(circle_nodes=8, line_nodes=12)
+    first, second = (build_grid(doms, spec, boxes=(3.0, None)) for _ in range(2))
+    for a, b in zip(first.axis_nodes + first.axis_weights, second.axis_nodes + second.axis_weights):
+        assert np.array_equal(a, b)
+    assert np.array_equal(first.axis_nodes[0], ref_x * 3.0)
+    assert np.array_equal(first.axis_weights[0], ref_w * 3.0)
