@@ -273,17 +273,22 @@ def gradient_form_value(radii, branch_signs, u: TestFunction, gridspec: GridSpec
     """Quadrature value of ``int Q(du, du) ds`` for the hyperbola gradient form:
     the jet form with ``M_Q`` in its gradient block, sum-factorized on
     separable probes."""
-    rep = hyperbola_matrix_analysis(radii, branch_signs)
-    n = len(radii)
+    mq = hyperbola_matrix_analysis(radii, branch_signs).matrix
     domains = tuple(AxisDomain.line() for _ in radii)
-    form = np.zeros((len(jet_orders(n)),) * 2)
-    form[1 : n + 1, 1 : n + 1] = rep.matrix
 
     def gradient_form(pts, jet):
         _, du, _ = jet
-        return np.einsum("ni,ij,nj->n", du, rep.matrix, du)
+        return np.einsum("ni,ij,nj->n", du, mq, du)
 
-    return integrate(jet_field(gradient_form, form, u), domains, gridspec, boxes=u.axis_boxes)
+    return integrate(jet_field(gradient_form, _gradient_jet_form(mq), u), domains, gridspec, boxes=u.axis_boxes)
+
+
+def _gradient_jet_form(mq: np.ndarray) -> np.ndarray:
+    """The jet form with ``mq`` in its gradient block."""
+    n = len(mq)
+    form = np.zeros((len(jet_orders(n)),) * 2)
+    form[1 : n + 1, 1 : n + 1] = mq
+    return form
 
 
 def _directional_gaussian(direction, narrow: float, wide: float, label: str) -> AnisotropicGaussian:
@@ -365,6 +370,13 @@ def scaling_probe(
     the norm then take one integration; otherwise each ``t`` is evaluated on
     its own grid.
     """
+    return _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridspec)[0]
+
+
+def _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridspec, extra_forms=()):
+    """:func:`scaling_probe`'s report, plus the sums of ``extra_forms``
+    (constant jet forms on the jets of ``u`` itself) as more columns of the
+    same integration when the family takes one pass; None otherwise."""
     functional = as_functional(functional)
     domains = functional.domains
     n = len(domains)
@@ -389,7 +401,7 @@ def scaling_probe(
     )
     if not one_pass:
         report.entries = [(t, evaluate_functional(functional, ut, gridspec)) for t, ut in zip(schedule, family)]
-        return report
+        return report, None
     for ut in family:
         _check_compatible(ut, domains)
         check_line_boxes(domains, gridspec, ut.axis_boxes)
@@ -397,12 +409,13 @@ def scaling_probe(
     value_square = np.zeros_like(form)
     value_square[0, 0] = 1.0
     stack = [np.outer(d, d) * form for d in (t ** (a + pi) for t in schedule)] + [value_square]
-    field = JetFormField(None, np.array(stack), u.separable_terms(), u.jet)
+    field = JetFormField(None, np.array(stack + list(extra_forms)), u.separable_terms(), u.jet)
     sums = integrate(field, domains, gridspec, boxes=u.axis_boxes)
     k = len(axes)
-    report.entries = [(t, float(v) * t**-k) for t, v in zip(schedule, sums[:-1])]
-    report.norms = [float(sums[-1]) * t ** (2 * a - k) for t in schedule]
-    return report
+    m = len(schedule)
+    report.entries = [(t, float(v) * t**-k) for t, v in zip(schedule, sums[:m])]
+    report.norms = [float(sums[m]) * t ** (2 * a - k) for t in schedule]
+    return report, [float(v) for v in sums[m + 1 :]]
 
 
 # ------------------------------------------------------------ curve criterion
@@ -708,9 +721,8 @@ def verify_certificate(
 
     boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
     grid = build_grid(functional.domains, gridspec, boxes=boxes)
-    pts, _ = grid.points_and_weights()
-    if len(pts) > 20000:
-        pts = pts[rng.choice(len(pts), 20000, replace=False)]
+    rows = rng.choice(grid.size, 20000, replace=False) if grid.size > 20000 else np.arange(grid.size)
+    pts = grid.points_at(rows)
     residual = 0.0
     scale = 1.0
     for _ in range(n_fields):
@@ -806,8 +818,11 @@ def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdi
     u_w, u_e1, rep = hyperbola_direction_probes(radii, eps)
     n = len(radii)
     schedule = (0.05, 0.5, 2.0) if n >= 4 else (0.05, 0.1, 0.5, 1.0, 2.0, 10.0)
-    report_w = scaling_probe(entry.functional, u_w, schedule, gridspec=gridspec)
-    qw = gradient_form_value(radii, eps, u_w, gridspec)
+    # Q(u_w) is one more column of the family's integration when it takes one pass
+    report_w, extra = _dilation_family(
+        entry.functional, u_w, schedule, None, None, gridspec, [_gradient_jet_form(rep.matrix)]
+    )
+    qw = extra[0] if extra is not None else gradient_form_value(radii, eps, u_w, gridspec)
     qe = gradient_form_value(radii, eps, u_e1, gridspec)
     pos, neg = _scaling_witnesses(entry, u_w, report_w, gridspec)
     if neg is None:

@@ -169,6 +169,14 @@ def make_torus(radii, p: int, oracle: str = "closed_form") -> LagrangianChart:
             d2f[:, j, j, 2 * j + 1] = -s[:, j] / r[j]
         return f, df, d2f
 
+    def d3f_fn(points):
+        theta = np.atleast_2d(np.asarray(points, dtype=float)) / r
+        d3f = np.zeros((len(theta), n, n, n, 2 * n))
+        for j in range(n):
+            d3f[:, j, j, j, 2 * j] = np.sin(theta[:, j]) / r[j] ** 2
+            d3f[:, j, j, j, 2 * j + 1] = -np.cos(theta[:, j]) / r[j] ** 2
+        return d3f
+
     return LagrangianChart(
         ambient=ambient,
         domains=domains,
@@ -177,6 +185,7 @@ def make_torus(radii, p: int, oracle: str = "closed_form") -> LagrangianChart:
         name=name,
         metric_is_constant=True,
         geometry_is_constant=True,
+        d3f=d3f_fn,
     )
 
 
@@ -233,6 +242,16 @@ def make_hyperbola_product(
             d2f[:, j, j, 2 * j + 1] = y[:, j] / r[j]
         return f, df, d2f
 
+    def d3f_fn(points):
+        theta = np.atleast_2d(np.asarray(points, dtype=float)) / r
+        ch, sh = np.cosh(theta), np.sinh(theta)
+        d3f = np.zeros((len(theta), n, n, n, 2 * n))
+        for j in range(n):
+            x, y = (ch, sh) if eps[j] == 1 else (sh, ch)
+            d3f[:, j, j, j, 2 * j] = y[:, j] / r[j] ** 2
+            d3f[:, j, j, j, 2 * j + 1] = x[:, j] / r[j] ** 2
+        return d3f
+
     return LagrangianChart(
         ambient=ambient,
         domains=domains,
@@ -241,6 +260,7 @@ def make_hyperbola_product(
         name=name,
         metric_is_constant=True,
         geometry_is_constant=True,
+        d3f=d3f_fn,
     )
 
 
@@ -267,6 +287,9 @@ def make_lagrangian_plane(
         d2f = np.zeros((npts, n, n, 2 * n))
         return f, df, d2f
 
+    def d3f_fn(points):
+        return np.zeros((len(np.atleast_2d(points)), n, n, n, 2 * n))
+
     return LagrangianChart(
         ambient=ambient,
         domains=domains,
@@ -275,6 +298,7 @@ def make_lagrangian_plane(
         name=name,
         metric_is_constant=True,
         geometry_is_constant=True,
+        d3f=d3f_fn,
     )
 
 

@@ -3,7 +3,9 @@ sweeps, and the geodesic-tube table.
 
 Reports are deterministic functions of (grid, seed): identical invocations
 produce byte-identical output regardless of --threads.  Exit codes:
-0 success, 1 check failure, 2 usage error.
+0 success, 1 check failure, 2 usage error, including a --grid whose
+quadrature mesh would exceed the point cap
+(:data:`hamstab.quadrature.MAX_MESH_POINTS`) on some entry's axes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .analyzer import classify, compute_tube_table, torus_mode_value, wirtinger_bound
 from .catalog import CatalogIdError, CurveData, resolve
-from .quadrature import GridSpec
+from .quadrature import GridSpec, GridTooLargeError
 from .verification import run_all
 
 STRATEGIES = ["fourier_sweep", "scaling_probe", "sos_certificate", "spectral_criterion"]
@@ -122,7 +124,10 @@ def analyze(catalog_id, strategy, grid, box, fmt, out, seed) -> None:
         entry = resolve(catalog_id)
     except CatalogIdError as exc:
         raise click.UsageError(str(exc))
-    verdict = classify(entry, strategy=strategy, gridspec=_gridspec(grid, box), seed=seed)
+    try:
+        verdict = classify(entry, strategy=strategy, gridspec=_gridspec(grid, box), seed=seed)
+    except GridTooLargeError as exc:
+        raise click.UsageError(str(exc))
     payload = verdict.to_json_dict()
     if fmt == "json":
         text = _to_json(payload)
@@ -222,7 +227,10 @@ def _run_sweep(entry, axis_spec: str):
 @click.option("--seed", type=int, default=0)
 def tube_table(fmt, out, grid, box, seed) -> None:
     """Recompute all eight tube rows and compare with the stated columns."""
-    table = compute_tube_table(gridspec=_gridspec(grid, box), seed=seed)
+    try:
+        table = compute_tube_table(gridspec=_gridspec(grid, box), seed=seed)
+    except GridTooLargeError as exc:
+        raise click.UsageError(str(exc))
     all_match = all(row[m]["match"] for row in table for m in ("G", "Gprime"))
     if fmt == "json":
         text = _to_json({"rows": table, "all_match": all_match})

@@ -9,7 +9,11 @@ mean-curvature covector ``H_k = g(nH, J f_k) = g^{ij} C_ijk``.
 
 Structural checks (Lagrangian, divergence-free mean curvature, full
 symmetry of ``C``) are report-style: they return worst-case residuals over
-a sample grid and leave the accept/reject decision to the caller.
+a sample grid and leave the accept/reject decision to the caller.  They walk
+the grid in slices of :data:`SLICE` points and take the max, which gives
+the same result as one pass because every operation is per point.  A chart
+may also supply third derivatives (``d3f``); the mean-curvature divergence
+is then exact, from one geometry pass, instead of a central difference.
 """
 
 from __future__ import annotations
@@ -39,6 +43,12 @@ __all__ = [
 
 # Oracle signature: points (N, n) -> (f (N, 2n), df (N, n, 2n), d2f (N, n, n, 2n))
 ImmersionOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+# Third-derivative signature: points (N, n) -> d3f (N, n, n, n, 2n)
+ThirdDerivatives = Callable[[np.ndarray], np.ndarray]
+
+# Sample points per slice in the structural checks.
+SLICE = 8192
 
 
 class DegenerateMetricError(ValueError):
@@ -84,7 +94,9 @@ class LagrangianChart:
     mean-curvature covector are constant, so the second-variation integrand
     may be assembled from the geometry at the origin (this also keeps
     far-out probe evaluations away from overflowing oracle factors; the
-    structural checks still sample the oracle itself).
+    structural checks still sample the oracle itself).  ``d3f``, when
+    given, returns the third partials ``f_ijk``; :func:`check_h_minimal`
+    then takes the exact divergence.
     """
 
     ambient: AmbientFlat
@@ -94,6 +106,7 @@ class LagrangianChart:
     name: str = ""
     metric_is_constant: bool = False
     geometry_is_constant: bool = False
+    d3f: ThirdDerivatives | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.oracle_kind not in ("closed_form", "dual_number"):
@@ -231,16 +244,29 @@ def sample_grid(chart: LagrangianChart, per_axis: int = 17, line_window: float =
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def check_lagrangian(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
-    """Worst symplectic pairing ``max |omega(f_i, f_j)|`` over the grid."""
+def _sample_points(chart: LagrangianChart, grid: np.ndarray | None) -> np.ndarray:
     pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
     if len(pts) == 0:
         raise ValueError("empty sample grid")
-    _, df, _ = chart.oracle(pts)
+    return pts
+
+
+def _worst_over_slices(residual, pts: np.ndarray) -> float:
+    """``max`` of ``residual(slice)`` over consecutive slices of ``pts``."""
+    return max(residual(pts[i : i + SLICE]) for i in range(0, len(pts), SLICE))
+
+
+def check_lagrangian(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
+    """Worst symplectic pairing ``max |omega(f_i, f_j)|`` over the grid."""
     amb = chart.ambient
-    jdf = amb.j_apply(df)
-    omega = amb.eps * np.einsum("nia,nja,a->nij", jdf, df, amb.signature.as_array())
-    return float(np.max(np.abs(omega)))
+    sgn = amb.signature.as_array()
+
+    def residual(pts):
+        _, df, _ = chart.oracle(pts)
+        omega = amb.eps * np.einsum("nia,nja,a->nij", amb.j_apply(df), df, sgn)
+        return float(np.max(np.abs(omega)))
+
+    return _worst_over_slices(residual, _sample_points(chart, grid))
 
 
 def check_h_minimal(
@@ -249,21 +275,68 @@ def check_h_minimal(
     """Worst ``|div(n J H)|`` over the grid.
 
     The tangent field has components ``X^l = g^{lk} H_k`` (overall sign
-    conventions drop out of the zero test), and the divergence is computed
-    as ``(1/sqrt|g|) d_l(sqrt|g| X^l)`` with central differences of step
-    ``rel_step`` times the axis scale.
+    conventions drop out of the zero test), and its divergence is
+    ``(1/sqrt|g|) d_l(sqrt|g| X^l)``.  With ``chart.d3f`` it is computed
+    exactly by the product rule from one geometry pass (see
+    :func:`_exact_divergence`); otherwise by central differences of step
+    ``rel_step`` times the axis scale, which takes ``2n + 1`` passes.
     """
-    pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
+    steps = [rel_step * dom.scale for dom in chart.domains]
 
+    def residual(pts):
+        if chart.d3f is not None:
+            div = _exact_divergence(chart, pts)
+        else:
+            div = _central_h_divergence(chart, steps, pts)
+        return float(np.max(np.abs(div)))
+
+    return _worst_over_slices(residual, _sample_points(chart, grid))
+
+
+def _central_h_divergence(chart: LagrangianChart, steps, pts: np.ndarray) -> np.ndarray:
     def weighted_components(p: np.ndarray) -> np.ndarray:
         geo = induced_geometry_batch(chart, p)
         xl = np.einsum("nlk,nk->nl", geo["g_inv"], geo["nH_cov"])
         return geo["vol"][:, None] * xl
 
     base = induced_geometry_batch(chart, pts)
-    steps = [rel_step * dom.scale for dom in chart.domains]
-    div = central_divergence(weighted_components, pts, steps) / base["vol"]
-    return float(np.max(np.abs(div)))
+    return central_divergence(weighted_components, pts, steps) / base["vol"]
+
+
+def _exact_divergence(chart: LagrangianChart, pts: np.ndarray) -> np.ndarray:
+    """``div X`` for ``X^l = g^{lk} H_k`` from derivatives up to third order.
+
+    With ``sigma`` the ambient inner product and ``C_ijk = sigma(f_ij, J f_k)``,
+    the product rule gives
+
+        div X = d_l g^{lk} H_k + g^{lk} (d_l g^{ij}) C_ijk
+                + sigma(T_l, J E_l) + sigma(A, J A) + 1/2 tr(g^{-1} d_l g) X^l
+
+    where ``d_l g_ij = sigma(f_il, f_j) + sigma(f_i, f_jl)``,
+    ``d_l g^{ij} = -(g^{-1} d_l g g^{-1})^{ij}``, ``T_l = g^{ij} f_ijl``,
+    ``E_l = g^{lk} f_k`` and ``A = g^{ij} f_ij``; the two ``sigma`` terms
+    are ``g^{lk} g^{ij} d_l C_ijk``.  The second one vanishes identically,
+    since ``sigma(A, J A) = eps omega(A, A)``, and is not computed.
+    ``g^{ij}`` is contracted into the third derivatives first, so no rank-5
+    array beyond ``d3f`` itself is formed.
+    """
+    geo = induced_geometry_batch(chart, pts)
+    amb = chart.ambient
+    sgn = amb.signature.as_array()
+    df, d2f, g_inv, H = geo["df"], geo["d2f"], geo["g_inv"], geo["nH_cov"]
+    T = np.einsum("nij,nijla->nla", g_inv, chart.d3f(geo["points"]))
+    half = np.einsum("nila,nja,a->nlij", d2f, df, sgn)
+    dg = half + half.swapaxes(2, 3)
+    dg_inv = -(g_inv[:, None] @ dg @ g_inv[:, None])
+    C_raised = np.einsum("nijk,nlk->nlij", geo["C"], g_inv)
+    X = np.einsum("nlk,nk->nl", g_inv, H)
+    E = np.einsum("nlk,nka->nla", g_inv, df)
+    return (
+        np.einsum("nllk,nk->n", dg_inv, H)
+        + np.einsum("nlij,nlij->n", dg_inv, C_raised)
+        + np.einsum("nla,nla,a->n", T, amb.j_apply(E), sgn)
+        + 0.5 * np.einsum("nij,nlji,nl->n", g_inv, dg, X)
+    )
 
 
 def central_divergence(weighted, pts: np.ndarray, steps) -> np.ndarray:
@@ -285,10 +358,13 @@ def central_divergence(weighted, pts: np.ndarray, steps) -> np.ndarray:
 
 def trisymmetry_residual(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
     """Worst deviation of ``C_ijk`` from full symmetry over the grid."""
-    pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
-    C = induced_geometry_batch(chart, pts)["C"]
-    residual = 0.0
-    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        permuted = np.transpose(C, (0,) + tuple(1 + p for p in perm))
-        residual = max(residual, float(np.max(np.abs(C - permuted))))
-    return residual
+
+    def residual(pts):
+        C = induced_geometry_batch(chart, pts)["C"]
+        worst = 0.0
+        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+            permuted = np.transpose(C, (0,) + tuple(1 + p for p in perm))
+            worst = max(worst, float(np.max(np.abs(C - permuted))))
+        return worst
+
+    return _worst_over_slices(residual, _sample_points(chart, grid))

@@ -19,6 +19,10 @@ per-axis maxima); only a bound of at most 1e-10 skips the mesh.  A larger
 bound, a point-dependent form or a non-separable test function falls
 through to the mesh path, which makes the exact decision.
 
+A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
+:class:`GridTooLargeError` before anything is allocated, instead of running
+the machine out of memory.
+
 A field may carry a ``(K, J, J)`` stack of forms, as a dilation family
 does (see :func:`hamstab.analyzer.scaling_probe`); :func:`integrate` then
 returns the K sums.  The Gram product is contracted with each form, or, on
@@ -41,6 +45,7 @@ from .testfunctions import jet_coordinates, jet_orders
 __all__ = [
     "GridSpec",
     "Grid",
+    "GridTooLargeError",
     "JetFormField",
     "SupportError",
     "build_grid",
@@ -59,6 +64,12 @@ CHUNK = 262144
 # temporaries keep its peak memory at or below that of one form.
 STACK_CHUNK = CHUNK // 4
 
+# Largest mesh :meth:`Grid.points_and_weights` builds.  On 4 axes a point
+# costs about 110 bytes through integration, so the cap is about 3.7 GB.  The
+# largest default mesh has 40^4 = 2.56 M points and 64 nodes per axis give
+# 16.8 M; 96 nodes per axis give 85 M.
+MAX_MESH_POINTS = 2**25
+
 # A field must vanish on the line-axis edge layers to this fraction of
 # 1 + its largest magnitude on the grid.
 LEAK_RTOL = 1e-10
@@ -66,6 +77,10 @@ LEAK_RTOL = 1e-10
 
 class SupportError(ValueError):
     """A field fails to vanish at (or fit inside) a line-axis truncation box."""
+
+
+class GridTooLargeError(ValueError):
+    """A mesh has more than :data:`MAX_MESH_POINTS` points."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,19 @@ class Grid:
         return out
 
     def points_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full mesh as (size, dim) points and (size,) weights."""
+        """Full mesh as (size, dim) points and (size,) weights.
+
+        Raises :class:`GridTooLargeError` before allocating anything when the
+        mesh has more than :data:`MAX_MESH_POINTS` points.
+        """
+        if self.size > MAX_MESH_POINTS:
+            # points and weights, plus one meshgrid temporary per axis for each
+            mesh_bytes = 8 * (3 * self.dim + 1) * self.size
+            raise GridTooLargeError(
+                f"a {' x '.join(str(len(x)) for x in self.axis_nodes)} quadrature mesh has "
+                f"{self.size} points, more than the {MAX_MESH_POINTS} allowed; building its "
+                f"points and weights alone would take about {mesh_bytes / 2**30:.1f} GiB"
+            )
         mesh = np.meshgrid(*self.axis_nodes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
         wmesh = np.meshgrid(*self.axis_weights, indexing="ij")
@@ -114,6 +141,12 @@ class Grid:
         for wm in wmesh:
             w = w * wm.ravel()
         return pts, w
+
+    def points_at(self, flat_indices) -> np.ndarray:
+        """The mesh points at the given flat indices (the row order of
+        :meth:`points_and_weights`), as (len, dim), without the full mesh."""
+        idx = np.unravel_index(flat_indices, tuple(len(x) for x in self.axis_nodes))
+        return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
 
 
 @dataclass(frozen=True)

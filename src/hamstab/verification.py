@@ -29,7 +29,7 @@ from .analyzer import (
 )
 from .catalog import ClosedFormFunctional, CurveData, make_hyperbola_product, make_torus, resolve
 from .immersion import AxisDomain, check_h_minimal, check_lagrangian, induced_geometry_batch, sample_grid, trisymmetry_residual
-from .quadrature import GridSpec, integrate
+from .quadrature import GridSpec, GridTooLargeError, integrate
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
 from .variation import (
     MetricField,
@@ -806,6 +806,8 @@ def run_all(
         num, title, fn = item
         try:
             checks = fn(ctx)
+        except GridTooLargeError:
+            raise  # an input too large to run is a usage error, not a failed check
         except Exception as exc:  # a crashed criterion is a failed criterion
             checks = [
                 _check(num, f"criterion-{num}:error", title, "runtime failure", "completion",

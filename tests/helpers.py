@@ -1,7 +1,11 @@
 """Shared chart builders for the test modules."""
 
+import itertools
+
+import numpy as np
+
 from hamstab.geometry import AmbientFlat
-from hamstab.immersion import AxisDomain, chart_from_components
+from hamstab.immersion import AxisDomain, LagrangianChart, chart_from_components
 from hamstab.jets import jcos, jsin
 
 
@@ -20,4 +24,51 @@ def gradient_graph_chart():
     comps = [lambda S: S[0], phi1, lambda S: S[1], phi2]
     return chart_from_components(
         amb, (AxisDomain.line(), AxisDomain.line()), comps, name="gradient-graph"
+    )
+
+
+def polynomial_graph_chart():
+    """Gradient graph (s, grad phi(s)) in C^2 of the quartic potential
+    phi = 0.1 s1^4 + 0.2 s1^2 s2 + 0.05 s1 s2^3 + 0.15 s2^2, as a closed-form
+    chart that supplies third derivatives.  Lagrangian, not H-minimal."""
+    amb = AmbientFlat.pseudo_kahler(2, 0)
+    phi = {(4, 0): 0.1, (2, 1): 0.2, (1, 3): 0.05, (0, 2): 0.15}
+
+    def partial(*axes):
+        """Values of the partial derivative of phi along ``axes`` at points."""
+        poly = phi
+        for axis in axes:
+            poly = {
+                tuple(e - (k == axis) for k, e in enumerate(m)): c * m[axis]
+                for m, c in poly.items()
+                if m[axis]
+            }
+        return lambda pts: sum(
+            (c * pts[:, 0] ** m[0] * pts[:, 1] ** m[1] for m, c in poly.items()), np.zeros(len(pts))
+        )
+
+    def oracle(points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        f = np.zeros((len(pts), 4))
+        df = np.zeros((len(pts), 2, 4))
+        d2f = np.zeros((len(pts), 2, 2, 4))
+        for k in range(2):
+            f[:, 2 * k] = pts[:, k]
+            f[:, 2 * k + 1] = partial(k)(pts)
+            df[:, k, 2 * k] = 1.0
+            for i in range(2):
+                df[:, i, 2 * k + 1] = partial(k, i)(pts)
+                for j in range(2):
+                    d2f[:, i, j, 2 * k + 1] = partial(k, i, j)(pts)
+        return f, df, d2f
+
+    def d3f(points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros((len(pts), 2, 2, 2, 4))
+        for k, i, j, l in itertools.product(range(2), repeat=4):
+            out[:, i, j, l, 2 * k + 1] = partial(k, i, j, l)(pts)
+        return out
+
+    return LagrangianChart(
+        amb, (AxisDomain.line(), AxisDomain.line()), oracle, name="polynomial-graph", d3f=d3f
     )

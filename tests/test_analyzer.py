@@ -18,7 +18,9 @@ from hamstab.analyzer import (
     witness_library,
 )
 from hamstab.catalog import CurveData, default_catalog_ids, make_geodesic_tube, resolve
-from hamstab.quadrature import GridSpec
+from hamstab.analyzer import _random_field
+from hamstab.quadrature import Grid, GridSpec, GridTooLargeError, JetFormField, build_grid, integrate
+from hamstab.testfunctions import jet_orders
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
 from hamstab.variation import second_variation
 
@@ -212,9 +214,54 @@ def test_hyperbola_scaling_records_gradient_form_values():
     spec = GridSpec(line_nodes=16)
     verdict = classify(entry, strategy="scaling_probe", gridspec=spec)
     record = next(e for e in verdict.evidence if e.note == GRADIENT_FORM_NOTE)
-    u_w, u_e1, _ = hyperbola_direction_probes(entry.params["radii"], entry.params["eps"])
-    assert record.min_eig == gradient_form_value(entry.params["radii"], entry.params["eps"], u_w, spec)
-    assert record.max_eig == gradient_form_value(entry.params["radii"], entry.params["eps"], u_e1, spec)
+    radii, eps = entry.params["radii"], entry.params["eps"]
+    u_w, u_e1, rep = hyperbola_direction_probes(radii, eps)
+    # Q(u_w) is a column of the dilation family's form stack: the gradient
+    # block of the jet form, contracted on the mesh like a one-form stack
+    form = np.zeros((len(jet_orders(3)),) * 2)
+    form[1:4, 1:4] = rep.matrix
+    column = integrate(JetFormField(None, form[None], None, u_w.jet), entry.functional.domains, spec, u_w.axis_boxes)
+    assert record.min_eig == column[0]
+    # gradient_form_value contracts the same field point by point: rounding apart
+    assert record.min_eig == pytest.approx(gradient_form_value(radii, eps, u_w, spec), rel=1e-14)
+    assert record.max_eig == gradient_form_value(radii, eps, u_e1, spec)
+
+
+def test_gradient_form_value_on_an_oversized_mesh_fails_fast():
+    # 96^4 = 85 M mesh points, over the cap: an error instead of an out-of-memory kill
+    u_w, _, _ = hyperbola_direction_probes((1, 1, 1, 1), (1, 1, 1, 1))
+    with pytest.raises(GridTooLargeError, match="points"):
+        gradient_form_value((1, 1, 1, 1), (1, 1, 1, 1), u_w)
+
+
+def _full_mesh_verify_certificate(functional, cert, gridspec=None, seed=0, n_fields=6):
+    """verify_certificate as it was: the full mesh, then 20000 of its rows."""
+    rng = np.random.default_rng(seed)
+    boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
+    pts, _ = build_grid(functional.domains, gridspec, boxes=boxes).points_and_weights()
+    if len(pts) > 20000:
+        pts = pts[rng.choice(len(pts), 20000, replace=False)]
+    residual, scale = 0.0, 1.0
+    for _ in range(n_fields):
+        jet = _random_field(functional.domains, rng).jet(pts)
+        vf = functional.integrand(pts, jet)
+        residual = max(residual, float(np.max(np.abs(vf - cert.form_values(pts, jet)))))
+        scale = max(scale, float(np.max(np.abs(vf))))
+    weight_ok = all(np.all(cert.sign * term.weight_values(pts) >= -1e-14) for term in cert.terms)
+    return residual / scale, weight_ok
+
+
+@pytest.mark.parametrize("cid", ["hyperbola:n=2,r=1,2,eps=+,-", "tn:kappa=0,K=-1"])
+@pytest.mark.parametrize("spec", [None, GridSpec(circle_nodes=96, line_nodes=160)])
+def test_verify_certificate_samples_without_the_mesh(cid, spec, monkeypatch):
+    entry = resolve(cid)
+    want = _full_mesh_verify_certificate(entry.functional, entry.certificate, spec, seed=3)
+
+    def no_mesh(grid):
+        raise AssertionError("verify_certificate built the full mesh")
+
+    monkeypatch.setattr(Grid, "points_and_weights", no_mesh)
+    assert verify_certificate(entry.functional, entry.certificate, spec, seed=3) == want
 
 
 def test_isotropic_default_exponent():

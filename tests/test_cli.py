@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from hamstab import verification
 from hamstab.cli import main
+from hamstab.quadrature import GridTooLargeError
 
 
 @pytest.fixture()
@@ -189,3 +191,26 @@ def test_verify_paper_bad_criteria(runner):
 def test_bad_grid_option(runner):
     result = runner.invoke(main, ["verify-paper", "--criteria", "5", "--grid", "2"])
     assert result.exit_code == 2
+
+
+def test_analyze_oversized_grid_is_a_usage_error(runner):
+    # 96^4 = 85 M mesh points on a 4-axis entry: exit 2 before the mesh exists
+    cid = "hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+"
+    result = runner.invoke(main, ["analyze", "--catalog-id", cid, "--grid", "96"])
+    assert result.exit_code == 2
+    assert "84934656 points" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_verify_paper_oversized_grid_is_a_usage_error(runner, monkeypatch):
+    # run_all passes the error on instead of reporting a failed criterion
+    def oversized(ctx):
+        raise GridTooLargeError("a 96 x 96 x 96 x 96 quadrature mesh has 84934656 points")
+
+    monkeypatch.setattr(verification, "CRITERIA", [(4, "hyperbola products", oversized)])
+    with pytest.raises(GridTooLargeError):
+        verification.run_all(criteria=[4])
+    result = runner.invoke(main, ["verify-paper", "--criteria", "4", "--threads", "2"])
+    assert result.exit_code == 2
+    assert "84934656 points" in result.output
+    assert isinstance(result.exception, SystemExit)

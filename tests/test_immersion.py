@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hamstab import immersion
 from hamstab.geometry import AmbientFlat
 from hamstab.immersion import (
     AxisDomain,
@@ -15,7 +16,7 @@ from hamstab.immersion import (
     trisymmetry_residual,
 )
 from hamstab.catalog import make_hyperbola_product, make_lagrangian_plane, make_torus
-from helpers import gradient_graph_chart
+from helpers import gradient_graph_chart, polynomial_graph_chart
 
 
 def test_unit_torus_geometry():
@@ -238,3 +239,53 @@ def test_central_divergence_exact_on_quadratics():
     got = central_divergence(matrix, pts, steps)
     assert got.shape == (7, 2)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_exact_divergence_matches_central_differences():
+    # a chart that is not H-minimal: the exact product-rule divergence and the
+    # central difference of step 1e-4 agree to the difference's O(h^2) error
+    # (measured 5.9e-8 of the largest |div|; bound 1e-6 of it)
+    chart = polynomial_graph_chart()
+    pts = sample_grid(chart, per_axis=9, line_window=1.5)
+    exact = immersion._exact_divergence(chart, pts)
+    central = immersion._central_h_divergence(chart, [1e-4, 1e-4], pts)
+    scale = np.max(np.abs(exact))
+    assert scale > 1.0
+    assert np.max(np.abs(exact - central)) <= 1e-6 * scale
+    assert check_h_minimal(chart, pts) == scale
+
+
+@pytest.mark.parametrize(
+    "chart",
+    [
+        make_torus((1.0, 2.0), 1),
+        make_hyperbola_product((1.0, 2.0), (1, -1)),
+        make_lagrangian_plane(2, p=1),
+    ],
+)
+def test_closed_form_third_derivatives_match_central_differences(chart):
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-1.5, 1.5, size=(6, 2))
+    d3f = chart.d3f(pts)
+    assert d3f.shape == (6, 2, 2, 2, 4)
+    h = 1e-5
+    for l in range(2):
+        e = np.zeros(2)
+        e[l] = h
+        central = (chart.oracle(pts + e)[2] - chart.oracle(pts - e)[2]) / (2 * h)
+        assert np.allclose(d3f[:, :, :, l, :], central, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("make_chart", [polynomial_graph_chart, gradient_graph_chart])
+def test_structural_checks_in_slices_match_one_pass(make_chart, monkeypatch):
+    # 91^2 = 8281 points: one full slice and a partial one, in both orders so
+    # that the worst point falls in each; the polynomial chart takes the exact
+    # divergence, the dual-number chart central differences
+    chart = make_chart()
+    grid = sample_grid(chart, per_axis=91, line_window=1.5)
+    checks = (check_lagrangian, check_h_minimal, trisymmetry_residual)
+    grids = (grid, grid[::-1])
+    sliced = [[check(chart, g) for check in checks] for g in grids]
+    monkeypatch.setattr(immersion, "SLICE", len(grid))
+    assert [[check(chart, g) for check in checks] for g in grids] == sliced
+    assert sliced[0][1] > 1e-8

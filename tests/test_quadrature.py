@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hamstab.immersion import AxisDomain
 from scipy.special import roots_legendre
 
 from hamstab import quadrature
-from hamstab.quadrature import GridSpec, SupportError, build_grid, integrate, pairwise_sum
+from hamstab.quadrature import (
+    GridSpec,
+    GridTooLargeError,
+    SupportError,
+    build_grid,
+    integrate,
+    pairwise_sum,
+)
 
 
 def test_cos_squared_on_circle():
@@ -117,3 +125,28 @@ def test_gauss_legendre_nodes_are_cached_read_only():
         assert np.array_equal(a, b)
     assert np.array_equal(first.axis_nodes[0], ref_x * 3.0)
     assert np.array_equal(first.axis_weights[0], ref_w * 3.0)
+
+
+def test_oversized_mesh_fails_before_allocating():
+    lines = tuple(AxisDomain.line() for _ in range(4))
+    grid = build_grid(lines, GridSpec(line_nodes=96), boxes=(5.0,) * 4)
+    assert grid.size == 96**4 > quadrature.MAX_MESH_POINTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match=r"84934656 points.*GiB"):
+            grid.points_and_weights()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the largest 4-axis grid the report's --grid option reaches below the cap
+    assert build_grid(lines, GridSpec(64, 64), boxes=(5.0,) * 4).size <= quadrature.MAX_MESH_POINTS
+
+
+def test_points_at_matches_the_mesh():
+    dom = (AxisDomain.circle(2 * np.pi), AxisDomain.line(), AxisDomain.line())
+    grid = build_grid(dom, GridSpec(circle_nodes=8, line_nodes=10), boxes=(None, 3.0, 2.0))
+    pts, _ = grid.points_and_weights()
+    assert np.array_equal(grid.points_at(np.arange(grid.size)), pts)
+    idx = np.random.default_rng(3).choice(grid.size, 50, replace=False)
+    assert np.array_equal(grid.points_at(idx), pts[idx])
