@@ -19,14 +19,23 @@ per-axis maxima); only a bound of at most 1e-10 skips the mesh.  A larger
 bound, a point-dependent form or a non-separable test function falls
 through to the mesh path, which makes the exact decision.
 
+Mesh path: the grid is walked in blocks of consecutive flat indices
+(:data:`CHUNK` rows, :data:`STACK_CHUNK` for a stack of forms), and only one
+block of points, weights and values exists at a time.  Each block folds its
+magnitudes into running maxima for the leak check and reduces its
+``values * weights`` to one partial sum per aligned power-of-two sub-block.
+Because every sub-block starts at a multiple of its length, no pair of
+:func:`pairwise_sum`'s tree crosses a sub-block boundary below that level, so
+the pairwise sum of the partial sums is bit-identical to :func:`pairwise_sum`
+over the whole mesh.  Memory is O(block + N / sub-block).
+
 A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
-:class:`GridTooLargeError` before anything is allocated, instead of running
-the machine out of memory.
+:class:`GridTooLargeError` before any block is built.
 
 A field may carry a ``(K, J, J)`` stack of forms, as a dilation family
 does (see :func:`hamstab.analyzer.scaling_probe`); :func:`integrate` then
 returns the K sums.  The Gram product is contracted with each form, or, on
-the mesh, the jets are evaluated once per chunk and each form is contracted
+the mesh, the jets are evaluated once per block and each form is contracted
 with their coordinates in turn; every column gets the leak check.
 """
 
@@ -56,18 +65,19 @@ __all__ = [
 
 MIN_NODES = 8
 
-# Largest number of mesh points evaluated in one vectorized block.
+# Largest number of mesh points evaluated in one vectorized block.  The
+# pairwise reduction works in sub-blocks of its largest power-of-two divisor.
 CHUNK = 262144
 
-# Mesh points per block when contracting a stack of forms.  The stack's K
-# columns stay in memory for the whole mesh, so smaller blocks of jet
-# temporaries keep its peak memory at or below that of one form.
+# Mesh points per block when contracting a stack of forms: a block holds the
+# jets and K value columns at once, so it is smaller than one form's.
 STACK_CHUNK = CHUNK // 4
 
-# Largest mesh :meth:`Grid.points_and_weights` builds.  On 4 axes a point
-# costs about 110 bytes through integration, so the cap is about 3.7 GB.  The
-# largest default mesh has 40^4 = 2.56 M points and 64 nodes per axis give
-# 16.8 M; 96 nodes per axis give 85 M.
+# Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
+# builds.  The walk holds one block at a time, so the cap bounds run time and
+# the O(N / sub-block) partial sums rather than memory.  The largest default
+# mesh has 40^4 = 2.56 M points and 64 nodes per axis give 16.8 M; 96 nodes
+# per axis give 85 M.
 MAX_MESH_POINTS = 2**25
 
 # A field must vanish on the line-axis edge layers to this fraction of
@@ -120,33 +130,58 @@ class Grid:
             out *= len(nodes)
         return out
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(x) for x in self.axis_nodes)
+
+    def _check_size(self) -> None:
+        """Raise :class:`GridTooLargeError` when the mesh has more than
+        :data:`MAX_MESH_POINTS` points."""
+        if self.size > MAX_MESH_POINTS:
+            # points and weights with their per-axis index and product temporaries
+            mesh_bytes = 8 * (3 * self.dim + 1) * self.size
+            raise GridTooLargeError(
+                f"a {' x '.join(str(n) for n in self.shape)} quadrature mesh has "
+                f"{self.size} points, more than the {MAX_MESH_POINTS} allowed; building its "
+                f"points and weights alone would take about {mesh_bytes / 2**30:.1f} GiB"
+            )
+
     def points_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Full mesh as (size, dim) points and (size,) weights.
 
         Raises :class:`GridTooLargeError` before allocating anything when the
         mesh has more than :data:`MAX_MESH_POINTS` points.
         """
-        if self.size > MAX_MESH_POINTS:
-            # points and weights, plus one meshgrid temporary per axis for each
-            mesh_bytes = 8 * (3 * self.dim + 1) * self.size
-            raise GridTooLargeError(
-                f"a {' x '.join(str(len(x)) for x in self.axis_nodes)} quadrature mesh has "
-                f"{self.size} points, more than the {MAX_MESH_POINTS} allowed; building its "
-                f"points and weights alone would take about {mesh_bytes / 2**30:.1f} GiB"
-            )
-        mesh = np.meshgrid(*self.axis_nodes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*self.axis_weights, indexing="ij")
-        w = np.ones(self.size)
-        for wm in wmesh:
-            w = w * wm.ravel()
-        return pts, w
+        self._check_size()
+        return self._rows(np.unravel_index(np.arange(self.size), self.shape))
 
     def points_at(self, flat_indices) -> np.ndarray:
         """The mesh points at the given flat indices (the row order of
         :meth:`points_and_weights`), as (len, dim), without the full mesh."""
-        idx = np.unravel_index(flat_indices, tuple(len(x) for x in self.axis_nodes))
-        return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
+        return self._rows(np.unravel_index(flat_indices, self.shape))[0]
+
+    def _block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Points, weights and, per line axis, the positions of the rows on
+        its outermost node layers, of the mesh rows ``start`` to ``stop - 1``.
+        The per-axis indices are dropped here, before any field sees the
+        points."""
+        idx = np.unravel_index(np.arange(start, stop), self.shape)
+        pts, w = self._rows(idx)
+        edges = [
+            np.flatnonzero((i == 0) | (i == len(nodes) - 1))
+            for dom, nodes, i in zip(self.domains, self.axis_nodes, idx)
+            if dom.kind == "line"
+        ]
+        return pts, w, edges
+
+    def _rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """Points (len, dim) and weights (len,) of the mesh rows with per-axis
+        node indices ``idx``.  A weight is ``((1 * w0) * w1) * ...``."""
+        pts = np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
+        w = np.ones(len(pts))
+        for weights, i in zip(self.axis_weights, idx):
+            w = w * weights[i]
+        return pts, w
 
 
 @dataclass(frozen=True)
@@ -239,10 +274,39 @@ def pairwise_sum(values: np.ndarray) -> float:
     """Deterministic pairwise reduction of a 1-d array."""
     v = np.asarray(values, dtype=float).ravel()
     while v.size > 1:
-        half = v.size // 2
-        head = v[: 2 * half].reshape(half, 2).sum(axis=1)
-        v = np.concatenate([head, v[2 * half :]])
+        v = _pair_level(v)
     return float(v[0]) if v.size else 0.0
+
+
+def _pair_level(v: np.ndarray) -> np.ndarray:
+    """One level of :func:`pairwise_sum` along the last axis: adjacent pairs
+    summed, an odd last element carried to the end."""
+    even = v.shape[-1] - v.shape[-1] % 2
+    head = v[..., 0:even:2] + v[..., 1:even:2]
+    # the sum numpy's reduction gives a pair, which starts from +0.0: a pair
+    # of -0.0 sums to +0.0
+    head += 0.0
+    return head if even == v.shape[-1] else np.concatenate([head, v[..., even:]], axis=-1)
+
+
+def _block_sums(values: np.ndarray, block: int) -> np.ndarray:
+    """Partial pairwise sums along the last axis of ``values``, a part of a
+    longer sequence that starts at a multiple of the power of two ``block``:
+    each full block becomes its pairwise sum and a shorter tail one element.
+    No pair of :func:`pairwise_sum`'s tree crosses a block boundary below
+    the blocks' own level, so the pairwise sum of the partial sums of all
+    parts, in order, equals the pairwise sum of the whole sequence."""
+    full = values.shape[-1] - values.shape[-1] % block
+    sums = []
+    if full:
+        head = values[..., :full].reshape(values.shape[:-1] + (-1, block))
+        while head.shape[-1] > 1:
+            head = _pair_level(head)
+        sums.append(head[..., 0])
+    tail = values[..., full:]
+    while tail.shape[-1] > 1:
+        tail = _pair_level(tail)
+    return np.concatenate([*sums, tail], axis=-1)
 
 
 def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
@@ -260,56 +324,50 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
         value = _sum_factorized(grid, form, field.terms)
         if value is not None:
             return value
-    pts, w = grid.points_and_weights()
-    stack = form is not None and form.ndim == 3
-    columns = _contract_stack(field.jet, form, pts) if stack else [_evaluate_chunked(field, pts)]
-    edges = _edge_masks(grid, pts)
-    for vals in columns:
-        _check_support_leak(edges, vals)
-    sums = [pairwise_sum(vals * w) for vals in columns]
-    return np.array(sums) if stack else sums[0]
+    if form is not None and form.ndim == 3:
+        return np.array(_walk_mesh(grid, field.jet, form))
+    return _walk_mesh(grid, field)[0]
 
 
-def _evaluate_chunked(field, pts: np.ndarray) -> np.ndarray:
-    if len(pts) <= CHUNK:
-        return np.asarray(field(pts), dtype=float)
-    parts = [
-        np.asarray(field(pts[i : i + CHUNK]), dtype=float)
-        for i in range(0, len(pts), CHUNK)
-    ]
-    return np.concatenate(parts)
-
-
-def _contract_stack(jet, forms: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(K, N) values ``j^T M_k j``: the jets once per chunk, one form at a time."""
-    out = np.empty((len(forms), len(pts)))
-    for i in range(0, len(pts), STACK_CHUNK):
-        coords = jet_coordinates(jet(pts[i : i + STACK_CHUNK]))
-        for k, m in enumerate(forms):
-            out[k, i : i + STACK_CHUNK] = np.einsum("np,np->n", coords @ m, coords)
-    return out
-
-
-def _edge_masks(grid: Grid, pts: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``(axis, mask)`` of the outermost node layers of every line axis."""
-    out = []
-    for j, dom in enumerate(grid.domains):
-        if dom.kind == "line":
-            lo = grid.axis_nodes[j][0]
-            hi = grid.axis_nodes[j][-1]
-            out.append((j, (pts[:, j] == lo) | (pts[:, j] == hi)))
-    return out
-
-
-def _check_support_leak(edges, vals: np.ndarray) -> None:
-    scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
-    for j, edge in edges:
-        leak = float(np.max(np.abs(vals[edge]), initial=0.0))
-        if leak > LEAK_RTOL * scale:
-            raise SupportError(
-                f"axis {j}: field magnitude {leak:.3e} at the box boundary "
-                f"(threshold {LEAK_RTOL * scale:.3e}); enlarge the box or shrink the support"
-            )
+def _walk_mesh(grid: Grid, field, forms: np.ndarray | None = None) -> list[float]:
+    """K mesh sums of ``field(points)`` (K = 1), or of ``j^T M_k j`` for
+    the jet ``field`` and a (K, J, J) stack ``forms``, one block of flat
+    indices at a time, with the support-leak check on every column."""
+    grid._check_size()
+    rows = CHUNK if forms is None else STACK_CHUNK
+    # the largest power of two dividing ``rows``: every block of rows starts
+    # at a multiple of it
+    block = rows & -rows
+    lines = [j for j, dom in enumerate(grid.domains) if dom.kind == "line"]
+    ncols = 1 if forms is None else len(forms)
+    peak = np.zeros(ncols)
+    leaks = np.zeros((len(lines), ncols))
+    parts = []
+    for start in range(0, grid.size, rows):
+        pts, w, edges = grid._block(start, min(start + rows, grid.size))
+        if forms is None:
+            vals = np.asarray(field(pts), dtype=float)[None]
+        else:
+            coords = jet_coordinates(field(pts))
+            vals = np.empty((ncols, len(pts)))
+            for k, m in enumerate(forms):
+                vals[k] = np.einsum("np,np->n", coords @ m, coords)
+        mags = np.abs(vals)
+        peak = np.maximum(peak, np.max(mags, axis=1, initial=0.0))
+        for a, edge in enumerate(edges):
+            leaks[a] = np.maximum(leaks[a], np.max(mags.take(edge, axis=1), axis=1, initial=0.0))
+        parts.append(_block_sums(vals * w, block))
+    for k in range(ncols):
+        threshold = LEAK_RTOL * (1.0 + float(peak[k]))
+        for a, j in enumerate(lines):
+            leak = float(leaks[a, k])
+            if leak > threshold:
+                raise SupportError(
+                    f"axis {j}: field magnitude {leak:.3e} at the box boundary "
+                    f"(threshold {threshold:.3e}); enlarge the box or shrink the support"
+                )
+    partial = np.concatenate(parts, axis=-1)
+    return [pairwise_sum(col) for col in partial]
 
 
 def _sum_factorized(grid: Grid, form: np.ndarray, terms):

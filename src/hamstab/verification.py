@@ -350,7 +350,10 @@ def _criterion_6(ctx) -> list[CheckResult]:
         signs = torus_metrics[i % len(torus_metrics)]
         m = MetricField.flat(signs)
         u = random_trig_poly([2 * np.pi, 2 * np.pi], rng)
-        res = reilly_residual(u, m, gridspec=ctx.gridspec)
+        # an axis on which every drawn wavenumber is 0 has period 0.0 and no
+        # inferable domain; it gets the full 2 pi circle
+        domains = tuple(AxisDomain.circle(2 * np.pi if p == 0.0 else p) for p in u.axis_periods)
+        res = reilly_residual(u, m, domains=domains, gridspec=ctx.gridspec)
         scale = 1.0 + abs(
             evaluate_functional(_lap_sq_functional(m, periodic=True), u, ctx.gridspec)
         )

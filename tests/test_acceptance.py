@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from hamstab.cli import main
-from hamstab.verification import CRITERIA, run_all
+from hamstab.verification import CRITERIA, run_all, run_criterion
 
 CRITERION_IDS = [num for num, _, _ in CRITERIA]
 CRITERION_TITLES = {num: title for num, title, _ in CRITERIA}
@@ -38,6 +38,14 @@ def test_criterion(full_report, criterion):
             f"(tolerance {c['tolerance']})"
         )
     assert not failing, f"criterion {criterion} failed: {[c['check_id'] for c in failing]}"
+
+
+def test_criterion_6_survives_a_trig_probe_constant_along_an_axis():
+    # seed 316 draws a random trigonometric probe whose wavenumbers on one
+    # axis are all 0 (period 0.0 there)
+    checks = {c.check_id: c for c in run_criterion(6, seed=316)}
+    assert set(checks) == {"reilly", "bochner"}
+    assert all(c.passed for c in checks.values())
 
 
 def test_report_passes_overall(full_report):

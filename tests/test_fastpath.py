@@ -36,19 +36,19 @@ CATALOG = {cid: resolve(cid) for cid in default_catalog_ids()}
 
 @contextmanager
 def counting_meshes():
-    """Record the size of every quadrature mesh built inside the block."""
+    """Record the size of every quadrature mesh walked inside the block."""
     calls = []
-    original = quadrature.Grid.points_and_weights
+    original = quadrature._walk_mesh
 
-    def counted(self):
-        calls.append(self.size)
-        return original(self)
+    def counted(grid, *args):
+        calls.append(grid.size)
+        return original(grid, *args)
 
-    quadrature.Grid.points_and_weights = counted
+    quadrature._walk_mesh = counted
     try:
         yield calls
     finally:
-        quadrature.Grid.points_and_weights = original
+        quadrature._walk_mesh = original
 
 
 def mesh_value(functional, u, spec):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamstab.immersion import AxisDomain
 from scipy.special import roots_legendre
@@ -11,11 +13,13 @@ from hamstab import quadrature
 from hamstab.quadrature import (
     GridSpec,
     GridTooLargeError,
+    JetFormField,
     SupportError,
     build_grid,
     integrate,
     pairwise_sum,
 )
+from hamstab.testfunctions import Cos1D, Gauss1D, Separable, jet_coordinates
 
 
 def test_cos_squared_on_circle():
@@ -150,3 +154,150 @@ def test_points_at_matches_the_mesh():
     assert np.array_equal(grid.points_at(np.arange(grid.size)), pts)
     idx = np.random.default_rng(3).choice(grid.size, 50, replace=False)
     assert np.array_equal(grid.points_at(idx), pts[idx])
+
+
+def reference_pairwise_sum(values):
+    """The level-by-level pairwise reduction with numpy's pair sums."""
+    v = np.asarray(values, dtype=float).ravel()
+    while v.size > 1:
+        half = v.size // 2
+        v = np.concatenate([v[: 2 * half].reshape(half, 2).sum(axis=1), v[2 * half :]])
+    return float(v[0]) if v.size else 0.0
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 5000), st.integers(0, 10), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_streamed_block_sums_equal_pairwise_sum(n, levels, blocks_per_part, seed):
+    # values over 10 decades, some of them signed zeros; parts of whole
+    # 2^levels blocks start on block boundaries, as the mesh walk's do
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-5, 5, n)
+    values[rng.random(n) < 0.05] = -0.0
+    values[rng.random(n) < 0.05] = 0.0
+    want = reference_pairwise_sum(values)
+    assert same_float(pairwise_sum(values), want)
+    part = blocks_per_part << levels
+    partial = [quadrature._block_sums(values[i : i + part], 1 << levels) for i in range(0, n, part)]
+    assert same_float(pairwise_sum(np.concatenate([np.empty(0), *partial])), want)
+
+
+def test_pairwise_sum_of_negative_zeros():
+    assert same_float(pairwise_sum(np.full(5, -0.0)), reference_pairwise_sum(np.full(5, -0.0)))
+    assert same_float(pairwise_sum(np.array([-0.0])), -0.0)
+
+
+def whole_mesh_integrate(field, domains, spec, boxes):
+    """The mesh path as a whole-mesh computation: all points and weights,
+    the values chunk by chunk, edge masks, then one pairwise sum per column."""
+    grid = build_grid(domains, spec, boxes)
+    pts, w = grid.points_and_weights()
+    stack = isinstance(field, JetFormField)
+    if stack:
+        columns = np.empty((len(field.form), len(pts)))
+        for i in range(0, len(pts), quadrature.STACK_CHUNK):
+            coords = jet_coordinates(field.jet(pts[i : i + quadrature.STACK_CHUNK]))
+            for k, m in enumerate(field.form):
+                columns[k, i : i + quadrature.STACK_CHUNK] = np.einsum("np,np->n", coords @ m, coords)
+    else:
+        columns = [np.concatenate([field(pts[i : i + quadrature.CHUNK]) for i in range(0, len(pts), quadrature.CHUNK)])]
+    edges = []
+    for j, dom in enumerate(grid.domains):
+        if dom.kind == "line":
+            nodes = grid.axis_nodes[j]
+            edges.append((j, (pts[:, j] == nodes[0]) | (pts[:, j] == nodes[-1])))
+    for vals in columns:
+        scale = 1.0 + float(np.max(np.abs(vals), initial=0.0))
+        for j, edge in edges:
+            leak = float(np.max(np.abs(vals[edge]), initial=0.0))
+            if leak > quadrature.LEAK_RTOL * scale:
+                raise SupportError(
+                    f"axis {j}: field magnitude {leak:.3e} at the box boundary "
+                    f"(threshold {quadrature.LEAK_RTOL * scale:.3e}); enlarge the box or shrink the support"
+                )
+    sums = [reference_pairwise_sum(vals * w) for vals in columns]
+    return np.array(sums) if stack else sums[0]
+
+
+def stack_field(factors, scales=(1.0, 1.0, 1.0)):
+    """A (K, J, J) stack of random symmetric forms, scaled per column, over
+    the jet of a product of ``factors`` (no separable terms: the mesh path)."""
+    u = Separable(factors)
+    rng = np.random.default_rng(5)
+    j = 1 + len(factors) + len(factors) * (len(factors) + 1) // 2
+    forms = []
+    for scale in scales:
+        a = rng.normal(size=(j, j))
+        forms.append(scale * (a + a.T))
+    return JetFormField(None, form=np.array(forms), jet=u.jet)
+
+
+@pytest.fixture(params=[None, 64], ids=["default-blocks", "blocks-64"])
+def block_rows(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(quadrature, "CHUNK", request.param)
+        monkeypatch.setattr(quadrature, "STACK_CHUNK", request.param)
+    return request.param
+
+
+def test_mesh_walk_matches_whole_mesh_single_form(block_rows):
+    # 91^2 = 8281 rows: not a multiple of a 64-row block
+    dom = (AxisDomain.circle(2 * np.pi), AxisDomain.line())
+    spec = GridSpec(circle_nodes=91, line_nodes=91)
+
+    def fld(p):
+        return (1.5 + np.cos(p[:, 0]) * np.sin(3 * p[:, 0])) * np.exp(-(p[:, 1] ** 2)) * (p[:, 1] - 0.3)
+
+    got = integrate(fld, dom, spec, boxes=(None, 7.0))
+    assert isinstance(got, float)
+    assert same_float(got, whole_mesh_integrate(fld, dom, spec, (None, 7.0)))
+
+
+@pytest.mark.parametrize("axes, nodes", [(3, 21), (2, 91)])
+def test_mesh_walk_matches_whole_mesh_form_stack(block_rows, axes, nodes):
+    doms = (AxisDomain.line(),) * axes
+    spec = GridSpec(line_nodes=nodes)
+    boxes = (8.0,) * axes
+    field = stack_field([Gauss1D(1.0 + 0.2 * k, center=0.1 * k) for k in range(axes)])
+    got = integrate(field, doms, spec, boxes=boxes)
+    want = whole_mesh_integrate(field, doms, spec, boxes)
+    assert got.shape == (3,)
+    assert all(same_float(a, b) for a, b in zip(got, want))
+
+
+def test_mesh_walk_leak_error_matches_whole_mesh(block_rows):
+    # the probe peaks at the upper edge of the second and third line axes;
+    # the first two columns are scaled below the threshold, so the third
+    # column raises first, on the second line axis, before the fourth does
+    doms = (AxisDomain.line(), AxisDomain.circle(2 * np.pi), AxisDomain.line(), AxisDomain.line())
+    spec = GridSpec(circle_nodes=8, line_nodes=14)
+    boxes = (8.0, None, 3.0, 3.0)
+    edge_peak = Gauss1D(0.5, center=3.0)
+    field = stack_field([Gauss1D(1.0), Cos1D(1.0), edge_peak, edge_peak], scales=(1e-20, 1e-20, 1.0, 3.0))
+    with pytest.raises(SupportError) as want:
+        whole_mesh_integrate(field, doms, spec, boxes)
+    assert str(want.value).startswith("axis 2: ")
+    with pytest.raises(SupportError) as got:
+        integrate(field, doms, spec, boxes=boxes)
+    assert str(got.value) == str(want.value)
+
+
+def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
+    # 128^3 = 2.1 M points; the whole mesh alone would take 8 * 4 * 2.1 M
+    # = 64 MiB for points and weights, and over 100 MiB through evaluation
+    def no_mesh(grid):
+        raise AssertionError("integrate built the whole mesh")
+
+    monkeypatch.setattr(quadrature.Grid, "points_and_weights", no_mesh)
+    doms = (AxisDomain.line(),) * 3
+    tracemalloc.start()
+    try:
+        val = integrate(lambda p: np.exp(-np.sum(p * p, axis=1)), doms, GridSpec(line_nodes=128), boxes=(7.0,) * 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert val == pytest.approx(np.pi**1.5, rel=1e-12)
+    assert peak < 48 * 2**20, peak / 2**20
