@@ -271,16 +271,9 @@ def hyperbola_matrix_analysis(radii, branch_signs) -> HyperbolaMatrixReport:
 
 def gradient_form_value(radii, branch_signs, u: TestFunction, gridspec: GridSpec | None = None) -> float:
     """Quadrature value of ``int Q(du, du) ds`` for the hyperbola gradient form:
-    the jet form with ``M_Q`` in its gradient block, sum-factorized on
-    separable probes."""
+    the jet form with ``M_Q`` in its gradient block."""
     mq = hyperbola_matrix_analysis(radii, branch_signs).matrix
-    domains = tuple(AxisDomain.line() for _ in radii)
-
-    def gradient_form(pts, jet):
-        _, du, _ = jet
-        return np.einsum("ni,ij,nj->n", du, mq, du)
-
-    return integrate(jet_field(gradient_form, _gradient_jet_form(mq), u), domains, gridspec, boxes=u.axis_boxes)
+    return _form_integral(_gradient_jet_form(mq), u, tuple(AxisDomain.line() for _ in radii), gridspec)
 
 
 def _gradient_jet_form(mq: np.ndarray) -> np.ndarray:
@@ -406,11 +399,8 @@ def _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridsp
         _check_compatible(ut, domains)
         check_line_boxes(domains, gridspec, ut.axis_boxes)
     pi = jet_orders(n)[:, list(axes)].sum(axis=1)
-    value_square = np.zeros_like(form)
-    value_square[0, 0] = 1.0
-    stack = [np.outer(d, d) * form for d in (t ** (a + pi) for t in schedule)] + [value_square]
-    field = JetFormField(None, np.array(stack + list(extra_forms)), u.separable_terms(), u.jet)
-    sums = integrate(field, domains, gridspec, boxes=u.axis_boxes)
+    stack = [np.outer(d, d) * form for d in (t ** (a + pi) for t in schedule)] + [_norm2_form(n)]
+    sums = _form_integral(np.array(stack + list(extra_forms)), u, domains, gridspec)
     k = len(axes)
     m = len(schedule)
     report.entries = [(t, float(v) * t**-k) for t, v in zip(schedule, sums[:m])]
@@ -501,16 +491,23 @@ def _random_field(domains, rng) -> TestFunction:
     return Separable(factors, label="random-field")
 
 
-def _value_square(points, jet):
-    return jet[0] * jet[0]
+def _norm2_form(n: int) -> np.ndarray:
+    """The jet form ``e0 e0^T`` of ``u^2``."""
+    form = np.zeros((len(jet_orders(n)),) * 2)
+    form[0, 0] = 1.0
+    return form
+
+
+def _form_integral(form: np.ndarray, u: TestFunction, domains, gridspec: GridSpec | None):
+    """``int j^T M j`` over the jets of ``u`` for a constant jet form or a
+    stack of them: sum-factorized on separable probes, contracted from the
+    jets on the mesh otherwise."""
+    return integrate(JetFormField(None, form, u.separable_terms(), u.jet), domains, gridspec, boxes=u.axis_boxes)
 
 
 def _witness_norm2(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
-    """``int u^2``: the jet form ``e0 e0^T``, sum-factorized on separable probes."""
-    form = np.zeros((len(jet_orders(u.n)),) * 2)
-    form[0, 0] = 1.0
-    field = jet_field(_value_square, form, u)
-    return integrate(field, as_functional(functional).domains, gridspec, boxes=u.axis_boxes)
+    """``int u^2``: the jet form ``e0 e0^T``."""
+    return _form_integral(_norm2_form(u.n), u, as_functional(functional).domains, gridspec)
 
 
 # ------------------------------------------------------------------ classify

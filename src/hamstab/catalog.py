@@ -1,11 +1,12 @@
 """Constructors for the example families and the catalog ID registry.
 
-Flat-ambient families (products of circles in ``C^n_p``, products of
-hyperbola branches in ``D^n``, flat Lagrangian planes) are returned as
-charts; the curved-ambient families (normal congruences of geodesic tubes
-in the spaces of geodesics of 3-dimensional space forms, rank-one surfaces
-in the tangent bundle of a Riemannian surface) enter through closed-form
-quadratic functionals with their sign data.
+Flat-ambient families are products of planar curves, one per complex or
+split-complex coordinate pair (circles in ``C^n_p``, hyperbola branches in
+``D^n``, lines for the flat Lagrangian planes), returned as charts of one
+constructor; the curved-ambient families (normal congruences of geodesic
+tubes in the spaces of geodesics of 3-dimensional space forms, rank-one
+surfaces in the tangent bundle of a Riemannian surface) enter through
+closed-form quadratic functionals with their sign data.
 
 The geodesic-tube functionals are a single two-parameter family driven by
 the sign tuple ``(e1, e2, e3, e4)`` of the first metric in the adapted
@@ -126,6 +127,56 @@ class SumOfSquares:
 
 # ------------------------------------------------------------ flat families
 
+def _curve_product_chart(
+    ambient: AmbientFlat,
+    domains: tuple[AxisDomain, ...],
+    name: str,
+    curve: Callable[[int, np.ndarray], tuple],
+    curve_jet: Callable[[int, Jet2], tuple[Jet2, Jet2]] | None = None,
+    oracle: str = "closed_form",
+) -> LagrangianChart:
+    """Chart of a product of planar curves, axis j's curve in the coordinate
+    pair ``(2j, 2j + 1)``.
+
+    ``curve(j, s)`` returns ``(x, y)`` (arrays or constants) of the curve
+    and of its first three derivatives at the parameters ``s`` of axis j;
+    derivative order k sits on the diagonal ``i_1 = ... = i_k = j`` and is
+    zero off it.  Orders 0-2 are the oracle and order 3 is ``d3f``.  With
+    ``oracle="dual_number"`` the chart is built by
+    :func:`chart_from_components` from ``curve_jet(j, S_j)``, the jets of
+    ``(x, y)`` at the coordinate jet ``S_j``.  Every curve here has constant
+    curvature, so the chart's metric and geometry are constant.
+    """
+    if oracle not in ("closed_form", "dual_number"):
+        raise ValueError(f"unknown oracle {oracle!r}; expected 'closed_form' or 'dual_number'")
+    n = len(domains)
+    if oracle == "dual_number":
+        comps = [lambda S, j=j, a=a: curve_jet(j, S[j])[a] for j in range(n) for a in (0, 1)]
+        return chart_from_components(
+            ambient, domains, comps, name=name, metric_is_constant=True, geometry_is_constant=True
+        )
+
+    def derivatives(points, orders):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = [np.zeros((len(pts),) + (n,) * k + (2 * n,)) for k in orders]
+        for j in range(n):
+            jet = curve(j, pts[:, j])
+            for k, arr in zip(orders, out):
+                for a in (0, 1):
+                    arr[(slice(None),) + (j,) * k + (2 * j + a,)] = jet[k][a]
+        return out
+
+    return LagrangianChart(
+        ambient=ambient,
+        domains=domains,
+        oracle=lambda points: tuple(derivatives(points, (0, 1, 2))),
+        name=name,
+        metric_is_constant=True,
+        geometry_is_constant=True,
+        d3f=lambda points: derivatives(points, (3,))[0],
+    )
+
+
 def make_torus(radii, p: int, oracle: str = "closed_form") -> LagrangianChart:
     """Product of circles ``f(s) = (r_j exp(i s_j / r_j))`` in ``C^n_p``.
 
@@ -138,54 +189,18 @@ def make_torus(radii, p: int, oracle: str = "closed_form") -> LagrangianChart:
     n = len(r)
     if not 0 <= p <= n:
         raise ValueError(f"p must satisfy 0 <= p <= n, got {p}")
-    ambient = AmbientFlat.pseudo_kahler(n, p)
-    domains = tuple(AxisDomain.circle(2 * np.pi * rj) for rj in r)
-    name = f"torus:n={n},r={','.join(f'{x:g}' for x in r)},p={p}"
 
-    if oracle == "dual_number":
-        comps: list[Callable[[list[Jet2]], Jet2]] = []
-        for j in range(n):
-            comps.append(lambda S, j=j: jcos(S[j] / r[j]) * r[j])
-            comps.append(lambda S, j=j: jsin(S[j] / r[j]) * r[j])
-        return chart_from_components(
-            ambient, domains, comps, name=name,
-            metric_is_constant=True, geometry_is_constant=True,
-        )
+    def circle(j, s):
+        c, sn = np.cos(s / r[j]), np.sin(s / r[j])
+        return (r[j] * c, r[j] * sn), (-sn, c), (-c / r[j], -sn / r[j]), (sn / r[j] ** 2, -c / r[j] ** 2)
 
-    def oracle_fn(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        npts = len(pts)
-        theta = pts / r
-        c, s = np.cos(theta), np.sin(theta)
-        f = np.zeros((npts, 2 * n))
-        f[:, 0::2] = r * c
-        f[:, 1::2] = r * s
-        df = np.zeros((npts, n, 2 * n))
-        d2f = np.zeros((npts, n, n, 2 * n))
-        for j in range(n):
-            df[:, j, 2 * j] = -s[:, j]
-            df[:, j, 2 * j + 1] = c[:, j]
-            d2f[:, j, j, 2 * j] = -c[:, j] / r[j]
-            d2f[:, j, j, 2 * j + 1] = -s[:, j] / r[j]
-        return f, df, d2f
-
-    def d3f_fn(points):
-        theta = np.atleast_2d(np.asarray(points, dtype=float)) / r
-        d3f = np.zeros((len(theta), n, n, n, 2 * n))
-        for j in range(n):
-            d3f[:, j, j, j, 2 * j] = np.sin(theta[:, j]) / r[j] ** 2
-            d3f[:, j, j, j, 2 * j + 1] = -np.cos(theta[:, j]) / r[j] ** 2
-        return d3f
-
-    return LagrangianChart(
-        ambient=ambient,
-        domains=domains,
-        oracle=oracle_fn,
-        oracle_kind="closed_form",
-        name=name,
-        metric_is_constant=True,
-        geometry_is_constant=True,
-        d3f=d3f_fn,
+    return _curve_product_chart(
+        AmbientFlat.pseudo_kahler(n, p),
+        tuple(AxisDomain.circle(2 * np.pi * rj) for rj in r),
+        f"torus:n={n},r={','.join(f'{x:g}' for x in r)},p={p}",
+        circle,
+        lambda j, S: (jcos(S / r[j]) * r[j], jsin(S / r[j]) * r[j]),
+        oracle,
     )
 
 
@@ -205,62 +220,20 @@ def make_hyperbola_product(
     if len(eps) != len(r) or any(e not in (-1, 1) for e in eps):
         raise ValueError("need one branch sign (+1 or -1) per radius")
     n = len(r)
-    ambient = AmbientFlat.para_kahler(n)
-    domains = tuple(AxisDomain.line(truncation) for _ in range(n))
+
+    # branch -1 swaps the cosh and sinh components
+    def branch(j, s):
+        x, y = (np.cosh(s / r[j]), np.sinh(s / r[j]))[:: eps[j]]
+        return (r[j] * x, r[j] * y), (y, x), (x / r[j], y / r[j]), (y / r[j] ** 2, x / r[j] ** 2)
+
     eps_str = ",".join("+" if e == 1 else "-" for e in eps)
-    name = f"hyperbola:n={n},r={','.join(f'{x:g}' for x in r)},eps={eps_str}"
-
-    if oracle == "dual_number":
-        comps = []
-        for j in range(n):
-            if eps[j] == 1:
-                comps.append(lambda S, j=j: jcosh(S[j] / r[j]) * r[j])
-                comps.append(lambda S, j=j: jsinh(S[j] / r[j]) * r[j])
-            else:
-                comps.append(lambda S, j=j: jsinh(S[j] / r[j]) * r[j])
-                comps.append(lambda S, j=j: jcosh(S[j] / r[j]) * r[j])
-        return chart_from_components(
-            ambient, domains, comps, name=name,
-            metric_is_constant=True, geometry_is_constant=True,
-        )
-
-    def oracle_fn(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        npts = len(pts)
-        theta = pts / r
-        ch, sh = np.cosh(theta), np.sinh(theta)
-        f = np.zeros((npts, 2 * n))
-        df = np.zeros((npts, n, 2 * n))
-        d2f = np.zeros((npts, n, n, 2 * n))
-        for j in range(n):
-            x, y = (ch, sh) if eps[j] == 1 else (sh, ch)
-            f[:, 2 * j] = r[j] * x[:, j]
-            f[:, 2 * j + 1] = r[j] * y[:, j]
-            df[:, j, 2 * j] = y[:, j]
-            df[:, j, 2 * j + 1] = x[:, j]
-            d2f[:, j, j, 2 * j] = x[:, j] / r[j]
-            d2f[:, j, j, 2 * j + 1] = y[:, j] / r[j]
-        return f, df, d2f
-
-    def d3f_fn(points):
-        theta = np.atleast_2d(np.asarray(points, dtype=float)) / r
-        ch, sh = np.cosh(theta), np.sinh(theta)
-        d3f = np.zeros((len(theta), n, n, n, 2 * n))
-        for j in range(n):
-            x, y = (ch, sh) if eps[j] == 1 else (sh, ch)
-            d3f[:, j, j, j, 2 * j] = y[:, j] / r[j] ** 2
-            d3f[:, j, j, j, 2 * j + 1] = x[:, j] / r[j] ** 2
-        return d3f
-
-    return LagrangianChart(
-        ambient=ambient,
-        domains=domains,
-        oracle=oracle_fn,
-        oracle_kind="closed_form",
-        name=name,
-        metric_is_constant=True,
-        geometry_is_constant=True,
-        d3f=d3f_fn,
+    return _curve_product_chart(
+        AmbientFlat.para_kahler(n),
+        tuple(AxisDomain.line(truncation) for _ in range(n)),
+        f"hyperbola:n={n},r={','.join(f'{x:g}' for x in r)},eps={eps_str}",
+        branch,
+        lambda j, S: (jcosh(S / r[j]) * r[j], jsinh(S / r[j]) * r[j])[:: eps[j]],
+        oracle,
     )
 
 
@@ -270,35 +243,13 @@ def make_lagrangian_plane(
     """Totally geodesic plane ``{y = 0}``: ``f(s) = s`` on the real axes.
 
     Minimal (not just H-minimal); the Hamiltonian second variation reduces
-    to ``eps * int (lap u)^2``.
+    to ``eps * int (lap u)^2``.  A para-Kahler ambient takes no ``p``.
     """
-    ambient = AmbientFlat.para_kahler(n) if para else AmbientFlat.pseudo_kahler(n, p)
-    domains = tuple(AxisDomain.line(truncation) for _ in range(n))
-    name = f"plane:n={n},amb=para" if para else f"plane:n={n},p={p}"
-
-    def oracle_fn(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        npts = len(pts)
-        f = np.zeros((npts, 2 * n))
-        f[:, 0::2] = pts
-        df = np.zeros((npts, n, 2 * n))
-        for j in range(n):
-            df[:, j, 2 * j] = 1.0
-        d2f = np.zeros((npts, n, n, 2 * n))
-        return f, df, d2f
-
-    def d3f_fn(points):
-        return np.zeros((len(np.atleast_2d(points)), n, n, n, 2 * n))
-
-    return LagrangianChart(
-        ambient=ambient,
-        domains=domains,
-        oracle=oracle_fn,
-        oracle_kind="closed_form",
-        name=name,
-        metric_is_constant=True,
-        geometry_is_constant=True,
-        d3f=d3f_fn,
+    return _curve_product_chart(
+        AmbientFlat("para_kahler" if para else "pseudo_kahler", n, p),
+        tuple(AxisDomain.line(truncation) for _ in range(n)),
+        f"plane:n={n},amb=para" if para else f"plane:n={n},p={p}",
+        lambda j, s: ((s, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
     )
 
 
@@ -707,12 +658,10 @@ def resolve(catalog_id: str) -> CatalogEntry:
         p = _int(kv["p"], "p") if "p" in kv else 0
         chart = make_lagrangian_plane(n, p=p, para=para)
         eps = chart.ambient.eps
-        # induced metric diag(eps_j) (pseudo) or the identity (para), so
+        # induced metric diag(axis_signs), the identity for para, so
         # lap u = sum_j ginv_jj u_jj with ginv_jj = +-1
-        ginv_diag = np.ones(n) if para else chart.ambient.axis_signs
-        lap_coeffs = tuple(
-            tuple(ginv_diag[i] if i == j else 0.0 for j in range(n)) for i in range(n)
-        )
+        ginv = chart.ambient.axis_signs
+        lap_coeffs = tuple(tuple(ginv[i] if i == j else 0.0 for j in range(n)) for i in range(n))
         cert = SumOfSquares(
             terms=(JetSquareTerm(float(eps), (0.0,) * n, lap_coeffs),),
             sign=eps,

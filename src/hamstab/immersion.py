@@ -85,7 +85,9 @@ class AxisDomain:
 
 @dataclass(frozen=True)
 class LagrangianChart:
-    """Immersed chart with derivative oracle.
+    """Immersed chart with derivative oracle; the chart does not record how
+    the oracle computes (closed form, or dual numbers as in
+    :func:`chart_from_components`).
 
     ``metric_is_constant`` marks charts whose induced metric is constant in
     these coordinates (all the closed-form catalog charts); it lets the
@@ -102,15 +104,12 @@ class LagrangianChart:
     ambient: AmbientFlat
     domains: tuple[AxisDomain, ...]
     oracle: ImmersionOracle = field(repr=False)
-    oracle_kind: str = "closed_form"
     name: str = ""
     metric_is_constant: bool = False
     geometry_is_constant: bool = False
     d3f: ThirdDerivatives | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.oracle_kind not in ("closed_form", "dual_number"):
-            raise ValueError(f"unknown oracle kind {self.oracle_kind!r}")
         if len(self.domains) != self.ambient.n:
             raise ValueError(
                 f"chart has {len(self.domains)} axes but the ambient expects {self.ambient.n}"
@@ -158,7 +157,6 @@ def chart_from_components(
         ambient=ambient,
         domains=tuple(domains),
         oracle=oracle,
-        oracle_kind="dual_number",
         name=name,
         metric_is_constant=metric_is_constant,
         geometry_is_constant=geometry_is_constant,

@@ -194,8 +194,9 @@ class JetFormField:
     on the point), or a (K, J, J) stack of such matrices, and ``terms`` the
     test function's separable terms (None if it has none); with both present
     :func:`integrate` sum-factorizes.  ``jet`` is the test function's jet,
-    which the mesh path of a stack contracts directly (``pointwise`` is then
-    unused).
+    which the mesh path contracts with the form directly when the field has
+    a stack of forms or no ``pointwise`` (a form-only field: a (J, J) form
+    is then a one-form stack).
     """
 
     pointwise: Callable[[np.ndarray], np.ndarray] | None
@@ -315,8 +316,9 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
     Raises :class:`SupportError` if the field fails to vanish (relative to
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
     A :class:`JetFormField` with a constant form and separable terms is
-    sum-factorized when its edge bound clears the leak check.  A field with
-    a (K, J, J) stack of forms returns a (K,) array of sums.
+    sum-factorized when its edge bound clears the leak check; otherwise a
+    field without ``pointwise`` is contracted from its jets on the mesh.  A
+    field with a (K, J, J) stack of forms returns a (K,) array of sums.
     """
     grid = build_grid(domains, spec, boxes)
     form = field.form if isinstance(field, JetFormField) else None
@@ -324,8 +326,9 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
         value = _sum_factorized(grid, form, field.terms)
         if value is not None:
             return value
-    if form is not None and form.ndim == 3:
-        return np.array(_walk_mesh(grid, field.jet, form))
+    if form is not None and (form.ndim == 3 or field.pointwise is None):
+        sums = _walk_mesh(grid, field.jet, form.reshape((-1,) + form.shape[-2:]))
+        return np.array(sums) if form.ndim == 3 else sums[0]
     return _walk_mesh(grid, field)[0]
 
 

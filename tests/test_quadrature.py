@@ -19,7 +19,7 @@ from hamstab.quadrature import (
     integrate,
     pairwise_sum,
 )
-from hamstab.testfunctions import Cos1D, Gauss1D, Separable, jet_coordinates
+from hamstab.testfunctions import AnisotropicGaussian, Cos1D, Gauss1D, Separable, jet_coordinates
 
 
 def test_cos_squared_on_circle():
@@ -301,3 +301,38 @@ def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
         tracemalloc.stop()
     assert val == pytest.approx(np.pi**1.5, rel=1e-12)
     assert peak < 48 * 2**20, peak / 2**20
+
+
+def test_form_only_field_is_contracted_from_its_jets_on_the_mesh():
+    # a non-diagonal A has no separable terms, so the mesh path runs
+    u = AnisotropicGaussian(np.array([[1.0, 0.4], [0.4, 0.7]]))
+    dom = (AxisDomain.line(), AxisDomain.line())
+    spec = GridSpec(line_nodes=40)
+    a = np.random.default_rng(9).normal(size=(6, 6))
+    form = a @ a.T
+
+    def twin(pts):
+        coords = jet_coordinates(u.jet(pts))
+        return np.einsum("np,pq,nq->n", coords, form, coords)
+
+    field = JetFormField(None, form, u.separable_terms(), u.jet)
+    got = integrate(field, dom, spec, boxes=u.axis_boxes)
+    assert isinstance(got, float)
+    assert got == integrate(JetFormField(None, form[None], None, u.jet), dom, spec, boxes=u.axis_boxes)[0]
+    assert got == pytest.approx(integrate(twin, dom, spec, boxes=u.axis_boxes), rel=1e-13)
+    # a box too small for the support leaks on both routes, with the same report
+    errors = []
+    for f in (field, twin):
+        with pytest.raises(SupportError) as err:
+            integrate(f, dom, spec, boxes=(2.0, 2.0))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+
+
+def test_form_only_field_with_a_separable_leak_raises_support_error():
+    # the edge bound is far above 1e-10, so the sum-factorized path defers to the mesh
+    u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
+    form = np.eye(6)
+    field = JetFormField(None, form, u.separable_terms(), u.jet)
+    with pytest.raises(SupportError, match="box boundary"):
+        integrate(field, (AxisDomain.line(), AxisDomain.line()), GridSpec(line_nodes=16), boxes=(1.5, 1.5))
