@@ -8,6 +8,16 @@ tubes in the spaces of geodesics of 3-dimensional space forms, rank-one
 surfaces in the tangent bundle of a Riemannian surface) enter through
 closed-form quadratic functionals with their sign data.
 
+A closed-form functional is one list of weighted squares
+``w(s) * (L . jet)^2`` of jet-linear terms (:class:`JetSquareTerm`), and
+everything else derives from that list: the pointwise integrand is the sum
+of the terms, evaluated as a :class:`SumOfSquares` certificate evaluates
+its own, and the constant jet form ``sum w L L^T`` exists exactly when every
+weight and coefficient is a number.  A tube or rank-one certificate is the
+functional's own term list, so its residual against the integrand is zero;
+the hyperbola and plane certificates stay independent term lists, checked
+against the chart functional's integrand.
+
 The geodesic-tube functionals are a single two-parameter family driven by
 the sign tuple ``(e1, e2, e3, e4)`` of the first metric in the adapted
 frame, with overall signs ``eps = e1*e3`` and ``eps' = e1*e2``:
@@ -15,14 +25,17 @@ frame, with overall signs ``eps = e1*e3`` and ``eps' = e1*e2``:
     A_G(u)  = eps  * int ( (e3 u_ss + e2 u_tt)^2 - 2 (e1 u_s^2 + e4 u_t^2) )
     A_G'(u) = eps' * int ( 4 u_st^2 + 2 (e1 u_s^2 + e4 u_t^2) )
 
-Each of the eight tube rows is one data record; the per-row displayed
-integrands and the stability columns are golden tests of this encoding.
+Each of the eight tube rows is one data record whose functional is the
+three squares of its displayed form; the per-row displayed integrands and
+the stability columns are golden tests of this encoding.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -31,7 +44,8 @@ from .geometry import AmbientFlat
 from .immersion import AxisDomain, LagrangianChart, chart_from_components
 from .jets import Jet2, jcos, jcosh, jsin, jsinh
 from .quadrature import GridSpec
-from .variation import SecondVariationFunctional, polarized_form
+from .testfunctions import jet_from_coordinates, jet_orders
+from .variation import SecondVariationFunctional
 
 __all__ = [
     "CatalogIdError",
@@ -60,48 +74,80 @@ class CatalogIdError(ValueError):
 
 # ------------------------------------------------------------- functionals
 
-@dataclass
-class ClosedFormFunctional:
-    """Quadratic functional given directly by a pointwise integrand.
-
-    ``constant_coefficients`` declares the integrand a constant quadratic
-    form in the jet; its matrix ``jet_form`` is then polarized from the
-    integrand when the functional is built (raising if the declaration is
-    wrong), so that every evaluation does the same work.
-    """
-
-    domains: tuple[AxisDomain, ...]
-    integrand: Callable[[np.ndarray, tuple], np.ndarray] = field(repr=False)
-    eps_tuple: tuple[int, int, int, int] | None = None
-    expected_verdict: str | None = None
-    provenance: str = ""
-    name: str = ""
-    constant_coefficients: bool = False
-    jet_form: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.constant_coefficients:
-            self.jet_form = polarized_form(self.integrand, len(self.domains))
+def _at(value, points: np.ndarray):
+    """A number, or a function of the points evaluated at them."""
+    return np.asarray(value(points), dtype=float) if callable(value) else float(value)
 
 
 @dataclass(frozen=True)
 class JetSquareTerm:
-    """One ``weight * L(jet)^2`` term; L is linear with the given coefficients."""
+    """One ``weight * L(jet)^2`` term with ``L(jet) = g . du + h : d2u``.
+
+    The weight and each coefficient of ``g`` (``grad_coeffs``) and ``h``
+    (``hess_coeffs``) is a number or a function of the points.
+    """
 
     weight: float | Callable[[np.ndarray], np.ndarray]
     grad_coeffs: tuple
     hess_coeffs: tuple
 
-    def linear_value(self, jet) -> np.ndarray:
-        _, du, d2u = jet
-        g = np.asarray(self.grad_coeffs, dtype=float)
-        h = np.asarray(self.hess_coeffs, dtype=float)
-        return np.einsum("ni,i->n", du, g) + np.einsum("nij,ij->n", d2u, h)
+    @property
+    def is_constant(self) -> bool:
+        """Whether the weight and every coefficient are numbers."""
+        return not any(map(callable, (self.weight, *self.grad_coeffs, *chain.from_iterable(self.hess_coeffs))))
 
-    def weight_values(self, points: np.ndarray) -> np.ndarray:
-        if callable(self.weight):
-            return np.asarray(self.weight(points), dtype=float)
-        return np.full(len(points), float(self.weight))
+    def linear_value(self, points: np.ndarray, jet) -> np.ndarray:
+        _, du, d2u = jet
+        parts = [(c, du[:, i]) for i, c in enumerate(self.grad_coeffs)]
+        parts += [(c, d2u[:, i, j]) for i, row in enumerate(self.hess_coeffs) for j, c in enumerate(row)]
+        out = np.zeros(len(du))
+        for c, x in parts:
+            if callable(c) or c != 0:
+                out += _at(c, points) * x
+        return out
+
+    def weight_values(self, points: np.ndarray):
+        """The weight at the points: a number when it is constant."""
+        return _at(self.weight, points)
+
+
+def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -> np.ndarray:
+    out = np.zeros(len(points))
+    for term in terms:
+        out += term.weight_values(points) * term.linear_value(points, jet) ** 2
+    return out
+
+
+@dataclass
+class ClosedFormFunctional:
+    """Quadratic functional ``int sum_i w_i (L_i . jet)^2`` given by its
+    weighted squares ``terms``.
+
+    ``integrand`` is the sum of the terms, evaluated as
+    :meth:`SumOfSquares.form_values` evaluates a certificate.  When every
+    weight and coefficient is a number, ``jet_form`` is the constant matrix
+    ``M = sum_i w_i L_i L_i^T`` of the integrand ``j^T M j`` in the jet
+    coordinates of :func:`hamstab.testfunctions.jet_orders`; otherwise it
+    is None.
+    """
+
+    domains: tuple[AxisDomain, ...]
+    terms: tuple[JetSquareTerm, ...]
+    eps_tuple: tuple[int, int, int, int] | None = None
+    expected_verdict: str | None = None
+    provenance: str = ""
+    name: str = ""
+    integrand: Callable[[np.ndarray, tuple], np.ndarray] = field(init=False, repr=False, compare=False)
+    jet_form: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.integrand = partial(_sum_of_squares, self.terms)
+        if all(t.is_constant for t in self.terms):
+            n = len(self.domains)
+            size = len(jet_orders(n))
+            unit = jet_from_coordinates(np.eye(size), n)
+            vectors = [t.linear_value(np.zeros((size, n)), unit) for t in self.terms]
+            self.jet_form = sum(t.weight * np.outer(v, v) for t, v in zip(self.terms, vectors))
 
 
 @dataclass(frozen=True)
@@ -119,10 +165,7 @@ class SumOfSquares:
     kernel_note: str = ""
 
     def form_values(self, points: np.ndarray, jet) -> np.ndarray:
-        out = np.zeros(len(points))
-        for term in self.terms:
-            out += term.weight_values(points) * term.linear_value(jet) ** 2
-        return out
+        return _sum_of_squares(self.terms, points, jet)
 
 
 # ------------------------------------------------------------ flat families
@@ -295,61 +338,34 @@ def _tube_domains(row: TubeRow) -> tuple[AxisDomain, AxisDomain]:
     )
 
 
-def _tube_integrand_G(eps_tuple):
-    e1, e2, e3, e4 = eps_tuple
-    sign = e1 * e3
-
-    def integrand(points, jet):
-        _, du, d2u = jet
-        us, ut = du[:, 0], du[:, 1]
-        uss, utt = d2u[:, 0, 0], d2u[:, 1, 1]
-        lap = e3 * uss + e2 * utt
-        return sign * (lap * lap - 2.0 * (e1 * us * us + e4 * ut * ut))
-
-    return integrand
-
-
-def _tube_integrand_Gprime(eps_tuple):
-    e1, e2, e4 = eps_tuple[0], eps_tuple[1], eps_tuple[3]
-    sign = e1 * e2
-
-    def integrand(points, jet):
-        _, du, d2u = jet
-        us, ut = du[:, 0], du[:, 1]
-        ust = d2u[:, 0, 1]
-        return sign * (4.0 * ust * ust + 2.0 * (e1 * us * us + e4 * ut * ut))
-
-    return integrand
-
-
-def tube_sos_certificate(row: TubeRow, metric_choice: str) -> SumOfSquares | None:
-    """Pointwise signed sum-of-squares form of a tube integrand, when one exists."""
+def _tube_terms(row: TubeRow, metric_choice: str) -> tuple[JetSquareTerm, ...]:
+    """The tube integrand of the module docstring as three weighted squares."""
     e1, e2, e3, e4 = row.eps_tuple
+    zero = ((0.0, 0.0), (0.0, 0.0))
     if metric_choice == "G":
         sign = e1 * e3
-        weights = (sign * 1.0, -2.0 * sign * e1, -2.0 * sign * e4)
-        terms = (
-            JetSquareTerm(weights[0], (0.0, 0.0), ((e3, 0.0), (0.0, e2))),
-            JetSquareTerm(weights[1], (1.0, 0.0), ((0.0, 0.0), (0.0, 0.0))),
-            JetSquareTerm(weights[2], (0.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
+        return (
+            JetSquareTerm(float(sign), (0.0, 0.0), ((e3, 0.0), (0.0, e2))),
+            JetSquareTerm(-2.0 * sign * e1, (1.0, 0.0), zero),
+            JetSquareTerm(-2.0 * sign * e4, (0.0, 1.0), zero),
         )
-    else:
-        sign = e1 * e2
-        weights = (4.0 * sign, 2.0 * sign * e1, 2.0 * sign * e4)
-        terms = (
-            JetSquareTerm(weights[0], (0.0, 0.0), ((0.0, 1.0), (0.0, 0.0))),
-            JetSquareTerm(weights[1], (1.0, 0.0), ((0.0, 0.0), (0.0, 0.0))),
-            JetSquareTerm(weights[2], (0.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
-        )
-    if all(w > 0 for w in weights):
-        cert_sign = 1
-    elif all(w < 0 for w in weights):
-        cert_sign = -1
-    else:
+    sign = e1 * e2
+    return (
+        JetSquareTerm(4.0 * sign, (0.0, 0.0), ((0.0, 1.0), (0.0, 0.0))),
+        JetSquareTerm(2.0 * sign * e1, (1.0, 0.0), zero),
+        JetSquareTerm(2.0 * sign * e4, (0.0, 1.0), zero),
+    )
+
+
+def tube_sos_certificate(functional: ClosedFormFunctional) -> SumOfSquares | None:
+    """The tube functional's own terms as a certificate, when all their
+    weights share a sign."""
+    signs = {np.sign(t.weight) for t in functional.terms}
+    if len(signs) != 1:
         return None
     return SumOfSquares(
-        terms=terms,
-        sign=cert_sign,
+        terms=functional.terms,
+        sign=int(signs.pop()),
         kernel_note=(
             "value 0 forces u_s = u_t = 0 pointwise, and a function constant on the "
             "whole domain is excluded by compact support on line axes (it represents "
@@ -391,16 +407,14 @@ def make_geodesic_tube(space_form, row, metric_choice: str = "G") -> ClosedFormF
             f"valid selectors: {sorted({t.row_key for t in candidates})}"
         )
     t = matches[0]
-    integr = _tube_integrand_G(t.eps_tuple) if metric_choice == "G" else _tube_integrand_Gprime(t.eps_tuple)
     expected = t.g_verdict if metric_choice == "G" else t.gprime_verdict
     return ClosedFormFunctional(
         domains=_tube_domains(t),
-        integrand=integr,
+        terms=_tube_terms(t, metric_choice),
         eps_tuple=t.eps_tuple,
         expected_verdict=expected,
         provenance=f"geodesic-tube table row {t.space}:{t.row_key}, metric {metric_choice}",
         name=f"tube:{t.space}:{t.row_key}:{metric_choice}",
-        constant_coefficients=True,
     )
 
 
@@ -410,6 +424,15 @@ def _as_curve_fn(value) -> Callable[[np.ndarray], np.ndarray]:
     if callable(value):
         return lambda s: np.asarray(value(s), dtype=float)
     return lambda s: np.full_like(np.asarray(s, dtype=float), float(value))
+
+
+def _along_curve(fn, *values):
+    """``fn`` of curve data that are numbers or functions of s: a number
+    when all are numbers, else a function of the points (s = first axis)."""
+    if not any(map(callable, values)):
+        return fn(*values)
+    fns = [_as_curve_fn(v) for v in values]
+    return lambda points: fn(*(f(points[:, 0]) for f in fns))
 
 
 @dataclass(frozen=True)
@@ -428,7 +451,7 @@ class CurveData:
         if self.closed:
             if self.length is None or self.length <= 0:
                 raise ValueError("closed curves need a positive length")
-            for fn_raw in (self.kappa, self.K_along):
+            for fn_raw in (self.kappa, self.K_along, self.a_profile):
                 if callable(fn_raw):
                     fn = _as_curve_fn(fn_raw)
                     s = np.linspace(0.0, self.length, 5, endpoint=False)
@@ -441,52 +464,25 @@ class CurveData:
     def K_fn(self):
         return _as_curve_fn(self.K_along)
 
-    def a_fn(self):
-        return _as_curve_fn(self.a_profile)
-
-    @property
-    def a_is_zero(self) -> bool:
-        if not callable(self.a_profile):
-            return float(self.a_profile) == 0.0
-        s = np.linspace(-10.0, 10.0, 17)
-        return bool(np.all(np.abs(self.a_fn()(s)) < 1e-15))
-
 
 def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) -> ClosedFormFunctional:
     """Second-variation functional of the rank-one surface over a curve.
 
     For the normal bundle (``a == 0``) the integrand is
-    ``4 u_st^2 - (kappa^2 + 2 K)(s) u_t^2``.  A nonzero tangential profile
-    changes the Laplacian to ``-2 u_st + 2 a kappa u_tt``; the constructor
-    then warns and uses the full integrand
-    ``(2 u_st - 2 a kappa u_tt)^2 - (kappa^2 + 2 K) u_t^2``.
+    ``4 u_st^2 - (kappa^2 + 2 K)(s) u_t^2``.  A tangential profile changes
+    the Laplacian to ``-2 u_st + 2 a kappa u_tt`` and the integrand to
+    ``(2 u_st - 2 a kappa u_tt)^2 - (kappa^2 + 2 K) u_t^2``; the constructor
+    warns whenever the profile is a function or a nonzero number.
     """
-    kappa = curve.kappa_fn()
-    K = curve.K_fn()
-    a = curve.a_fn()
-    a_zero = curve.a_is_zero
-    if not a_zero:
+    if callable(curve.a_profile) or curve.a_profile != 0:
         warnings.warn(
-            "rank-one surface with a nonzero tangential profile: the simplified "
-            "4 u_st^2 integrand does not apply; using the full Laplacian "
+            "rank-one surface with a tangential profile: the simplified 4 u_st^2 "
+            "integrand does not apply; using the full Laplacian "
             "(2 u_st - 2 a kappa u_tt)^2 form",
             stacklevel=2,
         )
-
-    def integrand(points, jet):
-        _, du, d2u = jet
-        s = points[:, 0]
-        ut = du[:, 1]
-        ust = d2u[:, 0, 1]
-        coeff = kappa(s) ** 2 + 2.0 * K(s)
-        if a_zero:
-            lap2 = 4.0 * ust * ust
-        else:
-            utt = d2u[:, 1, 1]
-            lap = 2.0 * ust - 2.0 * a(s) * kappa(s) * utt
-            lap2 = lap * lap
-        return lap2 - coeff * ut * ut
-
+    utt = _along_curve(lambda a, k: -a * k, curve.a_profile, curve.kappa)
+    weight = _along_curve(lambda k, K: -(k**2 + 2.0 * K), curve.kappa, curve.K_along)
     s_dom = AxisDomain.circle(curve.length) if curve.closed else AxisDomain.line(truncation)
     if curve.closed:
         tag = f"tn:closed,L={curve.length:g}"
@@ -494,31 +490,22 @@ def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) 
         tag = "tn:open"
     return ClosedFormFunctional(
         domains=(s_dom, AxisDomain.line(truncation)),
-        integrand=integrand,
+        terms=(
+            JetSquareTerm(4.0, (0.0, 0.0), ((0.0, 1.0), (0.0, utt))),
+            JetSquareTerm(weight, (0.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
+        ),
         expected_verdict=None,
         provenance="rank-one surface in the tangent bundle of a Riemannian surface",
         name=tag,
-        constant_coefficients=not any(
-            callable(v) for v in (curve.kappa, curve.K_along, curve.a_profile)
-        ),
     )
 
 
-def tn_sos_certificate(curve: CurveData) -> SumOfSquares:
-    """Certificate ``4 u_st^2 + (-(kappa^2 + 2K))(s) u_t^2`` for curves with
-    ``kappa^2 <= -2K`` everywhere (weights checked at verification time)."""
-    kappa = curve.kappa_fn()
-    K = curve.K_fn()
-
-    def weight(points):
-        s = points[:, 0]
-        return -(kappa(s) ** 2 + 2.0 * K(s))
-
+def tn_sos_certificate(functional: ClosedFormFunctional) -> SumOfSquares:
+    """The rank-one functional's own terms ``4 u_st^2 + (-(kappa^2 + 2K))(s)
+    u_t^2`` as a certificate, for curves with ``kappa^2 <= -2K`` everywhere
+    (weights checked at verification time)."""
     return SumOfSquares(
-        terms=(
-            JetSquareTerm(4.0, (0.0, 0.0), ((0.0, 1.0), (0.0, 0.0))),
-            JetSquareTerm(weight, (0.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
-        ),
+        terms=functional.terms,
         sign=1,
         kernel_note=(
             "value 0 forces u_t = 0 (strict-coefficient case), and compact support "
@@ -692,7 +679,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
             for tr in TUBE_ROWS
             if functional.name == f"tube:{tr.space}:{tr.row_key}:{metric}"
         )
-        cert = tube_sos_certificate(t, metric)
+        cert = tube_sos_certificate(functional)
         if cert is not None:
             strategy = "sos_certificate"
         elif t.space == "S3" and metric == "G":
@@ -740,7 +727,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=None,
             default_strategy=strategy,
             params={"kappa": kappa, "K": K, "length": length},
-            certificate=tn_sos_certificate(curve) if coeff <= 0 else None,
+            certificate=tn_sos_certificate(functional) if coeff <= 0 else None,
             expected_verdict=expected,
             curve=curve,
             provenance=functional.provenance,

@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .analyzer import classify, compute_tube_table, torus_mode_value, wirtinger_bound
-from .catalog import CatalogIdError, CurveData, resolve
+from .catalog import CatalogIdError, CurveData, _floats, _int, _parse_kv, resolve
 from .quadrature import GridSpec, GridTooLargeError
 from .verification import run_all
 
@@ -163,23 +163,24 @@ def sweep(catalog_id, axis_spec, fmt, out, grid, box, seed) -> None:
     _emit(text, out)
 
 
-def _parse_axis(axis_spec: str, allowed: dict[str, bool]) -> dict[str, str]:
-    from .catalog import _parse_kv
-
-    if ":" not in axis_spec:
-        raise CatalogIdError(f"sweep axis {axis_spec!r} needs the form 'name:key=value,...'")
-    name, rest = axis_spec.split(":", 1)
-    kv = _parse_kv(rest, allowed)
-    return name, {k: v[0] for k, v in kv.items()}
+def _count(vals: list[str], what: str) -> int:
+    value = _int(vals, what)
+    if value < 1:
+        raise CatalogIdError(f"{what} must be a positive integer, got {value}")
+    return value
 
 
 def _run_sweep(entry, axis_spec: str):
-    name, _ = axis_spec.split(":", 1) if ":" in axis_spec else (axis_spec, "")
+    name, rest = axis_spec.split(":", 1) if ":" in axis_spec else (axis_spec, None)
+    if name not in ("mode", "radius", "kappa"):
+        raise CatalogIdError(f"unknown sweep axis {name!r} (known: mode, radius, kappa)")
+    if rest is None:
+        raise CatalogIdError(f"sweep axis {axis_spec!r} needs the form 'name:key=value,...'")
     if name == "mode":
-        _, kv = _parse_axis(axis_spec, {"kmax": True})
+        kv = _parse_kv(rest, {"kmax": True})
         if entry.kind != "torus":
             raise CatalogIdError("mode sweeps apply to torus entries")
-        kmax = int(kv["kmax"])
+        kmax = _count(kv["kmax"], "kmax")
         radii, p = entry.params["radii"], entry.params["p"]
         rows = []
         for k in range(1, kmax + 1):
@@ -187,11 +188,12 @@ def _run_sweep(entry, axis_spec: str):
             mode[0] = k
             rows.append([k, repr(torus_mode_value(radii, p, mode))])
         return ["k", "value"], rows
+    kv = _parse_kv(rest, {"lo": True, "hi": True, "steps": True})
+    lo, hi = _floats(kv["lo"], "lo")[0], _floats(kv["hi"], "hi")[0]
+    steps = _count(kv["steps"], "steps")
     if name == "radius":
-        _, kv = _parse_axis(axis_spec, {"lo": True, "hi": True, "steps": True})
         if entry.kind != "torus" or entry.params["n"] != 2:
             raise CatalogIdError("radius-ratio sweeps apply to two-axis torus entries")
-        lo, hi, steps = float(kv["lo"]), float(kv["hi"]), int(kv["steps"])
         r2 = entry.params["radii"][1]
         p = entry.params["p"]
         rows = []
@@ -199,24 +201,20 @@ def _run_sweep(entry, axis_spec: str):
             value = torus_mode_value((ratio * r2, r2), p, (1, 1))
             rows.append([repr(float(ratio)), repr(value)])
         return ["r1_over_r2", "wave_mode_value"], rows
-    if name == "kappa":
-        _, kv = _parse_axis(axis_spec, {"lo": True, "hi": True, "steps": True})
-        if entry.kind != "tn":
-            raise CatalogIdError("kappa sweeps apply to tangent-bundle entries")
-        lo, hi, steps = float(kv["lo"]), float(kv["hi"]), int(kv["steps"])
-        K = entry.params["K"]
-        length = entry.params["length"]
-        rows = []
-        for kappa in np.linspace(lo, hi, steps):
-            curve = CurveData(kappa=float(kappa), K_along=K, closed=length is not None, length=length)
-            try:
-                rep = wirtinger_bound(curve)
-                verdict, sup, thr = rep.verdict, rep.sup_value, rep.threshold
-            except ValueError:
-                verdict, sup, thr = "needs-scaling-probe", float(kappa) ** 2 + 2 * K, None
-            rows.append([repr(float(kappa)), repr(sup), repr(thr) if thr is not None else "", verdict])
-        return ["kappa", "sup_kappa2_plus_2K", "threshold", "verdict"], rows
-    raise CatalogIdError(f"unknown sweep axis {name!r} (known: mode, radius, kappa)")
+    if entry.kind != "tn":
+        raise CatalogIdError("kappa sweeps apply to tangent-bundle entries")
+    K = entry.params["K"]
+    length = entry.params["length"]
+    rows = []
+    for kappa in np.linspace(lo, hi, steps):
+        curve = CurveData(kappa=float(kappa), K_along=K, closed=length is not None, length=length)
+        try:
+            rep = wirtinger_bound(curve)
+            verdict, sup, thr = rep.verdict, rep.sup_value, rep.threshold
+        except ValueError:
+            verdict, sup, thr = "needs-scaling-probe", float(kappa) ** 2 + 2 * K, None
+        rows.append([repr(float(kappa)), repr(sup), repr(thr) if thr is not None else "", verdict])
+    return ["kappa", "sup_kappa2_plus_2K", "threshold", "verdict"], rows
 
 
 @main.command("tube-table")

@@ -26,9 +26,10 @@ Sign convention: ``lap = div grad``, so on the flat unit torus
 ``-lap cos(s_1) = cos(s_1)`` (eigenvalue +1).
 
 A functional whose integrand is a constant quadratic form ``j^T M j`` in the
-jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``, found once by
-:func:`polarized_form` from the integrand itself; point-dependent
-functionals carry None.  :func:`evaluate_functional` hands ``M`` and the
+jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``: a chart functional
+finds it once by :func:`polarized_form` from the integrand itself, a
+closed-form functional of :mod:`hamstab.catalog` sums it from its weighted
+squares; point-dependent functionals carry None.  :func:`evaluate_functional` hands ``M`` and the
 test function's separable terms to the quadrature, which sum-factorizes
 when both are present.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .analyzer import (
     verify_certificate,
     wirtinger_bound,
 )
-from .catalog import ClosedFormFunctional, CurveData, make_hyperbola_product, make_torus, resolve
+from .catalog import ClosedFormFunctional, CurveData, JetSquareTerm, make_hyperbola_product, make_torus, resolve
 from .immersion import AxisDomain, check_h_minimal, check_lagrangian, induced_geometry_batch, sample_grid, trisymmetry_residual
-from .quadrature import GridSpec, GridTooLargeError, integrate
+from .quadrature import GridSpec, GridTooLargeError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
 from .variation import (
     MetricField,
@@ -405,11 +405,8 @@ def _lap_sq_functional(m: MetricField, periodic: bool) -> ClosedFormFunctional:
     or the default line truncation per axis."""
     ginv = m.g_inv(np.zeros((1, m.dim)))[0]
     domain = AxisDomain.circle(2 * np.pi) if periodic else AxisDomain.line()
-
-    def integrand(pts, jet):
-        return np.einsum("ij,nij->n", ginv, jet[2]) ** 2
-
-    return ClosedFormFunctional(domains=(domain,) * m.dim, integrand=integrand, constant_coefficients=True)
+    lap = JetSquareTerm(1.0, (0.0,) * m.dim, tuple(map(tuple, ginv)))
+    return ClosedFormFunctional(domains=(domain,) * m.dim, terms=(lap,))
 
 
 # ------------------------------------------------------------- criterion 7
@@ -586,23 +583,19 @@ def _criterion_10(ctx) -> list[CheckResult]:
         )
     )
     func = resolve(f"tn:kappa=1,K=0,L={length:.17g}").functional
+    # the functional's own terms 4 u_st^2 and -(kappa^2 + 2K) u_t^2, the
+    # second with unit weight
+    ust_term, ut_term = func.terms
+    four_ust2 = ClosedFormFunctional(func.domains, (ust_term,))
+    ut2 = ClosedFormFunctional(func.domains, (replace(ut_term, weight=1.0),))
     worst_margin = np.inf
     holds = True
     thr = 16 * np.pi**2 / length**2
     for k in range(1, 5):
         for sigma in (1.0, 2.0):
             u = Separable([Cos1D(k * 2 * np.pi / length), Gauss1D(sigma)], label=f"cos({k}s)b{sigma:g}(t)")
-
-            def four_ust2(pts):
-                _, _, d2u = u.jet(pts)
-                return 4.0 * d2u[:, 0, 1] ** 2
-
-            def ut2(pts):
-                _, du, _ = u.jet(pts)
-                return du[:, 1] ** 2
-
-            lhs = integrate(four_ust2, func.domains, ctx.gridspec, boxes=u.axis_boxes)
-            rhs = thr * integrate(ut2, func.domains, ctx.gridspec, boxes=u.axis_boxes)
+            lhs = evaluate_functional(four_ust2, u, ctx.gridspec)
+            rhs = thr * evaluate_functional(ut2, u, ctx.gridspec)
             margin = lhs - rhs
             worst_margin = min(worst_margin, margin / max(abs(lhs), 1.0))
             if margin < -1e-9 * max(abs(lhs), 1.0):
@@ -800,10 +793,10 @@ def run_all(
     """Run the reproduction suite (optionally a subset of criteria) and
     assemble the report dict."""
     ctx = _Ctx(gridspec=gridspec, seed=seed)
+    known = [num for num, _, _ in CRITERIA]
+    if criteria is not None and (not criteria or not set(criteria) <= set(known)):
+        raise ValueError(f"criteria {criteria} must be a nonempty subset of {known}")
     selected = [item for item in CRITERIA if criteria is None or item[0] in criteria]
-    if criteria is not None and len(selected) != len(set(criteria)):
-        known = [num for num, _, _ in CRITERIA]
-        raise ValueError(f"unknown criteria in {criteria}; known: {known}")
 
     def run_one(item):
         num, title, fn = item

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamstab.catalog import (
@@ -17,6 +17,8 @@ from hamstab.catalog import (
     resolve,
 )
 from hamstab.immersion import check_h_minimal, induced_geometry, induced_geometry_batch, sample_grid
+from hamstab.testfunctions import jet_from_coordinates
+from hamstab.variation import polarized_form
 
 
 def test_unit_circle_chart():
@@ -196,11 +198,67 @@ def test_rank_one_nonzero_profile_warns_and_changes_integrand():
     assert np.allclose(got, want, atol=1e-12)
 
 
+def test_rank_one_profile_away_from_the_origin_uses_the_full_form():
+    # a profile that vanishes to rounding on [-10, 10] still changes the form at s = 30
+    curve = CurveData(kappa=1.0, K_along=0.0, a_profile=lambda s: np.exp(-((s - 30.0) ** 2)))
+    with pytest.warns(UserWarning, match="tangential profile"):
+        functional = make_rank_one_bundle(curve)
+    jet = (np.zeros(1), np.array([[0.0, 1.0]]), np.array([[[0.0, 1.0], [1.0, 1.0]]]))
+    # (2 u_st - 2 a kappa u_tt)^2 - (kappa^2 + 2K) u_t^2 = 0 - 1, not 4 u_st^2 - u_t^2 = 3
+    assert functional.integrand(np.array([[30.0, 0.0]]), jet) == pytest.approx([-1.0])
+    assert functional.jet_form is None
+
+
+# Every closed-form functional whose weights and coefficients are numbers.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    CONSTANT_CLOSED_FORMS = (
+        [make_geodesic_tube(t.space, t.row_key, m) for t in TUBE_ROWS for m in ("G", "Gprime")]
+        + [resolve(cid).functional for cid in default_catalog_ids() if cid.startswith("tn:")]
+        + [make_rank_one_bundle(CurveData(kappa=1.5, K_along=-0.5, a_profile=0.5))]
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CONSTANT_CLOSED_FORMS), st.integers(0, 2**32 - 1))
+def test_closed_form_integrand_is_its_jet_form(functional, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-20.0, 20.0, size=(16, 2))
+    coords = rng.standard_normal((16, 6)) * rng.choice([1e-3, 1.0, 1e3], size=(16, 1))
+    form = functional.jet_form
+    got = functional.integrand(pts, jet_from_coordinates(coords, 2))
+    want = np.einsum("np,pq,nq->n", coords, form, coords)
+    scale = np.einsum("np,pq,nq->n", np.abs(coords), np.abs(form), np.abs(coords))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), functional.name
+
+
+@pytest.mark.parametrize("functional", CONSTANT_CLOSED_FORMS, ids=lambda f: f.name)
+def test_polarized_integrand_equals_the_jet_form(functional):
+    assert np.array_equal(polarized_form(functional.integrand, 2), functional.jet_form)
+
+
+def test_point_dependent_rank_one_curve_has_no_jet_form():
+    for curve in (
+        CurveData(kappa=lambda s: 1.0 + 0.1 * np.sin(s), K_along=0.0),
+        CurveData(kappa=1.0, K_along=lambda s: -np.cos(s) ** 2),
+    ):
+        assert make_rank_one_bundle(curve).jet_form is None
+
+
+def test_tube_and_tn_certificates_are_their_functionals_terms():
+    for cid in default_catalog_ids():
+        entry = resolve(cid)
+        if entry.kind in ("tube", "tn") and entry.certificate is not None:
+            assert entry.certificate.terms == entry.functional.terms, cid
+
+
 def test_curve_data_validation():
     with pytest.raises(ValueError, match="length"):
         CurveData(kappa=1.0, K_along=0.0, closed=True)
     with pytest.raises(ValueError, match="periodic"):
         CurveData(kappa=lambda s: s, K_along=0.0, closed=True, length=1.0)
+    with pytest.raises(ValueError, match="periodic"):
+        CurveData(kappa=1.0, K_along=0.0, closed=True, length=1.0, a_profile=lambda s: s)
     # periodic callables pass
     CurveData(kappa=lambda s: np.cos(2 * np.pi * s), K_along=0.0, closed=True, length=1.0)
 

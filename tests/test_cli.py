@@ -126,6 +126,23 @@ def test_sweep_bad_axis(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "cid, axis, bad",
+    [
+        ("torus:n=1,r=1,p=0", "mode:kmax=abc", "'abc'"),
+        ("torus:n=1,r=1,p=0", "mode:kmax=0", "got 0"),
+        ("torus:n=2,r=1,1,p=1", "radius:lo=a,hi=2,steps=7", "'a'"),
+        ("torus:n=2,r=1,1,p=1", "radius:lo=0.5,hi=2,steps=-1", "got -1"),
+        ("tn:kappa=1,K=0", "kappa:lo=0,hi=x,steps=3", "'x'"),
+    ],
+)
+def test_sweep_bad_values_are_usage_errors(runner, cid, axis, bad):
+    result = runner.invoke(main, ["sweep", "--catalog-id", cid, "--axis", axis])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert bad in result.output
+
+
 def test_tube_table_text(runner):
     result = runner.invoke(main, ["tube-table"])
     assert result.exit_code == 0
@@ -186,6 +203,15 @@ def test_verify_paper_bad_criteria(runner):
     assert result.exit_code == 2
     result = runner.invoke(main, ["verify-paper", "--criteria", "abc"])
     assert result.exit_code == 2
+
+
+def test_verify_paper_rejects_an_empty_criteria_list(runner):
+    with pytest.raises(ValueError, match="nonempty"):
+        verification.run_all(criteria=[])
+    for criteria in (",", ""):
+        result = runner.invoke(main, ["verify-paper", "--criteria", criteria])
+        assert result.exit_code == 2
+        assert "nonempty" in result.output
 
 
 def test_bad_grid_option(runner):

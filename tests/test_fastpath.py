@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamstab import analyzer, quadrature
-from hamstab.catalog import ClosedFormFunctional, CurveData, default_catalog_ids, make_rank_one_bundle, resolve
+from hamstab.catalog import CurveData, default_catalog_ids, make_rank_one_bundle, resolve
 from hamstab.immersion import AxisDomain
 from hamstab.quadrature import GridSpec, SupportError
 from hamstab.testfunctions import (
@@ -209,9 +209,7 @@ def test_wrong_constant_declaration_raises():
         return (1.0 + points[:, 0] ** 2) * du[:, 1] ** 2
 
     with pytest.raises(ValueError, match="constant quadratic form"):
-        ClosedFormFunctional(
-            domains=(AxisDomain.line(), AxisDomain.line()), integrand=integrand, constant_coefficients=True
-        )
+        polarized_form(integrand, 2)
 
 
 def test_polarized_form_of_the_flat_laplacian_square():
