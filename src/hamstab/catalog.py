@@ -567,13 +567,21 @@ def _floats(vals: list[str], what: str) -> list[float]:
         raise CatalogIdError(f"bad {what}: {vals!r}")
 
 
-def _int(vals: list[str], what: str) -> int:
+def _single(vals: list[str], what: str, kind):
     if len(vals) != 1:
         raise CatalogIdError(f"{what} takes a single value")
     try:
-        return int(vals[0])
+        return kind(vals[0])
     except ValueError:
         raise CatalogIdError(f"bad {what}: {vals[0]!r}")
+
+
+def _int(vals: list[str], what: str) -> int:
+    return _single(vals, what, int)
+
+
+def _float(vals: list[str], what: str) -> float:
+    return _single(vals, what, float)
 
 
 def resolve(catalog_id: str) -> CatalogEntry:
@@ -705,9 +713,9 @@ def resolve(catalog_id: str) -> CatalogEntry:
         if len(parts) != 2:
             raise CatalogIdError("tn IDs look like 'tn:kappa=1,K=0' or 'tn:kappa=1,K=0,L=12.57'")
         kv = _parse_kv(parts[1], {"kappa": True, "K": True, "L": False})
-        kappa = _floats(kv["kappa"], "kappa")[0]
-        K = _floats(kv["K"], "K")[0]
-        length = _floats(kv["L"], "L")[0] if "L" in kv else None
+        kappa = _float(kv["kappa"], "kappa")
+        K = _float(kv["K"], "K")
+        length = _float(kv["L"], "L") if "L" in kv else None
         curve = CurveData(kappa=kappa, K_along=K, closed=length is not None, length=length)
         functional = make_rank_one_bundle(curve)
         coeff = kappa**2 + 2 * K

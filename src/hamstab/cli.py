@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .analyzer import classify, compute_tube_table, torus_mode_value, wirtinger_bound
-from .catalog import CatalogIdError, CurveData, _floats, _int, _parse_kv, resolve
+from .catalog import CatalogIdError, CurveData, _float, _int, _parse_kv, resolve
 from .quadrature import GridSpec, GridTooLargeError
 from .verification import run_all
 
@@ -189,7 +189,7 @@ def _run_sweep(entry, axis_spec: str):
             rows.append([k, repr(torus_mode_value(radii, p, mode))])
         return ["k", "value"], rows
     kv = _parse_kv(rest, {"lo": True, "hi": True, "steps": True})
-    lo, hi = _floats(kv["lo"], "lo")[0], _floats(kv["hi"], "hi")[0]
+    lo, hi = _float(kv["lo"], "lo"), _float(kv["hi"], "hi")
     steps = _count(kv["steps"], "steps")
     if name == "radius":
         if entry.kind != "torus" or entry.params["n"] != 2:

@@ -9,7 +9,8 @@ work is scheduled.
 
 Fast path (sum factorization): a :class:`JetFormField`, ``j^T M j`` for a
 constant matrix ``M`` over the jet ``j`` of a test function that is a sum of
-products of one-variable factors, is integrated without the mesh.  Each
+products of one-variable factors (bumps, cosine products and plane waves,
+and sums and dilations of them), is integrated without the mesh.  Each
 entry of ``sum w j j^T`` is then a sum of products of per-axis 1-D Gram
 matrices of the factor jets on the same nodes and weights, so the result is
 the same discrete sum up to rounding, at a cost linear in the node counts.

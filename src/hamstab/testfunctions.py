@@ -9,7 +9,8 @@ chart points, plus per-axis support metadata:
   listed partials vanish below 1e-14 (``None`` if unbounded support).
 
 Products of one-variable factors (axis-aligned anisotropic Gaussians
-included), and sums and dilations of them, also report
+included), plane waves (expanded by the angle-addition formula into
+products of cosines and sines), and sums and dilations of them, also report
 ``separable_terms()``: ``(coefficient, per-axis factors)`` pairs whose sum
 is the function, which lets the quadrature integrate quadratic forms in the
 jet axis by axis.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
@@ -300,6 +301,28 @@ class PlaneWaveCos(TestFunction):
         s = np.sin(arg)
         outer = np.einsum("i,j->ij", self.freqs, self.freqs)
         return c, -np.einsum("n,i->ni", s, self.freqs), -np.einsum("n,ij->nij", c, outer)
+
+    def separable_terms(self):
+        """The angle-addition expansion, one axis at a time, of
+        ``cos(a + m s)`` and ``sin(a + m s)`` from ``cos a``, ``sin a`` and the
+        factors ``cos(|m| s)``, ``sin(|m| s) = cos(|m| s - pi/2)``.  The phase
+        starts the pair, a zero starting coefficient is dropped (coefficients
+        only change sign after that), and a zero frequency contributes a
+        constant factor: at most 2^n terms, 2^(n-1) for phase 0."""
+        c0, s0 = float(np.cos(self.phase)), float(np.sin(self.phase))
+        cos_terms = [(c0, [])] if c0 else []
+        sin_terms = [(s0, [])] if s0 else []
+        for m in self.freqs:
+            if m == 0.0:
+                cos_terms = [(c, fs + [Const1D()]) for c, fs in cos_terms]
+                sin_terms = [(c, fs + [Const1D()]) for c, fs in sin_terms]
+                continue
+            cm, sm, sign = Cos1D(abs(m)), Cos1D(abs(m), -np.pi / 2), float(np.sign(m))
+            cos_terms, sin_terms = (
+                [(c, fs + [cm]) for c, fs in cos_terms] + [(-sign * c, fs + [sm]) for c, fs in sin_terms],
+                [(c, fs + [cm]) for c, fs in sin_terms] + [(sign * c, fs + [sm]) for c, fs in cos_terms],
+            )
+        return cos_terms
 
 
 class AnisotropicGaussian(TestFunction):

@@ -113,6 +113,21 @@ def test_sweep_kappa_verdict_flip(runner):
     assert all(v == "stable" for v in verdicts[:flip])
 
 
+@pytest.mark.parametrize(
+    "cid, bad",
+    [
+        ("tn:kappa=0,5,K=-1", "kappa takes a single value"),
+        ("tn:kappa=1,K=0,-1", "K takes a single value"),
+        ("tn:kappa=1,K=0,L=6,7", "L takes a single value"),
+    ],
+)
+def test_analyze_multi_valued_tn_parameter_is_a_usage_error(runner, cid, bad):
+    result = runner.invoke(main, ["analyze", "--catalog-id", cid])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert bad in result.output
+
+
 def test_sweep_help_marks_unused_options(runner):
     result = runner.invoke(main, ["sweep", "--help"])
     assert result.exit_code == 0
@@ -134,6 +149,8 @@ def test_sweep_bad_axis(runner):
         ("torus:n=2,r=1,1,p=1", "radius:lo=a,hi=2,steps=7", "'a'"),
         ("torus:n=2,r=1,1,p=1", "radius:lo=0.5,hi=2,steps=-1", "got -1"),
         ("tn:kappa=1,K=0", "kappa:lo=0,hi=x,steps=3", "'x'"),
+        ("torus:n=2,r=1,1,p=1", "radius:lo=0.5,0.7,hi=2,steps=2", "lo takes a single value"),
+        ("tn:kappa=1,K=0", "kappa:lo=0,hi=1,2,steps=3", "hi takes a single value"),
     ],
 )
 def test_sweep_bad_values_are_usage_errors(runner, cid, axis, bad):

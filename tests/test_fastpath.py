@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamstab import analyzer, quadrature
+from hamstab import analyzer, quadrature, verification
 from hamstab.catalog import CurveData, default_catalog_ids, make_rank_one_bundle, resolve
 from hamstab.immersion import AxisDomain
 from hamstab.quadrature import GridSpec, SupportError
@@ -25,6 +25,7 @@ from hamstab.testfunctions import (
     jet_from_coordinates,
     jet_orders,
     random_bump_poly,
+    random_trig_poly,
 )
 from hamstab.variation import SecondVariationFunctional, evaluate_functional, polarized_form
 
@@ -119,8 +120,6 @@ def test_fast_path_matches_mesh_path(case):
     "cid, u",
     [
         ("plane:n=2,p=0", AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])),
-        ("torus:n=2,r=1,1,p=1", PlaneWaveCos([1.0, 1.0])),
-        ("torus:n=2,r=1,1,p=1", LinComb([(1.0, PlaneWaveCos([1.0, 0.0])), (1.0, Separable([Cos1D(1.0), Const1D()]))])),
     ],
 )
 def test_non_separable_probes_use_the_mesh(cid, u):
@@ -130,6 +129,54 @@ def test_non_separable_probes_use_the_mesh(cid, u):
         val = evaluate_functional(functional, u, SMALL)
     assert len(calls) == 1
     assert val == mesh_value(functional, u, SMALL)
+
+
+TORUS_IDS = [
+    f"torus:n={n},r={radii},p={p}"
+    for n, radii in ((1, "1"), (2, "1,1"), (3, "1,2,3"))
+    for p in range(n + 1)
+]
+
+
+def torus_probes(functional, seed):
+    """Plane waves on the torus chart: the all-ones mode, a wave mixed with a
+    product, a drawn wave with signed and zero wavenumbers and a phase, and
+    a random trigonometric polynomial."""
+    periods = [dom.size for dom in functional.domains]
+    base = 2 * np.pi / np.array(periods)
+    first = np.eye(len(base))[0] * base
+    rng = np.random.default_rng(seed)
+    drawn = rng.integers(-3, 4, size=len(base)) * base
+    return [
+        PlaneWaveCos(base),
+        LinComb([(1.0, PlaneWaveCos(first)), (1.0, Separable([Cos1D(base[0])] + [Const1D()] * (len(base) - 1)))]),
+        PlaneWaveCos(drawn, rng.uniform(0.0, 2 * np.pi)),
+        random_trig_poly(periods, rng),
+    ]
+
+
+@pytest.mark.parametrize("cid", TORUS_IDS)
+def test_plane_waves_on_tori_sum_factorize(cid):
+    functional = resolve(cid).functional
+    for seed in range(3):
+        for u in torus_probes(functional, seed):
+            assert u.separable_terms() is not None
+            with counting_meshes() as calls:
+                fast = evaluate_functional(functional, u, SMALL)
+                fast_norm = analyzer._witness_norm2(functional, u, SMALL)
+            assert calls == [], (cid, u.label)
+            ref = mesh_value(functional, u, SMALL)
+            assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref)), (cid, u.label, fast, ref)
+            ref_norm = quadrature.integrate(lambda pts: u.jet(pts)[0] ** 2, functional.domains, SMALL)
+            assert abs(fast_norm - ref_norm) <= 1e-12 * max(1.0, abs(ref_norm))
+
+
+@pytest.mark.parametrize("number", [1, 3])
+def test_torus_criteria_walk_no_mesh(number):
+    with counting_meshes() as calls:
+        results = verification.run_criterion(number)
+    assert calls == []
+    assert all(r.passed for r in results)
 
 
 def test_diagonal_anisotropic_gaussian_sum_factorizes():

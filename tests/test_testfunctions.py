@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamstab.immersion import AxisDomain
 from hamstab.testfunctions import (
@@ -145,3 +147,28 @@ def test_operator_sugar():
     assert (a + b).jet(pts)[0][0] == pytest.approx(va + vb)
     assert (a - b).jet(pts)[0][0] == pytest.approx(va - vb)
     assert (2.5 * a).jet(pts)[0][0] == pytest.approx(2.5 * va)
+
+
+@st.composite
+def plane_waves(draw):
+    n = draw(st.integers(1, 4))
+    ks = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    scale = draw(st.floats(0.5, 2.0))
+    phase = draw(st.floats(-10.0, 10.0))
+    return PlaneWaveCos([k * scale for k in ks], phase)
+
+
+@settings(deadline=None, max_examples=200)
+@given(plane_waves(), st.integers(0, 2**32 - 1))
+def test_plane_wave_separable_terms_reproduce_the_jet(u, seed):
+    terms = u.separable_terms()
+    nonzero = int(np.count_nonzero(u.freqs))
+    assert 1 <= len(terms) <= 2**nonzero
+    if u.phase == 0.0 and nonzero:
+        assert len(terms) == 2 ** (nonzero - 1)
+    pts = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, size=(20, u.n))
+    expanded = LinComb([(c, Separable(factors)) for c, factors in terms]).jet(pts)
+    # rel 1e-13 of the largest value the coordinate can take: 1, |m|, |m|^2
+    top = max(1.0, float(np.max(np.abs(u.freqs))))
+    for order, (got, want) in enumerate(zip(expanded, u.jet(pts))):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * top**order, (order, u.freqs, u.phase)

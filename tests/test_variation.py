@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hamstab.catalog import make_hyperbola_product, make_lagrangian_plane, make_torus
+from hamstab.catalog import default_catalog_ids, make_hyperbola_product, make_lagrangian_plane, make_torus, resolve
 from hamstab.geometry import AmbientFlat
 from hamstab.immersion import AxisDomain, chart_from_components
 from hamstab.jets import jcosh, jsin, jsinh
@@ -15,6 +17,7 @@ from hamstab.testfunctions import (
     PlaneWaveCos,
     Separable,
     TestFunction,
+    jet_coordinates,
     random_bump_poly,
     random_trig_poly,
 )
@@ -22,6 +25,7 @@ from hamstab.variation import (
     MetricField,
     RawHessianFunctional,
     bochner_residual,
+    evaluate_functional,
     gradient,
     laplacian,
     reilly_residual,
@@ -396,3 +400,49 @@ def test_second_variation_functional_nonconstant_chart():
         want = second_variation(flat, Separable(factors), spec)
         got = second_variation(warped, Separable([_Warped1D(f) for f in factors]), spec)
         assert abs(got - want) <= 1e-8 * abs(want), flat.name
+
+
+TORUS_CHARTS = {cid: resolve(cid).functional for cid in default_catalog_ids() if cid.startswith("torus:")}
+
+
+@st.composite
+def translated_probe_pairs(draw):
+    """A torus functional and one probe at two phases: a plane wave, or a
+    product of ``Cos1D`` factors with a phase per axis."""
+    cid = draw(st.sampled_from(sorted(TORUS_CHARTS)))
+    functional = TORUS_CHARTS[cid]
+    base = [2 * np.pi / dom.size for dom in functional.domains]
+    n = len(base)
+    phases = st.floats(0.0, 2 * np.pi)
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+        freqs = [k * b for k, b in zip(ks, base)]
+        return cid, functional, PlaneWaveCos(freqs, draw(phases)), PlaneWaveCos(freqs, draw(phases))
+    ks = draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+
+    def product():
+        return Separable([Cos1D(k * b, draw(phases)) for k, b in zip(ks, base)])
+
+    return cid, functional, product(), product()
+
+
+@settings(deadline=None, max_examples=40)
+@given(translated_probe_pairs())
+def test_torus_second_variation_is_translation_invariant(case):
+    # a phase shift is a translation along the circles, which are isometries
+    # of every torus chart; both the sum-factorized value and the mesh sum of
+    # the pointwise integrand must not see it
+    cid, functional, u, v = case
+    spec = GridSpec(circle_nodes=16)
+    # the magnitude both paths round against: the sum of |j|^T |M| |j|
+    def magnitude(pts):
+        coords = np.abs(jet_coordinates(u.jet(pts)))
+        return np.einsum("np,pq,nq->n", coords, np.abs(functional.jet_form), coords)
+
+    scale = integrate(magnitude, functional.domains, spec)
+    for value in (
+        lambda w: evaluate_functional(functional, w, spec),
+        lambda w: integrate(lambda pts: functional.integrand(pts, w.jet(pts)), functional.domains, spec),
+    ):
+        a, b = value(u), value(v)
+        assert abs(a - b) <= 1e-12 * scale, (cid, a, b, scale)
