@@ -21,6 +21,7 @@ from hamstab.testfunctions import (
     LinComb,
     PlaneWaveCos,
     Separable,
+    TestFunction,
     jet_coordinates,
     jet_from_coordinates,
     jet_orders,
@@ -116,10 +117,31 @@ def test_fast_path_matches_mesh_path(case):
     assert abs(fast_norm - ref_norm) <= 1e-12 * max(1.0, abs(ref_norm))
 
 
+class _ExpCosWave(TestFunction):
+    """exp(cos(freqs . s)): periodic on the torus, but no finite sum of
+    products of one-variable factors, so it has no separable terms."""
+
+    def __init__(self, freqs):
+        self.freqs = np.asarray(freqs, dtype=float)
+        self.n = len(self.freqs)
+        self.axis_periods = tuple(2 * np.pi / abs(m) if m != 0.0 else 0.0 for m in self.freqs)
+        self.axis_boxes = (None,) * self.n
+
+    def jet(self, points):
+        arg = np.atleast_2d(np.asarray(points, dtype=float)) @ self.freqs
+        u = np.exp(np.cos(arg))
+        outer = np.einsum("i,j->ij", self.freqs, self.freqs)
+        du = -np.einsum("n,i->ni", np.sin(arg) * u, self.freqs)
+        hess = np.einsum("n,ij->nij", (np.sin(arg) ** 2 - np.cos(arg)) * u, outer)
+        return u, du, hess
+
+
 @pytest.mark.parametrize(
     "cid, u",
     [
         ("plane:n=2,p=0", AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])),
+        ("torus:n=2,r=1,1,p=1", _ExpCosWave([1.0, 1.0])),
+        ("torus:n=2,r=1,1,p=1", LinComb([(1.0, PlaneWaveCos([1.0, 0.0])), (1.0, _ExpCosWave([1.0, -1.0]))])),
     ],
 )
 def test_non_separable_probes_use_the_mesh(cid, u):
