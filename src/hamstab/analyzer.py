@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, SumOfSquares
 from .immersion import AxisDomain, LagrangianChart
-from .quadrature import GridSpec, JetFormField, check_line_boxes, integrate
+from .quadrature import GridSpec, JetFormField, build_grid, check_line_boxes, integrate
 from .testfunctions import (
     AnisotropicGaussian,
     AxisScaled,
@@ -29,6 +29,7 @@ from .testfunctions import (
     Separable,
     TestFunction,
     compatible_with,
+    jet_from_coordinates,
     jet_orders,
 )
 from .variation import _check_compatible, as_functional, evaluate_functional, jet_field
@@ -49,6 +50,7 @@ __all__ = [
     "HyperbolaMatrixReport",
     "hyperbola_direction_probes",
     "gradient_form_value",
+    "verify_certificate",
     "wirtinger_bound",
     "WirtingerReport",
     "witness_library",
@@ -61,6 +63,9 @@ GRADIENT_FORM_NOTE = "gradient-form values Q(u_w), Q(u_e1) of the direction prob
 # Relative gap below which two probe values are a rounding-level tie.
 TIE_RTOL = 1e-12
 SOS_RESIDUAL_TOL = 1e-10
+# Grid rows, and standard-normal jets per row, of a sampled certificate check.
+CERTIFICATE_ROWS = 20000
+CERTIFICATE_JET_DRAWS = 6
 
 LABEL_POSITIVE = "positive_definite"
 LABEL_NEGATIVE = "negative_definite"
@@ -475,22 +480,6 @@ def witness_library(domains, widths=(1.0, 4.0), max_mode: int = 2) -> list[TestF
     return out
 
 
-def _random_field(domains, rng) -> TestFunction:
-    """Random jet field compatible with the domain product (for pointwise
-    certificate residual checks)."""
-    factors = []
-    for dom in domains:
-        if dom.kind == "circle":
-            k = int(rng.integers(1, 4))
-            factors.append(Cos1D(k * 2 * np.pi / dom.size, phase=float(rng.uniform(0, 2 * np.pi))))
-        else:
-            coeffs = rng.uniform(-1, 1, size=3)
-            from .testfunctions import PolyGauss1D
-
-            factors.append(PolyGauss1D(coeffs, sigma=float(rng.uniform(0.8, 1.6))))
-    return Separable(factors, label="random-field")
-
-
 def _norm2_form(n: int) -> np.ndarray:
     """The jet form ``e0 e0^T`` of ``u^2``."""
     form = np.zeros((len(jet_orders(n)),) * 2)
@@ -681,7 +670,9 @@ def _classify_sos(entry: CatalogEntry, gridspec, seed: int) -> StabilityVerdict:
             LABEL_INCONCLUSIVE, notes=["no sum-of-squares certificate attached to this entry"]
         )
     residual, weight_ok = verify_certificate(entry.functional, cert, gridspec, seed)
-    notes = [f"pointwise certificate residual {residual:.3e}"]
+    sampled = f"up to {CERTIFICATE_ROWS} sampled rows x {CERTIFICATE_JET_DRAWS} jet draws"
+    comparison = "exact jet-form comparison" if _constant_forms(entry.functional, cert) else sampled
+    notes = [f"pointwise certificate residual {residual:.3e} ({comparison})"]
     if cert.kernel_note:
         notes.append(f"kernel: {cert.kernel_note}")
     if not weight_ok or residual > SOS_RESIDUAL_TOL:
@@ -706,35 +697,44 @@ def _classify_sos(entry: CatalogEntry, gridspec, seed: int) -> StabilityVerdict:
     )
 
 
-def verify_certificate(
-    functional, cert: SumOfSquares, gridspec: GridSpec | None = None, seed: int = 0, n_fields: int = 6
-) -> tuple[float, bool]:
-    """Max pointwise residual between the integrand and the certificate form
-    over the grid, probed with random jet fields, plus a same-sign check of
-    the (possibly point-dependent) weights."""
-    functional = as_functional(functional)
-    rng = np.random.default_rng(seed)
-    from .quadrature import build_grid
+def _constant_forms(functional, cert: SumOfSquares):
+    """``(M_func, M_cert)``, or None when either side depends on the point."""
+    forms = (getattr(as_functional(functional), "jet_form", None), cert.jet_form)
+    return None if any(m is None for m in forms) else forms
 
-    boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
-    grid = build_grid(functional.domains, gridspec, boxes=boxes)
-    rows = rng.choice(grid.size, 20000, replace=False) if grid.size > 20000 else np.arange(grid.size)
-    pts = grid.points_at(rows)
-    residual = 0.0
-    scale = 1.0
-    for _ in range(n_fields):
-        u = _random_field(functional.domains, rng)
-        jet = u.jet(pts)
-        vf = functional.integrand(pts, jet)
-        vc = cert.form_values(pts, jet)
-        residual = max(residual, float(np.max(np.abs(vf - vc))))
-        scale = max(scale, float(np.max(np.abs(vf))))
-    weight_ok = True
-    for term in cert.terms:
-        wv = term.weight_values(pts)
-        if np.any(cert.sign * wv < -1e-14):
-            weight_ok = False
-    return residual / scale, weight_ok
+
+def verify_certificate(
+    functional, cert: SumOfSquares, gridspec: GridSpec | None = None, seed: int = 0
+) -> tuple[float, bool]:
+    """Residual ``max|M_func - M_cert| / max(1, max|M_func|)`` between the
+    constant jet forms of the integrand and the certificate, plus a same-sign
+    check of the certificate's weights: exact, with no grid or random draw.
+    When either side depends on the point, ``max|V_func - V_cert|`` over
+    ``CERTIFICATE_ROWS`` grid rows (all rows of a smaller grid) with
+    ``CERTIFICATE_JET_DRAWS`` standard-normal jets each, relative to
+    ``max(1, max|V_func|)``, with the weights checked at those rows.
+    """
+    functional = as_functional(functional)
+    forms = _constant_forms(functional, cert)
+    if forms is not None:
+        m_func, m_cert = forms
+        pts = None  # constant weights take no points
+        residual, scale = float(np.max(np.abs(m_func - m_cert))), float(np.max(np.abs(m_func)))
+    else:
+        rng = np.random.default_rng(seed)
+        n = len(functional.domains)
+        boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
+        grid = build_grid(functional.domains, gridspec, boxes=boxes)
+        big = grid.size > CERTIFICATE_ROWS
+        pts = grid.points_at(rng.choice(grid.size, CERTIFICATE_ROWS, replace=False) if big else np.arange(grid.size))
+        residual, scale = 0.0, 0.0
+        for _ in range(CERTIFICATE_JET_DRAWS):
+            jet = jet_from_coordinates(rng.standard_normal((len(pts), len(jet_orders(n)))), n)
+            vf = functional.integrand(pts, jet)
+            residual = max(residual, float(np.max(np.abs(vf - cert.form_values(pts, jet)))))
+            scale = max(scale, float(np.max(np.abs(vf))))
+    weight_ok = all(np.all(cert.sign * term.weight_values(pts) >= -1e-14) for term in cert.terms)
+    return residual / max(1.0, scale), weight_ok
 
 
 def _classify_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdict:
@@ -866,10 +866,9 @@ def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
             f"lam(lam - c) over modes; lam1 = {rep.lam1:g}, c = {c:g}",
         )
     ]
-    eps_sign = 1  # the S3 tube case is Kahler-Einstein with eps = +1
+    # the S3 tube case is Kahler-Einstein with eps = +1
     if rep.verdict == "stable":
-        label = LABEL_POSITIVE if eps_sign > 0 else LABEL_NEGATIVE
-        return StabilityVerdict(label, evidence=evidence, notes=[f"lam1 = {rep.lam1:g} >= c = {c:g}"])
+        return StabilityVerdict(LABEL_POSITIVE, evidence=evidence, notes=[f"lam1 = {rep.lam1:g} >= c = {c:g}"])
     base = 2 * np.pi / entry.functional.domains[0].size
     pool = [
         Separable([Cos1D(2 * base), Const1D()], label="mode:cos(2s)"),
@@ -911,11 +910,16 @@ def _classify_tn_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
             notes=["the curve criterion is sufficient only; sup exceeds the threshold"],
         )
     if rep.threshold is not None and rep.sup_value >= rep.threshold * (1 - 1e-12):
-        return StabilityVerdict(
-            LABEL_INCONCLUSIVE,
-            evidence=evidence,
-            notes=["boundary case sup = threshold: the bound gives nonnegativity only"],
+        boundary = "boundary case sup = threshold: the bound gives nonnegativity only"
+    elif entry.curve.closed and rep.sup_value == 0.0:
+        boundary = (
+            "boundary case sup = 0 on a closed curve: u = g(t), constant along the curve, "
+            "is a null direction where kappa^2 + 2K vanishes identically"
         )
+    else:
+        boundary = None
+    if boundary:
+        return StabilityVerdict(LABEL_INCONCLUSIVE, evidence=evidence, notes=[boundary])
     pool = witness_library(entry.functional.domains)[:2]
     pos, _, _ = _sign_witnesses(entry, pool, gridspec)
     notes = [

@@ -12,11 +12,11 @@ A closed-form functional is one list of weighted squares
 ``w(s) * (L . jet)^2`` of jet-linear terms (:class:`JetSquareTerm`), and
 everything else derives from that list: the pointwise integrand is the sum
 of the terms, evaluated as a :class:`SumOfSquares` certificate evaluates
-its own, and the constant jet form ``sum w L L^T`` exists exactly when every
-weight and coefficient is a number.  A tube or rank-one certificate is the
-functional's own term list, so its residual against the integrand is zero;
-the hyperbola and plane certificates stay independent term lists, checked
-against the chart functional's integrand.
+its own, and the constant jet form ``sum w L L^T`` of either exists exactly
+when every weight and coefficient is a number.  A tube or rank-one
+certificate is the functional's own term list, so its residual against the
+integrand is zero; the hyperbola and plane certificates stay independent
+term lists, checked against the jet form of the chart functional.
 
 The geodesic-tube functionals are a single two-parameter family driven by
 the sign tuple ``(e1, e2, e3, e4)`` of the first metric in the adapted
@@ -118,17 +118,28 @@ def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -
     return out
 
 
+def _jet_form(terms: tuple[JetSquareTerm, ...]) -> np.ndarray | None:
+    """The matrix ``M = sum_i w_i L_i L_i^T`` of the sum of squares ``j^T M j``
+    (jet coordinates of :func:`hamstab.testfunctions.jet_orders`), or None
+    when a weight or coefficient is a function of the points."""
+    if not all(t.is_constant for t in terms):
+        return None
+    n = len(terms[0].grad_coeffs)
+    size = len(jet_orders(n))
+    unit = jet_from_coordinates(np.eye(size), n)
+    vectors = [t.linear_value(np.zeros((size, n)), unit) for t in terms]
+    return sum(t.weight * np.outer(v, v) for t, v in zip(terms, vectors))
+
+
 @dataclass
 class ClosedFormFunctional:
     """Quadratic functional ``int sum_i w_i (L_i . jet)^2`` given by its
     weighted squares ``terms``.
 
     ``integrand`` is the sum of the terms, evaluated as
-    :meth:`SumOfSquares.form_values` evaluates a certificate.  When every
-    weight and coefficient is a number, ``jet_form`` is the constant matrix
-    ``M = sum_i w_i L_i L_i^T`` of the integrand ``j^T M j`` in the jet
-    coordinates of :func:`hamstab.testfunctions.jet_orders`; otherwise it
-    is None.
+    :meth:`SumOfSquares.form_values` evaluates a certificate, and
+    ``jet_form`` is the terms' constant matrix ``M`` (as
+    :attr:`SumOfSquares.jet_form`), None when the terms depend on the point.
     """
 
     domains: tuple[AxisDomain, ...]
@@ -142,22 +153,17 @@ class ClosedFormFunctional:
 
     def __post_init__(self) -> None:
         self.integrand = partial(_sum_of_squares, self.terms)
-        if all(t.is_constant for t in self.terms):
-            n = len(self.domains)
-            size = len(jet_orders(n))
-            unit = jet_from_coordinates(np.eye(size), n)
-            vectors = [t.linear_value(np.zeros((size, n)), unit) for t in self.terms]
-            self.jet_form = sum(t.weight * np.outer(v, v) for t, v in zip(self.terms, vectors))
+        self.jet_form = _jet_form(self.terms)
 
 
 @dataclass(frozen=True)
 class SumOfSquares:
     """Signed sum-of-squares decomposition of an integrand.
 
-    All weights must share ``sign`` (checked numerically by the analyzer
-    for point-dependent weights); the decomposition certifies semi-
+    All weights must share ``sign``; the decomposition certifies semi-
     definiteness pointwise, and ``kernel_note`` records why the kernel is
-    trivial on the admissible class, upgrading it to definiteness.
+    trivial on the admissible class, upgrading it to definiteness.  The
+    analyzer compares ``jet_form`` with the integrand's when both exist.
     """
 
     terms: tuple[JetSquareTerm, ...]
@@ -166,6 +172,12 @@ class SumOfSquares:
 
     def form_values(self, points: np.ndarray, jet) -> np.ndarray:
         return _sum_of_squares(self.terms, points, jet)
+
+    @property
+    def jet_form(self) -> np.ndarray | None:
+        """The constant matrix ``M = sum_i w_i L_i L_i^T`` of the certificate,
+        or None when its terms depend on the point."""
+        return _jet_form(self.terms)
 
 
 # ------------------------------------------------------------ flat families
@@ -502,14 +514,15 @@ def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) 
 
 def tn_sos_certificate(functional: ClosedFormFunctional) -> SumOfSquares:
     """The rank-one functional's own terms ``4 u_st^2 + (-(kappa^2 + 2K))(s)
-    u_t^2`` as a certificate, for curves with ``kappa^2 <= -2K`` everywhere
-    (weights checked at verification time)."""
+    u_t^2`` as a certificate, for curves with ``kappa^2 + 2K < 0`` everywhere
+    or ``= 0`` on an open curve (on a closed one, any ``u(t)`` has value 0).
+    Constant weights are compared exactly, others at sampled points."""
     return SumOfSquares(
         terms=functional.terms,
         sign=1,
         kernel_note=(
-            "value 0 forces u_t = 0 (strict-coefficient case), and compact support "
-            "in the fibre direction then gives u = 0"
+            "value 0 forces u_st = 0, so u = f(s) + g(t), and u_t = 0 where kappa^2 + 2K < 0; "
+            "compact support in the fibre (and along the curve when kappa^2 + 2K = 0) gives u = 0"
         ),
     )
 
@@ -719,12 +732,13 @@ def resolve(catalog_id: str) -> CatalogEntry:
         curve = CurveData(kappa=kappa, K_along=K, closed=length is not None, length=length)
         functional = make_rank_one_bundle(curve)
         coeff = kappa**2 + 2 * K
-        if coeff <= 0:
+        certified = coeff < 0 or (coeff == 0 and not curve.closed)
+        if certified:
             strategy = "sos_certificate"
             expected = "stable"
         elif curve.closed:
             strategy = "spectral_criterion"
-            expected = "stable" if coeff <= 16 * np.pi**2 / length**2 else None
+            expected = "stable" if 0 < coeff <= 16 * np.pi**2 / length**2 else None
         else:
             strategy = "scaling_probe"
             expected = "unstable"
@@ -735,7 +749,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=None,
             default_strategy=strategy,
             params={"kappa": kappa, "K": K, "length": length},
-            certificate=tn_sos_certificate(functional) if coeff <= 0 else None,
+            certificate=tn_sos_certificate(functional) if certified else None,
             expected_verdict=expected,
             curve=curve,
             provenance=functional.provenance,
@@ -747,35 +761,16 @@ def resolve(catalog_id: str) -> CatalogEntry:
 
 
 def _hyperbola_certificate(radii, eps) -> SumOfSquares:
-    """Signed sum of squares for hyperbola products with one or two factors.
-
-    n=1: -(lap u)^2 - (u_s / r)^2;
-    n=2: -(e1 u_ss + e2 u_tt)^2 - (e1 u_s / r1 - e2 u_t / r2)^2.
-    """
-    r = [float(x) for x in radii]
-    n = len(r)
-    if n == 1:
-        terms = (
-            JetSquareTerm(-1.0, (0.0,), ((float(eps[0]),),)),
-            JetSquareTerm(-1.0, (1.0 / r[0],), ((0.0,),)),
-        )
-    elif n == 2:
-        terms = (
-            JetSquareTerm(
-                -1.0,
-                (0.0, 0.0),
-                ((float(eps[0]), 0.0), (0.0, float(eps[1]))),
-            ),
-            JetSquareTerm(
-                -1.0,
-                (eps[0] / r[0], -eps[1] / r[1]),
-                ((0.0, 0.0), (0.0, 0.0)),
-            ),
-        )
-    else:
+    """Signed sum of squares for hyperbola products with one or two factors,
+    ``-(e1 u_ss + e2 u_tt)^2 - (e1 u_s / r1 - e2 u_t / r2)^2`` and its
+    first-axis part ``-(lap u)^2 - (u_s / r)^2`` for n = 1."""
+    n = len(radii)
+    if n > 2:
         raise ValueError("sum-of-squares certificates exist only for n <= 2")
+    hess = tuple(tuple(float(eps[i]) if i == j else 0.0 for j in range(n)) for i in range(n))
+    grad = tuple(sign * e / float(r) for sign, e, r in zip((1, -1), eps, radii))
     return SumOfSquares(
-        terms=terms,
+        terms=(JetSquareTerm(-1.0, (0.0,) * n, hess), JetSquareTerm(-1.0, grad, ((0.0,) * n,) * n)),
         sign=-1,
         kernel_note=(
             "value 0 forces the gradient combination to vanish identically, so u is "

@@ -212,7 +212,7 @@ def _criterion_4(ctx) -> list[CheckResult]:
                 "negative_definite, residual <= 1e-10",
                 f"{verdict.label}, residual {residual:.3e}",
                 "pointwise rel 1e-10",
-                verdict.label == "negative_definite" and residual <= 1e-10,
+                verdict.label == "negative_definite" and residual <= analyzer.SOS_RESIDUAL_TOL,
             )
         )
     for n in (3, 4):
@@ -558,7 +558,7 @@ def _criterion_10(ctx) -> list[CheckResult]:
             "positive_definite, residual <= 1e-10",
             f"{verdict.label}, residual {residual:.3e}, weights ok {weights_ok}",
             "pointwise rel 1e-10",
-            verdict.label == "positive_definite" and residual <= 1e-10 and weights_ok,
+            verdict.label == "positive_definite" and residual <= analyzer.SOS_RESIDUAL_TOL and weights_ok,
         )
     )
     length = 2 * np.pi

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hamstab import analyzer, quadrature
 from hamstab.analyzer import (
     GRADIENT_FORM_NOTE,
     ModeVector,
@@ -17,12 +20,19 @@ from hamstab.analyzer import (
     wirtinger_bound,
     witness_library,
 )
-from hamstab.catalog import CurveData, default_catalog_ids, make_geodesic_tube, resolve
-from hamstab.analyzer import _random_field
+from hamstab.catalog import (
+    CurveData,
+    JetSquareTerm,
+    SumOfSquares,
+    default_catalog_ids,
+    make_geodesic_tube,
+    make_rank_one_bundle,
+    resolve,
+)
 from hamstab.quadrature import Grid, GridSpec, GridTooLargeError, JetFormField, build_grid, integrate
-from hamstab.testfunctions import jet_orders
+from hamstab.testfunctions import jet_from_coordinates, jet_orders
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
-from hamstab.variation import second_variation
+from hamstab.variation import evaluate_functional, second_variation
 
 
 # ------------------------------------------------------------- mode values
@@ -234,16 +244,18 @@ def test_gradient_form_value_on_an_oversized_mesh_fails_fast():
         gradient_form_value((1, 1, 1, 1), (1, 1, 1, 1), u_w)
 
 
-def _full_mesh_verify_certificate(functional, cert, gridspec=None, seed=0, n_fields=6):
-    """verify_certificate as it was: the full mesh, then 20000 of its rows."""
+def _full_mesh_verify_certificate(functional, cert, gridspec=None, seed=0):
+    """The sampled comparison from the full mesh: 20000 of its rows, then
+    standard-normal jets at them."""
     rng = np.random.default_rng(seed)
+    n = len(functional.domains)
     boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
     pts, _ = build_grid(functional.domains, gridspec, boxes=boxes).points_and_weights()
     if len(pts) > 20000:
         pts = pts[rng.choice(len(pts), 20000, replace=False)]
     residual, scale = 0.0, 1.0
-    for _ in range(n_fields):
-        jet = _random_field(functional.domains, rng).jet(pts)
+    for _ in range(6):
+        jet = jet_from_coordinates(rng.standard_normal((len(pts), len(jet_orders(n)))), n)
         vf = functional.integrand(pts, jet)
         residual = max(residual, float(np.max(np.abs(vf - cert.form_values(pts, jet)))))
         scale = max(scale, float(np.max(np.abs(vf))))
@@ -251,17 +263,96 @@ def _full_mesh_verify_certificate(functional, cert, gridspec=None, seed=0, n_fie
     return residual / scale, weight_ok
 
 
+def _pointwise_weights(cert: SumOfSquares) -> SumOfSquares:
+    """The certificate with each weight given as a function of the points."""
+    terms = tuple(replace(t, weight=lambda pts, w=t.weight: np.full(len(pts), w)) for t in cert.terms)
+    return replace(cert, terms=terms)
+
+
 @pytest.mark.parametrize("cid", ["hyperbola:n=2,r=1,2,eps=+,-", "tn:kappa=0,K=-1"])
 @pytest.mark.parametrize("spec", [None, GridSpec(circle_nodes=96, line_nodes=160)])
 def test_verify_certificate_samples_without_the_mesh(cid, spec, monkeypatch):
+    # point-dependent weights send the check to its sampled path
     entry = resolve(cid)
-    want = _full_mesh_verify_certificate(entry.functional, entry.certificate, spec, seed=3)
+    cert = _pointwise_weights(entry.certificate)
+    assert cert.jet_form is None
+    want = _full_mesh_verify_certificate(entry.functional, cert, spec, seed=3)
 
     def no_mesh(grid):
         raise AssertionError("verify_certificate built the full mesh")
 
     monkeypatch.setattr(Grid, "points_and_weights", no_mesh)
-    assert verify_certificate(entry.functional, entry.certificate, spec, seed=3) == want
+    got = verify_certificate(entry.functional, cert, spec, seed=3)
+    assert got == want
+    assert got[0] <= 1e-10 and got[1]
+
+
+CATALOG_CERTIFICATES = [cid for cid in default_catalog_ids() if resolve(cid).certificate is not None]
+
+
+def test_every_catalog_certificate_is_checked_exactly(monkeypatch):
+    assert len(CATALOG_CERTIFICATES) == 12
+    entries = [resolve(cid) for cid in CATALOG_CERTIFICATES]
+    for entry in entries:
+        verdict = classify(entry, strategy="sos_certificate")
+        assert verdict.label in ("positive_definite", "negative_definite"), entry.catalog_id
+        assert "(exact jet-form comparison)" in verdict.notes[0], entry.catalog_id
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("verify_certificate built a grid")
+
+    monkeypatch.setattr(quadrature, "build_grid", no_grid)
+    monkeypatch.setattr(analyzer, "build_grid", no_grid)
+    for entry in entries:
+        residual, ok = verify_certificate(entry.functional, entry.certificate, seed=0)
+        assert residual <= 1e-10 and ok, entry.catalog_id
+        assert verify_certificate(entry.functional, entry.certificate, seed=1) == (residual, ok)
+
+
+def _off_by(cert: SumOfSquares, index: int, delta: float) -> SumOfSquares:
+    terms = list(cert.terms)
+    terms[index] = replace(terms[index], weight=terms[index].weight + delta)
+    return replace(cert, terms=tuple(terms))
+
+
+@pytest.mark.parametrize("cid", ["hyperbola:n=1,r=1,eps=+", "plane:n=2,p=1", "tube:S3:closed-definite:Gprime", "tn:kappa=0,K=-1"])
+def test_certificate_with_a_weight_off_or_the_wrong_sign_is_rejected(cid):
+    entry = resolve(cid)
+    cert = entry.certificate
+    for bad in (_off_by(cert, len(cert.terms) - 1, 1e-6), replace(cert, sign=-cert.sign)):
+        verdict = classify(replace(entry, certificate=bad), strategy="sos_certificate")
+        assert verdict.label == "inconclusive", cid
+        assert verdict.notes[-1] == "certificate failed verification"
+
+
+def test_point_dependent_certificate_is_sampled(monkeypatch):
+    # integrand 4 u_st^2 + (2 + cos s) u_t^2 of a curve with K = -1 - cos(s)/2,
+    # certified by an independently written weight
+    functional = make_rank_one_bundle(CurveData(kappa=0.0, K_along=lambda s: -1.0 - 0.5 * np.cos(s)))
+    zero = ((0.0, 0.0), (0.0, 0.0))
+
+    def cert(shift):
+        return SumOfSquares(
+            terms=(
+                JetSquareTerm(4.0, (0.0, 0.0), ((0.0, 1.0), (0.0, 0.0))),
+                JetSquareTerm(lambda pts: 2.0 + np.cos(pts[:, 0]) + shift, (0.0, 1.0), zero),
+            ),
+            sign=1,
+        )
+
+    def no_mesh(grid):
+        raise AssertionError("verify_certificate built the full mesh")
+
+    monkeypatch.setattr(Grid, "points_and_weights", no_mesh)
+    residual, ok = verify_certificate(functional, cert(0.0))
+    assert residual <= 1e-15 and ok
+    residual, ok = verify_certificate(functional, cert(1e-6))
+    assert residual > 1e-10 and ok
+    assert not verify_certificate(functional, cert(-3.0))[1]
+    entry = replace(resolve("tn:kappa=0,K=-1"), functional=functional, certificate=cert(0.0))
+    verdict = classify(entry, strategy="sos_certificate")
+    assert verdict.label == "positive_definite"
+    assert "(up to 20000 sampled rows x 6 jet draws)" in verdict.notes[0]
 
 
 def test_isotropic_default_exponent():
@@ -374,6 +465,25 @@ def test_wirtinger_sufficient_only():
 def test_wirtinger_open_positive_raises():
     with pytest.raises(ValueError, match="closed"):
         wirtinger_bound(CurveData(kappa=1.0, K_along=0.0))
+
+
+def test_tn_closed_curve_with_vanishing_coefficient_is_not_certified():
+    # kappa^2 + 2K = 0 on a closed curve: u = g(t), constant along the curve,
+    # is a null direction, so neither a certificate nor the curve criterion applies
+    entry = resolve(f"tn:kappa=0,K=0,L={2 * np.pi:.17g}")
+    null = Separable([Const1D(), Gauss1D(1.0)], label="fibre-only")
+    assert evaluate_functional(entry.functional, null) == 0.0
+    assert entry.certificate is None and entry.expected_verdict is None
+    assert classify(entry, strategy="sos_certificate").label == "inconclusive"
+    verdict = classify(entry, strategy="spectral_criterion")
+    assert verdict.label == "inconclusive"
+    assert "null direction" in verdict.notes[0]
+    # the open curve has compact support on both line axes: certified
+    for open_entry in (resolve("tn:kappa=0,K=0"), resolve("tn:kappa=1,K=-0.5")):
+        assert open_entry.expected_verdict == "stable"
+        verdict = classify(open_entry, strategy="sos_certificate")
+        assert verdict.label == "positive_definite"
+        assert "u = f(s) + g(t)" in verdict.notes[1]
 
 
 def test_tn_spectral_open_positive_is_inconclusive():

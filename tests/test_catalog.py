@@ -237,6 +237,49 @@ def test_polarized_integrand_equals_the_jet_form(functional):
     assert np.array_equal(polarized_form(functional.integrand, 2), functional.jet_form)
 
 
+def _jet_form_cases():
+    """(name, quadratic, jet form, domains) of every catalog functional and of
+    every certificate with a constant jet form; a quadratic maps points and
+    jets to values."""
+    cases = []
+    for cid in default_catalog_ids():
+        entry = resolve(cid)
+        functional, cert = entry.functional, entry.certificate
+        assert functional.jet_form is not None, cid
+        cases.append((cid, functional.integrand, functional.jet_form, functional.domains))
+        if cert is not None and cert.jet_form is not None:
+            cases.append((f"{cid}|certificate", cert.form_values, cert.jet_form, functional.domains))
+    return cases
+
+
+@pytest.mark.parametrize("case", _jet_form_cases(), ids=lambda case: case[0])
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_jet_form_is_the_integrand_and_its_polarization(case, seed):
+    # V(j) = j^T M j and (V(j + k) - V(j - k)) / 4 = j^T M k at random points
+    # and jets, to rounding of the sums |j|^T |M| |k|
+    name, quadratic, form, domains = case
+    rng = np.random.default_rng(seed)
+    n = len(domains)
+    pts = np.column_stack(
+        [rng.uniform(0.0, d.size, 16) if d.kind == "circle" else rng.uniform(-20.0, 20.0, 16) for d in domains]
+    )
+    j, k = rng.standard_normal((2, 16, len(form)))
+
+    def value(coords):
+        return quadratic(pts, jet_from_coordinates(coords, n))
+
+    def pair(a, b):
+        return np.einsum("np,pq,nq->n", a, form, b)
+
+    def tol(a, b):
+        return 1e-12 * np.einsum("np,pq,nq->n", np.abs(a), np.abs(form), np.abs(b))
+
+    assert np.all(np.abs(value(j) - pair(j, j)) <= tol(j, j)), name
+    both = np.abs(j) + np.abs(k)
+    assert np.all(np.abs((value(j + k) - value(j - k)) / 4 - pair(j, k)) <= tol(both, both)), name
+
+
 def test_point_dependent_rank_one_curve_has_no_jet_form():
     for curve in (
         CurveData(kappa=lambda s: 1.0 + 0.1 * np.sin(s), K_along=0.0),
