@@ -9,15 +9,18 @@ mean-curvature covector ``H_k = g(nH, J f_k) = g^{ij} C_ijk``.
 
 Structural checks (Lagrangian, divergence-free mean curvature, full
 symmetry of ``C``) are report-style: they return worst-case residuals over
-a sample grid and leave the accept/reject decision to the caller.  They walk
-the grid in slices of :data:`SLICE` points and take the max, which gives
-the same result as one pass because every operation is per point.  A chart
-may also supply third derivatives (``d3f``); the mean-curvature divergence
-is then exact, from one geometry pass, instead of a central difference.
+a sample grid and leave the accept/reject decision to the caller.  One walk,
+:func:`structural_residuals`, computes all three from one geometry pass per
+slice of :data:`SLICE` points and takes the max, which gives the same result
+as one pass because every operation is per point; :func:`check_lagrangian`,
+:func:`check_h_minimal` and :func:`trisymmetry_residual` are its entries.  A
+chart may also supply third derivatives (``d3f``); the mean-curvature
+divergence is then exact instead of a central difference.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,6 +37,7 @@ __all__ = [
     "chart_from_components",
     "induced_geometry",
     "induced_geometry_batch",
+    "structural_residuals",
     "check_lagrangian",
     "check_h_minimal",
     "central_divergence",
@@ -49,6 +53,13 @@ ThirdDerivatives = Callable[[np.ndarray], np.ndarray]
 
 # Sample points per slice in the structural checks.
 SLICE = 8192
+
+# Central-difference step, relative to the axis scale, of the H-minimal
+# divergence and of metric derivatives in the Laplacian.
+REL_STEP = 1e-4
+
+# Index orders (after the point axis) of the five nontrivial transposes of C_ijk.
+_C_TRANSPOSES = [(0,) + axes for axes in itertools.permutations((1, 2, 3))][1:]
 
 
 class DegenerateMetricError(ValueError):
@@ -97,7 +108,7 @@ class LagrangianChart:
     may be assembled from the geometry at the origin (this also keeps
     far-out probe evaluations away from overflowing oracle factors; the
     structural checks still sample the oracle itself).  ``d3f``, when
-    given, returns the third partials ``f_ijk``; :func:`check_h_minimal`
+    given, returns the third partials ``f_ijk``; :func:`structural_residuals`
     then takes the exact divergence.
     """
 
@@ -242,67 +253,70 @@ def sample_grid(chart: LagrangianChart, per_axis: int = 17, line_window: float =
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _sample_points(chart: LagrangianChart, grid: np.ndarray | None) -> np.ndarray:
+def structural_residuals(chart: LagrangianChart, grid: np.ndarray | None = None) -> dict[str, float]:
+    """Worst Lagrangian, H-minimal and trisymmetry residuals over the grid.
+
+    The grid is walked in slices of :data:`SLICE` points with one geometry
+    pass each, which all three read.  ``lagrangian`` is the worst symplectic
+    pairing ``|omega(f_i, f_j)|``.  ``hminimal`` is the worst ``|div X|`` for
+    ``X^l = g^{lk} H_k``, the tangent field of ``n J H`` (sign conventions
+    drop out of the zero test): exact by the product rule when the chart has
+    ``d3f`` (:func:`_exact_divergence`), else a central difference of step
+    :data:`REL_STEP` times the axis scale, ``2n`` more passes.
+    ``trisymmetry`` is the worst deviation of ``C_ijk`` from full symmetry.
+    A degenerate induced metric at a grid point raises
+    :class:`DegenerateMetricError`.
+    """
     pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
     if len(pts) == 0:
         raise ValueError("empty sample grid")
-    return pts
+    worst = np.max([_slice_residuals(chart, pts[i : i + SLICE]) for i in range(0, len(pts), SLICE)], axis=0)
+    return {"lagrangian": float(worst[0]), "hminimal": float(worst[1]), "trisymmetry": float(np.max(worst[2:]))}
 
 
-def _worst_over_slices(residual, pts: np.ndarray) -> float:
-    """``max`` of ``residual(slice)`` over consecutive slices of ``pts``."""
-    return max(residual(pts[i : i + SLICE]) for i in range(0, len(pts), SLICE))
+def _slice_residuals(chart: LagrangianChart, pts: np.ndarray) -> list:
+    """``max |omega|``, ``max |div X|`` and ``max |C - C^T|`` for each
+    transpose of ``C`` on one slice; the slice's geometry is freed on return."""
+    amb = chart.ambient
+    geo = induced_geometry_batch(chart, pts)
+    df, C = geo["df"], geo["C"]
+    omega = amb.eps * np.einsum("nia,nja,a->nij", amb.j_apply(df), df, amb.signature.as_array())
+    if chart.d3f is not None:
+        div = _exact_divergence(chart, geo)
+    else:
+        div = _central_h_divergence(chart, [REL_STEP * dom.scale for dom in chart.domains], geo)
+    asym = [np.max(np.abs(C - np.transpose(C, axes))) for axes in _C_TRANSPOSES]
+    return [np.max(np.abs(omega)), np.max(np.abs(div))] + asym
 
 
 def check_lagrangian(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
-    """Worst symplectic pairing ``max |omega(f_i, f_j)|`` over the grid."""
-    amb = chart.ambient
-    sgn = amb.signature.as_array()
-
-    def residual(pts):
-        _, df, _ = chart.oracle(pts)
-        omega = amb.eps * np.einsum("nia,nja,a->nij", amb.j_apply(df), df, sgn)
-        return float(np.max(np.abs(omega)))
-
-    return _worst_over_slices(residual, _sample_points(chart, grid))
+    """The ``lagrangian`` entry of :func:`structural_residuals`; it shares the
+    geometry pass, so a degenerate induced metric raises."""
+    return structural_residuals(chart, grid)["lagrangian"]
 
 
-def check_h_minimal(
-    chart: LagrangianChart, grid: np.ndarray | None = None, rel_step: float = 1e-4
-) -> float:
-    """Worst ``|div(n J H)|`` over the grid.
-
-    The tangent field has components ``X^l = g^{lk} H_k`` (overall sign
-    conventions drop out of the zero test), and its divergence is
-    ``(1/sqrt|g|) d_l(sqrt|g| X^l)``.  With ``chart.d3f`` it is computed
-    exactly by the product rule from one geometry pass (see
-    :func:`_exact_divergence`); otherwise by central differences of step
-    ``rel_step`` times the axis scale, which takes ``2n + 1`` passes.
-    """
-    steps = [rel_step * dom.scale for dom in chart.domains]
-
-    def residual(pts):
-        if chart.d3f is not None:
-            div = _exact_divergence(chart, pts)
-        else:
-            div = _central_h_divergence(chart, steps, pts)
-        return float(np.max(np.abs(div)))
-
-    return _worst_over_slices(residual, _sample_points(chart, grid))
+def check_h_minimal(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
+    """The ``hminimal`` entry of :func:`structural_residuals`."""
+    return structural_residuals(chart, grid)["hminimal"]
 
 
-def _central_h_divergence(chart: LagrangianChart, steps, pts: np.ndarray) -> np.ndarray:
+def trisymmetry_residual(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
+    """The ``trisymmetry`` entry of :func:`structural_residuals`."""
+    return structural_residuals(chart, grid)["trisymmetry"]
+
+
+def _central_h_divergence(chart: LagrangianChart, steps, geo: dict[str, np.ndarray]) -> np.ndarray:
     def weighted_components(p: np.ndarray) -> np.ndarray:
-        geo = induced_geometry_batch(chart, p)
-        xl = np.einsum("nlk,nk->nl", geo["g_inv"], geo["nH_cov"])
-        return geo["vol"][:, None] * xl
+        shifted = induced_geometry_batch(chart, p)
+        xl = np.einsum("nlk,nk->nl", shifted["g_inv"], shifted["nH_cov"])
+        return shifted["vol"][:, None] * xl
 
-    base = induced_geometry_batch(chart, pts)
-    return central_divergence(weighted_components, pts, steps) / base["vol"]
+    return central_divergence(weighted_components, geo["points"], steps) / geo["vol"]
 
 
-def _exact_divergence(chart: LagrangianChart, pts: np.ndarray) -> np.ndarray:
-    """``div X`` for ``X^l = g^{lk} H_k`` from derivatives up to third order.
+def _exact_divergence(chart: LagrangianChart, geo: dict[str, np.ndarray]) -> np.ndarray:
+    """``div X`` for ``X^l = g^{lk} H_k`` from the geometry pass ``geo`` and
+    the third derivatives.
 
     With ``sigma`` the ambient inner product and ``C_ijk = sigma(f_ij, J f_k)``,
     the product rule gives
@@ -318,7 +332,6 @@ def _exact_divergence(chart: LagrangianChart, pts: np.ndarray) -> np.ndarray:
     ``g^{ij}`` is contracted into the third derivatives first, so no rank-5
     array beyond ``d3f`` itself is formed.
     """
-    geo = induced_geometry_batch(chart, pts)
     amb = chart.ambient
     sgn = amb.signature.as_array()
     df, d2f, g_inv, H = geo["df"], geo["d2f"], geo["g_inv"], geo["nH_cov"]
@@ -352,17 +365,3 @@ def central_divergence(weighted, pts: np.ndarray, steps) -> np.ndarray:
         shift[i] = h
         out = out + (weighted(pts + shift)[:, i] - weighted(pts - shift)[:, i]) / (2 * h)
     return out
-
-
-def trisymmetry_residual(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:
-    """Worst deviation of ``C_ijk`` from full symmetry over the grid."""
-
-    def residual(pts):
-        C = induced_geometry_batch(chart, pts)["C"]
-        worst = 0.0
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            permuted = np.transpose(C, (0,) + tuple(1 + p for p in perm))
-            worst = max(worst, float(np.max(np.abs(C - permuted))))
-        return worst
-
-    return _worst_over_slices(residual, _sample_points(chart, grid))

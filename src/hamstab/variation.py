@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .immersion import AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch
+from .immersion import REL_STEP, AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch
 from .quadrature import GridSpec
 from .testfunctions import LinComb, TestFunction, compatible_with, jet_from_coordinates, jet_orders
 
@@ -111,26 +111,27 @@ def gradient(u: TestFunction, m: MetricField, s) -> np.ndarray:
     return (np.einsum("nij,nj->ni", m.g_inv(pt), du))[0]
 
 
-# Central-difference step of metric derivatives, relative to the axis scale.
-REL_STEP = 1e-4
-
-
-def _laplacian_batch(u: TestFunction, m: MetricField, pts: np.ndarray, rel_step: float = REL_STEP):
+def _laplacian_batch(u: TestFunction, m: MetricField, pts: np.ndarray):
     _, du, d2u = u.jet(pts)
     ginv = m.g_inv(pts)
     lap = np.einsum("nij,nij->n", ginv, d2u)
     if not m.constant:
-        lap += np.einsum("nj,nj->n", _divergence_coeffs(m, pts, rel_step), du)
+        drift = _metric_drift(
+            lambda p: (m.vol_density(p), m.g_inv(p)), pts, [REL_STEP] * m.dim, m.vol_density(pts)
+        )
+        lap += np.einsum("nj,nj->n", drift, du)
     return lap
 
 
-def _divergence_coeffs(m: MetricField, pts: np.ndarray, rel_step: float) -> np.ndarray:
-    """Central-difference ``b^j = (1/sqrt|g|) d_i (sqrt|g| g^{ij})``."""
+def _metric_drift(metric, pts: np.ndarray, steps, vol: np.ndarray) -> np.ndarray:
+    """Central-difference ``b^j = (1/sqrt|g|) d_i (sqrt|g| g^{ij})`` for
+    ``metric: p -> (sqrt|g|, g^{-1})``, with ``vol = sqrt|g|`` at ``pts``."""
 
     def weighted(p):
-        return m.vol_density(p)[:, None, None] * m.g_inv(p)
+        density, g_inv = metric(p)
+        return density[:, None, None] * g_inv
 
-    return central_divergence(weighted, pts, [rel_step] * m.dim) / m.vol_density(pts)[:, None]
+    return central_divergence(weighted, pts, steps) / vol[:, None]
 
 
 def laplacian(u: TestFunction, m: MetricField, s) -> float:
@@ -212,13 +213,12 @@ class SecondVariationFunctional:
         lap = np.einsum("...ij,...ij->...", geo["g_inv"], d2u)
         if not self.chart.metric_is_constant:
             steps = [REL_STEP * dom.scale for dom in self.domains]
-            div = central_divergence(self._weighted_inverse_metric, geo["points"], steps)
-            lap += np.einsum("nj,nj->n", div / geo["vol"][:, None], du)
+            lap += np.einsum("nj,nj->n", _metric_drift(self._metric, geo["points"], steps, geo["vol"]), du)
         return lap * lap
 
-    def _weighted_inverse_metric(self, points: np.ndarray) -> np.ndarray:
+    def _metric(self, points: np.ndarray):
         geo = induced_geometry_batch(self.chart, points)
-        return geo["vol"][:, None, None] * geo["g_inv"]
+        return geo["vol"], geo["g_inv"]
 
 
 class RawHessianFunctional(SecondVariationFunctional):

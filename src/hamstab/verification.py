@@ -28,7 +28,7 @@ from .analyzer import (
     wirtinger_bound,
 )
 from .catalog import ClosedFormFunctional, CurveData, JetSquareTerm, make_hyperbola_product, make_torus, resolve
-from .immersion import AxisDomain, check_h_minimal, check_lagrangian, induced_geometry_batch, sample_grid, trisymmetry_residual
+from .immersion import AxisDomain, induced_geometry_batch, sample_grid, structural_residuals
 from .quadrature import GridSpec, GridTooLargeError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
 from .variation import (
@@ -664,10 +664,8 @@ def _criterion_11(ctx) -> list[CheckResult]:
     worst = {"lagrangian": 0.0, "hminimal": 0.0, "trisymmetry": 0.0}
     for cid in _FLAT_CHART_IDS:
         chart = resolve(cid).chart
-        grid = sample_grid(chart, per_axis=17)
-        worst["lagrangian"] = max(worst["lagrangian"], check_lagrangian(chart, grid))
-        worst["hminimal"] = max(worst["hminimal"], check_h_minimal(chart, grid))
-        worst["trisymmetry"] = max(worst["trisymmetry"], trisymmetry_residual(chart, grid))
+        for name, value in structural_residuals(chart, sample_grid(chart, per_axis=17)).items():
+            worst[name] = max(worst[name], value)
     tols = {"lagrangian": 1e-10, "hminimal": 1e-8, "trisymmetry": 1e-8}
     for name, value in worst.items():
         out.append(

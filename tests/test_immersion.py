@@ -13,9 +13,11 @@ from hamstab.immersion import (
     induced_geometry,
     induced_geometry_batch,
     sample_grid,
+    structural_residuals,
     trisymmetry_residual,
 )
-from hamstab.catalog import make_hyperbola_product, make_lagrangian_plane, make_torus
+from hamstab.catalog import make_hyperbola_product, make_lagrangian_plane, make_torus, resolve
+from hamstab.verification import _FLAT_CHART_IDS
 from helpers import gradient_graph_chart, polynomial_graph_chart
 
 
@@ -154,21 +156,21 @@ def test_dual_number_oracle_equivalence(maker, kwargs):
         assert np.max(np.abs(gc[key] - gd[key])) <= 1e-10
 
 
+def _fold_oracle(points):
+    # s -> (s^2 / 2, 0): the induced metric s^2 vanishes at s = 0
+    pts = np.atleast_2d(points)
+    npts = len(pts)
+    f = np.zeros((npts, 2))
+    f[:, 0] = 0.5 * pts[:, 0] ** 2
+    df = np.zeros((npts, 1, 2))
+    df[:, 0, 0] = pts[:, 0]
+    d2f = np.zeros((npts, 1, 1, 2))
+    d2f[:, 0, 0, 0] = 1.0
+    return f, df, d2f
+
+
 def test_degenerate_metric_error():
-    amb = AmbientFlat.pseudo_kahler(1, 0)
-
-    def oracle(points):
-        pts = np.atleast_2d(points)
-        npts = len(pts)
-        f = np.zeros((npts, 2))
-        f[:, 0] = 0.5 * pts[:, 0] ** 2
-        df = np.zeros((npts, 1, 2))
-        df[:, 0, 0] = pts[:, 0]
-        d2f = np.zeros((npts, 1, 1, 2))
-        d2f[:, 0, 0, 0] = 1.0
-        return f, df, d2f
-
-    chart = LagrangianChart(amb, (AxisDomain.line(),), oracle)
+    chart = LagrangianChart(AmbientFlat.pseudo_kahler(1, 0), (AxisDomain.line(),), _fold_oracle)
     with pytest.raises(DegenerateMetricError):
         induced_geometry(chart, [0.0])
 
@@ -196,8 +198,6 @@ def test_empty_grid_rejected():
     ],
 )
 def test_mean_curvature_covector_constant(cid, expected_cov):
-    from hamstab.catalog import resolve
-
     chart = resolve(cid).chart
     grid = sample_grid(chart, per_axis=9)
     cov = induced_geometry_batch(chart, grid)["nH_cov"]
@@ -247,8 +247,9 @@ def test_exact_divergence_matches_central_differences():
     # (measured 5.9e-8 of the largest |div|; bound 1e-6 of it)
     chart = polynomial_graph_chart()
     pts = sample_grid(chart, per_axis=9, line_window=1.5)
-    exact = immersion._exact_divergence(chart, pts)
-    central = immersion._central_h_divergence(chart, [1e-4, 1e-4], pts)
+    geo = induced_geometry_batch(chart, pts)
+    exact = immersion._exact_divergence(chart, geo)
+    central = immersion._central_h_divergence(chart, [1e-4, 1e-4], geo)
     scale = np.max(np.abs(exact))
     assert scale > 1.0
     assert np.max(np.abs(exact - central)) <= 1e-6 * scale
@@ -283,9 +284,88 @@ def test_structural_checks_in_slices_match_one_pass(make_chart, monkeypatch):
     # divergence, the dual-number chart central differences
     chart = make_chart()
     grid = sample_grid(chart, per_axis=91, line_window=1.5)
-    checks = (check_lagrangian, check_h_minimal, trisymmetry_residual)
     grids = (grid, grid[::-1])
-    sliced = [[check(chart, g) for check in checks] for g in grids]
+    sliced = [structural_residuals(chart, g) for g in grids]
     monkeypatch.setattr(immersion, "SLICE", len(grid))
-    assert [[check(chart, g) for check in checks] for g in grids] == sliced
-    assert sliced[0][1] > 1e-8
+    assert [structural_residuals(chart, g) for g in grids] == sliced
+    assert sliced[0]["hminimal"] > 1e-8
+
+
+# (lagrangian, hminimal, trisymmetry) on the 17-per-axis sample grid, as the
+# three checks gave them when each walked the grid on its own
+_SEPARATE_CHECK_VALUES = {
+    "torus:n=1,r=1,p=0": (0.0, 0.0, 0.0),
+    "torus:n=2,r=1,1,p=1": (0.0, 0.0, 0.0),
+    "torus:n=2,r=1,2,p=1": (0.0, 0.0, 0.0),
+    "torus:n=3,r=1,2,3,p=1": (0.0, 2.0816681711721688e-17, 0.0),
+    "torus:n=3,r=1,1,1,p=2": (0.0, 0.0, 0.0),
+    "hyperbola:n=1,r=1,eps=+": (0.0, 0.0, 0.0),
+    "hyperbola:n=1,r=1,eps=-": (0.0, 0.0, 0.0),
+    "hyperbola:n=2,r=1,3,eps=+,+": (0.0, 1.6653345369377338e-16, 0.0),
+    "hyperbola:n=2,r=1,2,eps=+,-": (0.0, 0.0, 0.0),
+    "hyperbola:n=3,r=1,1,1,eps=+,+,+": (0.0, 0.0, 0.0),
+    "hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+": (0.0, 0.0, 0.0),
+    "plane:n=2,p=0": (0.0, 0.0, 0.0),
+    "plane:n=2,p=1": (0.0, 0.0, 0.0),
+    "plane:n=2,amb=para": (0.0, 0.0, 0.0),
+    "polynomial-graph": (0.0, 7.1057288298628, 0.0),
+    "gradient-graph": (0.0, 5.954601074055013, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", _FLAT_CHART_IDS + ["polynomial-graph", "gradient-graph"])
+def test_structural_walk_matches_separate_checks(name):
+    makers = {"polynomial-graph": polynomial_graph_chart, "gradient-graph": gradient_graph_chart}
+    chart = makers[name]() if name in makers else resolve(name).chart
+    got = structural_residuals(chart, sample_grid(chart, per_axis=17))
+    want = _SEPARATE_CHECK_VALUES[name]
+    assert got == dict(zip(("lagrangian", "hminimal", "trisymmetry"), want))
+    assert (check_lagrangian(chart), check_h_minimal(chart), trisymmetry_residual(chart)) == want
+
+
+def test_criterion_11_takes_one_geometry_pass_per_slice(monkeypatch):
+    # 11 flat charts at 17 points per axis, one geometry pass per slice plus
+    # 2n shifted passes on the dual-number plane charts, and 8 small passes of
+    # the oracle-equivalence check; every oracle call of a resolved chart is
+    # one of its geometry passes
+    from dataclasses import replace
+
+    from hamstab import verification
+
+    geometry, oracle_calls, resolved = [], [], []
+    original_geometry, original_resolve = immersion.induced_geometry_batch, verification.resolve
+
+    def counting_geometry(chart, points):
+        geo = original_geometry(chart, points)
+        geometry.append((any(chart is c for c in resolved), len(geo["points"])))
+        return geo
+
+    def counting_resolve(cid):
+        entry = original_resolve(cid)
+        oracle = entry.chart.oracle
+
+        def counting_oracle(points):
+            oracle_calls.append(len(points))
+            return oracle(points)
+
+        resolved.append(replace(entry.chart, oracle=counting_oracle))
+        return replace(entry, chart=resolved[-1])
+
+    monkeypatch.setattr(immersion, "induced_geometry_batch", counting_geometry)
+    monkeypatch.setattr(verification, "induced_geometry_batch", counting_geometry)
+    monkeypatch.setattr(verification, "resolve", counting_resolve)
+    results = verification.run_criterion(11)
+    assert all(r.passed for r in results)
+    assert len(geometry) == 32
+    assert sum(npts for _, npts in geometry) == 100390
+    assert oracle_calls == [npts for own, npts in geometry if own]
+
+
+def test_degenerate_metric_fails_every_structural_check():
+    # the shared geometry pass rejects a degenerate induced metric, the
+    # Lagrangian check included
+    chart = LagrangianChart(AmbientFlat.pseudo_kahler(1, 0), (AxisDomain.line(),), _fold_oracle)
+    grid = np.array([[-1.0], [0.0], [1.0]])
+    for check in (structural_residuals, check_lagrangian, check_h_minimal, trisymmetry_residual):
+        with pytest.raises(DegenerateMetricError):
+            check(chart, grid)
