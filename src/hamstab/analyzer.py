@@ -489,9 +489,9 @@ def _norm2_form(n: int) -> np.ndarray:
 
 def _form_integral(form: np.ndarray, u: TestFunction, domains, gridspec: GridSpec | None):
     """``int j^T M j`` over the jets of ``u`` for a constant jet form or a
-    stack of them: sum-factorized on separable probes, contracted from the
-    jets on the mesh otherwise."""
-    return integrate(JetFormField(None, form, u.separable_terms(), u.jet), domains, gridspec, boxes=u.axis_boxes)
+    stack of them: sum-factorized on separable probes, through the weighted
+    jet Gram on the mesh otherwise."""
+    return integrate(JetFormField(None, form, u.separable_terms(), u.jet_coords), domains, gridspec, boxes=u.axis_boxes)
 
 
 def _witness_norm2(functional, u: TestFunction, gridspec: GridSpec | None) -> float:

@@ -18,31 +18,35 @@ The support-leak check is kept by bounding the field on every line-axis
 edge layer by ``sum |M_pq| B_p B_q`` (``B_p`` bounds coordinate p there from
 per-axis maxima); only a bound of at most 1e-10 skips the mesh.  A larger
 bound, a point-dependent form or a non-separable test function falls
-through to the mesh path, which makes the exact decision.
+through to the mesh path.
 
-Mesh path: the grid is walked in blocks of consecutive flat indices
-(:data:`CHUNK` rows, :data:`STACK_CHUNK` for a stack of forms), and only one
-block of points, weights and values exists at a time.  Each block folds its
-magnitudes into running maxima for the leak check and reduces its
-``values * weights`` to one partial sum per aligned power-of-two sub-block.
-Because every sub-block starts at a multiple of its length, no pair of
-:func:`pairwise_sum`'s tree crosses a sub-block boundary below that level, so
-the pairwise sum of the partial sums is bit-identical to :func:`pairwise_sum`
-over the whole mesh.  Memory is O(block + N / sub-block).
+Mesh path: a pointwise field walks the grid in blocks of :data:`CHUNK`
+consecutive flat indices, and only one block of points, weights and values
+exists at a time.  Each block folds its magnitudes into running maxima for
+the leak check and reduces its ``values * weights`` to one partial sum per
+aligned power-of-two sub-block.  Because every sub-block starts at a
+multiple of its length, no pair of :func:`pairwise_sum`'s tree crosses a
+sub-block boundary below that level, so the pairwise sum of the partial
+sums is bit-identical to :func:`pairwise_sum` over the whole mesh.  Memory
+is O(block + N / sub-block).
 
 A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 :class:`GridTooLargeError` before any block is built.
 
 A field may carry a ``(K, J, J)`` stack of forms, as a dilation family
 does (see :func:`hamstab.analyzer.scaling_probe`); :func:`integrate` then
-returns the K sums.  The Gram product is contracted with each form, or, on
-the mesh, the jets are evaluated once per block and each form is contracted
-with their coordinates in turn; every column gets the leak check.
+returns the K sums ``<M_k, G>`` of one weighted jet Gram ``G = sum w j j^T``.
+Sum factorization builds ``G`` from the per-axis Grams; on the mesh, a
+stack or a form-only field accumulates it with one ``J x J`` product per
+block of about :data:`STACK_CHUNK` rows.  Both pass the leak check on the
+edge bound ``B^T |M_k| B`` and leave a larger one to the exact per-point
+decision.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +54,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .immersion import AxisDomain
-from .testfunctions import jet_coordinates, jet_orders
+from .testfunctions import jet_orders
 
 __all__ = [
     "GridSpec",
@@ -70,9 +74,9 @@ MIN_NODES = 8
 # pairwise reduction works in sub-blocks of its largest power-of-two divisor.
 CHUNK = 262144
 
-# Mesh points per block when contracting a stack of forms: a block holds the
-# jets and K value columns at once, so it is smaller than one form's.
-STACK_CHUNK = CHUNK // 4
+# Mesh points per block of a weighted jet Gram: a block's J jet coordinates
+# (2 MB for J = 15) stay in cache through their few passes.
+STACK_CHUNK = CHUNK // 16
 
 # Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
 # builds.  The walk holds one block at a time, so the cap bounds run time and
@@ -175,6 +179,25 @@ class Grid:
         ]
         return pts, w, edges
 
+    def _slabs(self, rows: int):
+        """:meth:`_block`'s ``(points, weights, edges)`` for blocks of whole
+        trailing sub-meshes (the last axes with at most ``rows`` points,
+        indexed once); points are the (P, dim) view of a (dim, P) array."""
+        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= rows)
+        lead, tail = self.shape[:split], math.prod(self.shape[split:])
+        sub = [i[None] for i in np.unravel_index(np.arange(tail), self.shape[split:])] if split < self.dim else []
+        step, count = max(1, rows // tail), math.prod(lead)
+        for start in range(0, count, step):
+            idx = [i[:, None] for i in np.unravel_index(np.arange(start, min(start + step, count)), lead)] if lead else []
+            pts = np.empty((self.dim, min(step, count - start), tail))
+            w, edges = np.ones(1), []
+            for k, (dom, nodes, weights, i) in enumerate(zip(self.domains, self.axis_nodes, self.axis_weights, idx + sub)):
+                pts[k] = nodes[i]
+                w = w * weights[i]
+                if dom.kind == "line":
+                    edges.append(np.flatnonzero(np.broadcast_to((i == 0) | (i == len(nodes) - 1), pts.shape[1:])))
+            yield pts.reshape(self.dim, -1).T, np.broadcast_to(w, pts.shape[1:]).ravel(), edges
+
     def _rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """Points (len, dim) and weights (len,) of the mesh rows with per-axis
         node indices ``idx``.  A weight is ``((1 * w0) * w1) * ...``."""
@@ -194,16 +217,16 @@ class JetFormField:
     :func:`hamstab.testfunctions.jet_orders` (None if the coefficients depend
     on the point), or a (K, J, J) stack of such matrices, and ``terms`` the
     test function's separable terms (None if it has none); with both present
-    :func:`integrate` sum-factorizes.  ``jet`` is the test function's jet,
-    which the mesh path contracts with the form directly when the field has
-    a stack of forms or no ``pointwise`` (a form-only field: a (J, J) form
-    is then a one-form stack).
+    :func:`integrate` sum-factorizes.  ``coords`` gives the test function's
+    (N, J) jet coordinates, from which the mesh path accumulates the
+    weighted jet Gram when the field has a stack of forms or no
+    ``pointwise`` (a form-only field).
     """
 
     pointwise: Callable[[np.ndarray], np.ndarray] | None
     form: np.ndarray | None = None
     terms: list | None = None
-    jet: Callable | None = None
+    coords: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.pointwise(points)
@@ -318,8 +341,8 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
     A :class:`JetFormField` with a constant form and separable terms is
     sum-factorized when its edge bound clears the leak check; otherwise a
-    field without ``pointwise`` is contracted from its jets on the mesh.  A
-    field with a (K, J, J) stack of forms returns a (K,) array of sums.
+    field without ``pointwise`` or with a (K, J, J) stack of forms (which
+    returns a (K,) array) takes the weighted jet Gram of the mesh.
     """
     grid = build_grid(domains, spec, boxes)
     form = field.form if isinstance(field, JetFormField) else None
@@ -328,59 +351,78 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
         if value is not None:
             return value
     if form is not None and (form.ndim == 3 or field.pointwise is None):
-        sums = _walk_mesh(grid, field.jet, form.reshape((-1,) + form.shape[-2:]))
-        return np.array(sums) if form.ndim == 3 else sums[0]
-    return _walk_mesh(grid, field)[0]
+        return _gram_walk(grid, field.coords, form)
+    return _walk_mesh(grid, field)
 
 
-def _walk_mesh(grid: Grid, field, forms: np.ndarray | None = None) -> list[float]:
-    """K mesh sums of ``field(points)`` (K = 1), or of ``j^T M_k j`` for
-    the jet ``field`` and a (K, J, J) stack ``forms``, one block of flat
-    indices at a time, with the support-leak check on every column."""
+def _walk_mesh(grid: Grid, field) -> float:
+    """The mesh sum of ``field(points)``, one block of flat indices at a
+    time, with the support-leak check."""
     grid._check_size()
-    rows = CHUNK if forms is None else STACK_CHUNK
-    # the largest power of two dividing ``rows``: every block of rows starts
+    # the largest power of two dividing ``CHUNK``: every block of rows starts
     # at a multiple of it
-    block = rows & -rows
+    block = CHUNK & -CHUNK
     lines = [j for j, dom in enumerate(grid.domains) if dom.kind == "line"]
-    ncols = 1 if forms is None else len(forms)
-    peak = np.zeros(ncols)
-    leaks = np.zeros((len(lines), ncols))
+    peak = 0.0
+    leaks = [0.0] * len(lines)
     parts = []
-    for start in range(0, grid.size, rows):
-        pts, w, edges = grid._block(start, min(start + rows, grid.size))
-        if forms is None:
-            vals = np.asarray(field(pts), dtype=float)[None]
-        else:
-            coords = jet_coordinates(field(pts))
-            vals = np.empty((ncols, len(pts)))
-            for k, m in enumerate(forms):
-                vals[k] = np.einsum("np,np->n", coords @ m, coords)
+    for start in range(0, grid.size, CHUNK):
+        pts, w, edges = grid._block(start, min(start + CHUNK, grid.size))
+        vals = np.asarray(field(pts), dtype=float)
         mags = np.abs(vals)
-        peak = np.maximum(peak, np.max(mags, axis=1, initial=0.0))
+        peak = max(peak, float(np.max(mags, initial=0.0)))
         for a, edge in enumerate(edges):
-            leaks[a] = np.maximum(leaks[a], np.max(mags.take(edge, axis=1), axis=1, initial=0.0))
+            leaks[a] = max(leaks[a], float(np.max(mags[edge], initial=0.0)))
         parts.append(_block_sums(vals * w, block))
-    for k in range(ncols):
-        threshold = LEAK_RTOL * (1.0 + float(peak[k]))
-        for a, j in enumerate(lines):
-            leak = float(leaks[a, k])
-            if leak > threshold:
-                raise SupportError(
-                    f"axis {j}: field magnitude {leak:.3e} at the box boundary "
-                    f"(threshold {threshold:.3e}); enlarge the box or shrink the support"
-                )
-    partial = np.concatenate(parts, axis=-1)
-    return [pairwise_sum(col) for col in partial]
+    threshold = LEAK_RTOL * (1.0 + peak)
+    for j, leak in zip(lines, leaks):
+        if leak > threshold:
+            raise SupportError(
+                f"axis {j}: field magnitude {leak:.3e} at the box boundary "
+                f"(threshold {threshold:.3e}); enlarge the box or shrink the support"
+            )
+    return pairwise_sum(np.concatenate(parts))
+
+
+def _gram_walk(grid: Grid, coords, form: np.ndarray):
+    """:func:`_form_sums` of the weighted jet Gram of ``coords(points)``, one
+    ``J x J`` product per mesh block, bounded by the edge maxima of ``|j|``.
+    A bound that fails the leak rule falls back to the exact per-point
+    decision: one :func:`_walk_mesh` per form, which raises on a leak."""
+    grid._check_size()
+    gram = bounds = 0.0
+    for pts, w, edges in grid._slabs(STACK_CHUNK):
+        c = coords(pts)
+        gram = gram + c.T @ (c * w[:, None])
+        bounds = np.maximum(bounds, [np.max(np.abs(c[rows]), axis=0, initial=0.0) for rows in edges])
+    sums = _form_sums(form, gram, bounds)
+    if sums is not None:
+        return sums
+    for m in form.reshape((-1,) + form.shape[-2:]):
+        def values(pts):
+            c = coords(pts)
+            return np.einsum("np,np->n", c @ m, c)
+        _walk_mesh(grid, values)
+    return _form_sums(form, gram, ())
+
+
+def _form_sums(form: np.ndarray, gram: np.ndarray, bounds):
+    """``<M, G>`` for a (J, J) form, or the (K,) array of them for a stack;
+    None when ``B^T |M_k| B > 1e-10`` for a form and a line axis's bound
+    ``B`` on ``|j|`` over its edge layer (the leak rule of both Gram paths)."""
+    forms = form.reshape((-1,) + form.shape[-2:])
+    if any(b @ m @ b > LEAK_RTOL for m in np.abs(forms) for b in bounds):
+        return None
+    values = np.einsum("kpq,pq->k", forms, gram)
+    return float(values[0]) if form.ndim == 2 else values
 
 
 def _sum_factorized(grid: Grid, form: np.ndarray, terms):
-    """``sum_x w(x) j(x)^T M j(x)`` from per-axis Gram matrices, or None when
-    the edge bound cannot certify the support-leak check.  A (K, J, J) stack
-    of forms shares the Gram product and gives a (K,) array.
+    """:func:`_form_sums` of ``G = sum_x w(x) j(x) j(x)^T`` from per-axis
+    Gram matrices, with edge bounds from per-axis maxima.
 
-    With ``j_p = sum_t c_t prod_k f_tk^(a_pk)`` the sum is
-    ``sum_{t,s,p,q} c_t c_s M_pq prod_k G_k[t, s, a_pk, a_qk]`` where
+    With ``j_p = sum_t c_t prod_k f_tk^(a_pk)``,
+    ``G_pq = sum_{t,s} c_t c_s prod_k G_k[t, s, a_pk, a_qk]`` where
     ``G_k[t, s, a, b] = sum_i w_ki f_tk^(a)(x_ki) f_sk^(b)(x_ki)``.
     """
     coefs = np.array([c for c, _ in terms], dtype=float)
@@ -390,19 +432,15 @@ def _sum_factorized(grid: Grid, form: np.ndarray, terms):
         np.array([factors[k].jet1(nodes) for _, factors in terms])
         for k, nodes in enumerate(grid.axis_nodes)
     ]
-    forms = form.reshape((-1,) + form.shape[-2:])
     peaks = [np.max(np.abs(jk), axis=2) for jk in jets]
+    bounds = []
     for j, dom in enumerate(grid.domains):
-        if dom.kind != "line":
-            continue
-        edge = np.maximum(np.abs(jets[j][:, :, 0]), np.abs(jets[j][:, :, -1]))
-        per_axis = [edge if k == j else peaks[k] for k in range(grid.dim)]
-        bound = np.abs(coefs) @ np.prod([pk[:, orders[:, k]] for k, pk in enumerate(per_axis)], axis=0)
-        if any(bound @ np.abs(m) @ bound > LEAK_RTOL for m in forms):
-            return None
+        if dom.kind == "line":
+            edge = np.maximum(np.abs(jets[j][:, :, 0]), np.abs(jets[j][:, :, -1]))
+            per_axis = [edge if k == j else peaks[k] for k in range(grid.dim)]
+            bounds.append(np.abs(coefs) @ np.prod([pk[:, orders[:, k]] for k, pk in enumerate(per_axis)], axis=0))
     prod = 1.0
     for k, jk in enumerate(jets):
         gram = np.einsum("tai,i,sbi->tsab", jk, grid.axis_weights[k], jk)
         prod = prod * gram[:, :, orders[:, k][:, None], orders[:, k][None, :]]
-    values = [float(np.einsum("t,s,tspq,pq->", coefs, coefs, prod, m)) for m in forms]
-    return values[0] if form.ndim == 2 else np.array(values)
+    return _form_sums(form, np.einsum("t,s,tspq->pq", coefs, coefs, prod), bounds)

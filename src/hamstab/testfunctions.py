@@ -16,7 +16,8 @@ is the function, which lets the quadrature integrate quadratic forms in the
 jet axis by axis.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
 i <= j)``; :func:`jet_orders` gives each coordinate's per-axis derivative
 orders, and :func:`jet_coordinates` / :func:`jet_from_coordinates` convert
-between jets and coordinates.
+between jets and coordinates; ``jet_coords`` gives a function's
+coordinates at points.
 
 Gaussian-type factors are treated as compactly supported with a declared
 box of ten standard deviations, where the tail is far below the vanishing
@@ -64,6 +65,10 @@ class TestFunction:
 
     def jet(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def jet_coords(self, points: np.ndarray) -> np.ndarray:
+        """(N, J) jet coordinates at the points, ordered as in :func:`jet_orders`."""
+        return jet_coordinates(self.jet(points))
 
     def separable_terms(self) -> list[tuple[float, list]] | None:
         """``(coefficient, per-axis factors)`` terms summing to this function,
@@ -360,6 +365,15 @@ class AnisotropicGaussian(TestFunction):
         du = -As * u[:, None]
         hess = (np.einsum("ni,nj->nij", As, As) - self.A) * u[:, None, None]
         return u, du, hess
+
+    def jet_coords(self, points):
+        """``u * [1, -y, y_i y_j - A_ij]``, ``y = A (s - c)``, as a (J, N) array's view."""
+        s = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center).T
+        y = self.A @ s
+        rows, cols = _hessian_index(self.n)
+        out = np.concatenate([np.ones((1, s.shape[1])), -y, y[rows] * y[cols] - self.A[rows, cols][:, None]])
+        out *= np.exp(-0.5 * np.sum(s * y, axis=0))
+        return out.T
 
 
 def _common_period(periods) -> float | None:

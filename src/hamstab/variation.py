@@ -262,13 +262,11 @@ def _check_compatible(u: TestFunction, domains) -> None:
 
 def jet_field(integrand, form: np.ndarray | None, u: TestFunction) -> quadrature.JetFormField:
     """The field ``s -> integrand(s, jet of u at s)``, carrying the constant
-    form ``M`` of the integrand (or None), the separable terms of ``u`` and
-    its jet."""
+    form ``M`` of the integrand (or None) and the separable terms of ``u``."""
     return quadrature.JetFormField(
         pointwise=lambda pts: integrand(pts, u.jet(pts)),
         form=form,
         terms=None if form is None else u.separable_terms(),
-        jet=u.jet,
     )
 
 

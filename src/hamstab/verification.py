@@ -57,8 +57,8 @@ class CheckResult:
         return asdict(self)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x: float, floor: float = 0.0) -> str:
+    return "0" if abs(x) < floor else f"{x:.12g}"
 
 
 def _check(criterion, check_id, description, reference, expected, actual, tolerance, passed):
@@ -137,8 +137,8 @@ def _criterion_2(ctx) -> list[CheckResult]:
             "torus-wave:laplacian-term",
             "the (lap u)^2 contribution vanishes for the wave mode",
             "null direction of the indefinite Laplacian",
-            "0",
-            _fmt(delta_term),
+            "0 (|x| < 1e-12 prints as 0)",
+            _fmt(delta_term, 1e-12),
             "abs 1e-10",
             abs(delta_term) <= 1e-10,
         ),
@@ -148,8 +148,8 @@ def _criterion_2(ctx) -> list[CheckResult]:
             "the opposite diagonal cos(s_1 - s_2) evaluates to zero (documented resolution: "
             "the -8 pi^2 value belongs to cos(s_1 + s_2))",
             "direct evaluation of the mode closed form",
-            "0",
-            _fmt(val_marginal),
+            "0 (|x| < 1e-12 prints as 0)",
+            _fmt(val_marginal, 1e-12),
             "abs 1e-9",
             abs(val_marginal) <= 1e-9,
         ),
@@ -491,8 +491,8 @@ def _criterion_8(ctx) -> list[CheckResult]:
             "documented deviation: the diagonal mode cos(s+t) sits at lam = c and evaluates "
             "to exactly zero; cos(s) is the negative witness",
             "lam(lam - c) vanishes at lam = 2",
-            "0 and negative witness cos(s)",
-            f"value {_fmt(diag)}, verdict {verdict.label}, neg witness "
+            "0 (|x| < 1e-12 prints as 0) and negative witness cos(s)",
+            f"value {_fmt(diag, 1e-12)}, verdict {verdict.label}, neg witness "
             f"{verdict.witness_neg.probe_id if verdict.witness_neg else None}",
             "abs 1e-9",
             abs(diag) <= 1e-9 and verdict.label == "indefinite" and neg_is_cos_s,

@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from hamstab.cli import main
+from hamstab.quadrature import GridSpec
 from hamstab.verification import CRITERIA, run_all, run_criterion
 
 CRITERION_IDS = [num for num, _, _ in CRITERIA]
@@ -46,6 +47,17 @@ def test_criterion_6_survives_a_trig_probe_constant_along_an_axis():
     checks = {c.check_id: c for c in run_criterion(6, seed=316)}
     assert set(checks) == {"reilly", "bochner"}
     assert all(c.passed for c in checks.values())
+
+
+def test_zero_valued_checks_print_against_their_floor(full_report):
+    checks = {c["check_id"]: c for block in full_report["criteria"] for c in block["checks"]}
+    for check_id in ("torus-wave:laplacian-term", "torus-wave:marginal"):
+        assert checks[check_id]["actual"] == "0"
+        assert checks[check_id]["expected"] == "0 (|x| < 1e-12 prints as 0)"
+    assert checks["sphere-marginal-mode"]["actual"].startswith("value 0, ")
+    # on the coarse grid the rounding noise has the other sign; the text does not move
+    coarse = {c.check_id: c for c in run_criterion(8, GridSpec(circle_nodes=8, line_nodes=8))}
+    assert coarse["sphere-marginal-mode"].actual == checks["sphere-marginal-mode"]["actual"]
 
 
 def test_report_passes_overall(full_report):

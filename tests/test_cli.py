@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -195,10 +199,26 @@ def test_verify_paper_csv(runner):
 
 def test_verify_paper_subset_determinism(runner, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    r1 = runner.invoke(main, ["verify-paper", "--criteria", "2,5,12", "--threads", "1", "--out", str(a)])
-    r2 = runner.invoke(main, ["verify-paper", "--criteria", "2,5,12", "--threads", "3", "--out", str(b)])
+    r1 = runner.invoke(main, ["verify-paper", "--criteria", "2,4,5,12", "--threads", "1", "--out", str(a)])
+    r2 = runner.invoke(main, ["verify-paper", "--criteria", "2,4,5,12", "--threads", "4", "--out", str(b)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_analyze_is_identical_across_blas_thread_counts():
+    # the weighted jet Gram goes through BLAS, whose thread count is fixed
+    # when numpy loads: one fresh process per count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cmd = [sys.executable, "-m", "hamstab", "analyze", "--strategy", "scaling_probe"]
+    cmd += ["--catalog-id", "hyperbola:n=3,r=1,1,1,eps=+,+,+"]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert b"indefinite" in outputs[0]
 
 
 def test_verify_paper_coarse_grid_fails_with_diagnostics(runner, tmp_path):

@@ -37,20 +37,26 @@ CATALOG = {cid: resolve(cid) for cid in default_catalog_ids()}
 
 
 @contextmanager
-def counting_meshes():
-    """Record the size of every quadrature mesh walked inside the block."""
+def counting_meshes(walkers=("_walk_mesh", "_gram_walk")):
+    """Record the size of every quadrature mesh walked inside the block,
+    pointwise or through the weighted jet Gram (or by the named walkers)."""
     calls = []
-    original = quadrature._walk_mesh
+    originals = {name: getattr(quadrature, name) for name in walkers}
 
-    def counted(grid, *args):
-        calls.append(grid.size)
-        return original(grid, *args)
+    def counting(original):
+        def counted(grid, *args):
+            calls.append(grid.size)
+            return original(grid, *args)
 
-    quadrature._walk_mesh = counted
+        return counted
+
+    for name, original in originals.items():
+        setattr(quadrature, name, counting(original))
     try:
         yield calls
     finally:
-        quadrature._walk_mesh = original
+        for name, original in originals.items():
+            setattr(quadrature, name, original)
 
 
 def mesh_value(functional, u, spec):
@@ -201,6 +207,16 @@ def test_torus_criteria_walk_no_mesh(number):
     assert all(r.passed for r in results)
 
 
+def test_criterion_4_takes_two_gram_walks_and_no_pointwise_form():
+    # the n = 3 and n = 4 dilation families of dirgauss:w; any per-point
+    # contraction of a form would be a pointwise walk
+    with counting_meshes(("_gram_walk",)) as grams, counting_meshes(("_walk_mesh",)) as pointwise:
+        results = verification.run_criterion(4)
+    assert all(r.passed for r in results)
+    assert sorted(grams) == [64**3, 40**4]
+    assert pointwise == []
+
+
 def test_diagonal_anisotropic_gaussian_sum_factorizes():
     functional = CATALOG["plane:n=2,p=1"].functional
     u = AnisotropicGaussian(np.diag([1.0, 0.25]), center=[0.3, -0.5])
@@ -232,7 +248,7 @@ def test_form_stacks_match_one_form_at_a_time():
     functional = CATALOG["plane:n=2,p=1"].functional
     forms = np.array([functional.jet_form, np.eye(len(functional.jet_form)), -2.0 * functional.jet_form])
     for u in (Separable([Gauss1D(1.0), HermGauss1D(2, 0.8)]), AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])):
-        field = quadrature.JetFormField(None, forms, u.separable_terms(), u.jet)
+        field = quadrature.JetFormField(None, forms, u.separable_terms(), u.jet_coords)
         with counting_meshes() as calls:
             values = quadrature.integrate(field, functional.domains, SMALL, boxes=u.axis_boxes)
         assert len(calls) == (u.separable_terms() is None)

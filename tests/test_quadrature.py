@@ -199,7 +199,7 @@ def whole_mesh_integrate(field, domains, spec, boxes):
     if stack:
         columns = np.empty((len(field.form), len(pts)))
         for i in range(0, len(pts), quadrature.STACK_CHUNK):
-            coords = jet_coordinates(field.jet(pts[i : i + quadrature.STACK_CHUNK]))
+            coords = field.coords(pts[i : i + quadrature.STACK_CHUNK])
             for k, m in enumerate(field.form):
                 columns[k, i : i + quadrature.STACK_CHUNK] = np.einsum("np,np->n", coords @ m, coords)
     else:
@@ -232,7 +232,7 @@ def stack_field(factors, scales=(1.0, 1.0, 1.0)):
     for scale in scales:
         a = rng.normal(size=(j, j))
         forms.append(scale * (a + a.T))
-    return JetFormField(None, form=np.array(forms), jet=u.jet)
+    return JetFormField(None, form=np.array(forms), coords=u.jet_coords)
 
 
 @pytest.fixture(params=[None, 64], ids=["default-blocks", "blocks-64"])
@@ -256,6 +256,14 @@ def test_mesh_walk_matches_whole_mesh_single_form(block_rows):
     assert same_float(got, whole_mesh_integrate(fld, dom, spec, (None, 7.0)))
 
 
+def rounding_scale(field, domains, spec, boxes):
+    """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form: the magnitude against
+    which both a pointwise sum and a Gram contraction round."""
+    pts, w = build_grid(domains, spec, boxes).points_and_weights()
+    coords = np.abs(field.coords(pts))
+    return np.array([np.sum(w * np.einsum("np,pq,nq->n", coords, np.abs(m), coords)) for m in field.form])
+
+
 @pytest.mark.parametrize("axes, nodes", [(3, 21), (2, 91)])
 def test_mesh_walk_matches_whole_mesh_form_stack(block_rows, axes, nodes):
     doms = (AxisDomain.line(),) * axes
@@ -265,7 +273,40 @@ def test_mesh_walk_matches_whole_mesh_form_stack(block_rows, axes, nodes):
     got = integrate(field, doms, spec, boxes=boxes)
     want = whole_mesh_integrate(field, doms, spec, boxes)
     assert got.shape == (3,)
-    assert all(same_float(a, b) for a, b in zip(got, want))
+    # the Gram walk reduces in another order than the pointwise sum
+    assert np.all(np.abs(got - want) <= 1e-12 * rounding_scale(field, doms, spec, boxes))
+
+
+# (circle nodes, line nodes, axis kinds): 2-4 axes with circle and line axes
+# mixed; 91 and 70 nodes make last axes longer than a 64-row block
+GRAM_MESHES = [
+    (91, 70, "cl"),
+    (70, 91, "lc"),
+    (12, 70, "lcl"),
+    (70, 9, "clc"),
+    (8, 12, "lccl"),
+    (10, 9, "cllc"),
+]
+
+
+@pytest.mark.parametrize("circle, line, kinds", GRAM_MESHES)
+def test_gram_walk_matches_whole_mesh(block_rows, circle, line, kinds):
+    doms = tuple(AxisDomain.circle(2 * np.pi) if k == "c" else AxisDomain.line() for k in kinds)
+    spec = GridSpec(circle_nodes=circle, line_nodes=line)
+    boxes = tuple(None if k == "c" else 12.0 for k in kinds)
+    factors = [Cos1D(1.0 + k % 2) if kind == "c" else Gauss1D(1.0 + 0.2 * k, center=0.1 * k) for k, kind in enumerate(kinds)]
+    field = stack_field(factors)
+    got = integrate(field, doms, spec, boxes=boxes)
+    want = whole_mesh_integrate(field, doms, spec, boxes)
+    assert np.all(np.abs(got - want) <= 1e-12 * rounding_scale(field, doms, spec, boxes))
+    # a non-separable probe's direct coordinates take the same walk
+    A = np.eye(len(kinds)) + 0.3 * (np.ones((len(kinds),) * 2) - np.eye(len(kinds))) / len(kinds)
+    u = AnisotropicGaussian(A)
+    lines = tuple(AxisDomain.line() for _ in kinds)
+    field = JetFormField(None, field.form, None, u.jet_coords)
+    got = integrate(field, lines, spec, boxes=u.axis_boxes)
+    want = whole_mesh_integrate(field, lines, spec, u.axis_boxes)
+    assert np.all(np.abs(got - want) <= 1e-12 * rounding_scale(field, lines, spec, u.axis_boxes))
 
 
 def test_mesh_walk_leak_error_matches_whole_mesh(block_rows):
@@ -303,6 +344,31 @@ def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
     assert peak < 48 * 2**20, peak / 2**20
 
 
+def test_gram_walk_memory_is_a_few_blocks(monkeypatch):
+    # a 4-axis stack on 32^4 = 1.05 M points: the whole mesh's 15 jet
+    # coordinates alone would take 8 * 15 * 1.05 M = 126 MiB
+    def no_mesh(grid):
+        raise AssertionError("integrate built the whole mesh")
+
+    monkeypatch.setattr(quadrature.Grid, "points_and_weights", no_mesh)
+    u = AnisotropicGaussian(np.eye(4) + 0.2)
+    a = np.random.default_rng(4).normal(size=(5, 15, 15))
+    forms = a + a.transpose(0, 2, 1)
+    # the first form is e0 e0^T, whose sum is int u^2
+    forms[0] = 0.0
+    forms[0, 0, 0] = 1.0
+    doms = (AxisDomain.line(),) * 4
+    tracemalloc.start()
+    try:
+        sums = integrate(JetFormField(None, forms, None, u.jet_coords), doms, GridSpec(line_nodes=32), boxes=u.axis_boxes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int exp(-s^T A s) = pi^2 / sqrt(det A), to what 32 nodes resolve
+    assert sums[0] == pytest.approx(np.pi**2 / np.sqrt(np.linalg.det(u.A)), rel=1e-3)
+    assert peak < 48 * 2**20, peak / 2**20
+
+
 def test_form_only_field_is_contracted_from_its_jets_on_the_mesh():
     # a non-diagonal A has no separable terms, so the mesh path runs
     u = AnisotropicGaussian(np.array([[1.0, 0.4], [0.4, 0.7]]))
@@ -315,10 +381,10 @@ def test_form_only_field_is_contracted_from_its_jets_on_the_mesh():
         coords = jet_coordinates(u.jet(pts))
         return np.einsum("np,pq,nq->n", coords, form, coords)
 
-    field = JetFormField(None, form, u.separable_terms(), u.jet)
+    field = JetFormField(None, form, u.separable_terms(), u.jet_coords)
     got = integrate(field, dom, spec, boxes=u.axis_boxes)
     assert isinstance(got, float)
-    assert got == integrate(JetFormField(None, form[None], None, u.jet), dom, spec, boxes=u.axis_boxes)[0]
+    assert got == integrate(JetFormField(None, form[None], None, u.jet_coords), dom, spec, boxes=u.axis_boxes)[0]
     assert got == pytest.approx(integrate(twin, dom, spec, boxes=u.axis_boxes), rel=1e-13)
     # a box too small for the support leaks on both routes, with the same report
     errors = []
@@ -333,6 +399,6 @@ def test_form_only_field_with_a_separable_leak_raises_support_error():
     # the edge bound is far above 1e-10, so the sum-factorized path defers to the mesh
     u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
     form = np.eye(6)
-    field = JetFormField(None, form, u.separable_terms(), u.jet)
+    field = JetFormField(None, form, u.separable_terms(), u.jet_coords)
     with pytest.raises(SupportError, match="box boundary"):
         integrate(field, (AxisDomain.line(), AxisDomain.line()), GridSpec(line_nodes=16), boxes=(1.5, 1.5))

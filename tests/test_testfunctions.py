@@ -17,6 +17,7 @@ from hamstab.testfunctions import (
     Separable,
     compatible_with,
     isotropic_rescale,
+    jet_coordinates,
     random_bump_poly,
     random_trig_poly,
 )
@@ -172,3 +173,18 @@ def test_plane_wave_separable_terms_reproduce_the_jet(u, seed):
     top = max(1.0, float(np.max(np.abs(u.freqs))))
     for order, (got, want) in enumerate(zip(expanded, u.jet(pts))):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * top**order, (order, u.freqs, u.phase)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_anisotropic_gaussian_coordinates_match_its_jet(n, seed):
+    # random SPD A and center; points within two marginal widths of the center
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n))
+    u = AnisotropicGaussian(m @ m.T + 0.1 * np.eye(n), center=rng.uniform(-2.0, 2.0, n))
+    widths = np.sqrt(np.diag(np.linalg.inv(u.A)))
+    pts = u.center + rng.uniform(-2.0, 2.0, size=(30, n)) * widths
+    got, want = u.jet_coords(pts), jet_coordinates(u.jet(pts))
+    assert got.shape == want.shape == (30, 1 + n + n * (n + 1) // 2)
+    # each coordinate to 1e-14 of its largest magnitude over the points
+    assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=0))
