@@ -17,7 +17,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, SumOfSquares
 from .immersion import AxisDomain, LagrangianChart
-from .quadrature import GridSpec, JetFormField, build_grid, check_line_boxes, integrate
+from .quadrature import GridSpec, build_grid, check_line_boxes, integrate
 from .testfunctions import (
     AnisotropicGaussian,
     AxisScaled,
@@ -491,7 +491,7 @@ def _form_integral(form: np.ndarray, u: TestFunction, domains, gridspec: GridSpe
     """``int j^T M j`` over the jets of ``u`` for a constant jet form or a
     stack of them: sum-factorized on separable probes, through the weighted
     jet Gram on the mesh otherwise."""
-    return integrate(JetFormField(None, form, u.separable_terms(), u.jet_coords), domains, gridspec, boxes=u.axis_boxes)
+    return integrate(jet_field(form, u), domains, gridspec, boxes=u.axis_boxes)
 
 
 def _witness_norm2(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
@@ -594,8 +594,7 @@ def _best_witness(entry, candidates, sign: int, gridspec) -> Witness | None:
 def _mesh_value(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
     """The functional's value on ``u`` by the reference mesh quadrature."""
     functional = as_functional(functional)
-    field = jet_field(functional.integrand, None, u)
-    return integrate(field, functional.domains, gridspec, boxes=u.axis_boxes)
+    return integrate(lambda pts: functional.integrand(pts, u.jet(pts)), functional.domains, gridspec, boxes=u.axis_boxes)
 
 
 def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:

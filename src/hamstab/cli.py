@@ -3,9 +3,11 @@ sweeps, and the geodesic-tube table.
 
 Reports are deterministic functions of (grid, seed): identical invocations
 produce byte-identical output regardless of --threads.  Exit codes:
-0 success, 1 check failure, 2 usage error, including a --grid whose
-quadrature mesh would exceed the point cap
-(:data:`hamstab.quadrature.MAX_MESH_POINTS`) on some entry's axes.
+0 success, 1 check failure (for tube-table, a row mismatch), 2 usage error,
+including a --grid whose quadrature mesh would exceed the point cap
+(:data:`hamstab.quadrature.MAX_MESH_POINTS`) on some entry's axes and a
+--box that cuts a probe's support or exceeds a domain's truncation
+(:class:`hamstab.quadrature.SupportError`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .analyzer import classify, compute_tube_table, torus_mode_value, wirtinger_bound
 from .catalog import CatalogIdError, CurveData, _float, _int, _parse_kv, resolve
-from .quadrature import GridSpec, GridTooLargeError
+from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .verification import run_all
 
 STRATEGIES = ["fourier_sweep", "scaling_probe", "sos_certificate", "spectral_criterion"]
@@ -126,7 +128,7 @@ def analyze(catalog_id, strategy, grid, box, fmt, out, seed) -> None:
         raise click.UsageError(str(exc))
     try:
         verdict = classify(entry, strategy=strategy, gridspec=_gridspec(grid, box), seed=seed)
-    except GridTooLargeError as exc:
+    except (GridTooLargeError, SupportError) as exc:
         raise click.UsageError(str(exc))
     payload = verdict.to_json_dict()
     if fmt == "json":
@@ -227,7 +229,7 @@ def tube_table(fmt, out, grid, box, seed) -> None:
     """Recompute all eight tube rows and compare with the stated columns."""
     try:
         table = compute_tube_table(gridspec=_gridspec(grid, box), seed=seed)
-    except GridTooLargeError as exc:
+    except (GridTooLargeError, SupportError) as exc:
         raise click.UsageError(str(exc))
     all_match = all(row[m]["match"] for row in table for m in ("G", "Gprime"))
     if fmt == "json":

@@ -17,30 +17,33 @@ the same discrete sum up to rounding, at a cost linear in the node counts.
 The support-leak check is kept by bounding the field on every line-axis
 edge layer by ``sum |M_pq| B_p B_q`` (``B_p`` bounds coordinate p there from
 per-axis maxima); only a bound of at most 1e-10 skips the mesh.  A larger
-bound, a point-dependent form or a non-separable test function falls
-through to the mesh path.
+bound or a non-separable test function takes the weighted jet Gram of the
+mesh (below); a field whose coefficients depend on the point is a plain
+callable, walked point by point.
 
-Mesh path: a pointwise field walks the grid in blocks of :data:`CHUNK`
-consecutive flat indices, and only one block of points, weights and values
-exists at a time.  Each block folds its magnitudes into running maxima for
-the leak check and reduces its ``values * weights`` to one partial sum per
-aligned power-of-two sub-block.  Because every sub-block starts at a
-multiple of its length, no pair of :func:`pairwise_sum`'s tree crosses a
-sub-block boundary below that level, so the pairwise sum of the partial
-sums is bit-identical to :func:`pairwise_sum` over the whole mesh.  Memory
-is O(block + N / sub-block).
+Mesh path: a callable field walks the grid in the blocks of
+:meth:`Grid._slabs`, runs of whole trailing sub-meshes of up to
+:data:`CHUNK` rows, and only one block of points, weights and values exists
+at a time.  Each block folds its magnitudes into running maxima for the leak
+check and reduces its ``values * weights`` to one partial sum per aligned
+sub-block, whose length is the largest power of two dividing the first
+block's length.  Because every block starts at a multiple of that length,
+no pair of :func:`pairwise_sum`'s tree crosses a sub-block boundary below
+that level, so the pairwise sum of the partial sums is bit-identical to
+:func:`pairwise_sum` over the whole mesh.  Memory is O(block + N /
+sub-block).
 
 A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 :class:`GridTooLargeError` before any block is built.
 
-A field may carry a ``(K, J, J)`` stack of forms, as a dilation family
-does (see :func:`hamstab.analyzer.scaling_probe`); :func:`integrate` then
-returns the K sums ``<M_k, G>`` of one weighted jet Gram ``G = sum w j j^T``.
-Sum factorization builds ``G`` from the per-axis Grams; on the mesh, a
-stack or a form-only field accumulates it with one ``J x J`` product per
-block of about :data:`STACK_CHUNK` rows.  Both pass the leak check on the
-edge bound ``B^T |M_k| B`` and leave a larger one to the exact per-point
-decision.
+A :class:`JetFormField` may carry a ``(K, J, J)`` stack of forms, as a
+dilation family does (see :func:`hamstab.analyzer.scaling_probe`);
+:func:`integrate` then returns the K sums ``<M_k, G>`` of one weighted jet
+Gram ``G = sum w j j^T``.  Sum factorization builds ``G`` from the per-axis
+Grams; on the mesh, a form field accumulates it with one ``J x J`` product
+per block of about :data:`STACK_CHUNK` rows.  Both pass the leak check on
+the edge bound ``B^T |M_k| B`` and leave a larger one to the exact
+per-point decision.
 """
 
 from __future__ import annotations
@@ -70,12 +73,12 @@ __all__ = [
 
 MIN_NODES = 8
 
-# Largest number of mesh points evaluated in one vectorized block.  The
-# pairwise reduction works in sub-blocks of its largest power-of-two divisor.
+# Largest number of mesh points evaluated in one vectorized block.
 CHUNK = 262144
 
 # Mesh points per block of a weighted jet Gram: a block's J jet coordinates
-# (2 MB for J = 15) stay in cache through their few passes.
+# (2 MB for J = 15) stay in cache through their few passes.  Also the most
+# rows whose node indices :meth:`Grid._slabs` keeps, for blocks of any length.
 STACK_CHUNK = CHUNK // 16
 
 # Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
@@ -130,10 +133,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        out = 1
-        for nodes in self.axis_nodes:
-            out *= len(nodes)
-        return out
+        return math.prod(self.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -152,38 +152,30 @@ class Grid:
             )
 
     def points_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full mesh as (size, dim) points and (size,) weights.
+        """Full mesh as (size, dim) points and (size,) weights: the one slab
+        of :meth:`_slabs` that covers the mesh.
 
         Raises :class:`GridTooLargeError` before allocating anything when the
         mesh has more than :data:`MAX_MESH_POINTS` points.
         """
         self._check_size()
-        return self._rows(np.unravel_index(np.arange(self.size), self.shape))
+        pts, w, _ = next(self._slabs(self.size))
+        return pts, w
 
     def points_at(self, flat_indices) -> np.ndarray:
         """The mesh points at the given flat indices (the row order of
         :meth:`points_and_weights`), as (len, dim), without the full mesh."""
-        return self._rows(np.unravel_index(flat_indices, self.shape))[0]
-
-    def _block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Points, weights and, per line axis, the positions of the rows on
-        its outermost node layers, of the mesh rows ``start`` to ``stop - 1``.
-        The per-axis indices are dropped here, before any field sees the
-        points."""
-        idx = np.unravel_index(np.arange(start, stop), self.shape)
-        pts, w = self._rows(idx)
-        edges = [
-            np.flatnonzero((i == 0) | (i == len(nodes) - 1))
-            for dom, nodes, i in zip(self.domains, self.axis_nodes, idx)
-            if dom.kind == "line"
-        ]
-        return pts, w, edges
+        idx = np.unravel_index(flat_indices, self.shape)
+        return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
 
     def _slabs(self, rows: int):
-        """:meth:`_block`'s ``(points, weights, edges)`` for blocks of whole
-        trailing sub-meshes (the last axes with at most ``rows`` points,
-        indexed once); points are the (P, dim) view of a (dim, P) array."""
-        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= rows)
+        """The mesh in blocks of consecutive rows as ``(points, weights,
+        edges)``: (P, dim) points (a view of a (dim, P) array), weights
+        ``((1 * w0) * w1) * ...`` and, per line axis, the rows on its
+        outermost node layers.  A block is as many whole trailing sub-meshes
+        (the last axes with at most ``min(rows, STACK_CHUNK)`` points,
+        indexed once) as fit in ``rows``; all but the last have one length."""
+        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, STACK_CHUNK))
         lead, tail = self.shape[:split], math.prod(self.shape[split:])
         sub = [i[None] for i in np.unravel_index(np.arange(tail), self.shape[split:])] if split < self.dim else []
         step, count = max(1, rows // tail), math.prod(lead)
@@ -198,38 +190,23 @@ class Grid:
                     edges.append(np.flatnonzero(np.broadcast_to((i == 0) | (i == len(nodes) - 1), pts.shape[1:])))
             yield pts.reshape(self.dim, -1).T, np.broadcast_to(w, pts.shape[1:]).ravel(), edges
 
-    def _rows(self, idx) -> tuple[np.ndarray, np.ndarray]:
-        """Points (len, dim) and weights (len,) of the mesh rows with per-axis
-        node indices ``idx``.  A weight is ``((1 * w0) * w1) * ...``."""
-        pts = np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
-        w = np.ones(len(pts))
-        for weights, i in zip(self.axis_weights, idx):
-            w = w * weights[i]
-        return pts, w
-
 
 @dataclass(frozen=True)
 class JetFormField:
     """The field ``points -> j^T M j`` for the jet ``j`` of a test function.
 
-    ``pointwise`` evaluates it on mesh points.  ``form`` is the constant
-    (J, J) matrix ``M`` over the jet coordinates of
-    :func:`hamstab.testfunctions.jet_orders` (None if the coefficients depend
-    on the point), or a (K, J, J) stack of such matrices, and ``terms`` the
-    test function's separable terms (None if it has none); with both present
-    :func:`integrate` sum-factorizes.  ``coords`` gives the test function's
-    (N, J) jet coordinates, from which the mesh path accumulates the
-    weighted jet Gram when the field has a stack of forms or no
-    ``pointwise`` (a form-only field).
+    ``form`` is the constant (J, J) matrix ``M`` over the jet coordinates of
+    :func:`hamstab.testfunctions.jet_orders`, or a (K, J, J) stack of such
+    matrices; ``terms`` are the test function's separable terms (None if it
+    has none) and ``coords`` gives its (N, J) jet coordinates.
+    :func:`integrate` sum-factorizes with ``terms`` and otherwise
+    accumulates the weighted jet Gram of ``coords`` on the mesh; a field
+    whose coefficients depend on the point is a plain callable instead.
     """
 
-    pointwise: Callable[[np.ndarray], np.ndarray] | None
-    form: np.ndarray | None = None
+    form: np.ndarray
     terms: list | None = None
     coords: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.pointwise(points)
 
 
 def build_grid(
@@ -335,39 +312,39 @@ def _block_sums(values: np.ndarray, block: int) -> np.ndarray:
 
 
 def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
-    """Integrate ``field(points) -> (N,)`` over the tensor grid.
+    """Integrate a field over the tensor grid.
 
     Raises :class:`SupportError` if the field fails to vanish (relative to
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
-    A :class:`JetFormField` with a constant form and separable terms is
-    sum-factorized when its edge bound clears the leak check; otherwise a
-    field without ``pointwise`` or with a (K, J, J) stack of forms (which
-    returns a (K,) array) takes the weighted jet Gram of the mesh.
+    A callable ``field(points) -> (N,)`` is walked point by point on the
+    mesh.  A :class:`JetFormField` is sum-factorized when it has separable
+    terms and its edge bound clears the leak check, and otherwise takes the
+    weighted jet Gram of the mesh; a (K, J, J) stack of forms returns a
+    (K,) array.
     """
     grid = build_grid(domains, spec, boxes)
-    form = field.form if isinstance(field, JetFormField) else None
-    if form is not None and field.terms is not None:
-        value = _sum_factorized(grid, form, field.terms)
+    if not isinstance(field, JetFormField):
+        return _walk_mesh(grid, field)
+    if field.terms is not None:
+        value = _sum_factorized(grid, field.form, field.terms)
         if value is not None:
             return value
-    if form is not None and (form.ndim == 3 or field.pointwise is None):
-        return _gram_walk(grid, field.coords, form)
-    return _walk_mesh(grid, field)
+    return _gram_walk(grid, field.coords, field.form)
 
 
 def _walk_mesh(grid: Grid, field) -> float:
-    """The mesh sum of ``field(points)``, one block of flat indices at a
-    time, with the support-leak check."""
+    """The mesh sum of ``field(points)``, one :meth:`Grid._slabs` block of
+    up to :data:`CHUNK` rows at a time, with the support-leak check."""
     grid._check_size()
-    # the largest power of two dividing ``CHUNK``: every block of rows starts
-    # at a multiple of it
-    block = CHUNK & -CHUNK
     lines = [j for j, dom in enumerate(grid.domains) if dom.kind == "line"]
     peak = 0.0
     leaks = [0.0] * len(lines)
     parts = []
-    for start in range(0, grid.size, CHUNK):
-        pts, w, edges = grid._block(start, min(start + CHUNK, grid.size))
+    block = 0
+    for pts, w, edges in grid._slabs(CHUNK):
+        # the largest power of two dividing the first block's length: every
+        # block starts at a multiple of it
+        block = block or len(w) & -len(w)
         vals = np.asarray(field(pts), dtype=float)
         mags = np.abs(vals)
         peak = max(peak, float(np.max(mags, initial=0.0)))

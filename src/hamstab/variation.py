@@ -29,9 +29,8 @@ A functional whose integrand is a constant quadratic form ``j^T M j`` in the
 jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``: a chart functional
 finds it once by :func:`polarized_form` from the integrand itself, a
 closed-form functional of :mod:`hamstab.catalog` sums it from its weighted
-squares; point-dependent functionals carry None.  :func:`evaluate_functional` hands ``M`` and the
-test function's separable terms to the quadrature, which sum-factorizes
-when both are present.
+squares; point-dependent functionals carry None.  :func:`evaluate_functional`
+integrates ``M`` as a :func:`jet_field`, never contracted point by point.
 """
 
 from __future__ import annotations
@@ -260,26 +259,24 @@ def _check_compatible(u: TestFunction, domains) -> None:
     )
 
 
-def jet_field(integrand, form: np.ndarray | None, u: TestFunction) -> quadrature.JetFormField:
-    """The field ``s -> integrand(s, jet of u at s)``, carrying the constant
-    form ``M`` of the integrand (or None) and the separable terms of ``u``."""
-    return quadrature.JetFormField(
-        pointwise=lambda pts: integrand(pts, u.jet(pts)),
-        form=form,
-        terms=None if form is None else u.separable_terms(),
-    )
+def jet_field(form: np.ndarray, u: TestFunction) -> quadrature.JetFormField:
+    """The field ``j^T M j`` over the jet ``j`` of ``u``, for a constant jet
+    form ``M`` or a (K, J, J) stack of them, with the separable terms and
+    jet coordinates of ``u``."""
+    return quadrature.JetFormField(form, u.separable_terms(), u.jet_coords)
 
 
 def evaluate_functional(functional, u: TestFunction, gridspec: GridSpec | None = None) -> float:
     """Quadrature value of a quadratic functional on a test function.
 
     The grid uses the functional's domains; line boxes default to the test
-    function's declared support boxes.  Functionals carrying a constant
-    ``jet_form`` are sum-factorized on separable test functions.
+    function's declared support boxes.  A constant ``jet_form`` is
+    integrated as its :func:`jet_field`, any other integrand point by point.
     """
     functional = as_functional(functional)
     _check_compatible(u, functional.domains)
-    field = jet_field(functional.integrand, getattr(functional, "jet_form", None), u)
+    form = getattr(functional, "jet_form", None)
+    field = jet_field(form, u) if form is not None else lambda pts: functional.integrand(pts, u.jet(pts))
     return quadrature.integrate(field, functional.domains, gridspec, boxes=u.axis_boxes)
 
 
@@ -297,62 +294,40 @@ def second_variation_raw(chart: LagrangianChart, u: TestFunction, gridspec: Grid
 
 # ---------------------------------------------------------- identity checks
 
-def _fd_jacobian(field, pt: np.ndarray, step: float) -> np.ndarray:
-    """Richardson-extrapolated central differences of ``field`` at one point.
-
-    ``field`` maps (N, n) points to (N, k) values; the result has shape
-    (k, n) with entry [a, l] = d field_a / d s_l.
-    """
-    n = pt.shape[-1]
-    k = np.atleast_2d(field(np.atleast_2d(pt))).shape[-1]
-    out = np.empty((k, n))
-    for l in range(n):
-        shift = np.zeros(n)
-        shift[l] = 1.0
-
-        def diff(h):
-            fp = np.atleast_2d(field(np.atleast_2d(pt + h * shift)))[0]
-            fm = np.atleast_2d(field(np.atleast_2d(pt - h * shift)))[0]
-            return (fp - fm) / (2 * h)
-
-        out[:, l] = (4.0 * diff(step / 2) - diff(step)) / 3.0
-    return out
-
-
 def bochner_residual(u: TestFunction, m: MetricField, s, step: float = 1e-3) -> float:
     """Pointwise residual of the curvature identity
 
     ``(1/2) lap g(grad u, grad u) = Ric(grad u, grad u)
       + g(grad u, grad lap u) + g(hess u, hess u)``
 
-    computed with exact first-level quantities and nested central
-    differences (Richardson extrapolated) for the outer derivatives.
-    Restricted to metrics that are constant in the chart coordinates, whose
-    Ricci curvature vanishes.
+    with exact first-level quantities and the outer derivatives as
+    divergences ``(4 D(h/2) - D(h)) / 3`` of :func:`central_divergence`:
+    ``lap w = d_l (g^{lk} d_k w)`` for ``w = g(grad u, grad u)`` and
+    ``g(grad u, grad lap u) = d_l (lap u (grad u)^l)``, ``grad u`` fixed at
+    the point.  Restricted to constant metrics, whose Ricci term vanishes.
     """
     if not m.constant:
         raise NotImplementedError("pointwise identity check needs flat-coordinate metrics")
-    pt = np.asarray(s, dtype=float)
+    pt = np.atleast_2d(np.asarray(s, dtype=float))
     ginv = m.g_inv(pt)[0]
-
-    def w_grad(pts):
-        # exact gradient of w = g(grad u, grad u): d_k w = 2 g^{ij} u_{ik} u_j
-        _, du, d2u = u.jet(pts)
-        return 2.0 * np.einsum("ij,nik,nj->nk", ginv, d2u, du)
-
-    def lap_field(pts):
-        _, _, d2u = u.jet(pts)
-        return np.einsum("ij,nij->n", ginv, d2u)[:, None]
-
-    dW = _fd_jacobian(w_grad, pt, step)
-    lap_w = float(np.einsum("kl,kl->", ginv, dW))
-    d_lap = _fd_jacobian(lap_field, pt, step)[0]
-
-    _, du0, d2u0 = u.jet(np.atleast_2d(pt))
+    _, du0, d2u0 = u.jet(pt)
     grad_up = ginv @ du0[0]
-    cross = float(grad_up @ d_lap)
+
+    def grad_w(pts):
+        # g^{lk} d_k w, with the exact d_k w = 2 g^{ij} u_{ik} u_j
+        _, du, d2u = u.jet(pts)
+        return 2.0 * np.einsum("ij,nik,nj->nk", ginv, d2u, du) @ ginv
+
+    def lap_flux(pts):
+        _, _, d2u = u.jet(pts)
+        return np.einsum("ij,nij->n", ginv, d2u)[:, None] * grad_up
+
+    def divergence(weighted) -> float:
+        coarse, fine = (central_divergence(weighted, pt, [h] * len(grad_up))[0] for h in (step, step / 2))
+        return float((4.0 * fine - coarse) / 3.0)
+
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u0[0], d2u0[0]))
-    return 0.5 * lap_w - cross - hess_sq
+    return 0.5 * divergence(grad_w) - divergence(lap_flux) - hess_sq
 
 
 def _domains_from_support(u: TestFunction) -> tuple[AxisDomain, ...]:

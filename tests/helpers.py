@@ -1,4 +1,4 @@
-"""Shared chart builders for the test modules."""
+"""Shared chart builders and quadrature helpers for the test modules."""
 
 import itertools
 
@@ -7,6 +7,7 @@ import numpy as np
 from hamstab.geometry import AmbientFlat
 from hamstab.immersion import AxisDomain, LagrangianChart, chart_from_components
 from hamstab.jets import jcos, jsin
+from hamstab.quadrature import build_grid
 
 
 def gradient_graph_chart():
@@ -72,3 +73,13 @@ def polynomial_graph_chart():
     return LagrangianChart(
         amb, (AxisDomain.line(), AxisDomain.line()), oracle, name="polynomial-graph", d3f=d3f
     )
+
+
+def form_rounding_scale(field, domains, spec, boxes):
+    """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form of a jet-form field:
+    the magnitude against which both a pointwise sum and a Gram contraction
+    round."""
+    pts, w = build_grid(domains, spec, boxes).points_and_weights()
+    coords = np.abs(field.coords(pts))
+    forms = field.form.reshape((-1,) + field.form.shape[-2:])
+    return np.array([np.sum(w * np.einsum("np,pq,nq->n", coords, np.abs(m), coords)) for m in forms])

@@ -230,7 +230,7 @@ def test_hyperbola_scaling_records_gradient_form_values():
     # block of the jet form, contracted with the mesh's weighted jet Gram
     form = np.zeros((len(jet_orders(3)),) * 2)
     form[1:4, 1:4] = rep.matrix
-    column = integrate(JetFormField(None, form[None], None, u_w.jet_coords), entry.functional.domains, spec, u_w.axis_boxes)
+    column = integrate(JetFormField(form[None], None, u_w.jet_coords), entry.functional.domains, spec, u_w.axis_boxes)
     assert record.min_eig == column[0]
     # gradient_form_value integrates the same form-only field: rounding apart
     assert record.min_eig == pytest.approx(gradient_form_value(radii, eps, u_w, spec), rel=1e-14)

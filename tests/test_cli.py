@@ -207,18 +207,19 @@ def test_verify_paper_subset_determinism(runner, tmp_path):
 
 def test_analyze_is_identical_across_blas_thread_counts():
     # the weighted jet Gram goes through BLAS, whose thread count is fixed
-    # when numpy loads: one fresh process per count
+    # when numpy loads: one fresh process per count, for a dilation family
+    # and for the tube table
     src = str(Path(__file__).resolve().parents[1] / "src")
-    cmd = [sys.executable, "-m", "hamstab", "analyze", "--strategy", "scaling_probe"]
-    cmd += ["--catalog-id", "hyperbola:n=3,r=1,1,1,eps=+,+,+"]
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
-        proc = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert b"indefinite" in outputs[0]
+    analyze = ["analyze", "--strategy", "scaling_probe", "--catalog-id", "hyperbola:n=3,r=1,1,1,eps=+,+,+"]
+    for args, marker in ((analyze, b"indefinite"), (["tube-table", "--format", "json"], b'"all_match": true')):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "hamstab", *args], env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], args
+        assert marker in outputs[0]
 
 
 def test_verify_paper_coarse_grid_fails_with_diagnostics(runner, tmp_path):
@@ -262,6 +263,22 @@ def test_analyze_oversized_grid_is_a_usage_error(runner):
     result = runner.invoke(main, ["analyze", "--catalog-id", cid, "--grid", "96"])
     assert result.exit_code == 2
     assert "84934656 points" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["analyze", "--catalog-id", "plane:n=2,p=0", "--box", "3"], "at the box boundary"),
+        (["analyze", "--catalog-id", "plane:n=2,p=0", "--box", "20000"], "exceeds the domain truncation"),
+        (["tube-table", "--box", "3"], "at the box boundary"),
+    ],
+)
+def test_box_cutting_a_support_is_a_usage_error(runner, args, message):
+    # a --box that cuts a probe's support or exceeds a domain's truncation
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert message in result.output
     assert isinstance(result.exception, SystemExit)
 
 

@@ -28,9 +28,9 @@ from hamstab.testfunctions import (
     random_bump_poly,
     random_trig_poly,
 )
-from hamstab.variation import SecondVariationFunctional, evaluate_functional, polarized_form
+from hamstab.variation import SecondVariationFunctional, evaluate_functional, jet_field, polarized_form
 
-from helpers import gradient_graph_chart
+from helpers import form_rounding_scale, gradient_graph_chart
 
 SMALL = GridSpec(circle_nodes=16, line_nodes=16)
 CATALOG = {cid: resolve(cid) for cid in default_catalog_ids()}
@@ -151,12 +151,16 @@ class _ExpCosWave(TestFunction):
     ],
 )
 def test_non_separable_probes_use_the_mesh(cid, u):
+    # the constant form takes one weighted jet Gram walk and is never
+    # contracted point by point
     functional = CATALOG[cid].functional
     assert u.separable_terms() is None
-    with counting_meshes() as calls:
+    with counting_meshes(("_gram_walk",)) as grams, counting_meshes(("_walk_mesh",)) as pointwise:
         val = evaluate_functional(functional, u, SMALL)
-    assert len(calls) == 1
-    assert val == mesh_value(functional, u, SMALL)
+    assert len(grams) == 1 and pointwise == []
+    # the Gram contraction reduces in another order than the pointwise sum
+    scale = form_rounding_scale(jet_field(functional.jet_form, u), functional.domains, SMALL, u.axis_boxes)
+    assert abs(val - mesh_value(functional, u, SMALL)) <= 1e-12 * scale[0]
 
 
 TORUS_IDS = [
@@ -248,7 +252,7 @@ def test_form_stacks_match_one_form_at_a_time():
     functional = CATALOG["plane:n=2,p=1"].functional
     forms = np.array([functional.jet_form, np.eye(len(functional.jet_form)), -2.0 * functional.jet_form])
     for u in (Separable([Gauss1D(1.0), HermGauss1D(2, 0.8)]), AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])):
-        field = quadrature.JetFormField(None, forms, u.separable_terms(), u.jet_coords)
+        field = quadrature.JetFormField(forms, u.separable_terms(), u.jet_coords)
         with counting_meshes() as calls:
             values = quadrature.integrate(field, functional.domains, SMALL, boxes=u.axis_boxes)
         assert len(calls) == (u.separable_terms() is None)
@@ -283,9 +287,12 @@ def test_point_dependent_functionals_use_the_mesh():
 def test_truncated_support_falls_back_and_raises():
     functional = CATALOG["plane:n=2,p=0"].functional
     u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
-    with counting_meshes() as calls, pytest.raises(SupportError, match="boundary"):
-        evaluate_functional(functional, u, GridSpec(line_nodes=16, line_box=3.0))
-    assert len(calls) == 1
+    with counting_meshes(("_gram_walk",)) as grams, counting_meshes(("_walk_mesh",)) as pointwise:
+        with pytest.raises(SupportError, match="boundary"):
+            evaluate_functional(functional, u, GridSpec(line_nodes=16, line_box=3.0))
+    # the sum-factorized and the Gram edge bounds both fail; the exact
+    # per-point decision of the one form then walks the mesh and raises
+    assert len(grams) == 1 and len(pointwise) == 1
 
 
 def test_wrong_constant_declaration_raises():

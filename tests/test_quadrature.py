@@ -21,6 +21,8 @@ from hamstab.quadrature import (
 )
 from hamstab.testfunctions import AnisotropicGaussian, Cos1D, Gauss1D, Separable, jet_coordinates
 
+from helpers import form_rounding_scale
+
 
 def test_cos_squared_on_circle():
     # periodic trapezoid is exact for trig polynomials below the node count
@@ -232,7 +234,7 @@ def stack_field(factors, scales=(1.0, 1.0, 1.0)):
     for scale in scales:
         a = rng.normal(size=(j, j))
         forms.append(scale * (a + a.T))
-    return JetFormField(None, form=np.array(forms), coords=u.jet_coords)
+    return JetFormField(form=np.array(forms), coords=u.jet_coords)
 
 
 @pytest.fixture(params=[None, 64], ids=["default-blocks", "blocks-64"])
@@ -244,24 +246,26 @@ def block_rows(request, monkeypatch):
 
 
 def test_mesh_walk_matches_whole_mesh_single_form(block_rows):
-    # 91^2 = 8281 rows: not a multiple of a 64-row block
-    dom = (AxisDomain.circle(2 * np.pi), AxisDomain.line())
-    spec = GridSpec(circle_nodes=91, line_nodes=91)
+    # 91^2 = 8281 rows: not a multiple of a 64-row block; 21^3 rows walk in
+    # blocks of 63 under 64-row blocks (sub-block 1), and 96^3 in blocks of
+    # 28 * 96^2 = 2^12 * 63 rows at the default blocks
+    circle_line = (AxisDomain.circle(2 * np.pi), AxisDomain.line())
 
     def fld(p):
         return (1.5 + np.cos(p[:, 0]) * np.sin(3 * p[:, 0])) * np.exp(-(p[:, 1] ** 2)) * (p[:, 1] - 0.3)
 
-    got = integrate(fld, dom, spec, boxes=(None, 7.0))
-    assert isinstance(got, float)
-    assert same_float(got, whole_mesh_integrate(fld, dom, spec, (None, 7.0)))
+    def fld3(p):
+        return np.exp(-np.sum(p * p, axis=1)) * (p[:, 0] - 0.3) * (1.0 + 0.5 * np.sin(p[:, 1] + p[:, 2]))
 
-
-def rounding_scale(field, domains, spec, boxes):
-    """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form: the magnitude against
-    which both a pointwise sum and a Gram contraction round."""
-    pts, w = build_grid(domains, spec, boxes).points_and_weights()
-    coords = np.abs(field.coords(pts))
-    return np.array([np.sum(w * np.einsum("np,pq,nq->n", coords, np.abs(m), coords)) for m in field.form])
+    cases = [
+        (fld, circle_line, GridSpec(circle_nodes=91, line_nodes=91), (None, 7.0)),
+        (fld3, (AxisDomain.line(),) * 3, GridSpec(line_nodes=21), (7.0,) * 3),
+        (fld3, (AxisDomain.line(),) * 3, GridSpec(line_nodes=96), (7.0,) * 3),
+    ]
+    for field, dom, spec, boxes in cases:
+        got = integrate(field, dom, spec, boxes=boxes)
+        assert isinstance(got, float)
+        assert same_float(got, whole_mesh_integrate(field, dom, spec, boxes)), (spec, boxes)
 
 
 @pytest.mark.parametrize("axes, nodes", [(3, 21), (2, 91)])
@@ -274,7 +278,7 @@ def test_mesh_walk_matches_whole_mesh_form_stack(block_rows, axes, nodes):
     want = whole_mesh_integrate(field, doms, spec, boxes)
     assert got.shape == (3,)
     # the Gram walk reduces in another order than the pointwise sum
-    assert np.all(np.abs(got - want) <= 1e-12 * rounding_scale(field, doms, spec, boxes))
+    assert np.all(np.abs(got - want) <= 1e-12 * form_rounding_scale(field, doms, spec, boxes))
 
 
 # (circle nodes, line nodes, axis kinds): 2-4 axes with circle and line axes
@@ -298,15 +302,15 @@ def test_gram_walk_matches_whole_mesh(block_rows, circle, line, kinds):
     field = stack_field(factors)
     got = integrate(field, doms, spec, boxes=boxes)
     want = whole_mesh_integrate(field, doms, spec, boxes)
-    assert np.all(np.abs(got - want) <= 1e-12 * rounding_scale(field, doms, spec, boxes))
+    assert np.all(np.abs(got - want) <= 1e-12 * form_rounding_scale(field, doms, spec, boxes))
     # a non-separable probe's direct coordinates take the same walk
     A = np.eye(len(kinds)) + 0.3 * (np.ones((len(kinds),) * 2) - np.eye(len(kinds))) / len(kinds)
     u = AnisotropicGaussian(A)
     lines = tuple(AxisDomain.line() for _ in kinds)
-    field = JetFormField(None, field.form, None, u.jet_coords)
+    field = JetFormField(field.form, None, u.jet_coords)
     got = integrate(field, lines, spec, boxes=u.axis_boxes)
     want = whole_mesh_integrate(field, lines, spec, u.axis_boxes)
-    assert np.all(np.abs(got - want) <= 1e-12 * rounding_scale(field, lines, spec, u.axis_boxes))
+    assert np.all(np.abs(got - want) <= 1e-12 * form_rounding_scale(field, lines, spec, u.axis_boxes))
 
 
 def test_mesh_walk_leak_error_matches_whole_mesh(block_rows):
@@ -328,20 +332,23 @@ def test_mesh_walk_leak_error_matches_whole_mesh(block_rows):
 
 def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
     # 128^3 = 2.1 M points; the whole mesh alone would take 8 * 4 * 2.1 M
-    # = 64 MiB for points and weights, and over 100 MiB through evaluation
+    # = 64 MiB for points and weights, and over 100 MiB through evaluation.
+    # 64^3 is one block, whose per-axis node indices would add 6 MiB if
+    # they were kept for every row
     def no_mesh(grid):
         raise AssertionError("integrate built the whole mesh")
 
     monkeypatch.setattr(quadrature.Grid, "points_and_weights", no_mesh)
     doms = (AxisDomain.line(),) * 3
-    tracemalloc.start()
-    try:
-        val = integrate(lambda p: np.exp(-np.sum(p * p, axis=1)), doms, GridSpec(line_nodes=128), boxes=(7.0,) * 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert val == pytest.approx(np.pi**1.5, rel=1e-12)
-    assert peak < 48 * 2**20, peak / 2**20
+    for nodes, bound in ((128, 48), (64, 20)):
+        tracemalloc.start()
+        try:
+            val = integrate(lambda p: np.exp(-np.sum(p * p, axis=1)), doms, GridSpec(line_nodes=nodes), boxes=(7.0,) * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert val == pytest.approx(np.pi**1.5, rel=1e-12)
+        assert peak < bound * 2**20, (nodes, peak / 2**20)
 
 
 def test_gram_walk_memory_is_a_few_blocks(monkeypatch):
@@ -360,7 +367,7 @@ def test_gram_walk_memory_is_a_few_blocks(monkeypatch):
     doms = (AxisDomain.line(),) * 4
     tracemalloc.start()
     try:
-        sums = integrate(JetFormField(None, forms, None, u.jet_coords), doms, GridSpec(line_nodes=32), boxes=u.axis_boxes)
+        sums = integrate(JetFormField(forms, None, u.jet_coords), doms, GridSpec(line_nodes=32), boxes=u.axis_boxes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -381,10 +388,10 @@ def test_form_only_field_is_contracted_from_its_jets_on_the_mesh():
         coords = jet_coordinates(u.jet(pts))
         return np.einsum("np,pq,nq->n", coords, form, coords)
 
-    field = JetFormField(None, form, u.separable_terms(), u.jet_coords)
+    field = JetFormField(form, u.separable_terms(), u.jet_coords)
     got = integrate(field, dom, spec, boxes=u.axis_boxes)
     assert isinstance(got, float)
-    assert got == integrate(JetFormField(None, form[None], None, u.jet_coords), dom, spec, boxes=u.axis_boxes)[0]
+    assert got == integrate(JetFormField(form[None], None, u.jet_coords), dom, spec, boxes=u.axis_boxes)[0]
     assert got == pytest.approx(integrate(twin, dom, spec, boxes=u.axis_boxes), rel=1e-13)
     # a box too small for the support leaks on both routes, with the same report
     errors = []
@@ -399,6 +406,6 @@ def test_form_only_field_with_a_separable_leak_raises_support_error():
     # the edge bound is far above 1e-10, so the sum-factorized path defers to the mesh
     u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
     form = np.eye(6)
-    field = JetFormField(None, form, u.separable_terms(), u.jet_coords)
+    field = JetFormField(form, u.separable_terms(), u.jet_coords)
     with pytest.raises(SupportError, match="box boundary"):
         integrate(field, (AxisDomain.line(), AxisDomain.line()), GridSpec(line_nodes=16), boxes=(1.5, 1.5))
