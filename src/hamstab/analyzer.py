@@ -152,6 +152,8 @@ def torus_mode_value(radii, p: int, k) -> float:
         raise ValueError("zero mode")
     if not 0 <= p <= len(r):
         raise ValueError(f"p out of range for n={len(r)}")
+    if min(radii) <= 0:  # once per mode of a scan: the builtin is the cheapest test
+        raise ValueError("radii must be positive")
     eps = np.array([-1.0] * p + [1.0] * (len(r) - p))
     m = np.asarray(kk, dtype=float) / r
     vol = float(np.prod(2 * np.pi * r))
@@ -321,14 +323,17 @@ def hyperbola_direction_probes(radii, branch_signs):
 
 @dataclass
 class ScalingReport:
-    """Values ``(t, V(u^t))`` of a dilation family; ``norms`` holds
-    ``int (u^t)^2`` per entry when the family was integrated in one pass."""
+    """Values ``(t, V(u^t))`` of a dilation family.  Per entry, ``norms``
+    holds ``int (u^t)^2`` and ``probes`` the member ``u^t``; ``extras`` holds
+    the sums of the requested extra jet forms on the jets of ``u`` itself."""
 
     probe_label: str
     axes: tuple[int, ...]
     prefactor_exponent: float
     entries: list[tuple[float, float]]
-    norms: list[float] | None = None
+    norms: list[float] = field(default_factory=list)
+    probes: list[TestFunction] = field(default_factory=list)
+    extras: list[float] = field(default_factory=list)
 
     @property
     def positives(self) -> list[float]:
@@ -350,9 +355,12 @@ def scaling_probe(
     axes=None,
     prefactor_exponent: float | None = None,
     gridspec: GridSpec | None = None,
+    extra_forms=(),
 ) -> ScalingReport:
     """Evaluate the functional on the scaled family
-    ``u^t = t^a u(t s_axes, s_rest)`` over the schedule and report values.
+    ``u^t = t^a u(t s_axes, s_rest)`` over the schedule and report values,
+    norms ``int (u^t)^2`` and the sums of ``extra_forms`` (constant jet
+    forms) on the jets of ``u``.
 
     The default exponent for all-axes scaling is ``a = n/2 - 1`` (volume
     normalization); axis-restricted families must state their exponent.
@@ -364,17 +372,11 @@ def scaling_probe(
     that of ``u`` times ``t^(a + pi_c)``, ``pi_c`` its derivative count along
     the scaled axes, so every ``V(u^t)`` is ``t^-|axes|`` times the sum of the
     form ``D_t M D_t`` (``D_t = diag(t^(a + pi_c))``) on the jets of ``u``,
-    and ``int (u^t)^2`` is ``t^(2a - |axes|) int u^2``.  The whole family and
-    the norm then take one integration; otherwise each ``t`` is evaluated on
-    its own grid.
+    and ``int (u^t)^2`` is ``t^(2a - |axes|) int u^2``.  The whole family,
+    the norm and the extra forms then take one integration; otherwise each
+    ``t`` takes one :func:`_probe_values` on its own grid and the extra
+    forms one integration on ``u``.
     """
-    return _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridspec)[0]
-
-
-def _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridspec, extra_forms=()):
-    """:func:`scaling_probe`'s report, plus the sums of ``extra_forms``
-    (constant jet forms on the jets of ``u`` itself) as more columns of the
-    same integration when the family takes one pass; None otherwise."""
     functional = as_functional(functional)
     domains = functional.domains
     n = len(domains)
@@ -385,11 +387,11 @@ def _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridsp
         prefactor_exponent = n / 2.0 - 1.0
     a = float(prefactor_exponent)
     schedule = [float(t) for t in t_schedule]
+    label = u.label or "probe"
     family = [
-        AxisScaled(u, [t if j in axes else 1.0 for j in range(n)], t**a, label=f"{u.label};t={t:g}")
-        for t in schedule
+        AxisScaled(u, [t if j in axes else 1.0 for j in range(n)], t**a, label=f"{label};t={t:g}") for t in schedule
     ]
-    report = ScalingReport(probe_label=u.label or "probe", axes=axes, prefactor_exponent=a, entries=[])
+    report = ScalingReport(label, axes, a, entries=[], probes=family)
     form = getattr(functional, "jet_form", None)
     one_pass = (
         form is not None
@@ -398,8 +400,12 @@ def _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridsp
         and compatible_with(u, domains)
     )
     if not one_pass:
-        report.entries = [(t, evaluate_functional(functional, ut, gridspec)) for t, ut in zip(schedule, family)]
-        return report, None
+        values = [_probe_values(functional, ut, gridspec) for ut in family]
+        report.entries = [(t, v) for t, (v, _) in zip(schedule, values)]
+        report.norms = [norm2 for _, norm2 in values]
+        if extra_forms:
+            report.extras = [float(v) for v in _form_integral(np.array(extra_forms), u, domains, gridspec)]
+        return report
     for ut in family:
         _check_compatible(ut, domains)
         check_line_boxes(domains, gridspec, ut.axis_boxes)
@@ -410,7 +416,8 @@ def _dilation_family(functional, u, t_schedule, axes, prefactor_exponent, gridsp
     m = len(schedule)
     report.entries = [(t, float(v) * t**-k) for t, v in zip(schedule, sums[:m])]
     report.norms = [float(sums[m]) * t ** (2 * a - k) for t in schedule]
-    return report, [float(v) for v in sums[m + 1 :]]
+    report.extras = [float(v) for v in sums[m + 1 :]]
+    return report
 
 
 # ------------------------------------------------------------ curve criterion
@@ -494,9 +501,20 @@ def _form_integral(form: np.ndarray, u: TestFunction, domains, gridspec: GridSpe
     return integrate(jet_field(form, u), domains, gridspec, boxes=u.axis_boxes)
 
 
-def _witness_norm2(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
-    """``int u^2``: the jet form ``e0 e0^T``."""
-    return _form_integral(_norm2_form(u.n), u, as_functional(functional).domains, gridspec)
+def _probe_values(functional, u: TestFunction, gridspec: GridSpec | None, extra_forms=()) -> tuple[float, ...]:
+    """``(V(u), int u^2, *extras)``, the extras being the sums of the
+    constant jet forms ``extra_forms`` on the jets of ``u``.  A constant jet
+    form ``M`` takes one integration of the stack ``[M, e0 e0^T,
+    *extra_forms]``; otherwise ``V`` comes from :func:`evaluate_functional`
+    and the rest from one integration of their stack."""
+    functional = as_functional(functional)
+    form = getattr(functional, "jet_form", None)
+    forms = [_norm2_form(u.n), *extra_forms]
+    if form is None:
+        value = evaluate_functional(functional, u, gridspec)
+        return (value, *(float(v) for v in _form_integral(np.array(forms), u, functional.domains, gridspec)))
+    _check_compatible(u, functional.domains)
+    return tuple(float(v) for v in _form_integral(np.array([form, *forms]), u, functional.domains, gridspec))
 
 
 # ------------------------------------------------------------------ classify
@@ -557,38 +575,49 @@ def _as_entry(target) -> CatalogEntry:
 
 
 def _sign_witnesses(entry, pool, gridspec) -> tuple[Witness | None, Witness | None, list[float]]:
-    """Evaluate labeled probes, return the best +/- witnesses above the
-    norm-scaled threshold."""
-    values = []
-    above: dict[int, list] = {1: [], -1: []}
-    for u in pool:
-        val = evaluate_functional(entry.functional, u, gridspec)
-        values.append(val)
-        thresh = WITNESS_RTOL * max(_witness_norm2(entry.functional, u, gridspec), 1e-30)
-        for sign in (1, -1):
-            if sign * val > thresh:
-                above[sign].append((u, val))
-    pos, neg = (_best_witness(entry, above[sign], sign, gridspec) for sign in (1, -1))
-    return pos, neg, values
+    """Evaluate labeled probes; return the best +/- witnesses of
+    :func:`_witnesses` and every probe's value."""
+    candidates = [(u.label, u, *_probe_values(entry.functional, u, gridspec)) for u in pool]
+    return (*_witnesses(entry, candidates, gridspec), [value for _, _, value, _ in candidates])
 
 
-def _best_witness(entry, candidates, sign: int, gridspec) -> Witness | None:
-    """The first candidate of largest ``sign * value``.
+def _witnesses(entry, candidates, gridspec) -> tuple[Witness | None, Witness | None]:
+    """The best positive and negative witnesses among ``(label, u, value,
+    norm2)`` candidates.
 
-    Values within ``TIE_RTOL`` of the best are ties at rounding level (as
-    for probes that mirror each other on a symmetric functional); they are
-    ordered by the reference mesh quadrature, so the reported probe does not
-    depend on the rounding of the sum-factorized path.
+    A candidate witnesses its sign when ``sign * value`` clears the
+    norm-scaled threshold ``WITNESS_RTOL * int u^2``; of those, the first of
+    largest ``sign * value`` is reported.  Values within ``TIE_RTOL`` of the
+    best are ties at rounding level (as for probes that mirror each other on
+    a symmetric functional); they are ordered by the reference mesh
+    quadrature, so the reported probe does not depend on the rounding of the
+    sum-factorized path.
     """
-    if not candidates:
-        return None
-    top = max(sign * v for _, v in candidates)
-    tied = [(u, v) for u, v in candidates if top - sign * v <= TIE_RTOL * top]
-    if len(tied) > 1:
-        ref = [sign * _mesh_value(entry.functional, u, gridspec) for u, _ in tied]
-        tied = [tied[ref.index(max(ref))]]
-    u, val = tied[0]
-    return Witness(u.label, val)
+    out = []
+    for sign in (1, -1):
+        above = [c for c in candidates if sign * c[2] > WITNESS_RTOL * max(c[3], 1e-30)]
+        top = max((sign * value for _, _, value, _ in above), default=0.0)
+        tied = [c for c in above if top - sign * c[2] <= TIE_RTOL * top]
+        if len(tied) > 1:
+            ref = [sign * _mesh_value(entry.functional, u, gridspec) for _, u, _, _ in tied]
+            tied = [tied[ref.index(max(ref))]]
+        out.append(Witness(tied[0][0], tied[0][2]) if tied else None)
+    return out[0], out[1]
+
+
+def _family_candidates(report: ScalingReport) -> list:
+    """The members of a dilation family as :func:`_witnesses` candidates."""
+    return [(ut.label, ut, value, norm2) for ut, (_, value), norm2 in zip(report.probes, report.entries, report.norms)]
+
+
+def _sign_verdict(pos, neg, evidence, notes=(), one_sign=None) -> StabilityVerdict:
+    """``indefinite`` with witnesses of both signs, otherwise
+    ``inconclusive``, with the ``one_sign`` note after ``notes``."""
+    if pos and neg:
+        return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence, notes=list(notes))
+    return StabilityVerdict(
+        LABEL_INCONCLUSIVE, pos, neg, evidence, notes=list(notes) + ([one_sign] if one_sign else [])
+    )
 
 
 def _mesh_value(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
@@ -605,26 +634,19 @@ def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     evidence = [
         EvidenceRecord(len(pool), float(np.min(values)), float(np.max(values)), "library diagonal values")
     ]
-    if pos and neg:
-        return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence)
-    # look for sign mixing inside the span before giving up
-    small = pool[: min(len(pool), 8)]
-    Q = assemble_form(entry.functional, small, gridspec)
-    eigvals, eigvecs = np.linalg.eigh(Q)
-    evidence.append(EvidenceRecord(len(small), float(eigvals[0]), float(eigvals[-1]), "polarized form eigenvalues"))
-    if eigvals[0] < 0 < eigvals[-1]:
-        lo = LinComb(list(zip(eigvecs[:, 0], small)), label="eigmix:low")
-        hi = LinComb(list(zip(eigvecs[:, -1], small)), label="eigmix:high")
-        pos2, neg2, _ = _sign_witnesses(entry, [lo, hi], gridspec)
-        pos, neg = pos or pos2, neg or neg2
-        if pos and neg:
-            return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence)
-    return StabilityVerdict(
-        LABEL_INCONCLUSIVE,
-        pos,
-        neg,
-        evidence,
-        notes=["no certificate applies and the witness library found only one sign"],
+    if not (pos and neg):
+        # look for sign mixing inside the span before giving up
+        small = pool[: min(len(pool), 8)]
+        Q = assemble_form(entry.functional, small, gridspec)
+        eigvals, eigvecs = np.linalg.eigh(Q)
+        evidence.append(EvidenceRecord(len(small), float(eigvals[0]), float(eigvals[-1]), "polarized form eigenvalues"))
+        if eigvals[0] < 0 < eigvals[-1]:
+            lo = LinComb(list(zip(eigvecs[:, 0], small)), label="eigmix:low")
+            hi = LinComb(list(zip(eigvecs[:, -1], small)), label="eigmix:high")
+            pos2, neg2, _ = _sign_witnesses(entry, [lo, hi], gridspec)
+            pos, neg = pos or pos2, neg or neg2
+    return _sign_verdict(
+        pos, neg, evidence, one_sign="no certificate applies and the witness library found only one sign"
     )
 
 
@@ -648,17 +670,12 @@ def _classify_torus_modes(entry: CatalogEntry, gridspec, bound: int = 4) -> Stab
     neg_c = sorted((kv for kv in scan if kv[1] < -tol), key=simplicity)
     pool = [torus_mode_function(radii, c[0][0]) for c in (pos_c, neg_c) if c]
     pos, neg, _ = _sign_witnesses(entry, pool, gridspec)
-    if pos and neg:
-        return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence)
-    return StabilityVerdict(
-        LABEL_INCONCLUSIVE,
+    return _sign_verdict(
         pos,
         neg,
         evidence,
-        notes=[
-            "no negative mode in the scanned lattice; definiteness of the definite-sign "
-            "cases needs the circle spectral argument, which is not certified here"
-        ],
+        one_sign="no negative mode in the scanned lattice; definiteness of the definite-sign "
+        "cases needs the circle spectral argument, which is not certified here",
     )
 
 
@@ -758,14 +775,12 @@ def _classify_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdict:
                 f"axes {circles} are circles"
             ],
         )
+    base = Separable([Gauss1D(1.0) for _ in range(n)], label="bump")
     if entry.kind == "tn":
-        base = Separable([Gauss1D(1.0), Gauss1D(1.0)], label="bump")
-        schedule = np.geomspace(0.05, 20.0, 7)
         report = scaling_probe(
-            entry.functional, base, schedule, axes=(0,), prefactor_exponent=1.5, gridspec=gridspec
+            entry.functional, base, np.geomspace(0.05, 20.0, 7), axes=(0,), prefactor_exponent=1.5, gridspec=gridspec
         )
     else:
-        base = Separable([Gauss1D(1.0) for _ in range(n)], label="bump")
         report = scaling_probe(
             entry.functional, base, (0.25, 0.5, 1.0, 2.0, 4.0), prefactor_exponent=0.0, gridspec=gridspec
         )
@@ -778,34 +793,8 @@ def _classify_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdict:
             f"scaled family {report.probe_label}, t in {[t for t, _ in report.entries]}",
         )
     ]
-    pos, neg = _scaling_witnesses(entry, base, report, gridspec)
-    if pos and neg:
-        return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence)
-    return StabilityVerdict(
-        LABEL_INCONCLUSIVE, pos, neg, evidence, notes=["scaled family found only one sign"]
-    )
-
-
-def _scaling_witnesses(entry, base, report: ScalingReport, gridspec):
-    """Best scaled-family witnesses that clear the norm-scaled threshold; the
-    norms come from the report when it carries them."""
-    n = len(as_functional(entry.functional).domains)
-    out = []
-    for sign in (1, -1):
-        signed = [sign * v for _, v in report.entries]
-        best = signed.index(max(signed))
-        t, v = report.entries[best]
-        if not sign * v > 0:
-            out.append(None)
-            continue
-        if report.norms is not None:
-            norm2 = report.norms[best]
-        else:
-            scales = [t if j in report.axes else 1.0 for j in range(n)]
-            norm2 = _witness_norm2(entry.functional, AxisScaled(base, scales, t**report.prefactor_exponent), gridspec)
-        thresh = WITNESS_RTOL * norm2
-        out.append(Witness(f"{report.probe_label};t={t:g}", v) if abs(v) > thresh else None)
-    return out[0], out[1]
+    pos, neg = _witnesses(entry, _family_candidates(report), gridspec)
+    return _sign_verdict(pos, neg, evidence, one_sign="scaled family found only one sign")
 
 
 def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdict:
@@ -814,17 +803,13 @@ def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdi
     u_w, u_e1, rep = hyperbola_direction_probes(radii, eps)
     n = len(radii)
     schedule = (0.05, 0.5, 2.0) if n >= 4 else (0.05, 0.1, 0.5, 1.0, 2.0, 10.0)
-    # Q(u_w) is one more column of the family's integration when it takes one pass
-    report_w, extra = _dilation_family(
-        entry.functional, u_w, schedule, None, None, gridspec, [_gradient_jet_form(rep.matrix)]
-    )
-    qw = extra[0] if extra is not None else gradient_form_value(radii, eps, u_w, gridspec)
-    qe = gradient_form_value(radii, eps, u_e1, gridspec)
-    pos, neg = _scaling_witnesses(entry, u_w, report_w, gridspec)
-    if neg is None:
-        v_e1 = evaluate_functional(entry.functional, u_e1, gridspec)
-        if v_e1 < -WITNESS_RTOL * _witness_norm2(entry.functional, u_e1, gridspec):
-            neg = Witness("dirgauss:e1;t=1", v_e1)
+    # Q(u_w) and Q(u_e1) are one more column of each probe's integration
+    gradient = [_gradient_jet_form(rep.matrix)]
+    report_w = scaling_probe(entry.functional, u_w, schedule, gridspec=gridspec, extra_forms=gradient)
+    qw = report_w.extras[0]
+    v_e1, norm2_e1, qe = _probe_values(entry.functional, u_e1, gridspec, gradient)
+    pos, neg = _witnesses(entry, _family_candidates(report_w), gridspec)
+    neg = neg or _witnesses(entry, [("dirgauss:e1;t=1", u_e1, v_e1, norm2_e1)], gridspec)[1]
     values = [v for _, v in report_w.entries]
     evidence = [
         EvidenceRecord(len(values), float(np.min(values)), float(np.max(values)), "w-aligned dilation family"),
@@ -836,14 +821,8 @@ def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdi
         ),
         EvidenceRecord(2, qw, qe, GRADIENT_FORM_NOTE),
     ]
-    notes = [
-        f"gradient-form values: Q(u_w) = {qw:.6g} (< 0), Q(u_e1) = {qe:.6g} (> 0)",
-    ]
-    if pos and neg:
-        return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence, notes=notes)
-    return StabilityVerdict(
-        LABEL_INCONCLUSIVE, pos, neg, evidence, notes=notes + ["dilation family found only one sign"]
-    )
+    notes = [f"gradient-form values: Q(u_w) = {qw:.6g} (< 0), Q(u_e1) = {qe:.6g} (> 0)"]
+    return _sign_verdict(pos, neg, evidence, notes, one_sign="dilation family found only one sign")
 
 
 def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
@@ -879,9 +858,7 @@ def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
         "the diagonal mode cos(s+t) sits exactly at lam = c and evaluates to 0; "
         "cos(s) is the negative witness",
     ]
-    if pos and neg:
-        return StabilityVerdict(LABEL_INDEFINITE, pos, neg, evidence, notes=notes)
-    return StabilityVerdict(LABEL_INCONCLUSIVE, pos, neg, evidence, notes=notes)
+    return _sign_verdict(pos, neg, evidence, notes)
 
 
 def _sup_evidence(sup: float, threshold) -> list[EvidenceRecord]:

@@ -196,6 +196,8 @@ def _run_sweep(entry, axis_spec: str):
     if name == "radius":
         if entry.kind != "torus" or entry.params["n"] != 2:
             raise CatalogIdError("radius-ratio sweeps apply to two-axis torus entries")
+        if min(lo, hi) <= 0:
+            raise CatalogIdError(f"radius ratios must be positive, got lo={lo:g}, hi={hi:g}")
         r2 = entry.params["radii"][1]
         p = entry.params["p"]
         rows = []

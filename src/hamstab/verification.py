@@ -29,7 +29,7 @@ from .analyzer import (
 )
 from .catalog import ClosedFormFunctional, CurveData, JetSquareTerm, make_hyperbola_product, make_torus, resolve
 from .immersion import AxisDomain, induced_geometry_batch, sample_grid, structural_residuals
-from .quadrature import GridSpec, GridTooLargeError
+from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
 from .variation import (
     MetricField,
@@ -800,8 +800,8 @@ def run_all(
         num, title, fn = item
         try:
             checks = fn(ctx)
-        except GridTooLargeError:
-            raise  # an input too large to run is a usage error, not a failed check
+        except (GridTooLargeError, SupportError):
+            raise  # an input too large to run, or a box that cuts a support, is a usage error
         except Exception as exc:  # a crashed criterion is a failed criterion
             checks = [
                 _check(num, f"criterion-{num}:error", title, "runtime failure", "completion",

@@ -32,7 +32,9 @@ from hamstab.catalog import (
 from hamstab.quadrature import Grid, GridSpec, GridTooLargeError, JetFormField, build_grid, integrate
 from hamstab.testfunctions import jet_from_coordinates, jet_orders
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
-from hamstab.variation import evaluate_functional, second_variation
+from hamstab.variation import SecondVariationFunctional, evaluate_functional, jet_field, second_variation
+
+from helpers import gradient_graph_chart
 
 
 # ------------------------------------------------------------- mode values
@@ -61,6 +63,9 @@ def test_mode_value_zero_mode_rejected():
         ModeVector((0, 0))
     with pytest.raises(ValueError):
         torus_mode_value((1.0,), 2, (1,))
+    for radii in ((-1.0, 1.0), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="radii must be positive"):
+            torus_mode_value(radii, 1, (1, 1))
 
 
 def test_mode_value_agrees_with_quadrature():
@@ -235,6 +240,69 @@ def test_hyperbola_scaling_records_gradient_form_values():
     # gradient_form_value integrates the same form-only field: rounding apart
     assert record.min_eig == pytest.approx(gradient_form_value(radii, eps, u_w, spec), rel=1e-14)
     assert record.max_eig == gradient_form_value(radii, eps, u_e1, spec)
+
+
+def test_hyperbola_scaling_integrates_once_per_probe(monkeypatch):
+    # the dirgauss:w family with Q(u_w), then V, int u^2 and Q of dirgauss:e1
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "integrate", counted)
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    verdict = classify(resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+"), strategy="scaling_probe")
+    assert verdict.label == "indefinite"
+    assert len(calls) == 2
+
+
+def _separate_probe_values(functional, u, spec, extra_forms=()):
+    """``V(u)``, ``int u^2`` and the sum of each extra form: one integration each."""
+    norm2 = np.zeros((len(jet_orders(u.n)),) * 2)
+    norm2[0, 0] = 1.0
+    sums = [integrate(jet_field(m, u), functional.domains, spec, boxes=u.axis_boxes) for m in (norm2, *extra_forms)]
+    return (evaluate_functional(functional, u, spec), *sums)
+
+
+def test_probe_values_match_one_integration_per_value():
+    for cid in default_catalog_ids():
+        entry = resolve(cid)
+        for u in witness_library(entry.functional.domains):
+            got = analyzer._probe_values(entry.functional, u, entry.default_gridspec)
+            assert got == _separate_probe_values(entry.functional, u, entry.default_gridspec), (cid, u.label)
+
+
+@pytest.mark.parametrize(
+    "functional, u",
+    [
+        # point-dependent V: integrated point by point, the rest as one stack
+        (SecondVariationFunctional(gradient_graph_chart()), Separable([Gauss1D(1.0), Gauss1D(1.0)])),
+        (resolve("plane:n=2,p=1").functional, Separable([Gauss1D(1.0), Gauss1D(0.7)])),
+        # not separable: one weighted jet Gram walk for the whole stack
+        (resolve("plane:n=2,p=1").functional, AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])),
+    ],
+)
+def test_probe_values_with_an_extra_form(functional, u):
+    spec = GridSpec(line_nodes=24)
+    extra = np.arange(36.0).reshape(6, 6) / 36.0
+    extra = extra + extra.T
+    assert analyzer._probe_values(functional, u, spec) == _separate_probe_values(functional, u, spec)
+    assert analyzer._probe_values(functional, u, spec, [extra]) == _separate_probe_values(functional, u, spec, [extra])
+
+
+def test_witnesses_take_the_best_value_that_clears_its_threshold():
+    entry = resolve("plane:n=2,p=0")
+    u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
+    # 1.0 is under its threshold WITNESS_RTOL * 1e10 = 100; 0.5 clears 1e-8
+    large = ("large", u, 1.0, 1e10)
+    small = ("small", u, 0.5, 1.0)
+    negative = ("negative", u, -2.0, 1.0)
+    assert analyzer._witnesses(entry, [large, small, negative], None) == (
+        analyzer.Witness("small", 0.5),
+        analyzer.Witness("negative", -2.0),
+    )
+    assert analyzer._witnesses(entry, [large], None) == (None, None)
 
 
 def test_gradient_form_value_on_an_oversized_mesh_fails_fast():

@@ -155,6 +155,8 @@ def test_sweep_bad_axis(runner):
         ("tn:kappa=1,K=0", "kappa:lo=0,hi=x,steps=3", "'x'"),
         ("torus:n=2,r=1,1,p=1", "radius:lo=0.5,0.7,hi=2,steps=2", "lo takes a single value"),
         ("tn:kappa=1,K=0", "kappa:lo=0,hi=1,2,steps=3", "hi takes a single value"),
+        ("torus:n=2,r=1,1,p=1", "radius:lo=-1,hi=1,steps=3", "radius ratios must be positive"),
+        ("torus:n=2,r=1,1,p=1", "radius:lo=1,hi=0,steps=3", "radius ratios must be positive"),
     ],
 )
 def test_sweep_bad_values_are_usage_errors(runner, cid, axis, bad):
@@ -272,6 +274,8 @@ def test_analyze_oversized_grid_is_a_usage_error(runner):
         (["analyze", "--catalog-id", "plane:n=2,p=0", "--box", "3"], "at the box boundary"),
         (["analyze", "--catalog-id", "plane:n=2,p=0", "--box", "20000"], "exceeds the domain truncation"),
         (["tube-table", "--box", "3"], "at the box boundary"),
+        (["verify-paper", "--box", "3", "--criteria", "7"], "at the box boundary"),
+        (["verify-paper", "--box", "20000", "--criteria", "7"], "exceeds the domain truncation"),
     ],
 )
 def test_box_cutting_a_support_is_a_usage_error(runner, args, message):

@@ -115,7 +115,7 @@ def test_fast_path_matches_mesh_path(case):
     assert u.separable_terms() is not None
     with counting_meshes() as calls:
         fast = evaluate_functional(functional, u, SMALL)
-        fast_norm = analyzer._witness_norm2(functional, u, SMALL)
+        fast_norm = analyzer._probe_values(functional, u, SMALL)[1]
     assert calls == [], cid
     ref = mesh_value(functional, u, SMALL)
     assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref)), (cid, fast, ref)
@@ -195,7 +195,7 @@ def test_plane_waves_on_tori_sum_factorize(cid):
             assert u.separable_terms() is not None
             with counting_meshes() as calls:
                 fast = evaluate_functional(functional, u, SMALL)
-                fast_norm = analyzer._witness_norm2(functional, u, SMALL)
+                fast_norm = analyzer._probe_values(functional, u, SMALL)[1]
             assert calls == [], (cid, u.label)
             ref = mesh_value(functional, u, SMALL)
             assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref)), (cid, u.label, fast, ref)
@@ -359,7 +359,7 @@ def test_one_pass_dilation_family_matches_per_t(cid, schedule):
         ut = dilated(u, t, report.axes, report.prefactor_exponent)
         ref = evaluate_functional(entry.functional, ut, spec)
         assert abs(value - ref) <= 1e-13 * scale, (cid, t, value, ref)
-        ref_norm = analyzer._witness_norm2(entry.functional, ut, spec)
+        ref_norm = analyzer._probe_values(entry.functional, ut, spec)[1]
         assert abs(norm2 - ref_norm) <= 1e-13 * ref_norm, (cid, t, norm2, ref_norm)
 
 
@@ -371,8 +371,9 @@ def test_fixed_line_box_takes_the_per_t_loop():
     with counting_meshes() as calls:
         report = analyzer.scaling_probe(entry.functional, u, schedule, gridspec=spec)
     assert len(calls) == len(schedule)
-    assert report.norms is None
-    assert report.entries == [(t, evaluate_functional(entry.functional, dilated(u, t, (0, 1, 2), 0.5), spec)) for t in schedule]
+    members = [dilated(u, t, (0, 1, 2), 0.5) for t in schedule]
+    assert report.entries == [(t, evaluate_functional(entry.functional, ut, spec)) for t, ut in zip(schedule, members)]
+    assert report.norms == [analyzer._probe_values(entry.functional, ut, spec)[1] for ut in members]
 
 
 def test_one_pass_family_keeps_the_per_t_checks():
