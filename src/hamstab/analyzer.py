@@ -325,7 +325,9 @@ def hyperbola_direction_probes(radii, branch_signs):
 class ScalingReport:
     """Values ``(t, V(u^t))`` of a dilation family.  Per entry, ``norms``
     holds ``int (u^t)^2`` and ``probes`` the member ``u^t``; ``extras`` holds
-    the sums of the requested extra jet forms on the jets of ``u`` itself."""
+    the sums of the requested extra jet forms on the jets of ``u`` itself.
+    ``positives`` and ``negatives`` are the ``t`` whose value clears the
+    witness threshold (:func:`_clears`) with that sign."""
 
     probe_label: str
     axes: tuple[int, ...]
@@ -337,11 +339,11 @@ class ScalingReport:
 
     @property
     def positives(self) -> list[float]:
-        return [t for t, v in self.entries if v > 0]
+        return [t for (t, v), norm2 in zip(self.entries, self.norms) if _clears(1, v, norm2)]
 
     @property
     def negatives(self) -> list[float]:
-        return [t for t, v in self.entries if v < 0]
+        return [t for (t, v), norm2 in zip(self.entries, self.norms) if _clears(-1, v, norm2)]
 
     @property
     def sign_change(self) -> bool:
@@ -581,12 +583,17 @@ def _sign_witnesses(entry, pool, gridspec) -> tuple[Witness | None, Witness | No
     return (*_witnesses(entry, candidates, gridspec), [value for _, _, value, _ in candidates])
 
 
+def _clears(sign: int, value: float, norm2: float) -> bool:
+    """Whether ``sign * value`` clears the threshold ``WITNESS_RTOL * int u^2``."""
+    return sign * value > WITNESS_RTOL * max(norm2, 1e-30)
+
+
 def _witnesses(entry, candidates, gridspec) -> tuple[Witness | None, Witness | None]:
     """The best positive and negative witnesses among ``(label, u, value,
     norm2)`` candidates.
 
     A candidate witnesses its sign when ``sign * value`` clears the
-    norm-scaled threshold ``WITNESS_RTOL * int u^2``; of those, the first of
+    norm-scaled threshold of :func:`_clears`; of those, the first of
     largest ``sign * value`` is reported.  Values within ``TIE_RTOL`` of the
     best are ties at rounding level (as for probes that mirror each other on
     a symmetric functional); they are ordered by the reference mesh
@@ -595,7 +602,7 @@ def _witnesses(entry, candidates, gridspec) -> tuple[Witness | None, Witness | N
     """
     out = []
     for sign in (1, -1):
-        above = [c for c in candidates if sign * c[2] > WITNESS_RTOL * max(c[3], 1e-30)]
+        above = [c for c in candidates if _clears(sign, c[2], c[3])]
         top = max((sign * value for _, _, value, _ in above), default=0.0)
         tied = [c for c in above if top - sign * c[2] <= TIE_RTOL * top]
         if len(tied) > 1:

@@ -8,12 +8,12 @@ tubes in the spaces of geodesics of 3-dimensional space forms, rank-one
 surfaces in the tangent bundle of a Riemannian surface) enter through
 closed-form quadratic functionals with their sign data.
 
-A closed-form functional is one list of weighted squares
-``w(s) * (L . jet)^2`` of jet-linear terms (:class:`JetSquareTerm`), and
-everything else derives from that list: the pointwise integrand is the sum
-of the terms, evaluated as a :class:`SumOfSquares` certificate evaluates
-its own, and the constant jet form ``sum w L L^T`` of either exists exactly
-when every weight and coefficient is a number.  A tube or rank-one
+A closed-form functional is one list of weighted squares ``w(s) * (L . jet)^2``
+(:class:`hamstab.variation.JetSquareTerm`), and everything else derives from
+that list: the pointwise integrand is the sum of the terms, evaluated as a
+:class:`SumOfSquares` certificate evaluates its own, and the constant jet
+form ``sum w L L^T`` of either (built as a flat chart functional's) exists
+exactly when every weight and coefficient is a number.  A tube or rank-one
 certificate is the functional's own term list, so its residual against the
 integrand is zero; the hyperbola and plane certificates stay independent
 term lists, checked against the jet form of the chart functional.
@@ -35,7 +35,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -44,8 +43,7 @@ from .geometry import AmbientFlat
 from .immersion import AxisDomain, LagrangianChart, chart_from_components
 from .jets import Jet2, jcos, jcosh, jsin, jsinh
 from .quadrature import GridSpec
-from .testfunctions import jet_from_coordinates, jet_orders
-from .variation import SecondVariationFunctional
+from .variation import JetSquareTerm, SecondVariationFunctional, _jet_form, _sum_of_squares
 
 __all__ = [
     "CatalogIdError",
@@ -73,63 +71,6 @@ class CatalogIdError(ValueError):
 
 
 # ------------------------------------------------------------- functionals
-
-def _at(value, points: np.ndarray):
-    """A number, or a function of the points evaluated at them."""
-    return np.asarray(value(points), dtype=float) if callable(value) else float(value)
-
-
-@dataclass(frozen=True)
-class JetSquareTerm:
-    """One ``weight * L(jet)^2`` term with ``L(jet) = g . du + h : d2u``.
-
-    The weight and each coefficient of ``g`` (``grad_coeffs``) and ``h``
-    (``hess_coeffs``) is a number or a function of the points.
-    """
-
-    weight: float | Callable[[np.ndarray], np.ndarray]
-    grad_coeffs: tuple
-    hess_coeffs: tuple
-
-    @property
-    def is_constant(self) -> bool:
-        """Whether the weight and every coefficient are numbers."""
-        return not any(map(callable, (self.weight, *self.grad_coeffs, *chain.from_iterable(self.hess_coeffs))))
-
-    def linear_value(self, points: np.ndarray, jet) -> np.ndarray:
-        _, du, d2u = jet
-        parts = [(c, du[:, i]) for i, c in enumerate(self.grad_coeffs)]
-        parts += [(c, d2u[:, i, j]) for i, row in enumerate(self.hess_coeffs) for j, c in enumerate(row)]
-        out = np.zeros(len(du))
-        for c, x in parts:
-            if callable(c) or c != 0:
-                out += _at(c, points) * x
-        return out
-
-    def weight_values(self, points: np.ndarray):
-        """The weight at the points: a number when it is constant."""
-        return _at(self.weight, points)
-
-
-def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -> np.ndarray:
-    out = np.zeros(len(points))
-    for term in terms:
-        out += term.weight_values(points) * term.linear_value(points, jet) ** 2
-    return out
-
-
-def _jet_form(terms: tuple[JetSquareTerm, ...]) -> np.ndarray | None:
-    """The matrix ``M = sum_i w_i L_i L_i^T`` of the sum of squares ``j^T M j``
-    (jet coordinates of :func:`hamstab.testfunctions.jet_orders`), or None
-    when a weight or coefficient is a function of the points."""
-    if not all(t.is_constant for t in terms):
-        return None
-    n = len(terms[0].grad_coeffs)
-    size = len(jet_orders(n))
-    unit = jet_from_coordinates(np.eye(size), n)
-    vectors = [t.linear_value(np.zeros((size, n)), unit) for t in terms]
-    return sum(t.weight * np.outer(v, v) for t, v in zip(terms, vectors))
-
 
 @dataclass
 class ClosedFormFunctional:
@@ -208,7 +149,7 @@ def _curve_product_chart(
     if oracle == "dual_number":
         comps = [lambda S, j=j, a=a: curve_jet(j, S[j])[a] for j in range(n) for a in (0, 1)]
         return chart_from_components(
-            ambient, domains, comps, name=name, metric_is_constant=True, geometry_is_constant=True
+            ambient, domains, comps, name=name, geometry_is_constant=True
         )
 
     def derivatives(points, orders):
@@ -226,7 +167,6 @@ def _curve_product_chart(
         domains=domains,
         oracle=lambda points: tuple(derivatives(points, (0, 1, 2))),
         name=name,
-        metric_is_constant=True,
         geometry_is_constant=True,
         d3f=lambda points: derivatives(points, (3,))[0],
     )

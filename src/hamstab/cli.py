@@ -26,6 +26,8 @@ from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .verification import run_all
 
 STRATEGIES = ["fourier_sweep", "scaling_probe", "sos_certificate", "spectral_criterion"]
+# Largest kmax or steps of a sweep; checked before any row is built.
+MAX_SWEEP_ROWS = 100_000
 
 
 def _gridspec(grid: int | None, box: float | None) -> GridSpec | None:
@@ -167,8 +169,8 @@ def sweep(catalog_id, axis_spec, fmt, out, grid, box, seed) -> None:
 
 def _count(vals: list[str], what: str) -> int:
     value = _int(vals, what)
-    if value < 1:
-        raise CatalogIdError(f"{what} must be a positive integer, got {value}")
+    if not 1 <= value <= MAX_SWEEP_ROWS:
+        raise CatalogIdError(f"{what} must be an integer in [1, {MAX_SWEEP_ROWS}], got {value}")
     return value
 
 

@@ -100,14 +100,15 @@ class LagrangianChart:
     the oracle computes (closed form, or dual numbers as in
     :func:`chart_from_components`).
 
-    ``metric_is_constant`` marks charts whose induced metric is constant in
-    these coordinates (all the closed-form catalog charts); it lets the
-    second-variation assembly skip finite-difference metric derivatives.
-    ``geometry_is_constant`` additionally marks charts whose cubic form and
-    mean-curvature covector are constant, so the second-variation integrand
-    may be assembled from the geometry at the origin (this also keeps
-    far-out probe evaluations away from overflowing oracle factors; the
-    structural checks still sample the oracle itself).  ``d3f``, when
+    ``geometry_is_constant`` marks charts whose induced metric, cubic form,
+    mean-curvature covector and volume density are constant in these
+    coordinates (all the curve-product catalog charts).  The
+    second-variation functional then skips finite-difference metric
+    derivatives and assembles its integrand and constant jet form from the
+    geometry at the origin (this also keeps far-out probe evaluations away
+    from overflowing oracle factors; the structural checks still sample the
+    oracle itself).  The functional checks the declaration against a sample
+    grid and raises ``ValueError`` when it does not hold.  ``d3f``, when
     given, returns the third partials ``f_ijk``; :func:`structural_residuals`
     then takes the exact divergence.
     """
@@ -116,7 +117,6 @@ class LagrangianChart:
     domains: tuple[AxisDomain, ...]
     oracle: ImmersionOracle = field(repr=False)
     name: str = ""
-    metric_is_constant: bool = False
     geometry_is_constant: bool = False
     d3f: ThirdDerivatives | None = field(default=None, repr=False)
 
@@ -136,7 +136,6 @@ def chart_from_components(
     domains: Sequence[AxisDomain],
     components: Sequence[Callable[[list[Jet2]], Jet2]],
     name: str = "",
-    metric_is_constant: bool = False,
     geometry_is_constant: bool = False,
 ) -> LagrangianChart:
     """Build a dual-number chart from scalar component functions.
@@ -169,7 +168,6 @@ def chart_from_components(
         domains=tuple(domains),
         oracle=oracle,
         name=name,
-        metric_is_constant=metric_is_constant,
         geometry_is_constant=geometry_is_constant,
     )
 

@@ -26,24 +26,29 @@ Sign convention: ``lap = div grad``, so on the flat unit torus
 ``-lap cos(s_1) = cos(s_1)`` (eigenvalue +1).
 
 A functional whose integrand is a constant quadratic form ``j^T M j`` in the
-jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``: a chart functional
-finds it once by :func:`polarized_form` from the integrand itself, a
-closed-form functional of :mod:`hamstab.catalog` sums it from its weighted
-squares; point-dependent functionals carry None.  :func:`evaluate_functional`
-integrates ``M`` as a :func:`jet_field`, never contracted point by point.
+jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``.  Every such ``M``
+is summed by one builder from a list of weighted squares
+``w (L . jet)^2`` (:class:`JetSquareTerm`): a chart functional on a chart
+with ``geometry_is_constant`` writes its integrand at the origin geometry as
+squares (after checking that the geometry is constant on a sample grid), and
+the closed-form functionals and certificates of :mod:`hamstab.catalog` are
+such lists; point-dependent functionals carry None.
+:func:`evaluate_functional` integrates ``M`` as a :func:`jet_field`, never
+contracted point by point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from . import quadrature
-from .immersion import REL_STEP, AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch
+from .immersion import REL_STEP, AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch, sample_grid
 from .quadrature import GridSpec
-from .testfunctions import LinComb, TestFunction, compatible_with, jet_from_coordinates, jet_orders
+from .testfunctions import LinComb, TestFunction, compatible_with, jet_coordinates
 
 __all__ = [
     "MetricField",
@@ -52,7 +57,7 @@ __all__ = [
     "SecondVariationFunctional",
     "RawHessianFunctional",
     "as_functional",
-    "polarized_form",
+    "JetSquareTerm",
     "jet_field",
     "evaluate_functional",
     "second_variation",
@@ -80,18 +85,12 @@ class MetricField:
 
     @classmethod
     def flat(cls, signs) -> "MetricField":
-        d = np.diag(np.asarray(signs, dtype=float))
-        return cls.constant_matrix(d, name=f"flat{tuple(int(s) for s in signs)}")
-
-    @classmethod
-    def constant_matrix(cls, matrix, name: str = "constant") -> "MetricField":
-        m = np.asarray(matrix, dtype=float)
+        m = np.diag(np.asarray(signs, dtype=float))
 
         def g_fn(pts):
-            pts = np.atleast_2d(pts)
-            return np.broadcast_to(m, (len(pts),) + m.shape).copy()
+            return np.broadcast_to(m, (len(np.atleast_2d(pts)),) + m.shape).copy()
 
-        return cls(dim=m.shape[0], g_fn=g_fn, constant=True, name=name)
+        return cls(dim=m.shape[0], g_fn=g_fn, constant=True, name=f"flat{tuple(int(s) for s in signs)}")
 
     def g(self, pts) -> np.ndarray:
         return self.g_fn(np.atleast_2d(np.asarray(pts, dtype=float)))
@@ -138,43 +137,87 @@ def laplacian(u: TestFunction, m: MetricField, s) -> float:
     return float(_laplacian_batch(u, m, np.atleast_2d(np.asarray(s, dtype=float)))[0])
 
 
+# ------------------------------------------------------------ jet forms
+
+def _at(value, points: np.ndarray):
+    """A number, or a function of the points evaluated at them."""
+    return np.asarray(value(points), dtype=float) if callable(value) else float(value)
+
+
+@dataclass(frozen=True)
+class JetSquareTerm:
+    """One ``weight * L(jet)^2`` term with ``L(jet) = g . du + h : d2u``.
+
+    The weight and each coefficient of ``g`` (``grad_coeffs``) and ``h``
+    (``hess_coeffs``) is a number or a function of the points.
+    """
+
+    weight: float | Callable[[np.ndarray], np.ndarray]
+    grad_coeffs: tuple
+    hess_coeffs: tuple
+
+    @property
+    def is_constant(self) -> bool:
+        """Whether the weight and every coefficient are numbers."""
+        return not any(map(callable, (self.weight, *self.grad_coeffs, *chain.from_iterable(self.hess_coeffs))))
+
+    def linear_value(self, points: np.ndarray, jet) -> np.ndarray:
+        _, du, d2u = jet
+        parts = [(c, du[:, i]) for i, c in enumerate(self.grad_coeffs)]
+        parts += [(c, d2u[:, i, j]) for i, row in enumerate(self.hess_coeffs) for j, c in enumerate(row)]
+        out = np.zeros(len(du))
+        for c, x in parts:
+            if callable(c) or c != 0:
+                out += _at(c, points) * x
+        return out
+
+    def weight_values(self, points: np.ndarray):
+        """The weight at the points: a number when it is constant."""
+        return _at(self.weight, points)
+
+
+def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -> np.ndarray:
+    out = np.zeros(len(points))
+    for term in terms:
+        out += term.weight_values(points) * term.linear_value(points, jet) ** 2
+    return out
+
+
+def _jet_form(terms: tuple[JetSquareTerm, ...]) -> np.ndarray | None:
+    """The matrix ``M = sum_i w_i L_i L_i^T`` of the sum of squares ``j^T M j``
+    (jet coordinates of :func:`hamstab.testfunctions.jet_orders`), or None
+    when a weight or coefficient is a function of the points."""
+    if not all(t.is_constant for t in terms):
+        return None
+    h = np.array([t.hess_coeffs for t in terms], dtype=float)
+    hess = h + h.swapaxes(1, 2) - h * np.eye(h.shape[1])  # on the u_ij coordinate: h_ij + h_ji, or h_ii
+    vectors = jet_coordinates((np.zeros(len(terms)), np.array([t.grad_coeffs for t in terms], dtype=float), hess))
+    return sum(t.weight * np.outer(v, v) for t, v in zip(terms, vectors))
+
+
+def _quadratic_squares(A: np.ndarray, rows: np.ndarray, n: int) -> list[JetSquareTerm]:
+    """``sum_pq A_pq L_p L_q`` over jet-linear ``L_p`` (rows of ``n``
+    coefficients on ``du``, then ``n * n`` on ``d2u``) as weighted squares:
+    ``A_pp L_p^2``, and ``a ((L_p + L_q)^2 - (L_p - L_q)^2)`` with
+    ``a = (A_pq + A_qp) / 4`` for each ``p < q``; zero weights are dropped."""
+    p, q = np.triu_indices(len(A), k=1)
+    a = 0.25 * (A[p, q] + A[q, p])
+    terms = zip(np.concatenate([np.diag(A), a, -a]), np.concatenate([rows, rows[p] + rows[q], rows[p] - rows[q]]))
+    return [JetSquareTerm(float(w), tuple(v[:n]), tuple(map(tuple, v[n:].reshape(n, n)))) for w, v in terms if w]
+
+
 # --------------------------------------------------------------- functionals
 
-# Relative mismatch between a polarized form and its integrand that marks
-# the coefficients as point-dependent.
-FORM_CHECK_RTOL = 1e-9
+# Largest _constancy_deviation of a chart flagged geometry_is_constant.
+CONSTANT_GEOMETRY_RTOL = 1e-12
 
 
-def polarized_form(integrand, n: int) -> np.ndarray:
-    """The constant (J, J) matrix ``M`` with ``integrand(s, j) = j^T M j``.
-
-    One batched integrand call at the origin on the unit jets ``e_p`` and
-    ``e_p + e_q`` (p < q, coordinates of
-    :func:`hamstab.testfunctions.jet_orders`) gives ``M_pp = V(e_p)`` and
-    ``M_pq = (V(e_p + e_q) - M_pp - M_qq) / 2``.  ``M`` is then checked
-    against the integrand at fixed points and jets; a mismatch means the
-    coefficients are not constant and raises ``ValueError``.
-    """
-    size = len(jet_orders(n))
-    unit = np.eye(size)
-    p, q = np.triu_indices(size, k=1)
-    coords = np.concatenate([unit, unit[p] + unit[q]])
-    vals = np.asarray(integrand(np.zeros((len(coords), n)), jet_from_coordinates(coords, n)), dtype=float)
-    form = np.diag(vals[:size])
-    form[p, q] = form[q, p] = 0.5 * (vals[size:] - vals[p] - vals[q])
-
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-3.0, 3.0, size=(4, n))
-    jets = rng.standard_normal((4, size))
-    got = np.asarray(integrand(pts, jet_from_coordinates(jets, n)), dtype=float)
-    want = np.einsum("np,pq,nq->n", jets, form, jets)
-    scale = np.einsum("np,pq,nq->n", np.abs(jets), np.abs(form), np.abs(jets))
-    if np.any(np.abs(got - want) > FORM_CHECK_RTOL * np.maximum(scale, 1.0)):
-        raise ValueError(
-            "the integrand was declared to have constant coefficients but is not a "
-            "constant quadratic form in the jet"
-        )
-    return form
+def _constancy_deviation(chart: LagrangianChart, origin: dict, points: np.ndarray) -> float:
+    """Worst ``|x - x_0| / max(1, |x_0|)`` of ``g``, ``C``, ``nH_cov`` and
+    ``vol`` at the points against their values ``x_0`` at the origin."""
+    geo = induced_geometry_batch(chart, points)
+    keys = ("g", "C", "nH_cov", "vol")
+    return max(float(np.max(np.abs(geo[k] - origin[k]) / np.maximum(1.0, np.abs(origin[k])))) for k in keys)
 
 
 class SecondVariationFunctional:
@@ -183,16 +226,38 @@ class SecondVariationFunctional:
     The geometry arrays carry a leading point axis: the induced geometry at
     each point, or on charts with ``geometry_is_constant`` the geometry at
     the origin with a length-1 point axis that broadcasts against the jets.
-    Subclasses replace only :meth:`second_order_term`.
+    That declaration is checked on a 3-per-axis sample grid, and such a
+    chart's ``jet_form`` is summed from the origin geometry's weighted squares
+    (:meth:`_jet_terms`).  Subclasses replace :meth:`second_order_term` and
+    :meth:`second_order_squares`.
     """
 
     def __init__(self, chart: LagrangianChart):
         self.chart = chart
         self.domains = chart.domains
-        self._origin = (
-            induced_geometry_batch(chart, np.zeros((1, chart.dim))) if chart.geometry_is_constant else None
-        )
-        self.jet_form = None if self._origin is None else polarized_form(self.integrand, chart.dim)
+        self._origin = self.jet_form = None
+        if chart.geometry_is_constant:
+            self._origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
+            deviation = _constancy_deviation(chart, self._origin, sample_grid(chart, per_axis=3, line_window=1.0))
+            if deviation > CONSTANT_GEOMETRY_RTOL:
+                raise ValueError(
+                    f"chart {chart.name!r} is declared geometry_is_constant, but its geometry "
+                    f"deviates from the origin's by {deviation:.3e} (relative)"
+                )
+            self.jet_form = _jet_form(self._jet_terms())
+
+    def _jet_terms(self) -> list[JetSquareTerm]:
+        """The integrand at the origin geometry as weighted squares: ``eps vol``
+        times the second-order squares, ``vol (H_k g^{kl} u_l)^2``, and the
+        cubic term ``-2 vol C_ijk (g du)^i (g du)^j (g H)^k`` as a quadratic
+        form in ``du``."""
+        n = self.chart.dim
+        ginv, C, vol = self._origin["g_inv"][0], self._origin["C"][0], float(self._origin["vol"][0])
+        c_up = ginv @ self._origin["nH_cov"][0]
+        cubic = -2.0 * vol * ginv @ np.einsum("ijk,k->ij", C, c_up) @ ginv
+        pair = JetSquareTerm(vol, tuple(c_up), ((0.0,) * n,) * n)
+        second = self.second_order_squares(self.chart.ambient.eps * vol, ginv)
+        return second + [pair] + _quadratic_squares(cubic, np.eye(n, n + n * n), n)
 
     def integrand(self, points: np.ndarray, jet) -> np.ndarray:
         _, du, d2u = jet
@@ -208,12 +273,16 @@ class SecondVariationFunctional:
 
     def second_order_term(self, geo, du, d2u) -> np.ndarray:
         """``(lap u)^2``, with the finite-difference metric-derivative
-        correction of the Laplacian on charts whose metric varies."""
+        correction of the Laplacian on charts whose geometry varies."""
         lap = np.einsum("...ij,...ij->...", geo["g_inv"], d2u)
-        if not self.chart.metric_is_constant:
+        if not self.chart.geometry_is_constant:
             steps = [REL_STEP * dom.scale for dom in self.domains]
             lap += np.einsum("nj,nj->n", _metric_drift(self._metric, geo["points"], steps, geo["vol"]), du)
         return lap * lap
+
+    def second_order_squares(self, weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
+        """``weight (g^{ij} u_ij)^2`` for a constant ``g^{-1}``."""
+        return [JetSquareTerm(weight, (0.0,) * len(ginv), tuple(map(tuple, ginv)))]
 
     def _metric(self, points: np.ndarray):
         geo = induced_geometry_batch(self.chart, points)
@@ -223,16 +292,20 @@ class SecondVariationFunctional:
 class RawHessianFunctional(SecondVariationFunctional):
     """Intermediate form with the squared Hessian in place of ``(lap u)^2``.
 
-    Restricted to charts whose induced metric is constant in the chart
-    coordinates, where the covariant Hessian reduces to raw second partials.
+    Restricted to charts with ``geometry_is_constant``, whose induced metric
+    is constant in the chart coordinates, where the covariant Hessian
+    reduces to raw second partials.
     """
 
     def __init__(self, chart: LagrangianChart):
-        if not chart.metric_is_constant:
-            raise ValueError(
-                "raw-Hessian form needs a chart with constant induced metric coefficients"
-            )
+        if not chart.geometry_is_constant:
+            raise ValueError("raw-Hessian form needs a chart with constant induced metric coefficients")
         super().__init__(chart)
+
+    def second_order_squares(self, weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
+        """``weight g^{ik} g^{jl} u_ij u_kl``, a quadratic form in the ``u_ij``."""
+        n = len(ginv)
+        return _quadratic_squares(weight * np.kron(ginv, ginv), np.eye(n * n, n + n * n, k=n), n)
 
     def second_order_term(self, geo, du, d2u) -> np.ndarray:
         """``g^{ik} g^{jl} u_ij u_kl``."""

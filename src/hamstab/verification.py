@@ -27,17 +27,11 @@ from .analyzer import (
     verify_certificate,
     wirtinger_bound,
 )
-from .catalog import ClosedFormFunctional, CurveData, JetSquareTerm, make_hyperbola_product, make_torus, resolve
+from .catalog import ClosedFormFunctional, CurveData, default_catalog_ids, make_hyperbola_product, make_torus, resolve
 from .immersion import AxisDomain, induced_geometry_batch, sample_grid, structural_residuals
 from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
-from .variation import (
-    MetricField,
-    bochner_residual,
-    evaluate_functional,
-    reilly_residual,
-    second_variation,
-)
+from .variation import JetSquareTerm, MetricField, bochner_residual, evaluate_functional, reilly_residual, second_variation
 
 __all__ = ["CheckResult", "run_criterion", "run_all", "CRITERIA"]
 
@@ -641,22 +635,7 @@ def _criterion_10(ctx) -> list[CheckResult]:
 
 # ------------------------------------------------------------ criterion 11
 
-_FLAT_CHART_IDS = [
-    "torus:n=1,r=1,p=0",
-    "torus:n=2,r=1,1,p=1",
-    "torus:n=2,r=1,2,p=1",
-    "torus:n=3,r=1,2,3,p=1",
-    "torus:n=3,r=1,1,1,p=2",
-    "hyperbola:n=1,r=1,eps=+",
-    "hyperbola:n=1,r=1,eps=-",
-    "hyperbola:n=2,r=1,3,eps=+,+",
-    "hyperbola:n=2,r=1,2,eps=+,-",
-    "hyperbola:n=3,r=1,1,1,eps=+,+,+",
-    "hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+",
-    "plane:n=2,p=0",
-    "plane:n=2,p=1",
-    "plane:n=2,amb=para",
-]
+_FLAT_CHART_IDS = [cid for cid in default_catalog_ids() if cid.startswith(("torus:", "hyperbola:", "plane:"))]
 
 
 def _criterion_11(ctx) -> list[CheckResult]:

@@ -7,6 +7,7 @@ test exercises the CLI determinism requirement end to end.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,7 @@ from hamstab.verification import CRITERIA, run_all, run_criterion
 
 CRITERION_IDS = [num for num, _, _ in CRITERIA]
 CRITERION_TITLES = {num: title for num, title, _ in CRITERIA}
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +60,16 @@ def test_zero_valued_checks_print_against_their_floor(full_report):
     # on the coarse grid the rounding noise has the other sign; the text does not move
     coarse = {c.check_id: c for c in run_criterion(8, GridSpec(circle_nodes=8, line_nodes=8))}
     assert coarse["sphere-marginal-mode"].actual == checks["sphere-marginal-mode"]["actual"]
+
+
+def test_report_check_ids_match_the_benchmark_golden_table(full_report):
+    # perfbench compares a paper pass with golden.json by check ID, so a new
+    # or renamed report line must also be recorded there
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)["workloads"]["paper"]
+    ids = [c["check_id"] for block in full_report["criteria"] for c in block["checks"]]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == set(golden)
 
 
 def test_report_passes_overall(full_report):

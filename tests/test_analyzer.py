@@ -7,6 +7,7 @@ from hamstab import analyzer, quadrature
 from hamstab.analyzer import (
     GRADIENT_FORM_NOTE,
     ModeVector,
+    ScalingReport,
     assemble_form,
     classify,
     gradient_form_value,
@@ -195,6 +196,17 @@ def test_scaling_probe_h3_sign_change():
     assert report.sign_change
     assert report.positives and min(report.positives) <= 0.1
     assert report.negatives
+
+
+def test_scaling_report_counts_only_values_above_the_witness_threshold():
+    # a grid that misses the dilated probe reads a rounding-level value, which
+    # witnesses no sign; nor does a value below WITNESS_RTOL * int (u^t)^2
+    report = ScalingReport(
+        "bump", (0,), 0.0, entries=[(0.05, -5.66e-287), (1.0, 2.0), (20.0, -1e-9)], norms=[1e-290, 1.0, 1.0]
+    )
+    assert report.positives == [1.0]
+    assert report.negatives == []
+    assert not report.sign_change
 
 
 def test_scaling_probe_ads_plane():

@@ -18,7 +18,6 @@ from hamstab.catalog import (
 )
 from hamstab.immersion import check_h_minimal, induced_geometry, induced_geometry_batch, sample_grid
 from hamstab.testfunctions import jet_from_coordinates
-from hamstab.variation import polarized_form
 
 
 def test_unit_circle_chart():
@@ -230,11 +229,6 @@ def test_closed_form_integrand_is_its_jet_form(functional, seed):
     want = np.einsum("np,pq,nq->n", coords, form, coords)
     scale = np.einsum("np,pq,nq->n", np.abs(coords), np.abs(form), np.abs(coords))
     assert np.all(np.abs(got - want) <= 1e-12 * scale), functional.name
-
-
-@pytest.mark.parametrize("functional", CONSTANT_CLOSED_FORMS, ids=lambda f: f.name)
-def test_polarized_integrand_equals_the_jet_form(functional):
-    assert np.array_equal(polarized_form(functional.integrand, 2), functional.jet_form)
 
 
 def _jet_form_cases():

@@ -157,6 +157,9 @@ def test_sweep_bad_axis(runner):
         ("tn:kappa=1,K=0", "kappa:lo=0,hi=1,2,steps=3", "hi takes a single value"),
         ("torus:n=2,r=1,1,p=1", "radius:lo=-1,hi=1,steps=3", "radius ratios must be positive"),
         ("torus:n=2,r=1,1,p=1", "radius:lo=1,hi=0,steps=3", "radius ratios must be positive"),
+        ("torus:n=1,r=1,p=0", "mode:kmax=100000000", "got 100000000"),
+        ("torus:n=2,r=1,1,p=1", "radius:lo=1,hi=2,steps=100000000", "got 100000000"),
+        ("tn:kappa=1,K=0", "kappa:lo=0,hi=1,steps=100000000", "got 100000000"),
     ],
 )
 def test_sweep_bad_values_are_usage_errors(runner, cid, axis, bad):

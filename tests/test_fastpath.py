@@ -1,5 +1,6 @@
 """Sum-factorized quadrature against the reference mesh path on the same grid."""
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamstab import analyzer, quadrature, verification
-from hamstab.catalog import CurveData, default_catalog_ids, make_rank_one_bundle, resolve
+from hamstab.catalog import CurveData, default_catalog_ids, make_lagrangian_plane, make_rank_one_bundle, resolve
 from hamstab.immersion import AxisDomain
 from hamstab.quadrature import GridSpec, SupportError
 from hamstab.testfunctions import (
@@ -28,7 +29,7 @@ from hamstab.testfunctions import (
     random_bump_poly,
     random_trig_poly,
 )
-from hamstab.variation import SecondVariationFunctional, evaluate_functional, jet_field, polarized_form
+from hamstab.variation import RawHessianFunctional, SecondVariationFunctional, evaluate_functional, jet_field
 
 from helpers import form_rounding_scale, gradient_graph_chart
 
@@ -296,20 +297,22 @@ def test_truncated_support_falls_back_and_raises():
 
 
 def test_wrong_constant_declaration_raises():
-    def integrand(points, jet):
-        _, du, _ = jet
-        return (1.0 + points[:, 0] ** 2) * du[:, 1] ** 2
+    # the gradient graph's metric varies, so the declaration fails the
+    # functional's check on its sample grid instead of giving a jet form
+    chart = dataclasses.replace(gradient_graph_chart(), geometry_is_constant=True)
+    for make in (SecondVariationFunctional, RawHessianFunctional):
+        with pytest.raises(ValueError, match="declared geometry_is_constant"):
+            make(chart)
 
-    with pytest.raises(ValueError, match="constant quadratic form"):
-        polarized_form(integrand, 2)
 
-
-def test_polarized_form_of_the_flat_laplacian_square():
-    # jet coordinates (u, u_0, u_1, u_00, u_01, u_11); (u_00 + u_11)^2
-    form = polarized_form(lambda pts, jet: (jet[2][:, 0, 0] + jet[2][:, 1, 1]) ** 2, 2)
+def test_jet_form_of_the_flat_laplacian_square():
+    # jet coordinates (u, u_0, u_1, u_00, u_01, u_11) on the flat plane in C^2:
+    # (u_00 + u_11)^2, and the squared Hessian u_00^2 + 2 u_01^2 + u_11^2
+    chart = make_lagrangian_plane(2, p=0)
     expect = np.zeros((6, 6))
     expect[np.ix_([3, 5], [3, 5])] = 1.0
-    assert np.array_equal(form, expect)
+    assert np.array_equal(SecondVariationFunctional(chart).jet_form, expect)
+    assert np.array_equal(RawHessianFunctional(chart).jet_form, np.diag([0.0, 0.0, 0.0, 1.0, 2.0, 1.0]))
 
 
 # A dilation family per entry: (probe axes, prefactor exponent, grid).

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hamstab.catalog import default_catalog_ids, make_hyperbola_product, make_lagrangian_plane, make_torus, resolve
 from hamstab.geometry import AmbientFlat
-from hamstab.immersion import AxisDomain, chart_from_components
+from hamstab.immersion import AxisDomain, chart_from_components, induced_geometry_batch, sample_grid
 from hamstab.jets import jcosh, jsin, jsinh
 from hamstab.quadrature import GridSpec, integrate
 from hamstab.testfunctions import (
@@ -18,12 +18,16 @@ from hamstab.testfunctions import (
     Separable,
     TestFunction,
     jet_coordinates,
+    jet_from_coordinates,
     random_bump_poly,
     random_trig_poly,
 )
 from hamstab.variation import (
+    CONSTANT_GEOMETRY_RTOL,
     MetricField,
     RawHessianFunctional,
+    SecondVariationFunctional,
+    _constancy_deviation,
     bochner_residual,
     evaluate_functional,
     gradient,
@@ -32,6 +36,7 @@ from hamstab.variation import (
     second_variation,
     second_variation_raw,
 )
+from hamstab.verification import _FLAT_CHART_IDS
 
 
 class _Bilinear(TestFunction):
@@ -249,6 +254,42 @@ def test_raw_form_needs_constant_metric():
 
     with pytest.raises(ValueError, match="constant induced metric"):
         RawHessianFunctional(gradient_graph_chart())
+
+
+@pytest.mark.parametrize("raw", [False, True], ids=["laplacian", "raw-hessian"])
+@pytest.mark.parametrize("cid", _FLAT_CHART_IDS)
+def test_chart_jet_form_is_the_integrand_at_the_local_geometry(cid, raw):
+    # j^T M j against the integrand written out from the induced geometry at
+    # each random point (not at the origin), to rounding of |j|^T |M| |j|
+    chart = resolve(cid).chart
+    form = (RawHessianFunctional if raw else SecondVariationFunctional)(chart).jet_form
+    rng = np.random.default_rng(7)
+    pts = np.column_stack(
+        [rng.uniform(0.0, d.size, 64) if d.kind == "circle" else rng.uniform(-3.0, 3.0, 64) for d in chart.domains]
+    )
+    coords = rng.standard_normal((64, len(form))) * rng.choice([1e-3, 1.0, 1e3], size=(64, 1))
+    _, du, d2u = jet_from_coordinates(coords, chart.dim)
+    geo = induced_geometry_batch(chart, pts)
+    ginv, H, vol = geo["g_inv"], geo["nH_cov"], geo["vol"]
+    grad_up = np.einsum("nij,nj->ni", ginv, du)
+    c_up = np.einsum("nij,nj->ni", ginv, H)
+    if raw:
+        second = np.einsum("nik,njl,nij,nkl->n", ginv, ginv, d2u, d2u)
+    else:
+        second = np.einsum("nij,nij->n", ginv, d2u) ** 2
+    cubic = np.einsum("nijk,ni,nj,nk->n", geo["C"], grad_up, grad_up, c_up)
+    pair = np.einsum("nk,nk->n", H, grad_up)
+    want = vol * (chart.ambient.eps * second - 2.0 * cubic + pair * pair)
+    got = np.einsum("np,pq,nq->n", coords, form, coords)
+    scale = np.einsum("np,pq,nq->n", np.abs(coords), np.abs(form), np.abs(coords))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("cid", _FLAT_CHART_IDS)
+def test_flat_chart_geometry_is_constant_on_the_structural_grid(cid):
+    chart = resolve(cid).chart
+    origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
+    assert _constancy_deviation(chart, origin, sample_grid(chart, 17)) < CONSTANT_GEOMETRY_RTOL
 
 
 def test_polarized_bilinearity():
