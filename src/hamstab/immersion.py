@@ -51,8 +51,13 @@ ImmersionOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarra
 # Third-derivative signature: points (N, n) -> d3f (N, n, n, n, 2n)
 ThirdDerivatives = Callable[[np.ndarray], np.ndarray]
 
-# Sample points per slice in the structural checks.
-SLICE = 8192
+# Sample points per slice in the structural checks.  One slice's geometry
+# and divergence arrays are alive at a time (``d3f`` alone is 4 KB a point on
+# n = 4), so the slice size bounds the walk's peak memory: the 17^4-point
+# ``hyperbola:n=4`` walk peaks under 10 MB at 1024 points, about 52 MB at
+# 8192.  Slices of 512 to 2048 points walk it in about the same time, 8192
+# more slowly; below that numpy's per-call overhead grows.
+SLICE = 1024
 
 # Central-difference step, relative to the axis scale, of the H-minimal
 # divergence and of metric derivatives in the Laplacian.
@@ -196,10 +201,12 @@ def induced_geometry_batch(chart: LagrangianChart, points) -> dict[str, np.ndarr
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(df)) and np.all(np.isfinite(d2f))):
         raise ValueError("immersion oracle returned non-finite values")
     sgn = chart.ambient.signature.as_array()
-    g = np.einsum("nia,nja,a->nij", df, df, sgn)
+    npts, n = pts.shape
+    # sigma(f_i, f_j) and C_ijk = sigma(f_ij, J f_k) as batched matrix
+    # products, the signature folded into one factor
+    g = (df * sgn) @ df.swapaxes(1, 2)
     det = np.linalg.det(g)
     scale = np.max(np.abs(g), axis=(1, 2))
-    n = chart.dim
     bad = np.abs(det) < 1e-10 * np.maximum(scale, 1e-300) ** n
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -208,8 +215,8 @@ def induced_geometry_batch(chart: LagrangianChart, points) -> dict[str, np.ndarr
         )
     g_inv = np.linalg.inv(g)
     jdf = chart.ambient.j_apply(df)
-    C = np.einsum("nija,nka,a->nijk", d2f, jdf, sgn)
-    nH_cov = np.einsum("nij,nijk->nk", g_inv, C)
+    C = (d2f.reshape(npts, n * n, 2 * n) @ (jdf * sgn).swapaxes(1, 2)).reshape(npts, n, n, n)
+    nH_cov = (g_inv.reshape(npts, 1, n * n) @ C.reshape(npts, n * n, n))[:, 0]
     return {
         "points": pts,
         "f": f,
@@ -255,10 +262,12 @@ def structural_residuals(chart: LagrangianChart, grid: np.ndarray | None = None)
     """Worst Lagrangian, H-minimal and trisymmetry residuals over the grid.
 
     The grid is walked in slices of :data:`SLICE` points with one geometry
-    pass each, which all three read.  ``lagrangian`` is the worst symplectic
-    pairing ``|omega(f_i, f_j)|``.  ``hminimal`` is the worst ``|div X|`` for
-    ``X^l = g^{lk} H_k``, the tangent field of ``n J H`` (sign conventions
-    drop out of the zero test): exact by the product rule when the chart has
+    pass each, which all three read; only one slice's arrays are alive at a
+    time, so the slice size, not the grid, bounds the walk's peak memory.
+    ``lagrangian`` is the worst symplectic pairing ``|omega(f_i, f_j)|``.
+    ``hminimal`` is the worst ``|div X|`` for ``X^l = g^{lk} H_k``, the
+    tangent field of ``n J H`` (sign conventions drop out of the zero
+    test): exact by the product rule when the chart has
     ``d3f`` (:func:`_exact_divergence`), else a central difference of step
     :data:`REL_STEP` times the axis scale, ``2n`` more passes.
     ``trisymmetry`` is the worst deviation of ``C_ijk`` from full symmetry.
@@ -278,6 +287,9 @@ def _slice_residuals(chart: LagrangianChart, pts: np.ndarray) -> list:
     amb = chart.ambient
     geo = induced_geometry_batch(chart, pts)
     df, C = geo["df"], geo["C"]
+    # omega stays an einsum: it sums each product in turn, so a Lagrangian
+    # pairing x*y - y*x is exactly 0, where a BLAS product's fused
+    # multiply-add leaves rounding noise
     omega = amb.eps * np.einsum("nia,nja,a->nij", amb.j_apply(df), df, amb.signature.as_array())
     if chart.d3f is not None:
         div = _exact_divergence(chart, geo)
@@ -306,7 +318,7 @@ def trisymmetry_residual(chart: LagrangianChart, grid: np.ndarray | None = None)
 def _central_h_divergence(chart: LagrangianChart, steps, geo: dict[str, np.ndarray]) -> np.ndarray:
     def weighted_components(p: np.ndarray) -> np.ndarray:
         shifted = induced_geometry_batch(chart, p)
-        xl = np.einsum("nlk,nk->nl", shifted["g_inv"], shifted["nH_cov"])
+        xl = (shifted["g_inv"] @ shifted["nH_cov"][:, :, None])[:, :, 0]
         return shifted["vol"][:, None] * xl
 
     return central_divergence(weighted_components, geo["points"], steps) / geo["vol"]
@@ -328,23 +340,29 @@ def _exact_divergence(chart: LagrangianChart, geo: dict[str, np.ndarray]) -> np.
     are ``g^{lk} g^{ij} d_l C_ijk``.  The second one vanishes identically,
     since ``sigma(A, J A) = eps omega(A, A)``, and is not computed.
     ``g^{ij}`` is contracted into the third derivatives first, so no rank-5
-    array beyond ``d3f`` itself is formed.
+    array beyond ``d3f`` itself is formed.  The contractions are batched
+    matrix products, with the signature folded into one factor; ``dg`` is
+    symmetric in its last two indices, so ``tr(g^{-1} d_l g)`` pairs it
+    with ``g^{-1}`` unflipped.
     """
     amb = chart.ambient
     sgn = amb.signature.as_array()
     df, d2f, g_inv, H = geo["df"], geo["d2f"], geo["g_inv"], geo["nH_cov"]
-    T = np.einsum("nij,nijla->nla", g_inv, chart.d3f(geo["points"]))
-    half = np.einsum("nila,nja,a->nlij", d2f, df, sgn)
+    npts, n = geo["points"].shape
+    m = n * n
+    T = (g_inv.reshape(npts, 1, m) @ chart.d3f(geo["points"]).reshape(npts, m, 2 * m)).reshape(npts, n, 2 * n)
+    half = (d2f.reshape(npts, m, 2 * n) @ (df * sgn).swapaxes(1, 2)).reshape(npts, n, n, n).swapaxes(1, 2)
     dg = half + half.swapaxes(2, 3)
     dg_inv = -(g_inv[:, None] @ dg @ g_inv[:, None])
-    C_raised = np.einsum("nijk,nlk->nlij", geo["C"], g_inv)
-    X = np.einsum("nlk,nk->nl", g_inv, H)
-    E = np.einsum("nlk,nka->nla", g_inv, df)
+    C_raised = (g_inv @ geo["C"].reshape(npts, m, n).swapaxes(1, 2)).reshape(npts, n, n, n)
+    X = g_inv @ H[:, :, None]
+    E = g_inv @ df
+    trace = dg.reshape(npts, n, m) @ g_inv.reshape(npts, m, 1)
     return (
         np.einsum("nllk,nk->n", dg_inv, H)
         + np.einsum("nlij,nlij->n", dg_inv, C_raised)
-        + np.einsum("nla,nla,a->n", T, amb.j_apply(E), sgn)
-        + 0.5 * np.einsum("nij,nlji,nl->n", g_inv, dg, X)
+        + ((T * sgn).reshape(npts, 1, 2 * m) @ amb.j_apply(E).reshape(npts, 2 * m, 1))[:, 0, 0]
+        + 0.5 * (X.swapaxes(1, 2) @ trace)[:, 0, 0]
     )
 
 

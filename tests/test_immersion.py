@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,11 +281,13 @@ def test_closed_form_third_derivatives_match_central_differences(chart):
 
 @pytest.mark.parametrize("make_chart", [polynomial_graph_chart, gradient_graph_chart])
 def test_structural_checks_in_slices_match_one_pass(make_chart, monkeypatch):
-    # 91^2 = 8281 points: one full slice and a partial one, in both orders so
-    # that the worst point falls in each; the polynomial chart takes the exact
-    # divergence, the dual-number chart central differences
+    # 91^2 = 8281 points: several full slices and a partial one, in both
+    # orders so that the worst point falls in different slices; the polynomial
+    # chart takes the exact divergence, the dual-number chart central
+    # differences
     chart = make_chart()
     grid = sample_grid(chart, per_axis=91, line_window=1.5)
+    assert len(grid) > immersion.SLICE and len(grid) % immersion.SLICE
     grids = (grid, grid[::-1])
     sliced = [structural_residuals(chart, g) for g in grids]
     monkeypatch.setattr(immersion, "SLICE", len(grid))
@@ -292,23 +296,27 @@ def test_structural_checks_in_slices_match_one_pass(make_chart, monkeypatch):
 
 
 # (lagrangian, hminimal, trisymmetry) on the 17-per-axis sample grid, as the
-# three checks gave them when each walked the grid on its own
+# three checks gave them when each walked the grid on its own.  The hminimal
+# values of the curve products are the rounding of the batched-matrix
+# divergence: its fused multiply-adds do not cancel sums such as
+# sinh*cosh - cosh*sinh exactly (the term-by-term einsums read 0 on all but
+# two of them)
 _SEPARATE_CHECK_VALUES = {
-    "torus:n=1,r=1,p=0": (0.0, 0.0, 0.0),
-    "torus:n=2,r=1,1,p=1": (0.0, 0.0, 0.0),
-    "torus:n=2,r=1,2,p=1": (0.0, 0.0, 0.0),
-    "torus:n=3,r=1,2,3,p=1": (0.0, 2.0816681711721688e-17, 0.0),
-    "torus:n=3,r=1,1,1,p=2": (0.0, 0.0, 0.0),
-    "hyperbola:n=1,r=1,eps=+": (0.0, 0.0, 0.0),
-    "hyperbola:n=1,r=1,eps=-": (0.0, 0.0, 0.0),
-    "hyperbola:n=2,r=1,3,eps=+,+": (0.0, 1.6653345369377338e-16, 0.0),
-    "hyperbola:n=2,r=1,2,eps=+,-": (0.0, 0.0, 0.0),
-    "hyperbola:n=3,r=1,1,1,eps=+,+,+": (0.0, 0.0, 0.0),
-    "hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+": (0.0, 0.0, 0.0),
+    "torus:n=1,r=1,p=0": (0.0, 1.0898612285207621e-16, 0.0),
+    "torus:n=2,r=1,1,p=1": (0.0, 1.777909329932835e-16, 0.0),
+    "torus:n=2,r=1,2,p=1": (0.0, 1.3243010446842183e-16, 0.0),
+    "torus:n=3,r=1,2,3,p=1": (0.0, 1.1671693863368348e-16, 0.0),
+    "torus:n=3,r=1,1,1,p=2": (0.0, 2.5521893113305737e-16, 0.0),
+    "hyperbola:n=1,r=1,eps=+": (0.0, 5.6552189836327354e-14, 0.0),
+    "hyperbola:n=1,r=1,eps=-": (0.0, 5.052015717446508e-14, 0.0),
+    "hyperbola:n=2,r=1,3,eps=+,+": (0.0, 5.670036018774713e-14, 0.0),
+    "hyperbola:n=2,r=1,2,eps=+,-": (0.0, 5.695500053894977e-14, 0.0),
+    "hyperbola:n=3,r=1,1,1,eps=+,+,+": (0.0, 1.81135643927449e-13, 0.0),
+    "hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+": (0.0, 2.4916690818224334e-13, 0.0),
     "plane:n=2,p=0": (0.0, 0.0, 0.0),
     "plane:n=2,p=1": (0.0, 0.0, 0.0),
     "plane:n=2,amb=para": (0.0, 0.0, 0.0),
-    "polynomial-graph": (0.0, 7.1057288298628, 0.0),
+    "polynomial-graph": (0.0, 7.105728829862803, 0.0),
     "gradient-graph": (0.0, 5.954601074055013, 0.0),
 }
 
@@ -324,10 +332,11 @@ def test_structural_walk_matches_separate_checks(name):
 
 
 def test_criterion_11_takes_one_geometry_pass_per_slice(monkeypatch):
-    # 11 flat charts at 17 points per axis, one geometry pass per slice plus
-    # 2n shifted passes on the dual-number plane charts, and 8 small passes of
-    # the oracle-equivalence check; every oracle call of a resolved chart is
-    # one of its geometry passes
+    # the flat charts at 17 points per axis, one geometry pass per slice of
+    # immersion.SLICE points plus 2n shifted passes per slice on the
+    # dual-number plane charts, and 8 small passes of the oracle-equivalence
+    # check; every oracle call of a resolved chart is one of its geometry
+    # passes
     from dataclasses import replace
 
     from hamstab import verification
@@ -356,7 +365,13 @@ def test_criterion_11_takes_one_geometry_pass_per_slice(monkeypatch):
     monkeypatch.setattr(verification, "resolve", counting_resolve)
     results = verification.run_criterion(11)
     assert all(r.passed for r in results)
-    assert len(geometry) == 32
+
+    def passes(cid):
+        chart = original_resolve(cid).chart
+        slices = -(-(17**chart.dim) // immersion.SLICE)
+        return slices * (1 if chart.d3f is not None else 1 + 2 * chart.dim)
+
+    assert len(geometry) == sum(map(passes, verification._FLAT_CHART_IDS)) + 8
     assert sum(npts for _, npts in geometry) == 100390
     assert oracle_calls == [npts for own, npts in geometry if own]
 
@@ -369,3 +384,87 @@ def test_degenerate_metric_fails_every_structural_check():
     for check in (structural_residuals, check_lagrangian, check_h_minimal, trisymmetry_residual):
         with pytest.raises(DegenerateMetricError):
             check(chart, grid)
+
+
+def _einsum_geometry(chart, pts):
+    """``g``, ``C`` and ``nH_cov`` by the term-by-term einsums that the
+    batched matrix products replaced."""
+    sgn = chart.ambient.signature.as_array()
+    _, df, d2f = chart.oracle(pts)
+    g = np.einsum("nia,nja,a->nij", df, df, sgn)
+    g_inv = np.linalg.inv(g)
+    C = np.einsum("nija,nka,a->nijk", d2f, chart.ambient.j_apply(df), sgn)
+    nH_cov = np.einsum("nij,nijk->nk", g_inv, C)
+    return {"points": pts, "df": df, "d2f": d2f, "g": g, "g_inv": g_inv, "C": C, "nH_cov": nH_cov}
+
+
+def _einsum_divergence(chart, geo, absolute=False):
+    """``div X`` by the einsum form of ``immersion._exact_divergence``; with
+    ``absolute``, the same sums over the absolute values of every factor,
+    the scale of their rounding error."""
+    a = np.abs if absolute else (lambda x: x)
+    amb = chart.ambient
+    sgn = a(amb.signature.as_array())
+    df, d2f, g_inv, H, C = (a(geo[k]) for k in ("df", "d2f", "g_inv", "nH_cov", "C"))
+    T = np.einsum("nij,nijla->nla", g_inv, a(chart.d3f(geo["points"])))
+    half = np.einsum("nila,nja,a->nlij", d2f, df, sgn)
+    dg = half + half.swapaxes(2, 3)
+    dg_inv = a(-(g_inv[:, None] @ dg @ g_inv[:, None]))
+    C_raised = np.einsum("nijk,nlk->nlij", C, g_inv)
+    X = np.einsum("nlk,nk->nl", g_inv, H)
+    E = np.einsum("nlk,nka->nla", g_inv, df)
+    return (
+        np.einsum("nllk,nk->n", dg_inv, H)
+        + np.einsum("nlij,nlij->n", dg_inv, C_raised)
+        + np.einsum("nla,nla,a->n", T, a(amb.j_apply(E)), sgn)
+        + 0.5 * np.einsum("nij,nlji,nl->n", g_inv, dg, X)
+    )
+
+
+@pytest.mark.parametrize("name", _FLAT_CHART_IDS + ["polynomial-graph", "gradient-graph"])
+def test_batched_contractions_match_the_einsum_forms(name):
+    # random points, circle axes over one period and line axes in [-2, 2];
+    # measured worst error 1.4e-15 of the largest entry (nH_cov on
+    # hyperbola:n=3 and n=4), and 2.3e-16 of the absolute-value scale for
+    # div X (polynomial graph)
+    makers = {"polynomial-graph": polynomial_graph_chart, "gradient-graph": gradient_graph_chart}
+    chart = makers[name]() if name in makers else resolve(name).chart
+    rng = np.random.default_rng(7)
+    pts = np.stack(
+        [rng.uniform(0.0, d.size, 64) if d.kind == "circle" else rng.uniform(-2.0, 2.0, 64) for d in chart.domains],
+        axis=-1,
+    )
+    got, want = induced_geometry_batch(chart, pts), _einsum_geometry(chart, pts)
+    for key in ("g", "C", "nH_cov"):
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
+    if chart.d3f is not None:
+        scale = np.max(_einsum_divergence(chart, want, absolute=True))
+        error = np.max(np.abs(immersion._exact_divergence(chart, got) - _einsum_divergence(chart, want)))
+        assert error <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("cid", _FLAT_CHART_IDS)
+def test_batched_contractions_are_exact_at_the_flat_chart_origin(cid):
+    # every origin sum has one nonzero term, so the chart jet forms built
+    # from the origin geometry keep their bits
+    chart = resolve(cid).chart
+    origin = np.zeros((1, chart.dim))
+    got, want = induced_geometry_batch(chart, origin), _einsum_geometry(chart, origin)
+    for key in ("g", "C", "nH_cov"):
+        assert got[key].tobytes() == want[key].tobytes(), key
+    if chart.d3f is not None:
+        assert immersion._exact_divergence(chart, got).tobytes() == _einsum_divergence(chart, want).tobytes()
+
+
+def test_structural_walk_peak_memory_is_bounded_by_the_slice():
+    # the 17^4-point hyperbola:n=4 walk of criterion 11 peaked at 51.9 MB of
+    # traced allocations in slices of 8192 points; 6.5 MB in slices of 1024
+    chart = resolve("hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+").chart
+    grid = sample_grid(chart, 17)
+    tracemalloc.start()
+    try:
+        structural_residuals(chart, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
