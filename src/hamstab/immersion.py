@@ -20,6 +20,7 @@ divergence is then exact instead of a central difference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -62,9 +63,6 @@ SLICE = 1024
 # Central-difference step, relative to the axis scale, of the H-minimal
 # divergence and of metric derivatives in the Laplacian.
 REL_STEP = 1e-4
-
-# Index orders (after the point axis) of the five nontrivial transposes of C_ijk.
-_C_TRANSPOSES = [(0,) + axes for axes in itertools.permutations((1, 2, 3))][1:]
 
 
 class DegenerateMetricError(ValueError):
@@ -278,12 +276,13 @@ def structural_residuals(chart: LagrangianChart, grid: np.ndarray | None = None)
     if len(pts) == 0:
         raise ValueError("empty sample grid")
     worst = np.max([_slice_residuals(chart, pts[i : i + SLICE]) for i in range(0, len(pts), SLICE)], axis=0)
-    return {"lagrangian": float(worst[0]), "hminimal": float(worst[1]), "trisymmetry": float(np.max(worst[2:]))}
+    return {"lagrangian": float(worst[0]), "hminimal": float(worst[1]), "trisymmetry": float(worst[2])}
 
 
 def _slice_residuals(chart: LagrangianChart, pts: np.ndarray) -> list:
-    """``max |omega|``, ``max |div X|`` and ``max |C - C^T|`` for each
-    transpose of ``C`` on one slice; the slice's geometry is freed on return."""
+    """``max |omega|``, ``max |div X|`` and the largest ``|C - C^T|`` over
+    the transposes of ``C`` on one slice; the slice's geometry is freed on
+    return."""
     amb = chart.ambient
     geo = induced_geometry_batch(chart, pts)
     df, C = geo["df"], geo["C"]
@@ -295,8 +294,25 @@ def _slice_residuals(chart: LagrangianChart, pts: np.ndarray) -> list:
         div = _exact_divergence(chart, geo)
     else:
         div = _central_h_divergence(chart, [REL_STEP * dom.scale for dom in chart.domains], geo)
-    asym = [np.max(np.abs(C - np.transpose(C, axes))) for axes in _C_TRANSPOSES]
-    return [np.max(np.abs(omega)), np.max(np.abs(div))] + asym
+    return [np.max(np.abs(omega)), np.max(np.abs(div)), _trisymmetry(C)]
+
+
+def _trisymmetry(C: np.ndarray) -> float:
+    """The largest ``|C - C^sigma|`` over the index permutations ``sigma`` of
+    an (N, n, n, n) array: the largest spread ``max - min`` of ``C`` over an
+    index orbit.  Rounding is monotone, so the two agree bit for bit."""
+    orbits = C.reshape(len(C), -1)[:, _index_orbits(C.shape[1])]
+    return np.max(orbits.max(axis=2) - orbits.min(axis=2))
+
+
+@functools.cache
+def _index_orbits(n: int) -> np.ndarray:
+    """One row per sorted triple ``i <= j <= k``: the flat indices into an
+    ``(n, n, n)`` array of its six permutations."""
+    return np.array([
+        [np.ravel_multi_index(p, (n,) * 3) for p in itertools.permutations(triple)]
+        for triple in itertools.combinations_with_replacement(range(n), 3)
+    ])
 
 
 def check_lagrangian(chart: LagrangianChart, grid: np.ndarray | None = None) -> float:

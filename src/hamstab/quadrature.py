@@ -7,19 +7,35 @@ truncation box outside which every admissible field must vanish.  Sums are
 reduced pairwise so results are deterministic and independent of how the
 work is scheduled.
 
-Fast path (sum factorization): a :class:`JetFormField`, ``j^T M j`` for a
-constant matrix ``M`` over the jet ``j`` of a test function that is a sum of
-products of one-variable factors (bumps, cosine products and plane waves,
-and sums and dilations of them), is integrated without the mesh.  Each
-entry of ``sum w j j^T`` is then a sum of products of per-axis 1-D Gram
-matrices of the factor jets on the same nodes and weights, so the result is
-the same discrete sum up to rounding, at a cost linear in the node counts.
-The support-leak check is kept by bounding the field on every line-axis
-edge layer by ``sum |M_pq| B_p B_q`` (``B_p`` bounds coordinate p there from
-per-axis maxima); only a bound of at most 1e-10 skips the mesh.  A larger
-bound or a non-separable test function takes the weighted jet Gram of the
-mesh (below); a field whose coefficients depend on the point is a plain
-callable, walked point by point.
+A :class:`JetFormField`, ``j^T M j`` for a constant matrix ``M`` over the
+jet ``j`` of a test function, integrates to ``<M, G>`` for the weighted jet
+Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  :func:`integrate` forms
+``G`` by the first of three routes that applies:
+
+1. Sum factorization, for a test function that is a sum of products of
+   one-variable factors (bumps, cosine products and plane waves, and sums
+   and dilations of them): each entry of ``G`` is a sum of products of
+   per-axis 1-D Gram matrices of the factor jets on the same nodes and
+   weights, at a cost linear in the node counts.
+2. Mesh moments, for an anisotropic Gaussian ``u = exp(-t^T A t / 2)``,
+   ``t = s - c``: its jet is ``u K m(t)`` for the monomials ``m`` of degree
+   at most 2, so ``G = K Mom K^T`` with ``Mom[a, b] = sum_x w(x) u(x)^2
+   t^(a + b)``.  ``u^2`` is evaluated once per mesh point and each node
+   axis is contracted in turn against its table ``w_k t_k^g``; nothing else
+   is formed per point.
+3. The Gram walk, for any other field: the jet coordinates of each mesh
+   block, one ``J x J`` product per block of about :data:`STACK_CHUNK`
+   rows.
+
+Each route gives the same discrete sum up to rounding, and all three share
+one leak rule: a bound ``B`` on ``|j|`` over every line axis's edge layer
+(per-axis maxima of the factor jets, the Gaussian's largest value on the
+edge hyperplane times its monomials' maxima, or the walk's exact edge
+maxima) must give ``B^T |M| B <= 1e-10``.  Sum factorization or moments
+that fail it fall through to the next route; a Gram walk that fails it
+makes the exact per-point decision, one pointwise walk per form, which
+raises :class:`SupportError` on a leak.  A field whose coefficients depend
+on the point is a plain callable, walked point by point.
 
 Mesh path: a callable field walks the grid in the blocks of
 :meth:`Grid._slabs`, runs of whole trailing sub-meshes of up to
@@ -38,12 +54,8 @@ A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 
 A :class:`JetFormField` may carry a ``(K, J, J)`` stack of forms, as a
 dilation family does (see :func:`hamstab.analyzer.scaling_probe`);
-:func:`integrate` then returns the K sums ``<M_k, G>`` of one weighted jet
-Gram ``G = sum w j j^T``.  Sum factorization builds ``G`` from the per-axis
-Grams; on the mesh, a form field accumulates it with one ``J x J`` product
-per block of about :data:`STACK_CHUNK` rows.  Both pass the leak check on
-the edge bound ``B^T |M_k| B`` and leave a larger one to the exact
-per-point decision.
+:func:`integrate` then returns the K sums ``<M_k, G>`` of one ``G``, and
+the leak rule holds for every ``M_k``.
 """
 
 from __future__ import annotations
@@ -168,17 +180,24 @@ class Grid:
         idx = np.unravel_index(flat_indices, self.shape)
         return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
 
+    def _layout(self, rows: int) -> tuple[int, int]:
+        """``(split, step)``: the blocks of up to ``rows`` rows are ``step``
+        copies of the trailing sub-mesh of the axes from ``split`` on, the
+        last axes with at most ``min(rows, STACK_CHUNK)`` points."""
+        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, STACK_CHUNK))
+        return split, max(1, rows // math.prod(self.shape[split:]))
+
     def _slabs(self, rows: int):
         """The mesh in blocks of consecutive rows as ``(points, weights,
         edges)``: (P, dim) points (a view of a (dim, P) array), weights
         ``((1 * w0) * w1) * ...`` and, per line axis, the rows on its
         outermost node layers.  A block is as many whole trailing sub-meshes
-        (the last axes with at most ``min(rows, STACK_CHUNK)`` points,
-        indexed once) as fit in ``rows``; all but the last have one length."""
-        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, STACK_CHUNK))
+        of :meth:`_layout` (indexed once) as fit in ``rows``; all but the
+        last have one length."""
+        split, step = self._layout(rows)
         lead, tail = self.shape[:split], math.prod(self.shape[split:])
         sub = [i[None] for i in np.unravel_index(np.arange(tail), self.shape[split:])] if split < self.dim else []
-        step, count = max(1, rows // tail), math.prod(lead)
+        count = math.prod(lead)
         for start in range(0, count, step):
             idx = [i[:, None] for i in np.unravel_index(np.arange(start, min(start + step, count)), lead)] if lead else []
             pts = np.empty((self.dim, min(step, count - start), tail))
@@ -197,16 +216,19 @@ class JetFormField:
 
     ``form`` is the constant (J, J) matrix ``M`` over the jet coordinates of
     :func:`hamstab.testfunctions.jet_orders`, or a (K, J, J) stack of such
-    matrices; ``terms`` are the test function's separable terms (None if it
-    has none) and ``coords`` gives its (N, J) jet coordinates.
-    :func:`integrate` sum-factorizes with ``terms`` and otherwise
-    accumulates the weighted jet Gram of ``coords`` on the mesh; a field
-    whose coefficients depend on the point is a plain callable instead.
+    matrices; ``terms`` are the test function's separable terms and
+    ``gaussian`` its Gaussian terms ``(A, center, K)`` (each None if it has
+    none), and ``coords`` gives its (N, J) jet coordinates.
+    :func:`integrate` sum-factorizes with ``terms``, then takes the mesh
+    moments of ``gaussian``, and otherwise accumulates the weighted jet Gram
+    of ``coords`` on the mesh; a field whose coefficients depend on the
+    point is a plain callable instead.
     """
 
     form: np.ndarray
     terms: list | None = None
     coords: Callable[[np.ndarray], np.ndarray] | None = None
+    gaussian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def build_grid(
@@ -318,15 +340,20 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
     A callable ``field(points) -> (N,)`` is walked point by point on the
     mesh.  A :class:`JetFormField` is sum-factorized when it has separable
-    terms and its edge bound clears the leak check, and otherwise takes the
-    weighted jet Gram of the mesh; a (K, J, J) stack of forms returns a
-    (K,) array.
+    terms, integrated from mesh moments when it has Gaussian terms (each
+    only when its edge bound clears the leak check), and otherwise takes
+    the weighted jet Gram walk of the mesh; a (K, J, J) stack of forms
+    returns a (K,) array.
     """
     grid = build_grid(domains, spec, boxes)
     if not isinstance(field, JetFormField):
         return _walk_mesh(grid, field)
     if field.terms is not None:
         value = _sum_factorized(grid, field.form, field.terms)
+        if value is not None:
+            return value
+    if field.gaussian is not None:
+        value = _gaussian_moments(grid, field.form, field.gaussian)
         if value is not None:
             return value
     return _gram_walk(grid, field.coords, field.form)
@@ -421,3 +448,68 @@ def _sum_factorized(grid: Grid, form: np.ndarray, terms):
         gram = np.einsum("tai,i,sbi->tsab", jk, grid.axis_weights[k], jk)
         prod = prod * gram[:, :, orders[:, k][:, None], orders[:, k][None, :]]
     return _form_sums(form, np.einsum("t,s,tspq->pq", coefs, coefs, prod), bounds)
+
+
+def _gaussian_moments(grid: Grid, form: np.ndarray, gaussian):
+    """:func:`_form_sums` of the weighted jet Gram of the Gaussian
+    ``u = exp(-t^T A t / 2)``, ``t = s - c``, from mesh moments.
+
+    With ``(A, c, K)`` of
+    :meth:`~hamstab.testfunctions.TestFunction.gaussian_terms` the jet is
+    ``u K m(t)`` for the monomials ``m(t) = t^a``, ``|a| <= 2``, so
+    ``G = K Mom K^T`` with ``Mom[a, b] = S[a + b]`` and
+    ``S[g] = sum_x w(x) u(x)^2 t^g``, ``g`` of degree at most 4 per axis.
+    Only ``u^2`` does not separate: it is evaluated once per mesh point, in
+    the blocks of :meth:`Grid._layout`, as ``exp(-(q_lead + q_tail + 2
+    t_lead^T A t_tail))`` over a block's leading rows and its trailing
+    sub-mesh, and each node axis is contracted in turn against its table
+    ``w_k t_k^g``.  A line axis k bounds ``|j|`` on its edge layers by
+    ``exp(-t_edge^2 / (2 (A^-1)_kk))``, the largest ``u`` on the hyperplane
+    of the edge node nearer to ``c``, times ``|K| T^a`` for ``T_l = max |t_l|``.
+    """
+    grid._check_size()
+    A, center, K = gaussian
+    n = grid.dim
+    orders = jet_orders(n)
+    t = [nodes - c for nodes, c in zip(grid.axis_nodes, center)]
+    tables = [w[:, None] * tk[:, None] ** np.arange(5) for tk, w in zip(t, grid.axis_weights)]
+    split, step = grid._layout(STACK_CHUNK)
+    lead, tail = grid.shape[:split], grid.shape[split:]
+    _, t_tail = _sub_mesh(t[split:], tail, np.arange(math.prod(tail)))
+    # -q over the trailing sub-mesh, and -2 A t_tail for the cross term
+    q_tail = -np.einsum("kx,kl,lx->x", t_tail, A[split:, split:], t_tail)
+    cross = -2.0 * A[:split, split:] @ t_tail
+    count = math.prod(lead)
+    moments = 0.0
+    for start in range(0, count, step):
+        idx, t_lead = _sub_mesh(t[:split], lead, np.arange(start, min(start + step, count)))
+        u2 = t_lead.T @ cross
+        u2 -= np.einsum("kx,kl,lx->x", t_lead, A[:split, :split], t_lead)[:, None]
+        u2 += q_tail
+        np.exp(u2, out=u2)
+        # contract the trailing axes from the last: their powers come out in
+        # reverse axis order
+        y = u2.reshape(u2.shape[:1] + tail)
+        for k in reversed(range(split, n)):
+            y = np.tensordot(y, tables[k], axes=([k - split + 1], [0]))
+        lead_table = np.ones((len(u2), 1))
+        for k, i in enumerate(idx):
+            lead_table = (lead_table[:, :, None] * tables[k][i][:, None, :]).reshape(len(u2), -1)
+        moments = moments + lead_table.T @ y.reshape(len(u2), -1)
+    moments = np.reshape(moments, (5,) * n).transpose(list(range(split)) + list(range(n - 1, split - 1, -1)))
+    gram = K @ moments[tuple(np.moveaxis(orders[:, None] + orders[None], -1, 0))] @ K.T
+    peaks = np.prod(np.array([np.max(np.abs(tk)) for tk in t]) ** orders, axis=1)
+    variances = np.diag(np.linalg.inv(A))
+    bounds = [
+        np.exp(-min(abs(t[k][0]), abs(t[k][-1])) ** 2 / (2.0 * variances[k])) * (np.abs(K) @ peaks)
+        for k, dom in enumerate(grid.domains)
+        if dom.kind == "line"
+    ]
+    return _form_sums(form, gram, bounds)
+
+
+def _sub_mesh(t, shape, flat):
+    """The per-axis node indices and the (k, len) coordinates at the flat
+    indices of the mesh of the ``k`` per-axis coordinate arrays ``t``."""
+    idx = np.unravel_index(flat, shape) if shape else ()
+    return idx, np.reshape([tk[i] for tk, i in zip(t, idx)], (len(t), len(flat)))

@@ -13,7 +13,10 @@ included), plane waves (expanded by the angle-addition formula into
 products of cosines and sines), and sums and dilations of them, also report
 ``separable_terms()``: ``(coefficient, per-axis factors)`` pairs whose sum
 is the function, which lets the quadrature integrate quadratic forms in the
-jet axis by axis.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
+jet axis by axis.  Every anisotropic Gaussian also reports
+``gaussian_terms()``: its jet coordinates are the Gaussian times
+polynomials of degree at most 2, which lets the quadrature integrate them
+from mesh moments.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
 i <= j)``; :func:`jet_orders` gives each coordinate's per-axis derivative
 orders, and :func:`jet_coordinates` / :func:`jet_from_coordinates` convert
 between jets and coordinates; ``jet_coords`` gives a function's
@@ -30,6 +33,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "TestFunction",
@@ -73,6 +77,13 @@ class TestFunction:
     def separable_terms(self) -> list[tuple[float, list]] | None:
         """``(coefficient, per-axis factors)`` terms summing to this function,
         or None when it is not a sum of products of one-variable factors."""
+        return None
+
+    def gaussian_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(A, center, K)`` when this function is the Gaussian
+        ``exp(-t^T A t / 2)`` of ``t = s - center``, whose jet coordinates
+        are ``u K m(t)`` for the monomials ``m(t) = t^alpha`` over the rows
+        ``alpha`` of :func:`jet_orders`; None otherwise."""
         return None
 
     def __add__(self, other: "TestFunction") -> "LinComb":
@@ -207,21 +218,27 @@ class Gauss1D(Func1D):
 
 
 class PolyGauss1D(Func1D):
-    """p(x) * exp(-x^2 / (2 sigma^2)) for a polynomial p."""
+    """p(x) * exp(-x^2 / (2 sigma^2)) for a polynomial p.
+
+    ``p``, ``p1`` and ``p2`` are coefficient arrays, lowest degree first, of
+    the polynomial factors of the function and its two derivatives."""
 
     def __init__(self, coeffs, sigma: float = 1.0):
-        self.p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
+        self.p = np.array(coeffs, dtype=float, ndmin=1)
         self.sigma = float(sigma)
         # d/dx (q * gauss) = (q' - q x/sigma^2) * gauss
-        x_over = np.polynomial.Polynomial([0.0, 1.0 / self.sigma**2])
-        self.p1 = self.p.deriv() - self.p * x_over
-        self.p2 = self.p1.deriv() - self.p1 * x_over
+        x_over = np.array([0.0, 1.0 / self.sigma**2])
+        self.p1 = P.polysub(P.polyder(self.p), P.polymul(self.p, x_over))
+        self.p2 = P.polysub(P.polyder(self.p1), P.polymul(self.p1, x_over))
         self.period = None
         self.box = GAUSS_BOX_SIGMAS * self.sigma
 
     def jet1(self, x):
         g = np.exp(-0.5 * x * x / self.sigma**2)
-        return self.p(x) * g, self.p1(x) * g, self.p2(x) * g
+        # the point Polynomial evaluates at, 0.0 + 1.0 * x, turns -0.0 into
+        # +0.0, which decides the sign of a zero value
+        x = x + 0.0
+        return P.polyval(x, self.p) * g, P.polyval(x, self.p1) * g, P.polyval(x, self.p2) * g
 
 
 class Scaled1D(Func1D):
@@ -357,6 +374,21 @@ class AnisotropicGaussian(TestFunction):
         if np.any(self.A != np.diag(np.diag(self.A))):
             return None
         return [(1.0, [Gauss1D(1.0 / np.sqrt(a), c) for a, c in zip(np.diag(self.A), self.center)])]
+
+    def gaussian_terms(self):
+        """``(A, center, K)``: the coordinates ``[1, -y, y_i y_j - A_ij]`` of
+        :meth:`jet_coords`, ``y = A t``, as polynomials in ``t``, so ``-y``
+        takes ``-A`` and ``y_i y_j`` the coefficient ``A_il A_jm + A_im A_jl``
+        on ``t_l t_m`` (``A_il A_jl`` on ``t_l^2``)."""
+        n = self.n
+        rows, cols = _hessian_index(n)
+        K = np.zeros((len(jet_orders(n)),) * 2)
+        K[0, 0] = 1.0
+        K[1 : n + 1, 1 : n + 1] = -self.A
+        K[n + 1 :, 0] = -self.A[rows, cols]
+        quad = self.A[rows][:, :, None] * self.A[cols][:, None, :]
+        K[n + 1 :, n + 1 :] = np.where(rows == cols, quad[:, rows, cols], quad[:, rows, cols] + quad[:, cols, rows])
+        return self.A, self.center, K
 
     def jet(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center

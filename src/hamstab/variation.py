@@ -334,9 +334,9 @@ def _check_compatible(u: TestFunction, domains) -> None:
 
 def jet_field(form: np.ndarray, u: TestFunction) -> quadrature.JetFormField:
     """The field ``j^T M j`` over the jet ``j`` of ``u``, for a constant jet
-    form ``M`` or a (K, J, J) stack of them, with the separable terms and
-    jet coordinates of ``u``."""
-    return quadrature.JetFormField(form, u.separable_terms(), u.jet_coords)
+    form ``M`` or a (K, J, J) stack of them, with the separable terms,
+    jet coordinates and Gaussian terms of ``u``."""
+    return quadrature.JetFormField(form, u.separable_terms(), u.jet_coords, u.gaussian_terms())
 
 
 def evaluate_functional(functional, u: TestFunction, gridspec: GridSpec | None = None) -> float:

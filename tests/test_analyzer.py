@@ -244,11 +244,14 @@ def test_hyperbola_scaling_records_gradient_form_values():
     radii, eps = entry.params["radii"], entry.params["eps"]
     u_w, u_e1, rep = hyperbola_direction_probes(radii, eps)
     # Q(u_w) is a column of the dilation family's form stack: the gradient
-    # block of the jet form, contracted with the mesh's weighted jet Gram
+    # block of the jet form, contracted with the weighted jet Gram of the
+    # probe's mesh moments, which the Gram walk of its jets gives up to rounding
     form = np.zeros((len(jet_orders(3)),) * 2)
     form[1:4, 1:4] = rep.matrix
-    column = integrate(JetFormField(form[None], None, u_w.jet_coords), entry.functional.domains, spec, u_w.axis_boxes)
+    column = integrate(jet_field(form[None], u_w), entry.functional.domains, spec, u_w.axis_boxes)
     assert record.min_eig == column[0]
+    walked = integrate(JetFormField(form[None], None, u_w.jet_coords), entry.functional.domains, spec, u_w.axis_boxes)
+    assert record.min_eig == pytest.approx(walked[0], rel=1e-13)
     # gradient_form_value integrates the same form-only field: rounding apart
     assert record.min_eig == pytest.approx(gradient_form_value(radii, eps, u_w, spec), rel=1e-14)
     assert record.max_eig == gradient_form_value(radii, eps, u_e1, spec)

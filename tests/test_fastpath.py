@@ -152,13 +152,16 @@ class _ExpCosWave(TestFunction):
     ],
 )
 def test_non_separable_probes_use_the_mesh(cid, u):
-    # the constant form takes one weighted jet Gram walk and is never
-    # contracted point by point
+    # the constant form takes one weighted jet Gram, a Gaussian's from its
+    # mesh moments and any other probe's by a walk, and is never contracted
+    # point by point
     functional = CATALOG[cid].functional
     assert u.separable_terms() is None
-    with counting_meshes(("_gram_walk",)) as grams, counting_meshes(("_walk_mesh",)) as pointwise:
-        val = evaluate_functional(functional, u, SMALL)
-    assert len(grams) == 1 and pointwise == []
+    gaussian = u.gaussian_terms() is not None
+    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes(("_gram_walk",)) as grams:
+        with counting_meshes(("_walk_mesh",)) as pointwise:
+            val = evaluate_functional(functional, u, SMALL)
+    assert (len(moments), len(grams), pointwise) == (gaussian, not gaussian, [])
     # the Gram contraction reduces in another order than the pointwise sum
     scale = form_rounding_scale(jet_field(functional.jet_form, u), functional.domains, SMALL, u.axis_boxes)
     assert abs(val - mesh_value(functional, u, SMALL)) <= 1e-12 * scale[0]
@@ -212,14 +215,15 @@ def test_torus_criteria_walk_no_mesh(number):
     assert all(r.passed for r in results)
 
 
-def test_criterion_4_takes_two_gram_walks_and_no_pointwise_form():
-    # the n = 3 and n = 4 dilation families of dirgauss:w; any per-point
-    # contraction of a form would be a pointwise walk
-    with counting_meshes(("_gram_walk",)) as grams, counting_meshes(("_walk_mesh",)) as pointwise:
+def test_criterion_4_takes_two_moment_integrations_and_no_mesh_walk():
+    # the n = 3 and n = 4 dilation families of dirgauss:w take the Gaussian
+    # moments of their grids; any Gram walk or per-point contraction of a
+    # form would be a mesh walk
+    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
         results = verification.run_criterion(4)
     assert all(r.passed for r in results)
-    assert sorted(grams) == [64**3, 40**4]
-    assert pointwise == []
+    assert sorted(moments) == [64**3, 40**4]
+    assert walks == []
 
 
 def test_diagonal_anisotropic_gaussian_sum_factorizes():
@@ -335,16 +339,24 @@ def dilated(u, t, axes, a):
 
 
 def rounding_scale(functional, u, report, spec):
-    """``t^-|axes| sum_x w(x) |D_t j(x)|^T |M| |D_t j(x)|`` per family member:
-    the magnitude against which either path rounds its value."""
+    """Per family member, the magnitude against which the two paths round
+    the value ``<F_t, G>``, ``F_t = t^-|axes| D_t M D_t``: a mesh walk
+    against ``sum_x w(x) |j(x)|^T |F_t| |j(x)|``; a Gaussian's moments,
+    which round the monomials ``m(s - c)`` of its jet ``u K m`` before ``K``
+    combines them, also against ``sum_x w(x) u(x)^2 |m|^T |K^T F_t K| |m|``."""
     grid = quadrature.build_grid(functional.domains, spec, u.axis_boxes)
     pts, w = grid.points_and_weights()
-    coords = np.abs(jet_coordinates(u.jet(pts)))
+    coords = jet_coordinates(u.jet(pts))
     pi = jet_orders(u.n)[:, list(report.axes)].sum(axis=1)
-    out = []
-    for t, _ in report.entries:
-        c = coords * t ** (report.prefactor_exponent + pi)
-        out.append(t ** -len(report.axes) * np.sum(w * np.einsum("np,pq,nq->n", c, np.abs(functional.jet_form), c)))
+    forms = [
+        t ** -len(report.axes) * np.outer(d, d) * functional.jet_form
+        for t, d in ((t, t ** (report.prefactor_exponent + pi)) for t, _ in report.entries)
+    ]
+    out = [np.sum(w * np.einsum("np,pq,nq->n", np.abs(coords), np.abs(f), np.abs(coords))) for f in forms]
+    if u.gaussian_terms() is not None:
+        _, center, K = u.gaussian_terms()
+        m = np.prod(np.abs(pts - center)[:, None, :] ** jet_orders(u.n), axis=2)
+        out = [s + np.sum(w * coords[:, 0] ** 2 * np.einsum("np,pq,nq->n", m, np.abs(K.T @ f @ K), m)) for s, f in zip(out, forms)]
     return out
 
 
@@ -354,9 +366,12 @@ def test_one_pass_dilation_family_matches_per_t(cid, schedule):
     entry = CATALOG[cid]
     axes, a, spec = FAMILIES[cid]
     u = family_probe(entry)
-    with counting_meshes() as calls:
+    # a separable probe sum-factorizes and the hyperbola's Gaussian takes
+    # its mesh moments; the dilated Gaussians u^t of the reference below
+    # report no Gaussian terms, so they walk the mesh
+    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
         report = analyzer.scaling_probe(entry.functional, u, schedule, axes=axes, prefactor_exponent=a, gridspec=spec)
-    assert len(calls) == (0 if u.separable_terms() else 1)
+    assert (len(moments), walks) == (u.gaussian_terms() is not None, [])
     scales = rounding_scale(entry.functional, u, report, spec)
     for (t, value), norm2, scale in zip(report.entries, report.norms, scales):
         ut = dilated(u, t, report.axes, report.prefactor_exponent)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -468,3 +469,17 @@ def test_structural_walk_peak_memory_is_bounded_by_the_slice():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trisymmetry_is_the_largest_transpose_difference(n):
+    # a fully symmetric C perturbed by 1e-14: the largest spread over an
+    # index orbit is bit for bit the largest |C - C^T| over the five
+    # nontrivial transposes
+    rng = np.random.default_rng(n)
+    base = rng.normal(size=(1024, n, n, n))
+    transposes = [(0,) + axes for axes in itertools.permutations((1, 2, 3))]
+    C = sum(np.transpose(base, axes) for axes in transposes) + 1e-14 * rng.normal(size=base.shape)
+    want = max(np.max(np.abs(C - np.transpose(C, axes))) for axes in transposes[1:])
+    assert immersion._trisymmetry(C) == want
+    assert (want > 0) == (n > 1)

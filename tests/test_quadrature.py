@@ -19,7 +19,8 @@ from hamstab.quadrature import (
     integrate,
     pairwise_sum,
 )
-from hamstab.testfunctions import AnisotropicGaussian, Cos1D, Gauss1D, Separable, jet_coordinates
+from hamstab.testfunctions import AnisotropicGaussian, Cos1D, Gauss1D, Separable, jet_coordinates, jet_orders
+from hamstab.variation import jet_field
 
 from helpers import form_rounding_scale
 
@@ -409,3 +410,96 @@ def test_form_only_field_with_a_separable_leak_raises_support_error():
     field = JetFormField(form, u.separable_terms(), u.jet_coords)
     with pytest.raises(SupportError, match="box boundary"):
         integrate(field, (AxisDomain.line(), AxisDomain.line()), GridSpec(line_nodes=16), boxes=(1.5, 1.5))
+
+
+@st.composite
+def anisotropic_gaussians(draw):
+    """A Gaussian on 2-4 axes with a random SPD ``A`` (eigenvalues in
+    [0.125, 8], so condition number at most 64) and center in [-2, 2]^n."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = (rotation * 8.0 ** rng.uniform(-1.0, 1.0, n)) @ rotation.T
+    return AnisotropicGaussian((A + A.T) / 2, center=rng.uniform(-2.0, 2.0, n))
+
+
+def assert_moments_match_the_gram_walk(u, nodes):
+    """Every entry of the weighted jet Gram of ``u``, from its mesh moments
+    and from the walk of its jet coordinates, within ``1e-12 sqrt(G_pp G_qq)``."""
+    J = len(jet_orders(u.n))
+    grid = build_grid((AxisDomain.line(),) * u.n, GridSpec(line_nodes=nodes), u.axis_boxes)
+    units = np.eye(J * J).reshape(J * J, J, J)
+    got = quadrature._gaussian_moments(grid, units, u.gaussian_terms()).reshape(J, J)
+    want = quadrature._gram_walk(grid, u.jet_coords, units).reshape(J, J)
+    scale = np.sqrt(np.diag(want))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.outer(scale, scale))
+
+
+@settings(deadline=None, max_examples=30)
+@given(anisotropic_gaussians())
+def test_gaussian_moments_match_the_gram_walk(u):
+    # on 64^2, 32^3 or 16^4 points
+    assert_moments_match_the_gram_walk(u, {2: 64, 3: 32, 4: 16}[u.n])
+
+
+@pytest.mark.parametrize("axes, nodes", [(1, 70), (2, 91), (3, 21)])
+def test_gaussian_moments_match_the_gram_walk_in_any_blocks(block_rows, axes, nodes):
+    # under 64-row blocks the 70- and 91-node meshes keep no trailing
+    # sub-mesh and the 21^3 mesh one axis of it; at the default blocks each
+    # is a single trailing sub-mesh
+    A = np.eye(axes) + 0.3 * (np.ones((axes, axes)) - np.eye(axes))
+    assert_moments_match_the_gram_walk(AnisotropicGaussian(A, center=np.linspace(-0.5, 0.5, axes)), nodes)
+
+
+def test_gaussian_moments_leak_raises_the_pointwise_error(monkeypatch):
+    # a box that cuts the probe fails the moments' edge bound, and the Gram
+    # walk that follows words the error as the pointwise route does
+    u = AnisotropicGaussian(np.array([[1.0, 0.4], [0.4, 0.7]]))
+    dom = (AxisDomain.line(), AxisDomain.line())
+    a = np.random.default_rng(9).normal(size=(6, 6))
+    form = a @ a.T
+    tried = []
+    moments = quadrature._gaussian_moments
+
+    def counted(grid, *args):
+        tried.append(grid.size)
+        return moments(grid, *args)
+
+    monkeypatch.setattr(quadrature, "_gaussian_moments", counted)
+
+    def pointwise(pts):
+        coords = jet_coordinates(u.jet(pts))
+        return np.einsum("np,pq,nq->n", coords, form, coords)
+
+    errors = []
+    for field in (jet_field(form, u), pointwise):
+        with pytest.raises(SupportError) as err:
+            integrate(field, dom, GridSpec(line_nodes=40), boxes=(2.0, 2.0))
+        errors.append(str(err.value))
+    assert tried == [40**2]
+    assert errors[0] == errors[1]
+
+
+def test_gaussian_moments_memory_is_a_few_blocks(monkeypatch):
+    # 64^4 = 16.8 M points, one value each would take 128 MiB; the Gram walk
+    # of the same stack peaks at about 7.5 MiB
+    def no_walk(*args):
+        raise AssertionError("integrate walked the mesh")
+
+    monkeypatch.setattr(quadrature.Grid, "points_and_weights", no_walk)
+    monkeypatch.setattr(quadrature, "_gram_walk", no_walk)
+    u = AnisotropicGaussian(np.eye(4) + 0.2)
+    a = np.random.default_rng(4).normal(size=(5, 15, 15))
+    forms = a + a.transpose(0, 2, 1)
+    # the first form is e0 e0^T, whose sum is int u^2
+    forms[0] = 0.0
+    forms[0, 0, 0] = 1.0
+    tracemalloc.start()
+    try:
+        sums = integrate(jet_field(forms, u), (AxisDomain.line(),) * 4, GridSpec(line_nodes=64), boxes=u.axis_boxes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int exp(-s^T A s) = pi^2 / sqrt(det A), to what 64 nodes resolve
+    assert sums[0] == pytest.approx(np.pi**2 / np.sqrt(np.linalg.det(u.A)), rel=1e-6)
+    assert peak < 12 * 2**20, peak / 2**20

@@ -188,3 +188,21 @@ def test_anisotropic_gaussian_coordinates_match_its_jet(n, seed):
     assert got.shape == want.shape == (30, 1 + n + n * (n + 1) // 2)
     # each coordinate to 1e-14 of its largest magnitude over the points
     assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=0))
+
+
+def test_poly_gauss_jets_equal_numpy_polynomial_bit_for_bit():
+    # the coefficient-array arithmetic is what np.polynomial.Polynomial
+    # calls, and its evaluation maps -0.0 to +0.0 as Polynomial's domain map does
+    x = np.array([-0.0, 0.0, -2.5, -0.3, 0.7, 3.0, 12.0])
+    rng = np.random.default_rng(8)
+    for degree in range(6):
+        for coeffs in (np.polynomial.hermite_e.herme2poly([0.0] * degree + [1.0]), rng.uniform(-2, 2, degree + 1)):
+            for sigma in (0.4, 1.0, 2.5):
+                p = np.polynomial.Polynomial(coeffs)
+                x_over = np.polynomial.Polynomial([0.0, 1.0 / sigma**2])
+                p1 = p.deriv() - p * x_over
+                p2 = p1.deriv() - p1 * x_over
+                g = np.exp(-0.5 * x * x / sigma**2)
+                want = [p(x) * g, p1(x) * g, p2(x) * g]
+                got = PolyGauss1D(coeffs, sigma).jet1(x)
+                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (degree, coeffs, sigma)
