@@ -22,7 +22,9 @@ Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  :func:`integrate` forms
    at most 2, so ``G = K Mom K^T`` with ``Mom[a, b] = sum_x w(x) u(x)^2
    t^(a + b)``.  ``u^2`` is evaluated once per mesh point and each node
    axis is contracted in turn against its table ``w_k t_k^g``; nothing else
-   is formed per point.
+   is formed per point.  ``K m(t)`` cancels along the Gaussian's wide
+   directions, so the moments are carried in ``np.longdouble`` until ``G``
+   is formed.
 3. The Gram walk, for any other field: the jet coordinates of each mesh
    block, one ``J x J`` product per block of about :data:`STACK_CHUNK`
    rows.
@@ -90,7 +92,7 @@ CHUNK = 262144
 
 # Mesh points per block of a weighted jet Gram: a block's J jet coordinates
 # (2 MB for J = 15) stay in cache through their few passes.  Also the most
-# rows whose node indices :meth:`Grid._slabs` keeps, for blocks of any length.
+# rows whose node indices :meth:`Grid._blocks` keeps, for blocks of any length.
 STACK_CHUNK = CHUNK // 16
 
 # Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
@@ -180,29 +182,31 @@ class Grid:
         idx = np.unravel_index(flat_indices, self.shape)
         return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
 
-    def _layout(self, rows: int) -> tuple[int, int]:
-        """``(split, step)``: the blocks of up to ``rows`` rows are ``step``
-        copies of the trailing sub-mesh of the axes from ``split`` on, the
-        last axes with at most ``min(rows, STACK_CHUNK)`` points."""
+    def _blocks(self, rows: int):
+        """``(sub, leads)`` for the mesh in blocks of up to ``rows``
+        consecutive rows.  A block is whole copies of the trailing sub-mesh
+        of the last axes with at most ``min(rows, STACK_CHUNK)`` points,
+        whose per-axis node indices ``sub`` (axes, points) are the same for
+        every block; ``leads`` yields each block's per-axis node indices
+        (axes, copies) on the leading axes.  All but the last block have
+        one length."""
         split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, STACK_CHUNK))
-        return split, max(1, rows // math.prod(self.shape[split:]))
+        lead, tail = self.shape[:split], self.shape[split:]
+        step, count = max(1, rows // math.prod(tail)), math.prod(lead)
+        sub = _unravel(np.arange(math.prod(tail)), tail)
+        return sub, (_unravel(np.arange(start, min(start + step, count)), lead) for start in range(0, count, step))
 
     def _slabs(self, rows: int):
-        """The mesh in blocks of consecutive rows as ``(points, weights,
+        """The mesh in the blocks of :meth:`_blocks` as ``(points, weights,
         edges)``: (P, dim) points (a view of a (dim, P) array), weights
         ``((1 * w0) * w1) * ...`` and, per line axis, the rows on its
-        outermost node layers.  A block is as many whole trailing sub-meshes
-        of :meth:`_layout` (indexed once) as fit in ``rows``; all but the
-        last have one length."""
-        split, step = self._layout(rows)
-        lead, tail = self.shape[:split], math.prod(self.shape[split:])
-        sub = [i[None] for i in np.unravel_index(np.arange(tail), self.shape[split:])] if split < self.dim else []
-        count = math.prod(lead)
-        for start in range(0, count, step):
-            idx = [i[:, None] for i in np.unravel_index(np.arange(start, min(start + step, count)), lead)] if lead else []
-            pts = np.empty((self.dim, min(step, count - start), tail))
+        outermost node layers."""
+        sub, leads = self._blocks(rows)
+        for lead in leads:
+            idx = [i[:, None] for i in lead] + [i[None] for i in sub]
+            pts = np.empty((self.dim, lead.shape[1], sub.shape[1]))
             w, edges = np.ones(1), []
-            for k, (dom, nodes, weights, i) in enumerate(zip(self.domains, self.axis_nodes, self.axis_weights, idx + sub)):
+            for k, (dom, nodes, weights, i) in enumerate(zip(self.domains, self.axis_nodes, self.axis_weights, idx)):
                 pts[k] = nodes[i]
                 w = w * weights[i]
                 if dom.kind == "line":
@@ -460,44 +464,57 @@ def _gaussian_moments(grid: Grid, form: np.ndarray, gaussian):
     ``G = K Mom K^T`` with ``Mom[a, b] = S[a + b]`` and
     ``S[g] = sum_x w(x) u(x)^2 t^g``, ``g`` of degree at most 4 per axis.
     Only ``u^2`` does not separate: it is evaluated once per mesh point, in
-    the blocks of :meth:`Grid._layout`, as ``exp(-(q_lead + q_tail + 2
+    the blocks of :meth:`Grid._blocks`, as ``exp(-(q_lead + q_tail + 2
     t_lead^T A t_tail))`` over a block's leading rows and its trailing
     sub-mesh, and each node axis is contracted in turn against its table
     ``w_k t_k^g``.  A line axis k bounds ``|j|`` on its edge layers by
     ``exp(-t_edge^2 / (2 (A^-1)_kk))``, the largest ``u`` on the hyperplane
     of the edge node nearer to ``c``, times ``|K| T^a`` for ``T_l = max |t_l|``.
+
+    ``K m(t)`` cancels where ``|t|`` is large along a wide direction of
+    ``u``: ``y = A t`` is then much smaller than its terms ``A_kl t_l``, and
+    a product of two Hessian coordinates ``y_i y_j - A_ij`` much smaller
+    than the moments ``K`` combines (about 1300 times for ``dirgauss:w`` on
+    ``n = 4``, whose ``A`` has eigenvalues 1/6 and 1).  So the tables, the
+    contractions and ``K Mom K^T`` are carried in ``np.longdouble`` (11 more
+    bits on x86), and only ``G`` is rounded to float64.  ``u^2`` stays
+    float64: its rounding scales a whole point's ``j j^T`` and does not
+    cancel.
     """
     grid._check_size()
     A, center, K = gaussian
     n = grid.dim
     orders = jet_orders(n)
     t = [nodes - c for nodes, c in zip(grid.axis_nodes, center)]
-    tables = [w[:, None] * tk[:, None] ** np.arange(5) for tk, w in zip(t, grid.axis_weights)]
-    split, step = grid._layout(STACK_CHUNK)
-    lead, tail = grid.shape[:split], grid.shape[split:]
-    _, t_tail = _sub_mesh(t[split:], tail, np.arange(math.prod(tail)))
+    tables = [
+        w.astype(np.longdouble)[:, None] * (nodes.astype(np.longdouble) - c)[:, None] ** np.arange(5)
+        for nodes, w, c in zip(grid.axis_nodes, grid.axis_weights, center)
+    ]
+    sub, leads = grid._blocks(STACK_CHUNK)
+    split, tail = n - len(sub), grid.shape[n - len(sub) :]
+    t_tail = np.reshape([t[k][i] for k, i in enumerate(sub, split)], sub.shape)
     # -q over the trailing sub-mesh, and -2 A t_tail for the cross term
     q_tail = -np.einsum("kx,kl,lx->x", t_tail, A[split:, split:], t_tail)
     cross = -2.0 * A[:split, split:] @ t_tail
-    count = math.prod(lead)
-    moments = 0.0
-    for start in range(0, count, step):
-        idx, t_lead = _sub_mesh(t[:split], lead, np.arange(start, min(start + step, count)))
+    moments = np.longdouble(0.0)
+    for lead in leads:
+        t_lead = np.reshape([t[k][i] for k, i in enumerate(lead)], lead.shape)
         u2 = t_lead.T @ cross
         u2 -= np.einsum("kx,kl,lx->x", t_lead, A[:split, :split], t_lead)[:, None]
         u2 += q_tail
         np.exp(u2, out=u2)
         # contract the trailing axes from the last: their powers come out in
         # reverse axis order
-        y = u2.reshape(u2.shape[:1] + tail)
+        y = u2.astype(np.longdouble).reshape(u2.shape[:1] + tail)
         for k in reversed(range(split, n)):
             y = np.tensordot(y, tables[k], axes=([k - split + 1], [0]))
-        lead_table = np.ones((len(u2), 1))
-        for k, i in enumerate(idx):
+        lead_table = np.ones((len(u2), 1), dtype=np.longdouble)
+        for k, i in enumerate(lead):
             lead_table = (lead_table[:, :, None] * tables[k][i][:, None, :]).reshape(len(u2), -1)
         moments = moments + lead_table.T @ y.reshape(len(u2), -1)
     moments = np.reshape(moments, (5,) * n).transpose(list(range(split)) + list(range(n - 1, split - 1, -1)))
-    gram = K @ moments[tuple(np.moveaxis(orders[:, None] + orders[None], -1, 0))] @ K.T
+    K_ext = K.astype(np.longdouble)
+    gram = (K_ext @ moments[tuple(np.moveaxis(orders[:, None] + orders[None], -1, 0))] @ K_ext.T).astype(float)
     peaks = np.prod(np.array([np.max(np.abs(tk)) for tk in t]) ** orders, axis=1)
     variances = np.diag(np.linalg.inv(A))
     bounds = [
@@ -508,8 +525,7 @@ def _gaussian_moments(grid: Grid, form: np.ndarray, gaussian):
     return _form_sums(form, gram, bounds)
 
 
-def _sub_mesh(t, shape, flat):
-    """The per-axis node indices and the (k, len) coordinates at the flat
-    indices of the mesh of the ``k`` per-axis coordinate arrays ``t``."""
-    idx = np.unravel_index(flat, shape) if shape else ()
-    return idx, np.reshape([tk[i] for tk, i in zip(t, idx)], (len(t), len(flat)))
+def _unravel(flat: np.ndarray, shape) -> np.ndarray:
+    """The (len(shape), len(flat)) per-axis indices of flat indices into a
+    mesh of the given shape."""
+    return np.reshape(np.unravel_index(flat, shape) if shape else (), (len(shape), len(flat)))

@@ -339,24 +339,16 @@ def dilated(u, t, axes, a):
 
 
 def rounding_scale(functional, u, report, spec):
-    """Per family member, the magnitude against which the two paths round
-    the value ``<F_t, G>``, ``F_t = t^-|axes| D_t M D_t``: a mesh walk
-    against ``sum_x w(x) |j(x)|^T |F_t| |j(x)|``; a Gaussian's moments,
-    which round the monomials ``m(s - c)`` of its jet ``u K m`` before ``K``
-    combines them, also against ``sum_x w(x) u(x)^2 |m|^T |K^T F_t K| |m|``."""
+    """``t^-|axes| sum_x w(x) |D_t j(x)|^T |M| |D_t j(x)|`` per family member:
+    the magnitude against which either path rounds its value."""
     grid = quadrature.build_grid(functional.domains, spec, u.axis_boxes)
     pts, w = grid.points_and_weights()
-    coords = jet_coordinates(u.jet(pts))
+    coords = np.abs(jet_coordinates(u.jet(pts)))
     pi = jet_orders(u.n)[:, list(report.axes)].sum(axis=1)
-    forms = [
-        t ** -len(report.axes) * np.outer(d, d) * functional.jet_form
-        for t, d in ((t, t ** (report.prefactor_exponent + pi)) for t, _ in report.entries)
-    ]
-    out = [np.sum(w * np.einsum("np,pq,nq->n", np.abs(coords), np.abs(f), np.abs(coords))) for f in forms]
-    if u.gaussian_terms() is not None:
-        _, center, K = u.gaussian_terms()
-        m = np.prod(np.abs(pts - center)[:, None, :] ** jet_orders(u.n), axis=2)
-        out = [s + np.sum(w * coords[:, 0] ** 2 * np.einsum("np,pq,nq->n", m, np.abs(K.T @ f @ K), m)) for s, f in zip(out, forms)]
+    out = []
+    for t, _ in report.entries:
+        c = coords * t ** (report.prefactor_exponent + pi)
+        out.append(t ** -len(report.axes) * np.sum(w * np.einsum("np,pq,nq->n", c, np.abs(functional.jet_form), c)))
     return out
 
 

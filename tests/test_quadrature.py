@@ -425,14 +425,29 @@ def anisotropic_gaussians(draw):
 
 def assert_moments_match_the_gram_walk(u, nodes):
     """Every entry of the weighted jet Gram of ``u``, from its mesh moments
-    and from the walk of its jet coordinates, within ``1e-12 sqrt(G_pp G_qq)``."""
+    and from the walk of its jet coordinates, within ``1e-12 sqrt(G_pp G_qq)``
+    of each other, and each within ``2e-14`` of the walk's rounding scale
+    ``sum w |j_p| |j_q|`` of the Gram of the jet ``u [1, -y, y_i y_j - A_ij]``
+    summed in long double.  (Moments rounded to float64 before ``K``
+    combines them erred by up to 5e-13 of that scale where ``K m(t)``
+    cancels.)"""
     J = len(jet_orders(u.n))
     grid = build_grid((AxisDomain.line(),) * u.n, GridSpec(line_nodes=nodes), u.axis_boxes)
     units = np.eye(J * J).reshape(J * J, J, J)
     got = quadrature._gaussian_moments(grid, units, u.gaussian_terms()).reshape(J, J)
-    want = quadrature._gram_walk(grid, u.jet_coords, units).reshape(J, J)
-    scale = np.sqrt(np.diag(want))
-    assert np.all(np.abs(got - want) <= 1e-12 * np.outer(scale, scale))
+    walked = quadrature._gram_walk(grid, u.jet_coords, units).reshape(J, J)
+    scale = np.sqrt(np.diag(walked))
+    assert np.all(np.abs(got - walked) <= 1e-12 * np.outer(scale, scale))
+    pts, w = grid.points_and_weights()
+    t = (pts.astype(np.longdouble) - u.center).T
+    y = u.A.astype(np.longdouble) @ t
+    rows, cols = np.triu_indices(u.n)
+    jet = np.concatenate([np.ones((1, len(w)), np.longdouble), -y, y[rows] * y[cols] - u.A[rows, cols][:, None]])
+    jet *= np.exp(-np.sum(t * y, axis=0) / 2)
+    want = (jet * w) @ jet.T
+    rounding = (np.abs(jet) * w) @ np.abs(jet).T
+    for gram in (got, walked):
+        assert np.all(np.abs(gram - want) <= 2e-14 * rounding)
 
 
 @settings(deadline=None, max_examples=30)
