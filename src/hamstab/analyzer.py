@@ -498,8 +498,8 @@ def _norm2_form(n: int) -> np.ndarray:
 
 def _form_integral(form: np.ndarray, u: TestFunction, domains, gridspec: GridSpec | None):
     """``int j^T M j`` over the jets of ``u`` for a constant jet form or a
-    stack of them: sum-factorized on separable probes, through the weighted
-    jet Gram on the mesh otherwise."""
+    stack of them: in closed form on separable and Gaussian probes, by one
+    walk of the mesh otherwise."""
     return integrate(jet_field(form, u), domains, gridspec, boxes=u.axis_boxes)
 
 

@@ -9,8 +9,8 @@ work is scheduled.
 
 A :class:`JetFormField`, ``j^T M j`` for a constant matrix ``M`` over the
 jet ``j`` of a test function, integrates to ``<M, G>`` for the weighted jet
-Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  :func:`integrate` forms
-``G`` by the first of three routes that applies:
+Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  :func:`integrate` tries
+two closed routes to ``G``, in order:
 
 1. Sum factorization, for a test function that is a sum of products of
    one-variable factors (bumps, cosine products and plane waves, and sums
@@ -18,31 +18,26 @@ Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  :func:`integrate` forms
    per-axis 1-D Gram matrices of the factor jets on the same nodes and
    weights, at a cost linear in the node counts.
 2. Mesh moments, for an anisotropic Gaussian ``u = exp(-t^T A t / 2)``,
-   ``t = s - c``: its jet is ``u K m(t)`` for the monomials ``m`` of degree
-   at most 2, so ``G = K Mom K^T`` with ``Mom[a, b] = sum_x w(x) u(x)^2
-   t^(a + b)``.  ``u^2`` is evaluated once per mesh point and each node
-   axis is contracted in turn against its table ``w_k t_k^g``; nothing else
-   is formed per point.  ``K m(t)`` cancels along the Gaussian's wide
-   directions, so the moments are carried in ``np.longdouble`` until ``G``
-   is formed.
-3. The Gram walk, for any other field: the jet coordinates of each mesh
-   block, one ``J x J`` product per block of about :data:`STACK_CHUNK`
-   rows.
+   ``t = s - c``, and its dilations: its jet is ``u K m(t)`` for the
+   monomials ``m`` of degree at most 2, so ``G = K Mom K^T`` with
+   ``Mom[a, b] = sum_x w(x) u(x)^2 t^(a + b)``.  ``u^2`` is evaluated once
+   per mesh point and each node axis is contracted in turn against its
+   table ``w_k t_k^g``; nothing else is formed per point.  ``K m(t)``
+   cancels along the Gaussian's wide directions, so the moments are
+   carried in ``np.longdouble`` until ``G`` is formed.
 
-Each route gives the same discrete sum up to rounding, and all three share
-one leak rule: a bound ``B`` on ``|j|`` over every line axis's edge layer
-(per-axis maxima of the factor jets, the Gaussian's largest value on the
-edge hyperplane times its monomials' maxima, or the walk's exact edge
-maxima) must give ``B^T |M| B <= 1e-10``.  Sum factorization or moments
-that fail it fall through to the next route; a Gram walk that fails it
-makes the exact per-point decision, one pointwise walk per form, which
-raises :class:`SupportError` on a leak.  A field whose coefficients depend
-on the point is a plain callable, walked point by point.
+Each gives the mesh's discrete sum up to rounding and a bound ``B`` on
+``|j|`` over every line axis's edge layer (per-axis maxima of the factor
+jets, or the Gaussian's largest value on the edge hyperplane times its
+monomials' maxima); one leak rule accepts it if ``B^T |M| B <= 1e-10`` for
+every form.  Otherwise the field is walked on the mesh like any callable
+field (whose coefficients may depend on the point), and the walk decides
+the leak exactly, raising :class:`SupportError`, and gives the value.
 
-Mesh path: a callable field walks the grid in the blocks of
-:meth:`Grid._slabs`, runs of whole trailing sub-meshes of up to
-:data:`CHUNK` rows, and only one block of points, weights and values exists
-at a time.  Each block folds its magnitudes into running maxima for the leak
+Mesh path: a field walks the grid in the blocks of :meth:`Grid._slabs`,
+runs of whole trailing sub-meshes of up to :data:`CHUNK` rows
+(:data:`STACK_CHUNK` for a jet form field), and only one block of points,
+weights and values exists at a time.  Each block folds its magnitudes into running maxima for the leak
 check and reduces its ``values * weights`` to one partial sum per aligned
 sub-block, whose length is the largest power of two dividing the first
 block's length.  Because every block starts at a multiple of that length,
@@ -56,8 +51,8 @@ A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 
 A :class:`JetFormField` may carry a ``(K, J, J)`` stack of forms, as a
 dilation family does (see :func:`hamstab.analyzer.scaling_probe`);
-:func:`integrate` then returns the K sums ``<M_k, G>`` of one ``G``, and
-the leak rule holds for every ``M_k``.
+:func:`integrate` then returns the K sums ``<M_k, G>`` of one ``G`` (or
+of one walk), and the leak rule holds for every ``M_k``.
 """
 
 from __future__ import annotations
@@ -90,9 +85,9 @@ MIN_NODES = 8
 # Largest number of mesh points evaluated in one vectorized block.
 CHUNK = 262144
 
-# Mesh points per block of a weighted jet Gram: a block's J jet coordinates
-# (2 MB for J = 15) stay in cache through their few passes.  Also the most
-# rows whose node indices :meth:`Grid._blocks` keeps, for blocks of any length.
+# Mesh points per block of a jet form field's walk: a block's J jet
+# coordinates (2 MB for J = 15) stay in cache through their contraction.
+# Also the most rows whose node indices :meth:`Grid._blocks` keeps.
 STACK_CHUNK = CHUNK // 16
 
 # Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
@@ -224,9 +219,8 @@ class JetFormField:
     ``gaussian`` its Gaussian terms ``(A, center, K)`` (each None if it has
     none), and ``coords`` gives its (N, J) jet coordinates.
     :func:`integrate` sum-factorizes with ``terms``, then takes the mesh
-    moments of ``gaussian``, and otherwise accumulates the weighted jet Gram
-    of ``coords`` on the mesh; a field whose coefficients depend on the
-    point is a plain callable instead.
+    moments of ``gaussian``, and otherwise walks ``coords`` on the mesh; a
+    field whose coefficients depend on the point is a plain callable.
     """
 
     form: np.ndarray
@@ -342,82 +336,71 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
 
     Raises :class:`SupportError` if the field fails to vanish (relative to
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
-    A callable ``field(points) -> (N,)`` is walked point by point on the
-    mesh.  A :class:`JetFormField` is sum-factorized when it has separable
-    terms, integrated from mesh moments when it has Gaussian terms (each
-    only when its edge bound clears the leak check), and otherwise takes
-    the weighted jet Gram walk of the mesh; a (K, J, J) stack of forms
-    returns a (K,) array.
+    A :class:`JetFormField` is sum-factorized when it has separable terms,
+    else integrated from mesh moments when it has Gaussian terms, where the
+    route's edge bound passes :func:`_form_sums`; a (K, J, J) stack of forms
+    returns a (K,) array.  Any other field is walked on the mesh.
     """
     grid = build_grid(domains, spec, boxes)
-    if not isinstance(field, JetFormField):
-        return _walk_mesh(grid, field)
-    if field.terms is not None:
-        value = _sum_factorized(grid, field.form, field.terms)
-        if value is not None:
-            return value
-    if field.gaussian is not None:
-        value = _gaussian_moments(grid, field.form, field.gaussian)
-        if value is not None:
-            return value
-    return _gram_walk(grid, field.coords, field.form)
+    if isinstance(field, JetFormField):
+        for data, route in ((field.terms, _sum_factorized), (field.gaussian, _gaussian_moments)):
+            if data is not None:
+                sums = _form_sums(field.form, *route(grid, data))
+                if sums is not None:
+                    return sums
+    return _walk_mesh(grid, field)
 
 
-def _walk_mesh(grid: Grid, field) -> float:
+def _walk_mesh(grid: Grid, field):
     """The mesh sum of ``field(points)``, one :meth:`Grid._slabs` block of
-    up to :data:`CHUNK` rows at a time, with the support-leak check."""
+    up to :data:`CHUNK` rows at a time, with the support-leak check.  A
+    :class:`JetFormField` walks blocks of :data:`STACK_CHUNK` rows and forms
+    each block's jet coordinates ``c`` once: ``c @ [M_1 | ... | M_K]`` gives
+    every ``c M_k``, and each form is summed and leak-checked on its own."""
     grid._check_size()
+    stack = isinstance(field, JetFormField)
+    forms = field.form.reshape((-1,) + field.form.shape[-2:]) if stack else [None]
+    wide = np.concatenate(forms, axis=1) if stack else None
+
+    def values(pts):
+        if not stack:
+            return np.asarray(field(pts), dtype=float)[None]
+        c = field.coords(pts)
+        cm = (c @ wide).reshape(len(c), len(forms), -1)
+        # one contraction per form: each value rounds as a lone form's would
+        return np.array([np.einsum("np,np->n", cm[:, k], c) for k in range(len(forms))])
+
     lines = [j for j, dom in enumerate(grid.domains) if dom.kind == "line"]
-    peak = 0.0
+    peaks = 0.0
     leaks = [0.0] * len(lines)
     parts = []
     block = 0
-    for pts, w, edges in grid._slabs(CHUNK):
+    for pts, w, edges in grid._slabs(STACK_CHUNK if stack else CHUNK):
         # the largest power of two dividing the first block's length: every
         # block starts at a multiple of it
         block = block or len(w) & -len(w)
-        vals = np.asarray(field(pts), dtype=float)
+        vals = values(pts)
         mags = np.abs(vals)
-        peak = max(peak, float(np.max(mags, initial=0.0)))
+        peaks = np.maximum(peaks, np.max(mags, axis=1, initial=0.0))
         for a, edge in enumerate(edges):
-            leaks[a] = max(leaks[a], float(np.max(mags[edge], initial=0.0)))
+            leaks[a] = np.maximum(leaks[a], np.max(mags[:, edge], axis=1, initial=0.0))
         parts.append(_block_sums(vals * w, block))
-    threshold = LEAK_RTOL * (1.0 + peak)
-    for j, leak in zip(lines, leaks):
-        if leak > threshold:
-            raise SupportError(
-                f"axis {j}: field magnitude {leak:.3e} at the box boundary "
-                f"(threshold {threshold:.3e}); enlarge the box or shrink the support"
-            )
-    return pairwise_sum(np.concatenate(parts))
-
-
-def _gram_walk(grid: Grid, coords, form: np.ndarray):
-    """:func:`_form_sums` of the weighted jet Gram of ``coords(points)``, one
-    ``J x J`` product per mesh block, bounded by the edge maxima of ``|j|``.
-    A bound that fails the leak rule falls back to the exact per-point
-    decision: one :func:`_walk_mesh` per form, which raises on a leak."""
-    grid._check_size()
-    gram = bounds = 0.0
-    for pts, w, edges in grid._slabs(STACK_CHUNK):
-        c = coords(pts)
-        gram = gram + c.T @ (c * w[:, None])
-        bounds = np.maximum(bounds, [np.max(np.abs(c[rows]), axis=0, initial=0.0) for rows in edges])
-    sums = _form_sums(form, gram, bounds)
-    if sums is not None:
-        return sums
-    for m in form.reshape((-1,) + form.shape[-2:]):
-        def values(pts):
-            c = coords(pts)
-            return np.einsum("np,np->n", c @ m, c)
-        _walk_mesh(grid, values)
-    return _form_sums(form, gram, ())
+    for k, peak in enumerate(peaks):
+        threshold = LEAK_RTOL * (1.0 + float(peak))
+        for j, leak in zip(lines, leaks):
+            if leak[k] > threshold:
+                raise SupportError(
+                    f"axis {j}: field magnitude {leak[k]:.3e} at the box boundary "
+                    f"(threshold {threshold:.3e}); enlarge the box or shrink the support"
+                )
+    sums = np.array([pairwise_sum(p) for p in np.concatenate(parts, axis=1)])
+    return sums if stack and field.form.ndim == 3 else float(sums[0])
 
 
 def _form_sums(form: np.ndarray, gram: np.ndarray, bounds):
     """``<M, G>`` for a (J, J) form, or the (K,) array of them for a stack;
     None when ``B^T |M_k| B > 1e-10`` for a form and a line axis's bound
-    ``B`` on ``|j|`` over its edge layer (the leak rule of both Gram paths)."""
+    ``B`` on ``|j|`` over its edge layer (the closed routes' leak rule)."""
     forms = form.reshape((-1,) + form.shape[-2:])
     if any(b @ m @ b > LEAK_RTOL for m in np.abs(forms) for b in bounds):
         return None
@@ -425,8 +408,8 @@ def _form_sums(form: np.ndarray, gram: np.ndarray, bounds):
     return float(values[0]) if form.ndim == 2 else values
 
 
-def _sum_factorized(grid: Grid, form: np.ndarray, terms):
-    """:func:`_form_sums` of ``G = sum_x w(x) j(x) j(x)^T`` from per-axis
+def _sum_factorized(grid: Grid, terms):
+    """``(G, bounds)`` for ``G = sum_x w(x) j(x) j(x)^T`` from per-axis
     Gram matrices, with edge bounds from per-axis maxima.
 
     With ``j_p = sum_t c_t prod_k f_tk^(a_pk)``,
@@ -451,11 +434,11 @@ def _sum_factorized(grid: Grid, form: np.ndarray, terms):
     for k, jk in enumerate(jets):
         gram = np.einsum("tai,i,sbi->tsab", jk, grid.axis_weights[k], jk)
         prod = prod * gram[:, :, orders[:, k][:, None], orders[:, k][None, :]]
-    return _form_sums(form, np.einsum("t,s,tspq->pq", coefs, coefs, prod), bounds)
+    return np.einsum("t,s,tspq->pq", coefs, coefs, prod), bounds
 
 
-def _gaussian_moments(grid: Grid, form: np.ndarray, gaussian):
-    """:func:`_form_sums` of the weighted jet Gram of the Gaussian
+def _gaussian_moments(grid: Grid, gaussian):
+    """``(G, bounds)`` for the weighted jet Gram ``G`` of the Gaussian
     ``u = exp(-t^T A t / 2)``, ``t = s - c``, from mesh moments.
 
     With ``(A, c, K)`` of
@@ -522,7 +505,7 @@ def _gaussian_moments(grid: Grid, form: np.ndarray, gaussian):
         for k, dom in enumerate(grid.domains)
         if dom.kind == "line"
     ]
-    return _form_sums(form, gram, bounds)
+    return gram, bounds
 
 
 def _unravel(flat: np.ndarray, shape) -> np.ndarray:

@@ -13,14 +13,14 @@ included), plane waves (expanded by the angle-addition formula into
 products of cosines and sines), and sums and dilations of them, also report
 ``separable_terms()``: ``(coefficient, per-axis factors)`` pairs whose sum
 is the function, which lets the quadrature integrate quadratic forms in the
-jet axis by axis.  Every anisotropic Gaussian also reports
-``gaussian_terms()``: its jet coordinates are the Gaussian times
-polynomials of degree at most 2, which lets the quadrature integrate them
-from mesh moments.  Jet coordinates are ordered ``(u, du_i, d2u_ij for
-i <= j)``; :func:`jet_orders` gives each coordinate's per-axis derivative
-orders, and :func:`jet_coordinates` / :func:`jet_from_coordinates` convert
-between jets and coordinates; ``jet_coords`` gives a function's
-coordinates at points.
+jet axis by axis.  Every anisotropic Gaussian, and every dilation of one,
+also reports ``gaussian_terms()``: its jet coordinates are the Gaussian
+times polynomials of degree at most 2, which lets the quadrature integrate
+them from mesh moments.  Jet coordinates are ordered ``(u, du_i, d2u_ij
+for i <= j)``; :func:`jet_orders` gives each coordinate's per-axis
+derivative orders, and :func:`jet_coordinates` / :func:`jet_from_coordinates`
+convert between jets and coordinates; ``jet_coords`` gives a function's
+coordinates at points from its ``jet``, for a walk of the mesh.
 
 Gaussian-type factors are treated as compactly supported with a declared
 box of ten standard deviations, where the tail is far below the vanishing
@@ -376,8 +376,8 @@ class AnisotropicGaussian(TestFunction):
         return [(1.0, [Gauss1D(1.0 / np.sqrt(a), c) for a, c in zip(np.diag(self.A), self.center)])]
 
     def gaussian_terms(self):
-        """``(A, center, K)``: the coordinates ``[1, -y, y_i y_j - A_ij]`` of
-        :meth:`jet_coords`, ``y = A t``, as polynomials in ``t``, so ``-y``
+        """``(A, center, K)``: the jet coordinates ``u [1, -y, y_i y_j -
+        A_ij]``, ``y = A t``, as polynomials in ``t``, so ``-y``
         takes ``-A`` and ``y_i y_j`` the coefficient ``A_il A_jm + A_im A_jl``
         on ``t_l t_m`` (``A_il A_jl`` on ``t_l^2``)."""
         n = self.n
@@ -397,15 +397,6 @@ class AnisotropicGaussian(TestFunction):
         du = -As * u[:, None]
         hess = (np.einsum("ni,nj->nij", As, As) - self.A) * u[:, None, None]
         return u, du, hess
-
-    def jet_coords(self, points):
-        """``u * [1, -y, y_i y_j - A_ij]``, ``y = A (s - c)``, as a (J, N) array's view."""
-        s = (np.atleast_2d(np.asarray(points, dtype=float)) - self.center).T
-        y = self.A @ s
-        rows, cols = _hessian_index(self.n)
-        out = np.concatenate([np.ones((1, s.shape[1])), -y, y[rows] * y[cols] - self.A[rows, cols][:, None]])
-        out *= np.exp(-0.5 * np.sum(s * y, axis=0))
-        return out.T
 
 
 def _common_period(periods) -> float | None:
@@ -507,6 +498,17 @@ class AxisScaled(TestFunction):
             (self.prefactor * c, [Scaled1D(f, s) for f, s in zip(factors, self.scales)])
             for c, factors in parts
         ]
+
+    def gaussian_terms(self):
+        """``(S A S, c / S, p D K D)`` for the base's ``(A, c, K)``: ``S``
+        scales both the monomial ``t^alpha`` and the jet coordinate of orders
+        ``alpha`` by ``D_alpha = prod_k S_k^alpha_k``."""
+        terms = self.base.gaussian_terms()
+        if terms is None:
+            return None
+        A, center, K = terms
+        d = np.prod(self.scales ** jet_orders(self.n), axis=1)
+        return self.scales[:, None] * A * self.scales, center / self.scales, self.prefactor * d[:, None] * K * d
 
 
 def isotropic_rescale(u: TestFunction, t: float) -> AxisScaled:

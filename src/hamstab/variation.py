@@ -33,8 +33,8 @@ with ``geometry_is_constant`` writes its integrand at the origin geometry as
 squares (after checking that the geometry is constant on a sample grid), and
 the closed-form functionals and certificates of :mod:`hamstab.catalog` are
 such lists; point-dependent functionals carry None.
-:func:`evaluate_functional` integrates ``M`` as a :func:`jet_field`, never
-contracted point by point.
+:func:`evaluate_functional` and :func:`reilly_residual` integrate ``M`` as
+a :func:`jet_field`.
 """
 
 from __future__ import annotations
@@ -206,6 +206,18 @@ def _quadratic_squares(A: np.ndarray, rows: np.ndarray, n: int) -> list[JetSquar
     return [JetSquareTerm(float(w), tuple(v[:n]), tuple(map(tuple, v[n:].reshape(n, n)))) for w, v in terms if w]
 
 
+def _lap_squares(weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
+    """``weight (g^{ij} u_ij)^2`` for a constant ``g^{-1}``."""
+    return [JetSquareTerm(weight, (0.0,) * len(ginv), tuple(map(tuple, ginv)))]
+
+
+def _hessian_squares(weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
+    """``weight g^{ik} g^{jl} u_ij u_kl`` for a constant ``g^{-1}``, a
+    quadratic form in the ``u_ij``."""
+    n = len(ginv)
+    return _quadratic_squares(weight * np.kron(ginv, ginv), np.eye(n * n, n + n * n, k=n), n)
+
+
 # --------------------------------------------------------------- functionals
 
 # Largest _constancy_deviation of a chart flagged geometry_is_constant.
@@ -280,9 +292,7 @@ class SecondVariationFunctional:
             lap += np.einsum("nj,nj->n", _metric_drift(self._metric, geo["points"], steps, geo["vol"]), du)
         return lap * lap
 
-    def second_order_squares(self, weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
-        """``weight (g^{ij} u_ij)^2`` for a constant ``g^{-1}``."""
-        return [JetSquareTerm(weight, (0.0,) * len(ginv), tuple(map(tuple, ginv)))]
+    second_order_squares = staticmethod(_lap_squares)
 
     def _metric(self, points: np.ndarray):
         geo = induced_geometry_batch(self.chart, points)
@@ -302,10 +312,7 @@ class RawHessianFunctional(SecondVariationFunctional):
             raise ValueError("raw-Hessian form needs a chart with constant induced metric coefficients")
         super().__init__(chart)
 
-    def second_order_squares(self, weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
-        """``weight g^{ik} g^{jl} u_ij u_kl``, a quadratic form in the ``u_ij``."""
-        n = len(ginv)
-        return _quadratic_squares(weight * np.kron(ginv, ginv), np.eye(n * n, n + n * n, k=n), n)
+    second_order_squares = staticmethod(_hessian_squares)
 
     def second_order_term(self, geo, du, d2u) -> np.ndarray:
         """``g^{ik} g^{jl} u_ij u_kl``."""
@@ -428,18 +435,14 @@ def reilly_residual(
     Vanishes for periodic or compactly supported ``u``; the integration
     domain defaults to one period per periodic axis and the declared
     support box per line axis.  Restricted to constant metrics, whose Ricci
-    term vanishes.
+    term vanishes, so the integrand is the constant jet form
+    ``vol (M_lap - M_hess)`` of :func:`_lap_squares` and
+    :func:`_hessian_squares`, integrated as a :func:`jet_field`.
     """
     if not m.constant:
         raise NotImplementedError("integral trace identity implemented for constant metrics")
     doms = tuple(domains) if domains is not None else _domains_from_support(u)
     vol = float(m.vol_density(np.zeros((1, m.dim)))[0])
     ginv0 = m.g_inv(np.zeros((1, m.dim)))[0]
-
-    def field(pts):
-        _, _, d2u = u.jet(pts)
-        lap = np.einsum("ij,nij->n", ginv0, d2u)
-        hess_sq = np.einsum("ik,jl,nij,nkl->n", ginv0, ginv0, d2u, d2u)
-        return (lap * lap - hess_sq) * vol
-
-    return quadrature.integrate(field, doms, gridspec, boxes=u.axis_boxes)
+    form = _jet_form(_lap_squares(vol, ginv0) + _hessian_squares(-vol, ginv0))
+    return quadrature.integrate(jet_field(form, u), doms, gridspec, boxes=u.axis_boxes)

@@ -31,7 +31,7 @@ from .catalog import ClosedFormFunctional, CurveData, default_catalog_ids, make_
 from .immersion import AxisDomain, induced_geometry_batch, sample_grid, structural_residuals
 from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
-from .variation import JetSquareTerm, MetricField, bochner_residual, evaluate_functional, reilly_residual, second_variation
+from .variation import MetricField, _lap_squares, bochner_residual, evaluate_functional, reilly_residual, second_variation
 
 __all__ = ["CheckResult", "run_criterion", "run_all", "CRITERIA"]
 
@@ -399,8 +399,7 @@ def _lap_sq_functional(m: MetricField, periodic: bool) -> ClosedFormFunctional:
     or the default line truncation per axis."""
     ginv = m.g_inv(np.zeros((1, m.dim)))[0]
     domain = AxisDomain.circle(2 * np.pi) if periodic else AxisDomain.line()
-    lap = JetSquareTerm(1.0, (0.0,) * m.dim, tuple(map(tuple, ginv)))
-    return ClosedFormFunctional(domains=(domain,) * m.dim, terms=(lap,))
+    return ClosedFormFunctional(domains=(domain,) * m.dim, terms=tuple(_lap_squares(1.0, ginv)))
 
 
 # ------------------------------------------------------------- criterion 7

@@ -77,8 +77,8 @@ def polynomial_graph_chart():
 
 def form_rounding_scale(field, domains, spec, boxes):
     """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form of a jet-form field:
-    the magnitude against which both a pointwise sum and a Gram contraction
-    round."""
+    the magnitude against which a pointwise sum and a contraction of the
+    jet Gram both round."""
     pts, w = build_grid(domains, spec, boxes).points_and_weights()
     coords = np.abs(field.coords(pts))
     forms = field.form.reshape((-1,) + field.form.shape[-2:])

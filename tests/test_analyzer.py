@@ -245,7 +245,8 @@ def test_hyperbola_scaling_records_gradient_form_values():
     u_w, u_e1, rep = hyperbola_direction_probes(radii, eps)
     # Q(u_w) is a column of the dilation family's form stack: the gradient
     # block of the jet form, contracted with the weighted jet Gram of the
-    # probe's mesh moments, which the Gram walk of its jets gives up to rounding
+    # probe's mesh moments, which a walk of its jets on the mesh gives up to
+    # rounding
     form = np.zeros((len(jet_orders(3)),) * 2)
     form[1:4, 1:4] = rep.matrix
     column = integrate(jet_field(form[None], u_w), entry.functional.domains, spec, u_w.axis_boxes)
@@ -294,7 +295,7 @@ def test_probe_values_match_one_integration_per_value():
         # point-dependent V: integrated point by point, the rest as one stack
         (SecondVariationFunctional(gradient_graph_chart()), Separable([Gauss1D(1.0), Gauss1D(1.0)])),
         (resolve("plane:n=2,p=1").functional, Separable([Gauss1D(1.0), Gauss1D(0.7)])),
-        # not separable: one weighted jet Gram walk for the whole stack
+        # not separable: the Gaussian's mesh moments for the whole stack
         (resolve("plane:n=2,p=1").functional, AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])),
     ],
 )

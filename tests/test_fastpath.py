@@ -29,7 +29,14 @@ from hamstab.testfunctions import (
     random_bump_poly,
     random_trig_poly,
 )
-from hamstab.variation import RawHessianFunctional, SecondVariationFunctional, evaluate_functional, jet_field
+from hamstab.variation import (
+    MetricField,
+    RawHessianFunctional,
+    SecondVariationFunctional,
+    evaluate_functional,
+    jet_field,
+    reilly_residual,
+)
 
 from helpers import form_rounding_scale, gradient_graph_chart
 
@@ -38,9 +45,9 @@ CATALOG = {cid: resolve(cid) for cid in default_catalog_ids()}
 
 
 @contextmanager
-def counting_meshes(walkers=("_walk_mesh", "_gram_walk")):
-    """Record the size of every quadrature mesh walked inside the block,
-    pointwise or through the weighted jet Gram (or by the named walkers)."""
+def counting_meshes(walkers=("_walk_mesh",)):
+    """Record the size of every quadrature mesh walked inside the block (or
+    integrated by the named routes)."""
     calls = []
     originals = {name: getattr(quadrature, name) for name in walkers}
 
@@ -152,17 +159,16 @@ class _ExpCosWave(TestFunction):
     ],
 )
 def test_non_separable_probes_use_the_mesh(cid, u):
-    # the constant form takes one weighted jet Gram, a Gaussian's from its
-    # mesh moments and any other probe's by a walk, and is never contracted
-    # point by point
+    # the constant form takes a Gaussian's mesh moments, and any other
+    # probe's one walk of the mesh
     functional = CATALOG[cid].functional
     assert u.separable_terms() is None
     gaussian = u.gaussian_terms() is not None
-    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes(("_gram_walk",)) as grams:
-        with counting_meshes(("_walk_mesh",)) as pointwise:
-            val = evaluate_functional(functional, u, SMALL)
-    assert (len(moments), len(grams), pointwise) == (gaussian, not gaussian, [])
-    # the Gram contraction reduces in another order than the pointwise sum
+    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
+        val = evaluate_functional(functional, u, SMALL)
+    assert (len(moments), len(walks)) == (gaussian, not gaussian)
+    # the moments reduce in another order than the pointwise sum, and the
+    # walk contracts the jet form where the reference evaluates the integrand
     scale = form_rounding_scale(jet_field(functional.jet_form, u), functional.domains, SMALL, u.axis_boxes)
     assert abs(val - mesh_value(functional, u, SMALL)) <= 1e-12 * scale[0]
 
@@ -215,10 +221,32 @@ def test_torus_criteria_walk_no_mesh(number):
     assert all(r.passed for r in results)
 
 
+def test_reilly_residual_is_a_jet_form_that_walks_no_mesh():
+    # vol (M_lap - M_hess) sum-factorizes on criterion 6's 20 probes, and
+    # matches the pointwise integrand on an indefinite metric
+    with counting_meshes() as calls:
+        results = verification.run_criterion(6)
+    assert calls == []
+    assert all(r.passed for r in results)
+    m = MetricField.flat([1.0, -1.0])
+    u = random_bump_poly(2, np.random.default_rng(6))
+    ginv = np.diag([1.0, -1.0])
+
+    def pointwise(pts):
+        _, _, d2u = u.jet(pts)
+        lap = np.einsum("ij,nij->n", ginv, d2u)
+        return lap * lap - np.einsum("ik,jl,nij,nkl->n", ginv, ginv, d2u, d2u)
+
+    domains = (AxisDomain.line(), AxisDomain.line())
+    ref = quadrature.integrate(pointwise, domains, SMALL, boxes=u.axis_boxes)
+    lap_sq = quadrature.integrate(lambda pts: np.einsum("ij,nij->n", ginv, u.jet(pts)[2]) ** 2, domains, SMALL, boxes=u.axis_boxes)
+    assert abs(reilly_residual(u, m, gridspec=SMALL) - ref) <= 1e-12 * (1.0 + lap_sq)
+
+
 def test_criterion_4_takes_two_moment_integrations_and_no_mesh_walk():
     # the n = 3 and n = 4 dilation families of dirgauss:w take the Gaussian
-    # moments of their grids; any Gram walk or per-point contraction of a
-    # form would be a mesh walk
+    # moments of their grids; a form contracted point by point would be a
+    # mesh walk
     with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
         results = verification.run_criterion(4)
     assert all(r.passed for r in results)
@@ -292,12 +320,12 @@ def test_point_dependent_functionals_use_the_mesh():
 def test_truncated_support_falls_back_and_raises():
     functional = CATALOG["plane:n=2,p=0"].functional
     u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
-    with counting_meshes(("_gram_walk",)) as grams, counting_meshes(("_walk_mesh",)) as pointwise:
+    with counting_meshes(("_sum_factorized",)) as factorized, counting_meshes() as walks:
         with pytest.raises(SupportError, match="boundary"):
             evaluate_functional(functional, u, GridSpec(line_nodes=16, line_box=3.0))
-    # the sum-factorized and the Gram edge bounds both fail; the exact
-    # per-point decision of the one form then walks the mesh and raises
-    assert len(grams) == 1 and len(pointwise) == 1
+    # the sum-factorized edge bound fails; the walk of the mesh then decides
+    # per point and raises
+    assert len(factorized) == 1 and len(walks) == 1
 
 
 def test_wrong_constant_declaration_raises():
@@ -359,17 +387,17 @@ def test_one_pass_dilation_family_matches_per_t(cid, schedule):
     axes, a, spec = FAMILIES[cid]
     u = family_probe(entry)
     # a separable probe sum-factorizes and the hyperbola's Gaussian takes
-    # its mesh moments; the dilated Gaussians u^t of the reference below
-    # report no Gaussian terms, so they walk the mesh
+    # its mesh moments, as would each dilated member u^t; the reference
+    # integrates each member's integrand point by point on its own grid
     with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
         report = analyzer.scaling_probe(entry.functional, u, schedule, axes=axes, prefactor_exponent=a, gridspec=spec)
     assert (len(moments), walks) == (u.gaussian_terms() is not None, [])
     scales = rounding_scale(entry.functional, u, report, spec)
     for (t, value), norm2, scale in zip(report.entries, report.norms, scales):
         ut = dilated(u, t, report.axes, report.prefactor_exponent)
-        ref = evaluate_functional(entry.functional, ut, spec)
+        ref = mesh_value(entry.functional, ut, spec)
         assert abs(value - ref) <= 1e-13 * scale, (cid, t, value, ref)
-        ref_norm = analyzer._probe_values(entry.functional, ut, spec)[1]
+        ref_norm = quadrature.integrate(lambda pts: ut.jet(pts)[0] ** 2, entry.functional.domains, spec, boxes=ut.axis_boxes)
         assert abs(norm2 - ref_norm) <= 1e-13 * ref_norm, (cid, t, norm2, ref_norm)
 
 
@@ -378,9 +406,10 @@ def test_fixed_line_box_takes_the_per_t_loop():
     u = family_probe(entry)
     spec = GridSpec(line_nodes=16, line_box=60.0)
     schedule = (0.5, 1.0, 2.0)
-    with counting_meshes() as calls:
+    # each member u^t takes the mesh moments of its own grid
+    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
         report = analyzer.scaling_probe(entry.functional, u, schedule, gridspec=spec)
-    assert len(calls) == len(schedule)
+    assert (len(moments), walks) == (len(schedule), [])
     members = [dilated(u, t, (0, 1, 2), 0.5) for t in schedule]
     assert report.entries == [(t, evaluate_functional(entry.functional, ut, spec)) for t, ut in zip(schedule, members)]
     assert report.norms == [analyzer._probe_values(entry.functional, ut, spec)[1] for ut in members]

@@ -22,8 +22,6 @@ from hamstab.quadrature import (
 from hamstab.testfunctions import AnisotropicGaussian, Cos1D, Gauss1D, Separable, jet_coordinates, jet_orders
 from hamstab.variation import jet_field
 
-from helpers import form_rounding_scale
-
 
 def test_cos_squared_on_circle():
     # periodic trapezoid is exact for trig polynomials below the node count
@@ -278,13 +276,12 @@ def test_mesh_walk_matches_whole_mesh_form_stack(block_rows, axes, nodes):
     got = integrate(field, doms, spec, boxes=boxes)
     want = whole_mesh_integrate(field, doms, spec, boxes)
     assert got.shape == (3,)
-    # the Gram walk reduces in another order than the pointwise sum
-    assert np.all(np.abs(got - want) <= 1e-12 * form_rounding_scale(field, doms, spec, boxes))
+    assert all(map(same_float, got, want))
 
 
 # (circle nodes, line nodes, axis kinds): 2-4 axes with circle and line axes
 # mixed; 91 and 70 nodes make last axes longer than a 64-row block
-GRAM_MESHES = [
+STACK_MESHES = [
     (91, 70, "cl"),
     (70, 91, "lc"),
     (12, 70, "lcl"),
@@ -294,8 +291,8 @@ GRAM_MESHES = [
 ]
 
 
-@pytest.mark.parametrize("circle, line, kinds", GRAM_MESHES)
-def test_gram_walk_matches_whole_mesh(block_rows, circle, line, kinds):
+@pytest.mark.parametrize("circle, line, kinds", STACK_MESHES)
+def test_form_stack_walk_matches_whole_mesh_on_mixed_axes(block_rows, circle, line, kinds):
     doms = tuple(AxisDomain.circle(2 * np.pi) if k == "c" else AxisDomain.line() for k in kinds)
     spec = GridSpec(circle_nodes=circle, line_nodes=line)
     boxes = tuple(None if k == "c" else 12.0 for k in kinds)
@@ -303,15 +300,16 @@ def test_gram_walk_matches_whole_mesh(block_rows, circle, line, kinds):
     field = stack_field(factors)
     got = integrate(field, doms, spec, boxes=boxes)
     want = whole_mesh_integrate(field, doms, spec, boxes)
-    assert np.all(np.abs(got - want) <= 1e-12 * form_rounding_scale(field, doms, spec, boxes))
-    # a non-separable probe's direct coordinates take the same walk
+    assert all(map(same_float, got, want))
+    # a non-separable probe's jet coordinates, without its Gaussian terms,
+    # take the same walk
     A = np.eye(len(kinds)) + 0.3 * (np.ones((len(kinds),) * 2) - np.eye(len(kinds))) / len(kinds)
     u = AnisotropicGaussian(A)
     lines = tuple(AxisDomain.line() for _ in kinds)
     field = JetFormField(field.form, None, u.jet_coords)
     got = integrate(field, lines, spec, boxes=u.axis_boxes)
     want = whole_mesh_integrate(field, lines, spec, u.axis_boxes)
-    assert np.all(np.abs(got - want) <= 1e-12 * form_rounding_scale(field, lines, spec, u.axis_boxes))
+    assert all(map(same_float, got, want))
 
 
 def test_mesh_walk_leak_error_matches_whole_mesh(block_rows):
@@ -352,9 +350,9 @@ def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
         assert peak < bound * 2**20, (nodes, peak / 2**20)
 
 
-def test_gram_walk_memory_is_a_few_blocks(monkeypatch):
-    # a 4-axis stack on 32^4 = 1.05 M points: the whole mesh's 15 jet
-    # coordinates alone would take 8 * 15 * 1.05 M = 126 MiB
+def test_form_stack_walk_memory_is_a_few_blocks(monkeypatch):
+    # a 4-axis stack of 5 forms walked on 32^4 = 1.05 M points: the whole
+    # mesh's 15 jet coordinates alone would take 8 * 15 * 1.05 M = 126 MiB
     def no_mesh(grid):
         raise AssertionError("integrate built the whole mesh")
 
@@ -423,21 +421,15 @@ def anisotropic_gaussians(draw):
     return AnisotropicGaussian((A + A.T) / 2, center=rng.uniform(-2.0, 2.0, n))
 
 
-def assert_moments_match_the_gram_walk(u, nodes):
-    """Every entry of the weighted jet Gram of ``u``, from its mesh moments
-    and from the walk of its jet coordinates, within ``1e-12 sqrt(G_pp G_qq)``
-    of each other, and each within ``2e-14`` of the walk's rounding scale
-    ``sum w |j_p| |j_q|`` of the Gram of the jet ``u [1, -y, y_i y_j - A_ij]``
-    summed in long double.  (Moments rounded to float64 before ``K``
-    combines them erred by up to 5e-13 of that scale where ``K m(t)``
-    cancels.)"""
-    J = len(jet_orders(u.n))
+def assert_moments_match_the_long_double_gram(u, nodes):
+    """Every entry of the weighted jet Gram of ``u`` from its mesh moments
+    within ``2e-14`` of the rounding scale ``sum w |j_p| |j_q|`` of the Gram
+    of the jet ``u [1, -y, y_i y_j - A_ij]`` summed in long double.  By
+    Cauchy-Schwarz that scale is at most ``sqrt(G_pp G_qq)``.  (Moments
+    rounded to float64 before ``K`` combines them erred by up to 5e-13 of
+    that scale where ``K m(t)`` cancels.)"""
     grid = build_grid((AxisDomain.line(),) * u.n, GridSpec(line_nodes=nodes), u.axis_boxes)
-    units = np.eye(J * J).reshape(J * J, J, J)
-    got = quadrature._gaussian_moments(grid, units, u.gaussian_terms()).reshape(J, J)
-    walked = quadrature._gram_walk(grid, u.jet_coords, units).reshape(J, J)
-    scale = np.sqrt(np.diag(walked))
-    assert np.all(np.abs(got - walked) <= 1e-12 * np.outer(scale, scale))
+    got, _ = quadrature._gaussian_moments(grid, u.gaussian_terms())
     pts, w = grid.points_and_weights()
     t = (pts.astype(np.longdouble) - u.center).T
     y = u.A.astype(np.longdouble) @ t
@@ -446,29 +438,28 @@ def assert_moments_match_the_gram_walk(u, nodes):
     jet *= np.exp(-np.sum(t * y, axis=0) / 2)
     want = (jet * w) @ jet.T
     rounding = (np.abs(jet) * w) @ np.abs(jet).T
-    for gram in (got, walked):
-        assert np.all(np.abs(gram - want) <= 2e-14 * rounding)
+    assert np.all(np.abs(got - want) <= 2e-14 * rounding)
 
 
 @settings(deadline=None, max_examples=30)
 @given(anisotropic_gaussians())
-def test_gaussian_moments_match_the_gram_walk(u):
+def test_gaussian_moments_match_the_long_double_gram(u):
     # on 64^2, 32^3 or 16^4 points
-    assert_moments_match_the_gram_walk(u, {2: 64, 3: 32, 4: 16}[u.n])
+    assert_moments_match_the_long_double_gram(u, {2: 64, 3: 32, 4: 16}[u.n])
 
 
 @pytest.mark.parametrize("axes, nodes", [(1, 70), (2, 91), (3, 21)])
-def test_gaussian_moments_match_the_gram_walk_in_any_blocks(block_rows, axes, nodes):
+def test_gaussian_moments_match_the_long_double_gram_in_any_blocks(block_rows, axes, nodes):
     # under 64-row blocks the 70- and 91-node meshes keep no trailing
     # sub-mesh and the 21^3 mesh one axis of it; at the default blocks each
     # is a single trailing sub-mesh
     A = np.eye(axes) + 0.3 * (np.ones((axes, axes)) - np.eye(axes))
-    assert_moments_match_the_gram_walk(AnisotropicGaussian(A, center=np.linspace(-0.5, 0.5, axes)), nodes)
+    assert_moments_match_the_long_double_gram(AnisotropicGaussian(A, center=np.linspace(-0.5, 0.5, axes)), nodes)
 
 
 def test_gaussian_moments_leak_raises_the_pointwise_error(monkeypatch):
-    # a box that cuts the probe fails the moments' edge bound, and the Gram
-    # walk that follows words the error as the pointwise route does
+    # a box that cuts the probe fails the moments' edge bound, and the walk
+    # of the mesh that follows words the error as the pointwise route does
     u = AnisotropicGaussian(np.array([[1.0, 0.4], [0.4, 0.7]]))
     dom = (AxisDomain.line(), AxisDomain.line())
     a = np.random.default_rng(9).normal(size=(6, 6))
@@ -496,13 +487,13 @@ def test_gaussian_moments_leak_raises_the_pointwise_error(monkeypatch):
 
 
 def test_gaussian_moments_memory_is_a_few_blocks(monkeypatch):
-    # 64^4 = 16.8 M points, one value each would take 128 MiB; the Gram walk
-    # of the same stack peaks at about 7.5 MiB
+    # 64^4 = 16.8 M points, one value each would take 128 MiB; the moments
+    # hold one block of u^2 and its contractions at a time
     def no_walk(*args):
         raise AssertionError("integrate walked the mesh")
 
     monkeypatch.setattr(quadrature.Grid, "points_and_weights", no_walk)
-    monkeypatch.setattr(quadrature, "_gram_walk", no_walk)
+    monkeypatch.setattr(quadrature, "_walk_mesh", no_walk)
     u = AnisotropicGaussian(np.eye(4) + 0.2)
     a = np.random.default_rng(4).normal(size=(5, 15, 15))
     forms = a + a.transpose(0, 2, 1)

@@ -18,6 +18,7 @@ from hamstab.testfunctions import (
     compatible_with,
     isotropic_rescale,
     jet_coordinates,
+    jet_orders,
     random_bump_poly,
     random_trig_poly,
 )
@@ -177,17 +178,36 @@ def test_plane_wave_separable_terms_reproduce_the_jet(u, seed):
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_anisotropic_gaussian_coordinates_match_its_jet(n, seed):
-    # random SPD A and center; points within two marginal widths of the center
+def test_scaled_gaussian_terms_match_its_jet(n, seed):
+    # random SPD A and center, unequal scales in [1/4, 4] and a prefactor;
+    # points within two marginal widths of the scaled center
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, n))
-    u = AnisotropicGaussian(m @ m.T + 0.1 * np.eye(n), center=rng.uniform(-2.0, 2.0, n))
-    widths = np.sqrt(np.diag(np.linalg.inv(u.A)))
-    pts = u.center + rng.uniform(-2.0, 2.0, size=(30, n)) * widths
-    got, want = u.jet_coords(pts), jet_coordinates(u.jet(pts))
+    base = AnisotropicGaussian(m @ m.T + 0.1 * np.eye(n), center=rng.uniform(-2.0, 2.0, n))
+    u = AxisScaled(base, 4.0 ** rng.uniform(-1.0, 1.0, n), rng.uniform(-3.0, 3.0))
+    A, center, K = u.gaussian_terms()
+    widths = np.sqrt(np.diag(np.linalg.inv(A)))
+    pts = center + rng.uniform(-2.0, 2.0, size=(30, n)) * widths
+    t = pts - center
+    monomials = np.prod(t[:, None, :] ** jet_orders(n), axis=2)
+    gauss = np.exp(-0.5 * np.einsum("ni,ij,nj->n", t, A, t))[:, None]
+    got = gauss * (monomials @ K.T)
+    want = jet_coordinates(u.jet(pts))
     assert got.shape == want.shape == (30, 1 + n + n * (n + 1) // 2)
-    # each coordinate to 1e-14 of its largest magnitude over the points
-    assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=0))
+    # each coordinate to 1e-14 of its largest rounding scale over the points:
+    # the magnitudes u |K| |m(t)| of the polynomial's terms, times 1 plus the
+    # magnitude |t|^T |A| |t| / 2 of the exponent's, whose rounding is
+    # relative in u
+    exponent = 0.5 * np.einsum("ni,ij,nj->n", np.abs(t), np.abs(A), np.abs(t))
+    scale = np.max(gauss * (np.abs(monomials) @ np.abs(K.T)) * (1.0 + exponent[:, None]), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_only_gaussians_and_their_dilations_report_gaussian_terms():
+    gauss = AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])
+    assert AxisScaled(gauss, [2.0, 0.5]).gaussian_terms() is not None
+    for u in (Separable([Gauss1D(1.0), Gauss1D(1.0)]), AxisScaled(PlaneWaveCos([1.0, 1.0]), [2.0, 1.0]), gauss + gauss):
+        assert u.gaussian_terms() is None
 
 
 def test_poly_gauss_jets_equal_numpy_polynomial_bit_for_bit():
