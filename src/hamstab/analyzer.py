@@ -29,10 +29,9 @@ from .testfunctions import (
     Separable,
     TestFunction,
     compatible_with,
-    jet_from_coordinates,
     jet_orders,
 )
-from .variation import _check_compatible, as_functional, evaluate_functional, jet_field
+from .variation import _check_compatible, _jet_form, as_functional, evaluate_functional, jet_field
 
 __all__ = [
     "ModeVector",
@@ -63,9 +62,8 @@ GRADIENT_FORM_NOTE = "gradient-form values Q(u_w), Q(u_e1) of the direction prob
 # Relative gap below which two probe values are a rounding-level tie.
 TIE_RTOL = 1e-12
 SOS_RESIDUAL_TOL = 1e-10
-# Grid rows, and standard-normal jets per row, of a sampled certificate check.
+# Grid rows at which a point-dependent certificate's jet form is compared.
 CERTIFICATE_ROWS = 20000
-CERTIFICATE_JET_DRAWS = 6
 
 LABEL_POSITIVE = "positive_definite"
 LABEL_NEGATIVE = "negative_definite"
@@ -693,7 +691,7 @@ def _classify_sos(entry: CatalogEntry, gridspec, seed: int) -> StabilityVerdict:
             LABEL_INCONCLUSIVE, notes=["no sum-of-squares certificate attached to this entry"]
         )
     residual, weight_ok = verify_certificate(entry.functional, cert, gridspec, seed)
-    sampled = f"up to {CERTIFICATE_ROWS} sampled rows x {CERTIFICATE_JET_DRAWS} jet draws"
+    sampled = f"jet-form comparison at up to {CERTIFICATE_ROWS} sampled rows"
     comparison = "exact jet-form comparison" if _constant_forms(entry.functional, cert) else sampled
     notes = [f"pointwise certificate residual {residual:.3e} ({comparison})"]
     if cert.kernel_note:
@@ -730,32 +728,25 @@ def verify_certificate(
     functional, cert: SumOfSquares, gridspec: GridSpec | None = None, seed: int = 0
 ) -> tuple[float, bool]:
     """Residual ``max|M_func - M_cert| / max(1, max|M_func|)`` between the
-    constant jet forms of the integrand and the certificate, plus a same-sign
-    check of the certificate's weights: exact, with no grid or random draw.
-    When either side depends on the point, ``max|V_func - V_cert|`` over
-    ``CERTIFICATE_ROWS`` grid rows (all rows of a smaller grid) with
-    ``CERTIFICATE_JET_DRAWS`` standard-normal jets each, relative to
-    ``max(1, max|V_func|)``, with the weights checked at those rows.
+    jet forms of the integrand and the certificate, plus a same-sign check
+    of the certificate's weights.  Constant forms are compared exactly, with
+    no grid or random draw.  When either side depends on the point, both
+    forms are taken at ``CERTIFICATE_ROWS`` rows drawn from the grid (all
+    rows of a smaller grid) and compared entrywise row by row, with the
+    weights checked at those rows.
     """
     functional = as_functional(functional)
     forms = _constant_forms(functional, cert)
-    if forms is not None:
-        m_func, m_cert = forms
-        pts = None  # constant weights take no points
-        residual, scale = float(np.max(np.abs(m_func - m_cert))), float(np.max(np.abs(m_func)))
-    else:
+    pts = None  # constant weights take no points
+    if forms is None:
         rng = np.random.default_rng(seed)
-        n = len(functional.domains)
         boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
         grid = build_grid(functional.domains, gridspec, boxes=boxes)
         big = grid.size > CERTIFICATE_ROWS
         pts = grid.points_at(rng.choice(grid.size, CERTIFICATE_ROWS, replace=False) if big else np.arange(grid.size))
-        residual, scale = 0.0, 0.0
-        for _ in range(CERTIFICATE_JET_DRAWS):
-            jet = jet_from_coordinates(rng.standard_normal((len(pts), len(jet_orders(n)))), n)
-            vf = functional.integrand(pts, jet)
-            residual = max(residual, float(np.max(np.abs(vf - cert.form_values(pts, jet)))))
-            scale = max(scale, float(np.max(np.abs(vf))))
+        forms = (_jet_form(functional.squares(pts), pts), _jet_form(cert.terms, pts))
+    m_func, m_cert = forms
+    residual, scale = float(np.max(np.abs(m_func - m_cert))), float(np.max(np.abs(m_func)))
     weight_ok = all(np.all(cert.sign * term.weight_values(pts) >= -1e-14) for term in cert.terms)
     return residual / max(1.0, scale), weight_ok
 
@@ -828,8 +819,13 @@ def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdi
         ),
         EvidenceRecord(2, qw, qe, GRADIENT_FORM_NOTE),
     ]
-    notes = [f"gradient-form values: Q(u_w) = {qw:.6g} (< 0), Q(u_e1) = {qe:.6g} (> 0)"]
+    notes = [f"gradient-form values: Q(u_w) = {_with_sign(qw)}, Q(u_e1) = {_with_sign(qe)}"]
     return _sign_verdict(pos, neg, evidence, notes, one_sign="dilation family found only one sign")
+
+
+def _with_sign(value: float) -> str:
+    """``value`` and the sign found, as ``-2.5 (< 0)``, ``0 (= 0)`` or ``3 (> 0)``."""
+    return f"{value:.6g} ({'<' if value < 0 else '>' if value > 0 else '='} 0)"
 
 
 def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:

@@ -9,14 +9,15 @@ surfaces in the tangent bundle of a Riemannian surface) enter through
 closed-form quadratic functionals with their sign data.
 
 A closed-form functional is one list of weighted squares ``w(s) * (L . jet)^2``
-(:class:`hamstab.variation.JetSquareTerm`), and everything else derives from
-that list: the pointwise integrand is the sum of the terms, evaluated as a
-:class:`SumOfSquares` certificate evaluates its own, and the constant jet
-form ``sum w L L^T`` of either (built as a flat chart functional's) exists
-exactly when every weight and coefficient is a number.  A tube or rank-one
-certificate is the functional's own term list, so its residual against the
-integrand is zero; the hyperbola and plane certificates stay independent
-term lists, checked against the jet form of the chart functional.
+(:class:`hamstab.variation.JetSquareTerm`), as every functional and
+certificate is, and everything else derives from that list: the pointwise
+integrand is the sum of the squares, and the one jet-form builder of
+:mod:`hamstab.variation` sums ``sum w L L^T``, a constant matrix when every
+weight and coefficient is a number and one matrix per point otherwise.  A
+tube or rank-one certificate is the functional's own term list, so its
+residual against the integrand is zero; the hyperbola and plane
+certificates stay independent term lists, checked against the jet form of
+the chart functional.
 
 The geodesic-tube functionals are a single two-parameter family driven by
 the sign tuple ``(e1, e2, e3, e4)`` of the first metric in the adapted
@@ -77,10 +78,8 @@ class ClosedFormFunctional:
     """Quadratic functional ``int sum_i w_i (L_i . jet)^2`` given by its
     weighted squares ``terms``.
 
-    ``integrand`` is the sum of the terms, evaluated as
-    :meth:`SumOfSquares.form_values` evaluates a certificate, and
-    ``jet_form`` is the terms' constant matrix ``M`` (as
-    :attr:`SumOfSquares.jet_form`), None when the terms depend on the point.
+    ``integrand`` is the sum of the terms, and ``jet_form`` is the terms'
+    constant matrix ``M``, None when the terms depend on the point.
     """
 
     domains: tuple[AxisDomain, ...]
@@ -96,6 +95,10 @@ class ClosedFormFunctional:
         self.integrand = partial(_sum_of_squares, self.terms)
         self.jet_form = _jet_form(self.terms)
 
+    def squares(self, points: np.ndarray) -> tuple[JetSquareTerm, ...]:
+        """The weighted squares, at any points."""
+        return self.terms
+
 
 @dataclass(frozen=True)
 class SumOfSquares:
@@ -104,15 +107,13 @@ class SumOfSquares:
     All weights must share ``sign``; the decomposition certifies semi-
     definiteness pointwise, and ``kernel_note`` records why the kernel is
     trivial on the admissible class, upgrading it to definiteness.  The
-    analyzer compares ``jet_form`` with the integrand's when both exist.
+    analyzer compares the certificate's jet form with the integrand's:
+    ``jet_form`` when both are constant, at sampled points otherwise.
     """
 
     terms: tuple[JetSquareTerm, ...]
     sign: int
     kernel_note: str = ""
-
-    def form_values(self, points: np.ndarray, jet) -> np.ndarray:
-        return _sum_of_squares(self.terms, points, jet)
 
     @property
     def jet_form(self) -> np.ndarray | None:

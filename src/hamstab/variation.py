@@ -14,9 +14,8 @@ ambient Ricci term drops because the ambients here are flat,
     g(nH, h(grad u, grad u)) = eps * C_ijk (grad u)^i (grad u)^j (g^{kl} H_l),
     g(nH, J grad u)          = H_k (grad u)^k.
 
-The intermediate (pre-trace-identity) form differs only in its
-second-order term: it replaces ``(lap u)^2`` by the squared Hessian
-``g^{ik} g^{jl} u_ij u_kl``; for compactly supported or
+The intermediate (pre-trace-identity) form replaces ``(lap u)^2`` by the
+squared Hessian ``g^{ik} g^{jl} u_ij u_kl``; for compactly supported or
 periodic ``u`` over a flat induced metric the two integrals agree, which is
 exactly the content of the integral trace identity checked by
 :func:`reilly_residual`, itself a corollary of the pointwise identity
@@ -25,22 +24,23 @@ checked by :func:`bochner_residual`.
 Sign convention: ``lap = div grad``, so on the flat unit torus
 ``-lap cos(s_1) = cos(s_1)`` (eigenvalue +1).
 
-A functional whose integrand is a constant quadratic form ``j^T M j`` in the
-jet ``j = (u, du, d2u)`` carries ``M`` as ``jet_form``.  Every such ``M``
-is summed by one builder from a list of weighted squares
-``w (L . jet)^2`` (:class:`JetSquareTerm`): a chart functional on a chart
-with ``geometry_is_constant`` writes its integrand at the origin geometry as
-squares (after checking that the geometry is constant on a sample grid), and
+Every quadratic functional is stated once, as weighted squares
+``w (L . jet)^2`` (:class:`JetSquareTerm`) in the jet ``j = (u, du, d2u)``:
+a chart functional's come from its geometry (the cubic term as a quadratic
+form in ``du``, the Laplacian's metric drift as ``du`` coefficients), and
 the closed-form functionals and certificates of :mod:`hamstab.catalog` are
-such lists; point-dependent functionals carry None.
-:func:`evaluate_functional` and :func:`reilly_residual` integrate ``M`` as
-a :func:`jet_field`.
+such lists.  The integrand is the sum of the squares, and one builder sums
+them to the jet form ``M = sum w L L^T`` with ``integrand = j^T M j``: a
+constant matrix when every weight and coefficient is a number (carried as
+``jet_form``, which :func:`evaluate_functional` and :func:`reilly_residual`
+integrate as a :func:`jet_field`), one matrix per point otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -140,8 +140,8 @@ def laplacian(u: TestFunction, m: MetricField, s) -> float:
 # ------------------------------------------------------------ jet forms
 
 def _at(value, points: np.ndarray):
-    """A number, or a function of the points evaluated at them."""
-    return np.asarray(value(points), dtype=float) if callable(value) else float(value)
+    """A number or an array as it is; a function of the points, at them."""
+    return np.asarray(value(points), dtype=float) if callable(value) else value
 
 
 @dataclass(frozen=True)
@@ -149,27 +149,18 @@ class JetSquareTerm:
     """One ``weight * L(jet)^2`` term with ``L(jet) = g . du + h : d2u``.
 
     The weight and each coefficient of ``g`` (``grad_coeffs``) and ``h``
-    (``hess_coeffs``) is a number or a function of the points.
+    (``hess_coeffs``) is a number, an array with a leading point axis (of
+    length 1 when it broadcasts), or a function of the points.
     """
 
-    weight: float | Callable[[np.ndarray], np.ndarray]
+    weight: float | np.ndarray | Callable[[np.ndarray], np.ndarray]
     grad_coeffs: tuple
     hess_coeffs: tuple
 
     @property
-    def is_constant(self) -> bool:
-        """Whether the weight and every coefficient are numbers."""
-        return not any(map(callable, (self.weight, *self.grad_coeffs, *chain.from_iterable(self.hess_coeffs))))
-
-    def linear_value(self, points: np.ndarray, jet) -> np.ndarray:
-        _, du, d2u = jet
-        parts = [(c, du[:, i]) for i, c in enumerate(self.grad_coeffs)]
-        parts += [(c, d2u[:, i, j]) for i, row in enumerate(self.hess_coeffs) for j, c in enumerate(row)]
-        out = np.zeros(len(du))
-        for c, x in parts:
-            if callable(c) or c != 0:
-                out += _at(c, points) * x
-        return out
+    def coeffs(self) -> tuple:
+        """``grad_coeffs``, then ``hess_coeffs`` row by row."""
+        return (*self.grad_coeffs, *chain.from_iterable(self.hess_coeffs))
 
     def weight_values(self, points: np.ndarray):
         """The weight at the points: a number when it is constant."""
@@ -177,45 +168,70 @@ class JetSquareTerm:
 
 
 def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -> np.ndarray:
+    _, du, d2u = jet
+    coords = [*du.T, *d2u.reshape(len(d2u), -1).T]
     out = np.zeros(len(points))
     for term in terms:
-        out += term.weight_values(points) * term.linear_value(points, jet) ** 2
+        linear = np.zeros(len(points))
+        for c, x in zip(term.coeffs, coords):
+            if callable(c) or np.any(c):
+                linear += _at(c, points) * x
+        out += term.weight_values(points) * linear**2
     return out
 
 
-def _jet_form(terms: tuple[JetSquareTerm, ...]) -> np.ndarray | None:
+def _jet_form(terms: tuple[JetSquareTerm, ...], points: np.ndarray | None = None) -> np.ndarray | None:
     """The matrix ``M = sum_i w_i L_i L_i^T`` of the sum of squares ``j^T M j``
-    (jet coordinates of :func:`hamstab.testfunctions.jet_orders`), or None
-    when a weight or coefficient is a function of the points."""
-    if not all(t.is_constant for t in terms):
+    (jet coordinates of :func:`hamstab.testfunctions.jet_orders`): ``(J, J)``
+    when every weight and coefficient is a number, otherwise ``(P, J, J)``
+    over the point axis of the arrays and of the functions evaluated at the
+    points; None when a function of the points is given no points."""
+    if points is None and any(callable(x) for t in terms for x in (t.weight, *t.coeffs)):
         return None
-    h = np.array([t.hess_coeffs for t in terms], dtype=float)
-    hess = h + h.swapaxes(1, 2) - h * np.eye(h.shape[1])  # on the u_ij coordinate: h_ij + h_ji, or h_ii
-    vectors = jet_coordinates((np.zeros(len(terms)), np.array([t.grad_coeffs for t in terms], dtype=float), hess))
-    return sum(t.weight * np.outer(v, v) for t, v in zip(terms, vectors))
+    flat = [_at(x, points) for t in terms for x in (t.weight, *t.coeffs)]
+    pointwise = any(getattr(x, "ndim", 0) for x in flat)
+    # weight and coefficients by term and point (one point when all are numbers)
+    c = np.array(np.broadcast_arrays(*flat) if pointwise else flat, dtype=float)
+    c = np.moveaxis(c.reshape(len(terms), len(flat) // len(terms), -1), 1, -1)
+    n = len(terms[0].grad_coeffs)
+    h = c[..., n + 1 :].reshape(-1, n, n)
+    hess = h + h.swapaxes(1, 2) - h * np.eye(n)  # on the u_ij coordinate: h_ij + h_ji, or h_ii
+    vectors = jet_coordinates((np.zeros(len(h)), c[..., 1 : n + 1].reshape(-1, n), hess)).reshape(c.shape[:2] + (-1,))
+    form = 0
+    for w, v in zip(c[..., 0], vectors):
+        form = form + w[:, None, None] * (v[:, :, None] * v[:, None, :])
+    return form if pointwise else form[0]
 
 
 def _quadratic_squares(A: np.ndarray, rows: np.ndarray, n: int) -> list[JetSquareTerm]:
     """``sum_pq A_pq L_p L_q`` over jet-linear ``L_p`` (rows of ``n``
     coefficients on ``du``, then ``n * n`` on ``d2u``) as weighted squares:
     ``A_pp L_p^2``, and ``a ((L_p + L_q)^2 - (L_p - L_q)^2)`` with
-    ``a = (A_pq + A_qp) / 4`` for each ``p < q``; zero weights are dropped."""
-    p, q = np.triu_indices(len(A), k=1)
-    a = 0.25 * (A[p, q] + A[q, p])
-    terms = zip(np.concatenate([np.diag(A), a, -a]), np.concatenate([rows, rows[p] + rows[q], rows[p] - rows[q]]))
-    return [JetSquareTerm(float(w), tuple(v[:n]), tuple(map(tuple, v[n:].reshape(n, n)))) for w, v in terms if w]
+    ``a = (A_pq + A_qp) / 4`` for each ``p < q``; ``A`` may carry leading
+    point axes, which the weights keep, and squares whose weight is zero
+    everywhere are dropped."""
+    p, q = np.triu_indices(A.shape[-1], k=1)
+    a = 0.25 * (A[..., p, q] + A[..., q, p])
+    weights = np.concatenate([np.diagonal(A, axis1=-2, axis2=-1), a, -a], axis=-1)
+    vectors = np.concatenate([rows, rows[p] + rows[q], rows[p] - rows[q]])
+    terms = zip(np.moveaxis(weights, -1, 0), vectors)
+    return [JetSquareTerm(w, tuple(v[:n]), tuple(map(tuple, v[n:].reshape(n, n)))) for w, v in terms if np.any(w)]
 
 
-def _lap_squares(weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
-    """``weight (g^{ij} u_ij)^2`` for a constant ``g^{-1}``."""
-    return [JetSquareTerm(weight, (0.0,) * len(ginv), tuple(map(tuple, ginv)))]
+def _lap_squares(weight, ginv: np.ndarray, drift: np.ndarray | None = None) -> list[JetSquareTerm]:
+    """``weight (b^j u_j + g^{ij} u_ij)^2`` with the metric drift ``b``
+    (zero when None); ``ginv`` and ``drift`` may carry leading point axes."""
+    n = ginv.shape[-1]
+    grad = (0.0,) * n if drift is None else tuple(np.moveaxis(drift, -1, 0))
+    return [JetSquareTerm(weight, grad, tuple(map(tuple, np.moveaxis(ginv, (-2, -1), (0, 1)))))]
 
 
-def _hessian_squares(weight: float, ginv: np.ndarray) -> list[JetSquareTerm]:
-    """``weight g^{ik} g^{jl} u_ij u_kl`` for a constant ``g^{-1}``, a
-    quadratic form in the ``u_ij``."""
-    n = len(ginv)
-    return _quadratic_squares(weight * np.kron(ginv, ginv), np.eye(n * n, n + n * n, k=n), n)
+def _hessian_squares(weight, ginv: np.ndarray) -> list[JetSquareTerm]:
+    """``weight g^{ik} g^{jl} u_ij u_kl``, a quadratic form in the ``u_ij``;
+    ``ginv`` may carry leading point axes, as may ``weight``."""
+    n = ginv.shape[-1]
+    kron = np.einsum("...ik,...jl->...ijkl", ginv, ginv).reshape(ginv.shape[:-2] + (n * n, n * n))
+    return _quadratic_squares(np.reshape(weight, np.shape(weight) + (1, 1)) * kron, np.eye(n * n, n + n * n, k=n), n)
 
 
 # --------------------------------------------------------------- functionals
@@ -233,70 +249,60 @@ def _constancy_deviation(chart: LagrangianChart, origin: dict, points: np.ndarra
 
 
 class SecondVariationFunctional:
-    """Pointwise second-variation integrand of a chart, quadratic in the jet.
+    """The second-variation integrand of a chart as weighted squares.
 
-    The geometry arrays carry a leading point axis: the induced geometry at
-    each point, or on charts with ``geometry_is_constant`` the geometry at
-    the origin with a length-1 point axis that broadcasts against the jets.
-    That declaration is checked on a 3-per-axis sample grid, and such a
-    chart's ``jet_form`` is summed from the origin geometry's weighted squares
-    (:meth:`_jet_terms`).  Subclasses replace :meth:`second_order_term` and
-    :meth:`second_order_squares`.
+    :meth:`squares` takes them from a geometry with a leading point axis: on
+    charts with ``geometry_is_constant`` (checked on a 3-per-axis sample
+    grid) the origin's with a length-1 axis, once, which also give
+    ``jet_form``; on other charts the induced geometry at the points, with
+    the finite-difference metric drift as the ``du`` coefficients of the
+    Laplacian square.  Subclasses replace :meth:`second_order_squares`.
     """
 
     def __init__(self, chart: LagrangianChart):
         self.chart = chart
         self.domains = chart.domains
-        self._origin = self.jet_form = None
+        self._origin_squares = self.jet_form = None
         if chart.geometry_is_constant:
-            self._origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
-            deviation = _constancy_deviation(chart, self._origin, sample_grid(chart, per_axis=3, line_window=1.0))
+            origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
+            deviation = _constancy_deviation(chart, origin, sample_grid(chart, per_axis=3, line_window=1.0))
             if deviation > CONSTANT_GEOMETRY_RTOL:
                 raise ValueError(
                     f"chart {chart.name!r} is declared geometry_is_constant, but its geometry "
                     f"deviates from the origin's by {deviation:.3e} (relative)"
                 )
-            self.jet_form = _jet_form(self._jet_terms())
+            self._origin_squares = self._jet_terms(origin)
+            self.jet_form = _jet_form(self._origin_squares)[0]
 
-    def _jet_terms(self) -> list[JetSquareTerm]:
-        """The integrand at the origin geometry as weighted squares: ``eps vol``
-        times the second-order squares, ``vol (H_k g^{kl} u_l)^2``, and the
-        cubic term ``-2 vol C_ijk (g du)^i (g du)^j (g H)^k`` as a quadratic
-        form in ``du``."""
+    def squares(self, points: np.ndarray) -> list[JetSquareTerm]:
+        """The integrand's weighted squares, valid at the points."""
+        if self._origin_squares is not None:
+            return self._origin_squares
+        geo = induced_geometry_batch(self.chart, points)
+        steps = [REL_STEP * dom.scale for dom in self.domains]
+        metric = lambda p: itemgetter("vol", "g_inv")(induced_geometry_batch(self.chart, p))
+        return self._jet_terms(geo, _metric_drift(metric, geo["points"], steps, geo["vol"]))
+
+    def _jet_terms(self, geo: dict, drift: np.ndarray | None = None) -> list[JetSquareTerm]:
+        """The integrand at a geometry with a leading point axis as weighted
+        squares: ``eps vol`` times the second-order squares (the Laplacian's
+        with the ``drift`` coefficients when given), ``vol (H_k g^{kl} u_l)^2``,
+        and the cubic term ``-2 vol C_ijk (g du)^i (g du)^j (g H)^k`` as a
+        quadratic form in ``du``."""
         n = self.chart.dim
-        ginv, C, vol = self._origin["g_inv"][0], self._origin["C"][0], float(self._origin["vol"][0])
-        c_up = ginv @ self._origin["nH_cov"][0]
-        cubic = -2.0 * vol * ginv @ np.einsum("ijk,k->ij", C, c_up) @ ginv
-        pair = JetSquareTerm(vol, tuple(c_up), ((0.0,) * n,) * n)
-        second = self.second_order_squares(self.chart.ambient.eps * vol, ginv)
+        ginv, C, vol = geo["g_inv"], geo["C"], geo["vol"]
+        c_up = (ginv @ geo["nH_cov"][..., None])[..., 0]
+        cubic = (-2.0 * vol)[:, None, None] * ginv @ np.einsum("pijk,pk->pij", C, c_up) @ ginv
+        pair = JetSquareTerm(vol, tuple(c_up.T), ((0.0,) * n,) * n)
+        weight = self.chart.ambient.eps * vol
+        # only charts whose geometry varies have a drift; their form is the Laplacian's
+        second = self.second_order_squares(weight, ginv) if drift is None else _lap_squares(weight, ginv, drift)
         return second + [pair] + _quadratic_squares(cubic, np.eye(n, n + n * n), n)
 
     def integrand(self, points: np.ndarray, jet) -> np.ndarray:
-        _, du, d2u = jet
-        eps = self.chart.ambient.eps
-        geo = self._origin if self._origin is not None else induced_geometry_batch(self.chart, points)
-        ginv, H = geo["g_inv"], geo["nH_cov"]
-        grad_up = np.einsum("...ij,...j->...i", ginv, du)
-        c_up = (ginv @ H[..., None])[..., 0]
-        hterm = eps * np.einsum("...ijk,...i,...j,...k->...", geo["C"], grad_up, grad_up, c_up)
-        pair = np.einsum("...k,...k->...", H, grad_up)
-        second = self.second_order_term(geo, du, d2u)
-        return (eps * (second - 2.0 * hterm) + pair * pair) * geo["vol"]
-
-    def second_order_term(self, geo, du, d2u) -> np.ndarray:
-        """``(lap u)^2``, with the finite-difference metric-derivative
-        correction of the Laplacian on charts whose geometry varies."""
-        lap = np.einsum("...ij,...ij->...", geo["g_inv"], d2u)
-        if not self.chart.geometry_is_constant:
-            steps = [REL_STEP * dom.scale for dom in self.domains]
-            lap += np.einsum("nj,nj->n", _metric_drift(self._metric, geo["points"], steps, geo["vol"]), du)
-        return lap * lap
+        return _sum_of_squares(self.squares(points), points, jet)
 
     second_order_squares = staticmethod(_lap_squares)
-
-    def _metric(self, points: np.ndarray):
-        geo = induced_geometry_batch(self.chart, points)
-        return geo["vol"], geo["g_inv"]
 
 
 class RawHessianFunctional(SecondVariationFunctional):
@@ -314,17 +320,13 @@ class RawHessianFunctional(SecondVariationFunctional):
 
     second_order_squares = staticmethod(_hessian_squares)
 
-    def second_order_term(self, geo, du, d2u) -> np.ndarray:
-        """``g^{ik} g^{jl} u_ij u_kl``."""
-        ginv = geo["g_inv"]
-        return np.einsum("...ik,...jl,...ij,...kl->...", ginv, ginv, d2u, d2u)
-
 
 def as_functional(target):
-    """Coerce a chart or integrand-bearing object to the functional protocol."""
+    """Coerce a chart or a functional stated as weighted squares (``squares``,
+    ``integrand`` and ``domains``) to the functional protocol."""
     if isinstance(target, LagrangianChart):
         return SecondVariationFunctional(target)
-    if hasattr(target, "integrand") and hasattr(target, "domains"):
+    if all(hasattr(target, a) for a in ("squares", "integrand", "domains")):
         return target
     raise TypeError(f"cannot interpret {target!r} as a quadratic functional")
 

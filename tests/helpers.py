@@ -75,6 +75,28 @@ def polynomial_graph_chart():
     )
 
 
+def minimal_null_graph_chart():
+    """Gradient graph ``b = grad f(a)`` in ``D^2`` of ``f = a_1 a_2 + cos(a_1)``,
+    in the null coordinates ``a = x + y``, ``b = x - y`` of each coordinate
+    pair, with chart point ``s = a``.  ``det D^2 f = -1``, so the graph is a
+    minimal Lagrangian; its induced metric is ``D^2 f = [[-cos s_1, 1], [1, 0]]``,
+    Lorentzian and varying, with ``sqrt|g| = 1`` and Laplacian
+    ``2 u_12 + cos(s_1) u_22``."""
+
+    def b1(S):
+        return S[1] - jsin(S[0])
+
+    comps = [
+        lambda S: (S[0] + b1(S)) * 0.5,
+        lambda S: (S[0] - b1(S)) * 0.5,
+        lambda S: (S[1] + S[0]) * 0.5,
+        lambda S: (S[1] - S[0]) * 0.5,
+    ]
+    return chart_from_components(
+        AmbientFlat.para_kahler(2), (AxisDomain.line(), AxisDomain.line()), comps, name="minimal-null-graph"
+    )
+
+
 def form_rounding_scale(field, domains, spec, boxes):
     """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form of a jet-form field:
     the magnitude against which a pointwise sum and a contraction of the

@@ -35,6 +35,23 @@ with open(sys.argv[1], encoding="utf-8") as fh:
 print(json.dumps(workloads.compare(json.load(sys.stdin), golden)))
 """
 
+# Runs one seed-0 pass of each verdict workload and compares it with the
+# golden table by the benchmark's own rule, in a fresh interpreter that writes
+# no bytecode next to the benchmark; prints the keys of the failed operations
+# by workload.
+_RUN_AND_COMPARE = """
+import json, sys
+sys.path[:0] = sys.argv[2:]
+import workloads
+with open(sys.argv[1], encoding="utf-8") as fh:
+    golden = json.load(fh)["workloads"]
+failed = {}
+for name in ("catalog", "form_assembly"):
+    outputs = workloads.run_pass(name, workloads.setup(name, 0))
+    failed[name] = workloads.compare(outputs, golden[name])
+print(json.dumps(failed))
+"""
+
 
 @pytest.fixture(scope="session")
 def full_report():
@@ -96,6 +113,25 @@ def test_report_matches_the_benchmark_golden_table(full_report):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+@pytest.fixture(scope="module")
+def verdict_workload_failures():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _RUN_AND_COMPARE, str(GOLDEN), str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["catalog", "form_assembly"])
+def test_verdict_workload_matches_the_benchmark_golden_table(verdict_workload_failures, workload):
+    # the tie walks that decide witness IDs read the integrand's rounding, so
+    # a changed label, witness ID or value beyond its tolerance fails here
+    assert verdict_workload_failures[workload] == []
 
 
 def test_report_passes_overall(full_report):

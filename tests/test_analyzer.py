@@ -31,11 +31,11 @@ from hamstab.catalog import (
     resolve,
 )
 from hamstab.quadrature import Grid, GridSpec, GridTooLargeError, JetFormField, build_grid, integrate
-from hamstab.testfunctions import jet_from_coordinates, jet_orders
+from hamstab.testfunctions import jet_orders
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
-from hamstab.variation import SecondVariationFunctional, evaluate_functional, jet_field, second_variation
+from hamstab.variation import SecondVariationFunctional, _jet_form, evaluate_functional, jet_field, second_variation
 
-from helpers import gradient_graph_chart
+from helpers import gradient_graph_chart, minimal_null_graph_chart
 
 
 # ------------------------------------------------------------- mode values
@@ -329,20 +329,17 @@ def test_gradient_form_value_on_an_oversized_mesh_fails_fast():
 
 
 def _full_mesh_verify_certificate(functional, cert, gridspec=None, seed=0):
-    """The sampled comparison from the full mesh: 20000 of its rows, then
-    standard-normal jets at them."""
+    """The sampled comparison from the full mesh: 20000 of its rows, then the
+    two jet forms compared entrywise row by row."""
     rng = np.random.default_rng(seed)
-    n = len(functional.domains)
     boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
     pts, _ = build_grid(functional.domains, gridspec, boxes=boxes).points_and_weights()
     if len(pts) > 20000:
         pts = pts[rng.choice(len(pts), 20000, replace=False)]
-    residual, scale = 0.0, 1.0
-    for _ in range(6):
-        jet = jet_from_coordinates(rng.standard_normal((len(pts), len(jet_orders(n)))), n)
-        vf = functional.integrand(pts, jet)
-        residual = max(residual, float(np.max(np.abs(vf - cert.form_values(pts, jet)))))
-        scale = max(scale, float(np.max(np.abs(vf))))
+    m_func = np.broadcast_to(_jet_form(functional.squares(pts), pts), (len(pts), 6, 6))
+    m_cert = np.broadcast_to(_jet_form(cert.terms, pts), (len(pts), 6, 6))
+    residual = max(float(np.max(np.abs(f - c))) for f, c in zip(m_func, m_cert))
+    scale = max(1.0, max(float(np.max(np.abs(f))) for f in m_func))
     weight_ok = all(np.all(cert.sign * term.weight_values(pts) >= -1e-14) for term in cert.terms)
     return residual / scale, weight_ok
 
@@ -436,7 +433,59 @@ def test_point_dependent_certificate_is_sampled(monkeypatch):
     entry = replace(resolve("tn:kappa=0,K=-1"), functional=functional, certificate=cert(0.0))
     verdict = classify(entry, strategy="sos_certificate")
     assert verdict.label == "positive_definite"
-    assert "(up to 20000 sampled rows x 6 jet draws)" in verdict.notes[0]
+    assert "(jet-form comparison at up to 20000 sampled rows)" in verdict.notes[0]
+
+
+def test_point_dependent_certificate_with_a_wrong_mixed_coefficient_is_rejected():
+    # the certificate's u_s u_t coefficient is 1e-9 where the functional's is 0;
+    # the per-row jet forms differ by 0.5e-9 against max|M_func| = 4
+    functional = make_rank_one_bundle(CurveData(kappa=0.0, K_along=lambda s: -1.0 - 0.5 * np.cos(s)))
+    zero = ((0.0, 0.0), (0.0, 0.0))
+    weight = lambda pts: 2.0 + np.cos(pts[:, 0])
+    cert = SumOfSquares(
+        terms=(
+            JetSquareTerm(4.0, (0.0, 0.0), ((0.0, 1.0), (0.0, 0.0))),
+            JetSquareTerm(weight, (lambda pts: 0.5e-9 / weight(pts), 1.0), zero),
+        ),
+        sign=1,
+    )
+    residual, ok = verify_certificate(functional, cert)
+    assert 1e-10 < residual < 2e-10 and ok
+    entry = replace(resolve("tn:kappa=0,K=-1"), functional=functional, certificate=cert)
+    verdict = classify(entry, strategy="sos_certificate")
+    assert verdict.label == "inconclusive"
+    assert verdict.notes[-1] == "certificate failed verification"
+
+
+def test_minimal_null_graph_is_negative_definite_by_its_point_dependent_certificate():
+    # -(2 u_12 + cos(s_1) u_22)^2 against the chart's per-point squares
+    chart = minimal_null_graph_chart()
+    cert = SumOfSquares(
+        terms=(JetSquareTerm(-1.0, (0.0, 0.0), ((0.0, 2.0), (0.0, lambda pts: np.cos(pts[:, 0])))),),
+        sign=-1,
+        kernel_note="value 0 forces lap u = 0 pointwise",
+    )
+    assert cert.jet_form is None
+    functional = SecondVariationFunctional(chart)
+    residual, ok = verify_certificate(functional, cert)
+    assert residual <= 1e-15 and ok
+    entry = replace(resolve("plane:n=2,amb=para"), functional=functional, chart=chart, certificate=cert)
+    verdict = classify(entry, strategy="sos_certificate")
+    assert verdict.label == "negative_definite"
+    assert verdict.notes[0] == f"pointwise certificate residual {residual:.3e} (jet-form comparison at up to 20000 sampled rows)"
+    assert verdict.witness_neg is not None and verdict.witness_neg.value < 0
+
+
+def test_gradient_form_note_prints_the_signs_found():
+    # on this box 40 nodes are about 39 apart near 0, wider than the probes,
+    # so Q(u_w) comes out as a positive rounding-level value
+    entry = resolve("hyperbola:n=4,r=1,1,1,1,eps=+,+,+,+")
+    verdict = classify(entry, "scaling_probe", GridSpec(line_nodes=40, line_box=500))
+    record = next(e for e in verdict.evidence if e.note == GRADIENT_FORM_NOTE)
+    qw, qe = record.min_eig, record.max_eig
+    assert 0 < qw < 1e-90 and qe > 0
+    assert f"gradient-form values: Q(u_w) = {qw:.6g} (> 0), Q(u_e1) = {qe:.6g} (> 0)" in verdict.notes
+    assert [analyzer._with_sign(x) for x in (-2.5, 0.0, 3.0)] == ["-2.5 (< 0)", "0 (= 0)", "3 (> 0)"]
 
 
 def test_isotropic_default_exponent():

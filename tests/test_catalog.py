@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hamstab.catalog import (
 )
 from hamstab.immersion import check_h_minimal, induced_geometry, induced_geometry_batch, sample_grid
 from hamstab.testfunctions import jet_from_coordinates
+from hamstab.variation import _sum_of_squares
 
 
 def test_unit_circle_chart():
@@ -242,7 +244,7 @@ def _jet_form_cases():
         assert functional.jet_form is not None, cid
         cases.append((cid, functional.integrand, functional.jet_form, functional.domains))
         if cert is not None and cert.jet_form is not None:
-            cases.append((f"{cid}|certificate", cert.form_values, cert.jet_form, functional.domains))
+            cases.append((f"{cid}|certificate", partial(_sum_of_squares, cert.terms), cert.jet_form, functional.domains))
     return cases
 
 
