@@ -171,12 +171,23 @@ def torus_mode_function(radii, k, phase: float = 0.0) -> PlaneWaveCos:
 def assemble_form(functional, basis, gridspec: GridSpec | None = None) -> np.ndarray:
     """Polarized Gram matrix ``Q_ab = (V(u_a + u_b) - V(u_a - u_b)) / 4``.
 
-    Symmetric by construction; the diagonal is the direct value on each
-    basis function.
+    On a functional with a constant jet form ``M`` this is ``int j_a^T M
+    j_b``, read off the block jet Gram of the basis (:func:`_pair_values`):
+    one integration per grid, the basis function's own for a diagonal entry
+    and that of ``u_a + u_b`` for the others, and no evaluation of ``u_a +
+    u_b`` or ``u_a - u_b``.  A point-dependent functional takes those two
+    evaluations per pair.  Symmetric by construction; the diagonal is the
+    direct value on each basis function.
     """
     functional = as_functional(functional)
     k = len(basis)
     Q = np.empty((k, k))
+    form = getattr(functional, "jet_form", None)
+    if form is not None:
+        pairs = [(a, b) for a in range(k) for b in range(a, k)]
+        for (a, b), value in zip(pairs, _pair_values(functional, basis, [(a, b, form) for a, b in pairs], gridspec)):
+            Q[a, b] = Q[b, a] = value
+        return Q
     for a in range(k):
         Q[a, a] = evaluate_functional(functional, basis[a], gridspec)
         for b in range(a + 1, k):
@@ -188,6 +199,48 @@ def assemble_form(functional, basis, gridspec: GridSpec | None = None) -> np.nda
             )
             Q[a, b] = Q[b, a] = val
     return Q
+
+
+def _pair_values(functional, probes, requests, gridspec: GridSpec | None) -> list[float]:
+    """``int j_a^T F j_b`` over the jets of ``probes`` for each request
+    ``(a, b, F)``, ``F`` a constant symmetric jet form: ``(a, a, M)`` is
+    ``V(u_a)`` and ``(a, b, M)`` the polarized entry ``Q_ab``.
+
+    A value takes the grid that integrates ``u_a`` alone, or ``u_a + u_b``
+    (per line axis the larger of their boxes) when ``a != b``.  The values
+    that share a grid's boxes are one integration: the sums of their forms
+    on the block jet Gram of the probes they involve.
+    """
+    domains = functional.domains
+    for u in probes:
+        _check_compatible(u, domains)
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b, _) in enumerate(requests):
+        groups.setdefault(_grid_boxes(domains, gridspec, probes[a], probes[b]), []).append(i)
+    values = [0.0] * len(requests)
+    for boxes, members in groups.items():
+        involved = list(dict.fromkeys(x for i in members for x in requests[i][:2]))
+        index = {x: k for k, x in enumerate(involved)}
+        field = jet_field(
+            np.array([requests[i][2] for i in members]),
+            *(probes[x] for x in involved),
+            pairs=[(index[requests[i][0]], index[requests[i][1]]) for i in members],
+        )
+        for i, value in zip(members, integrate(field, domains, gridspec, boxes=boxes)):
+            values[i] = float(value)
+    return values
+
+
+def _grid_boxes(domains, gridspec: GridSpec | None, u: TestFunction, v: TestFunction) -> tuple:
+    """The line boxes of the grid that integrates ``u + v`` (``u`` when
+    ``v`` is ``u``): ``gridspec.line_box`` when set, else per line axis the
+    larger declared box, None if either has none; None on circle axes."""
+    if gridspec is not None and gridspec.line_box is not None:
+        return tuple(None if dom.kind == "circle" else gridspec.line_box for dom in domains)
+    return tuple(
+        None if dom.kind == "circle" or x is None or y is None else max(x, y)
+        for dom, x, y in zip(domains, u.axis_boxes, v.axis_boxes)
+    )
 
 
 # --------------------------------------------------------------- mode scans
@@ -505,16 +558,16 @@ def _probe_values(functional, u: TestFunction, gridspec: GridSpec | None, extra_
     """``(V(u), int u^2, *extras)``, the extras being the sums of the
     constant jet forms ``extra_forms`` on the jets of ``u``.  A constant jet
     form ``M`` takes one integration of the stack ``[M, e0 e0^T,
-    *extra_forms]``; otherwise ``V`` comes from :func:`evaluate_functional`
-    and the rest from one integration of their stack."""
+    *extra_forms]`` (:func:`_pair_values` of the one probe); otherwise ``V``
+    comes from :func:`evaluate_functional` and the rest from one
+    integration of their stack."""
     functional = as_functional(functional)
     form = getattr(functional, "jet_form", None)
     forms = [_norm2_form(u.n), *extra_forms]
     if form is None:
         value = evaluate_functional(functional, u, gridspec)
         return (value, *(float(v) for v in _form_integral(np.array(forms), u, functional.domains, gridspec)))
-    _check_compatible(u, functional.domains)
-    return tuple(float(v) for v in _form_integral(np.array([form, *forms]), u, functional.domains, gridspec))
+    return tuple(_pair_values(functional, [u], [(0, 0, m) for m in (form, *forms)], gridspec))
 
 
 # ------------------------------------------------------------------ classify
@@ -576,8 +629,20 @@ def _as_entry(target) -> CatalogEntry:
 
 def _sign_witnesses(entry, pool, gridspec) -> tuple[Witness | None, Witness | None, list[float]]:
     """Evaluate labeled probes; return the best +/- witnesses of
-    :func:`_witnesses` and every probe's value."""
-    candidates = [(u.label, u, *_probe_values(entry.functional, u, gridspec)) for u in pool]
+    :func:`_witnesses` and every probe's value.  On a constant jet form
+    ``M`` each probe's ``V(u)`` and ``int u^2`` are the forms ``M`` and
+    ``e0 e0^T`` on its block of the pool's block jet Gram
+    (:func:`_pair_values`), one integration per box set; otherwise one
+    :func:`_probe_values` per probe."""
+    functional = entry.functional
+    form = getattr(functional, "jet_form", None)
+    if form is None:
+        values = [_probe_values(functional, u, gridspec) for u in pool]
+    else:
+        forms = (form, _norm2_form(len(functional.domains)))
+        sums = _pair_values(functional, pool, [(a, a, m) for a in range(len(pool)) for m in forms], gridspec)
+        values = list(zip(sums[::2], sums[1::2]))
+    candidates = [(u.label, u, value, norm2) for u, (value, norm2) in zip(pool, values)]
     return (*_witnesses(entry, candidates, gridspec), [value for _, _, value, _ in candidates])
 
 

@@ -109,17 +109,17 @@ class SumOfSquares:
     trivial on the admissible class, upgrading it to definiteness.  The
     analyzer compares the certificate's jet form with the integrand's:
     ``jet_form`` when both are constant, at sampled points otherwise.
+    ``jet_form`` is the terms' constant matrix ``M = sum_i w_i L_i L_i^T``,
+    built once, None when the terms depend on the point.
     """
 
     terms: tuple[JetSquareTerm, ...]
     sign: int
     kernel_note: str = ""
+    jet_form: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
-    @property
-    def jet_form(self) -> np.ndarray | None:
-        """The constant matrix ``M = sum_i w_i L_i L_i^T`` of the certificate,
-        or None when its terms depend on the point."""
-        return _jet_form(self.terms)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jet_form", _jet_form(self.terms))
 
 
 # ------------------------------------------------------------ flat families

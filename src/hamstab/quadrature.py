@@ -9,14 +9,20 @@ work is scheduled.
 
 A :class:`JetFormField`, ``j^T M j`` for a constant matrix ``M`` over the
 jet ``j`` of a test function, integrates to ``<M, G>`` for the weighted jet
-Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  :func:`integrate` tries
-two closed routes to ``G``, in order:
+Gram ``G = sum_x w(x) j(x) j(x)^T`` of the mesh.  Over the concatenated
+jets ``(j_1, ..., j_k)`` of k test functions that share a grid, ``G`` is a
+block Gram, and a form ``M`` on the pair ``(a, b)`` integrates to
+``int j_a^T M j_b = <M, (G_ab + G_ba) / 2>``: one block Gram per box set
+gives every value ``V(u_a)``, every norm ``int u_a^2`` and every polarized
+entry ``Q_ab`` of those test functions.  :func:`integrate` tries two closed
+routes to ``G``, in order:
 
-1. Sum factorization, for a test function that is a sum of products of
+1. Sum factorization, for test functions that are sums of products of
    one-variable factors (bumps, cosine products and plane waves, and sums
    and dilations of them): each entry of ``G`` is a sum of products of
    per-axis 1-D Gram matrices of the factor jets on the same nodes and
-   weights, at a cost linear in the node counts.
+   weights, one table over all the factor terms of the k test functions,
+   at a cost linear in the node counts.
 2. Mesh moments, for an anisotropic Gaussian ``u = exp(-t^T A t / 2)``,
    ``t = s - c``, and its dilations: its jet is ``u K m(t)`` for the
    monomials ``m`` of degree at most 2, so ``G = K Mom K^T`` with
@@ -26,13 +32,16 @@ two closed routes to ``G``, in order:
    cancels along the Gaussian's wide directions, so the moments are
    carried in ``np.longdouble`` until ``G`` is formed.
 
-Each gives the mesh's discrete sum up to rounding and a bound ``B`` on
-``|j|`` over every line axis's edge layer (per-axis maxima of the factor
+Each gives the mesh's discrete sum up to rounding and a bound ``B_a`` on
+``|j_a|`` over every line axis's edge layer (per-axis maxima of the factor
 jets, or the Gaussian's largest value on the edge hyperplane times its
 monomials' maxima); one leak rule accepts it if ``B^T |M| B <= 1e-10`` for
-every form.  Otherwise the field is walked on the mesh like any callable
-field (whose coefficients may depend on the point), and the walk decides
-the leak exactly, raising :class:`SupportError`, and gives the value.
+every form, with ``B = B_a`` for a form on one test function and ``B_a +
+B_b``, the bound of ``u_a + u_b``, for a form on a pair.  Otherwise the
+field is walked on the mesh like any callable field (whose coefficients
+may depend on the point), and the walk decides the leak of each
+``j_a^T M j_b`` exactly, raising :class:`SupportError`, and gives the
+value.
 
 Mesh path: a field walks the grid in the blocks of :meth:`Grid._slabs`,
 runs of whole trailing sub-meshes of up to :data:`CHUNK` rows
@@ -50,9 +59,10 @@ A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 :class:`GridTooLargeError` before any block is built.
 
 A :class:`JetFormField` may carry a ``(K, J, J)`` stack of forms, as a
-dilation family does (see :func:`hamstab.analyzer.scaling_probe`);
-:func:`integrate` then returns the K sums ``<M_k, G>`` of one ``G`` (or
-of one walk), and the leak rule holds for every ``M_k``.
+dilation family does (see :func:`hamstab.analyzer.scaling_probe`) and as
+a witness pool or a polarized form does over the jets of several test
+functions; :func:`integrate` then returns the K sums of one ``G`` (or of
+one walk), and the leak rule holds for every form.
 """
 
 from __future__ import annotations
@@ -211,22 +221,33 @@ class Grid:
 
 @dataclass(frozen=True)
 class JetFormField:
-    """The field ``points -> j^T M j`` for the jet ``j`` of a test function.
+    """The field ``points -> j_a^T M j_b`` over the jets ``j_a`` of a group
+    of test functions; for one test function, ``j^T M j``.
 
     ``form`` is the constant (J, J) matrix ``M`` over the jet coordinates of
     :func:`hamstab.testfunctions.jet_orders`, or a (K, J, J) stack of such
-    matrices; ``terms`` are the test function's separable terms and
-    ``gaussian`` its Gaussian terms ``(A, center, K)`` (each None if it has
-    none), and ``coords`` gives its (N, J) jet coordinates.
-    :func:`integrate` sum-factorizes with ``terms``, then takes the mesh
-    moments of ``gaussian``, and otherwise walks ``coords`` on the mesh; a
-    field whose coefficients depend on the point is a plain callable.
+    matrices, symmetric where ``a != b``; ``pairs`` gives each form's test
+    functions ``(a, b)`` (None: one test function, every form on
+    ``(0, 0)``).  ``coords`` gives the (N, kJ) concatenated jet coordinates
+    of the k test functions, ``terms`` each one's separable terms (None if
+    one has none) and ``gaussian`` the Gaussian terms ``(A, center, K)`` of
+    a single test function (None if it has none).  :func:`integrate`
+    sum-factorizes with ``terms``, then takes the mesh moments of
+    ``gaussian``, and otherwise walks ``coords`` on the mesh; a field whose
+    coefficients depend on the point is a plain callable.
     """
 
     form: np.ndarray
     terms: list | None = None
     coords: Callable[[np.ndarray], np.ndarray] | None = None
     gaussian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    pairs: list[tuple[int, int]] | None = None
+
+    def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (K,) test-function indices ``a`` and ``b`` of the forms."""
+        count = 1 if self.form.ndim == 2 else len(self.form)
+        pairs = np.zeros((count, 2), dtype=int) if self.pairs is None else np.array(self.pairs, dtype=int)
+        return pairs[:, 0], pairs[:, 1]
 
 
 def build_grid(
@@ -345,7 +366,7 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
     if isinstance(field, JetFormField):
         for data, route in ((field.terms, _sum_factorized), (field.gaussian, _gaussian_moments)):
             if data is not None:
-                sums = _form_sums(field.form, *route(grid, data))
+                sums = _form_sums(field, *route(grid, data))
                 if sums is not None:
                     return sums
     return _walk_mesh(grid, field)
@@ -355,20 +376,31 @@ def _walk_mesh(grid: Grid, field):
     """The mesh sum of ``field(points)``, one :meth:`Grid._slabs` block of
     up to :data:`CHUNK` rows at a time, with the support-leak check.  A
     :class:`JetFormField` walks blocks of :data:`STACK_CHUNK` rows and forms
-    each block's jet coordinates ``c`` once: ``c @ [M_1 | ... | M_K]`` gives
-    every ``c M_k``, and each form is summed and leak-checked on its own."""
+    each block's jet coordinates once: the coordinates ``c_a`` of each test
+    function times every form ``M_k`` on its left, in one product
+    ``c_a @ [M_k | ...]``, give every ``c_a M_k``, and each form's
+    ``c_a M_k c_b`` is summed and leak-checked on its own."""
     grid._check_size()
     stack = isinstance(field, JetFormField)
-    forms = field.form.reshape((-1,) + field.form.shape[-2:]) if stack else [None]
-    wide = np.concatenate(forms, axis=1) if stack else None
+    if stack:
+        forms = field.form.reshape((-1,) + field.form.shape[-2:])
+        size = forms.shape[-1]
+        left, right = field.pair_indices()
+        # the forms on each left test function, and their side-by-side matrix
+        by_left = {a: np.flatnonzero(left == a) for a in dict.fromkeys(left.tolist())}
+        wide = {a: np.concatenate(forms[ks], axis=1) for a, ks in by_left.items()}
 
     def values(pts):
         if not stack:
             return np.asarray(field(pts), dtype=float)[None]
         c = field.coords(pts)
-        cm = (c @ wide).reshape(len(c), len(forms), -1)
-        # one contraction per form: each value rounds as a lone form's would
-        return np.array([np.einsum("np,np->n", cm[:, k], c) for k in range(len(forms))])
+        out = np.empty((len(forms), len(c)))
+        for a, ks in by_left.items():
+            cm = (c[:, a * size : (a + 1) * size] @ wide[a]).reshape(len(c), len(ks), -1)
+            # one contraction per form: each value rounds as a lone form's would
+            for i, k in enumerate(ks):
+                out[k] = np.einsum("np,np->n", cm[:, i], c[:, right[k] * size : (right[k] + 1) * size])
+        return out
 
     lines = [j for j, dom in enumerate(grid.domains) if dom.kind == "line"]
     peaks = 0.0
@@ -397,49 +429,76 @@ def _walk_mesh(grid: Grid, field):
     return sums if stack and field.form.ndim == 3 else float(sums[0])
 
 
-def _form_sums(form: np.ndarray, gram: np.ndarray, bounds):
-    """``<M, G>`` for a (J, J) form, or the (K,) array of them for a stack;
+def _form_sums(field: JetFormField, gram: np.ndarray, bounds):
+    """``<M_k, (G_ab + G_ba) / 2>`` for each form ``M_k`` of the field and
+    its pair ``(a, b)``, from the (k, k, J, J) block Gram ``G`` (``<M, G_aa>``
+    when ``a == b``): a float for a (J, J) form, a (K,) array for a stack.
     None when ``B^T |M_k| B > 1e-10`` for a form and a line axis's bound
-    ``B`` on ``|j|`` over its edge layer (the closed routes' leak rule)."""
-    forms = form.reshape((-1,) + form.shape[-2:])
-    if any(b @ m @ b > LEAK_RTOL for m in np.abs(forms) for b in bounds):
-        return None
-    values = np.einsum("kpq,pq->k", forms, gram)
-    return float(values[0]) if form.ndim == 2 else values
+    ``B`` on ``|j_a|``, or on ``|j_a + j_b|`` (``B_a + B_b``) when ``a !=
+    b``, over its edge layer (the closed routes' leak rule: for a pair, the
+    rule on the ``u_a + u_b`` whose value the pair polarizes)."""
+    forms = field.form.reshape((-1,) + field.form.shape[-2:])
+    a, b = field.pair_indices()
+    magnitudes = np.abs(forms)
+    for B in bounds:
+        edge = np.where((a != b)[:, None], B[a] + B[b], B[a])
+        if np.any(np.einsum("kp,kpq,kq->k", edge, magnitudes, edge) > LEAK_RTOL):
+            return None
+    values = np.einsum("kpq,kpq->k", forms, (gram[a, b] + gram[b, a]) / 2)
+    return float(values[0]) if field.form.ndim == 2 else values
 
 
 def _sum_factorized(grid: Grid, terms):
-    """``(G, bounds)`` for ``G = sum_x w(x) j(x) j(x)^T`` from per-axis
-    Gram matrices, with edge bounds from per-axis maxima.
+    """``(G, bounds)`` for the (k, k, J, J) block Gram ``G_ab = sum_x w(x)
+    j_a(x) j_b(x)^T`` of k test functions given as lists of separable
+    terms, from one table of per-axis Gram matrices of all their factor
+    terms, with (k, J) edge bounds per line axis from per-axis maxima.
 
-    With ``j_p = sum_t c_t prod_k f_tk^(a_pk)``,
-    ``G_pq = sum_{t,s} c_t c_s prod_k G_k[t, s, a_pk, a_qk]`` where
-    ``G_k[t, s, a, b] = sum_i w_ki f_tk^(a)(x_ki) f_sk^(b)(x_ki)``.
+    With ``j_ap = sum_{t in a} c_t prod_k f_tk^(o_pk)`` for the orders
+    ``o_p`` of coordinate ``p``, ``G_ab[p, q] = sum_{t in a, s in b} c_t c_s
+    prod_k G_k[f_tk, f_sk, o_pk, o_qk]`` where ``G_k[f, g, o, o'] = sum_i
+    w_ki f^(o)(x_ki) g^(o')(x_ki)`` over the distinct axis-k factors, which
+    the test functions of a witness pool share.  A single test function is
+    ``k = 1``.
     """
-    coefs = np.array([c for c, _ in terms], dtype=float)
+    flat = [term for probe in terms for term in probe]
+    # each test function's first term
+    starts = np.cumsum([0] + [len(probe) for probe in terms[:-1]])
+    coefs = np.array([c for c, _ in flat], dtype=float)
     orders = jet_orders(grid.dim)
-    # jets[k]: (terms, derivative order, nodes) of the axis-k factors
-    jets = [
-        np.array([factors[k].jet1(nodes) for _, factors in terms])
-        for k, nodes in enumerate(grid.axis_nodes)
-    ]
-    peaks = [np.max(np.abs(jk), axis=2) for jk in jets]
+    # per axis k: jets[k] (factor, derivative order, nodes) of the distinct
+    # factors, and which[k] each term's factor among them
+    jets, which = [], []
+    for k, nodes in enumerate(grid.axis_nodes):
+        distinct: dict = {}
+        which.append(np.array([distinct.setdefault(factors[k], len(distinct)) for _, factors in flat]))
+        jets.append(np.array([f.jet1(nodes) for f in distinct]))
+    # per axis, each term's largest |f^(o)| over the nodes at the orders o
+    # of the coordinates (T, J); an edge bound takes its axis's edge nodes
+    magnitudes = [np.abs(jk) for jk in jets]
+    peaks = [m.max(axis=2)[i[:, None], o] for m, i, o in zip(magnitudes, which, orders.T)]
     bounds = []
     for j, dom in enumerate(grid.domains):
         if dom.kind == "line":
-            edge = np.maximum(np.abs(jets[j][:, :, 0]), np.abs(jets[j][:, :, -1]))
-            per_axis = [edge if k == j else peaks[k] for k in range(grid.dim)]
-            bounds.append(np.abs(coefs) @ np.prod([pk[:, orders[:, k]] for k, pk in enumerate(per_axis)], axis=0))
+            edge = np.maximum(magnitudes[j][:, :, 0], magnitudes[j][:, :, -1])[which[j][:, None], orders[:, j]]
+            term_bounds = np.abs(coefs)[:, None] * edge
+            for k in range(grid.dim):
+                if k != j:
+                    term_bounds = term_bounds * peaks[k]
+            bounds.append(np.add.reduceat(term_bounds, starts))
     prod = 1.0
-    for k, jk in enumerate(jets):
+    for k, (jk, i) in enumerate(zip(jets, which)):
         gram = np.einsum("tai,i,sbi->tsab", jk, grid.axis_weights[k], jk)
-        prod = prod * gram[:, :, orders[:, k][:, None], orders[:, k][None, :]]
-    return np.einsum("t,s,tspq->pq", coefs, coefs, prod), bounds
+        o = orders[:, k]
+        prod = prod * gram[i[:, None, None, None], i[None, :, None, None], o[:, None], o[None, :]]
+    pairs = np.multiply.outer(coefs, coefs)[:, :, None, None] * prod
+    return np.add.reduceat(np.add.reduceat(pairs, starts, axis=0), starts, axis=1), bounds
 
 
 def _gaussian_moments(grid: Grid, gaussian):
     """``(G, bounds)`` for the weighted jet Gram ``G`` of the Gaussian
-    ``u = exp(-t^T A t / 2)``, ``t = s - c``, from mesh moments.
+    ``u = exp(-t^T A t / 2)``, ``t = s - c``, from mesh moments, as a
+    (1, 1, J, J) block Gram with (1, J) bounds.
 
     With ``(A, c, K)`` of
     :meth:`~hamstab.testfunctions.TestFunction.gaussian_terms` the jet is
@@ -501,11 +560,11 @@ def _gaussian_moments(grid: Grid, gaussian):
     peaks = np.prod(np.array([np.max(np.abs(tk)) for tk in t]) ** orders, axis=1)
     variances = np.diag(np.linalg.inv(A))
     bounds = [
-        np.exp(-min(abs(t[k][0]), abs(t[k][-1])) ** 2 / (2.0 * variances[k])) * (np.abs(K) @ peaks)
+        np.exp(-min(abs(t[k][0]), abs(t[k][-1])) ** 2 / (2.0 * variances[k])) * (np.abs(K) @ peaks)[None]
         for k, dom in enumerate(grid.domains)
         if dom.kind == "line"
     ]
-    return gram, bounds
+    return gram[None, None], bounds
 
 
 def _unravel(flat: np.ndarray, shape) -> np.ndarray:

@@ -238,7 +238,17 @@ class PolyGauss1D(Func1D):
         # the point Polynomial evaluates at, 0.0 + 1.0 * x, turns -0.0 into
         # +0.0, which decides the sign of a zero value
         x = x + 0.0
-        return P.polyval(x, self.p) * g, P.polyval(x, self.p1) * g, P.polyval(x, self.p2) * g
+        return _horner(self.p, x) * g, _horner(self.p1, x) * g, _horner(self.p2, x) * g
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial with coefficients ``coeffs`` (lowest degree first) at
+    ``x``, by the steps of ``numpy.polynomial.polynomial.polyval``, so the
+    values are bit-identical to it, without its per-call overhead."""
+    value = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        value = c + value * x
+    return value
 
 
 class Scaled1D(Func1D):

@@ -341,11 +341,21 @@ def _check_compatible(u: TestFunction, domains) -> None:
     )
 
 
-def jet_field(form: np.ndarray, u: TestFunction) -> quadrature.JetFormField:
-    """The field ``j^T M j`` over the jet ``j`` of ``u``, for a constant jet
-    form ``M`` or a (K, J, J) stack of them, with the separable terms,
-    jet coordinates and Gaussian terms of ``u``."""
-    return quadrature.JetFormField(form, u.separable_terms(), u.jet_coords, u.gaussian_terms())
+def jet_field(form: np.ndarray, *probes: TestFunction, pairs=None) -> quadrature.JetFormField:
+    """The field ``j^T M j`` over the jet ``j`` of a test function, for a
+    constant jet form ``M`` or a (K, J, J) stack of them, with its separable
+    terms, jet coordinates and Gaussian terms.  Given several test
+    functions, the fields ``j_a^T M_k j_b`` over their concatenated jets,
+    ``(a, b)`` being each form's entry of ``pairs``, with each one's
+    separable terms."""
+    terms = [u.separable_terms() for u in probes]
+    return quadrature.JetFormField(
+        form,
+        None if any(t is None for t in terms) else terms,
+        lambda pts: np.concatenate([u.jet_coords(pts) for u in probes], axis=1),
+        probes[0].gaussian_terms() if len(probes) == 1 else None,
+        pairs,
+    )
 
 
 def evaluate_functional(functional, u: TestFunction, gridspec: GridSpec | None = None) -> float:

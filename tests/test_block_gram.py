@@ -1,0 +1,191 @@
+"""Witness values and polarized forms from one block jet Gram per box set,
+against the per-probe and per-pair integrations they replace."""
+
+import numpy as np
+import pytest
+
+from hamstab import analyzer, catalog, quadrature
+from hamstab.analyzer import assemble_form, classify, compute_tube_table, witness_library
+from hamstab.catalog import default_catalog_ids, resolve
+from hamstab.quadrature import GridSpec, SupportError
+from hamstab.testfunctions import AnisotropicGaussian, LinComb
+from hamstab.variation import evaluate_functional, jet_field
+
+from helpers import form_rounding_scale
+
+SMALL = GridSpec(circle_nodes=16, line_nodes=16)
+# 8 nodes per axis on three and four axes keeps every reference mesh small
+TINY = GridSpec(circle_nodes=8, line_nodes=8)
+CONSTANT = [cid for cid in default_catalog_ids() if resolve(cid).functional.jet_form is not None]
+
+
+def polarized(functional, basis, spec):
+    """The reference: ``(V(u_a + u_b) - V(u_a - u_b)) / 4``, two evaluations
+    per pair, and the direct value on the diagonal."""
+    k = len(basis)
+    Q = np.empty((k, k))
+    for a in range(k):
+        Q[a, a] = evaluate_functional(functional, basis[a], spec)
+        for b in range(a + 1, k):
+            plus = evaluate_functional(functional, LinComb([(1.0, basis[a]), (1.0, basis[b])]), spec)
+            minus = evaluate_functional(functional, LinComb([(1.0, basis[a]), (-1.0, basis[b])]), spec)
+            Q[a, b] = Q[b, a] = 0.25 * (plus - minus)
+    return Q
+
+
+def sum_scale(functional, u, v, spec):
+    """The rounding scale of ``V(u + v)`` on its own grid."""
+    w = LinComb([(1.0, u), (1.0, v)])
+    return form_rounding_scale(jet_field(functional.jet_form, w), functional.domains, spec, w.axis_boxes)[0]
+
+
+def eigmix(Q, small):
+    """The two probes the fourier sweep mixes from the polarized form."""
+    _, vectors = np.linalg.eigh(Q)
+    return [
+        LinComb(list(zip(vectors[:, 0], small)), label="eigmix:low"),
+        LinComb(list(zip(vectors[:, -1], small)), label="eigmix:high"),
+    ]
+
+
+def assert_pool_matches(entry, pool, spec):
+    """``_sign_witnesses`` values and norms against one integration of
+    ``[M, e0 e0^T]`` per probe on its own grid."""
+    functional = entry.functional
+    forms = np.array([functional.jet_form, analyzer._norm2_form(len(functional.domains))])
+    got = analyzer._pair_values(functional, pool, [(a, a, m) for a in range(len(pool)) for m in forms], spec)
+    for a, u in enumerate(pool):
+        field = jet_field(forms, u)
+        want = quadrature.integrate(field, functional.domains, spec, boxes=u.axis_boxes)
+        scale = form_rounding_scale(field, functional.domains, spec, u.axis_boxes)
+        for value, ref, s in zip(got[2 * a : 2 * a + 2], want, scale):
+            assert abs(value - ref) <= 1e-12 * s, (entry.catalog_id, u.label)
+    assert analyzer._sign_witnesses(entry, pool, spec)[2] == got[::2]
+
+
+@pytest.mark.parametrize("cid", CONSTANT)
+def test_block_gram_matches_per_probe_and_per_pair_integrations(cid):
+    entry = resolve(cid)
+    functional = entry.functional
+    spec = SMALL if len(functional.domains) <= 2 else TINY
+    library = witness_library(functional.domains)
+    assert_pool_matches(entry, library, spec)
+    assert_pool_matches(entry, library[:3], spec)
+    small = library[:8]
+    Q = assemble_form(functional, small, spec)
+    assert np.array_equal(Q, Q.T)
+    ref = polarized(functional, small, spec)
+    for a in range(len(small)):
+        for b in range(a, len(small)):
+            scale = sum_scale(functional, small[a], small[b], spec)
+            assert abs(Q[a, b] - ref[a, b]) <= 1e-12 * scale, (cid, a, b)
+    mix = eigmix(Q, small)
+    assert_pool_matches(entry, mix, spec)
+    Q2 = assemble_form(functional, mix, spec)
+    assert abs(Q2[0, 1] - polarized(functional, mix, spec)[0, 1]) <= 1e-12 * sum_scale(functional, *mix, spec)
+
+
+def test_a_group_without_a_closed_route_walks_each_pair(monkeypatch):
+    # two non-diagonal Gaussians have no separable terms, and moments
+    # integrate one probe only: the group walks the mesh once, and each form
+    # sums its own j_a^T M j_b
+    counts = CountingRoutes(monkeypatch)
+    functional = resolve("plane:n=2,p=1").functional
+    probes = [AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]]), AnisotropicGaussian([[0.7, -0.2], [-0.2, 1.2]], [0.3, 0.0])]
+    boxes = tuple(max(x, y) for x, y in zip(*(u.axis_boxes for u in probes)))
+    pairs = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    forms = np.array([functional.jet_form, functional.jet_form, analyzer._norm2_form(2), analyzer._norm2_form(2)])
+    got = quadrature.integrate(jet_field(forms, *probes, pairs=pairs), functional.domains, SMALL, boxes=boxes)
+    assert counts.calls == {"integrate": 1, "_sum_factorized": 0, "_walk_mesh": 1}
+    for value, form, (a, b) in zip(got, forms, pairs):
+        ref, scale = (
+            quadrature.integrate(
+                lambda pts: np.einsum("np,pq,nq->n", f(probes[a].jet_coords(pts)), f(form), f(probes[b].jet_coords(pts))),
+                functional.domains,
+                SMALL,
+                boxes=boxes,
+            )
+            for f in (np.asarray, np.abs)
+        )
+        assert abs(value - ref) <= 1e-13 * scale, (a, b)
+
+
+def _first_error(thunk) -> str:
+    with pytest.raises(SupportError) as err:
+        thunk()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("cid", ["plane:n=2,p=0", "tube:AdS3:unbounded-definite:G", "hyperbola:n=3,r=1,1,1,eps=+,+,+"])
+def test_a_cut_support_raises_the_same_error_as_one_probe_at_a_time(cid):
+    entry = resolve(cid)
+    functional = entry.functional
+    pool = witness_library(functional.domains)
+    # gauss1 fits a box of 6; the wider gauss4 does not
+    for spec in (GridSpec(line_nodes=16, line_box=3.0), GridSpec(line_nodes=16, line_box=6.0)):
+        want = _first_error(lambda: [analyzer._probe_values(functional, u, spec) for u in pool])
+        assert _first_error(lambda: analyzer._sign_witnesses(entry, pool, spec)) == want
+        assert _first_error(lambda: classify(entry, "fourier_sweep", spec)) == want
+        # the polarized form walks each pair's own field j_a^T M j_b, where
+        # the old path walked u_a + u_b: the first probe that leaks raises
+        # on the same axis
+        got = _first_error(lambda: assemble_form(functional, pool[:8], spec))
+        assert got.split(":")[0] == want.split(":")[0]
+
+
+class CountingRoutes:
+    """Counts ``integrate`` calls and the routes that finish them."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"integrate": 0, "_sum_factorized": 0, "_walk_mesh": 0}
+        for name in self.calls:
+            original = getattr(quadrature, name)
+            monkeypatch.setattr(quadrature, name, self._counted(name, original))
+        monkeypatch.setattr(analyzer, "integrate", quadrature.integrate)
+
+    def _counted(self, name, original):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+
+def test_fourier_sweep_integrates_once_per_box_set(monkeypatch):
+    # 8 library probes with 8 box sets, then the 8 x 8 polarized form: 8
+    # box sets again, then the reference mesh for 3 tied values.  Probe by
+    # probe and pair by pair this took 8 + 8 + 2 * 28 sum factorizations.
+    counts = CountingRoutes(monkeypatch)
+    verdict = classify(resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+"), "fourier_sweep")
+    assert verdict.witness_neg.probe_id == "gauss4xgauss1xgauss4"
+    assert counts.calls == {"integrate": 19, "_sum_factorized": 16, "_walk_mesh": 3}
+
+
+def test_catalog_verdicts_integrate_once_per_box_set(monkeypatch):
+    # the benchmark's catalog loop: every entry with at most 2 axes under its
+    # default strategy and the fourier sweep, then the tube table.  One
+    # integration per probe and two per polarized pair took 568 sum
+    # factorizations.
+    counts = CountingRoutes(monkeypatch)
+    for cid in default_catalog_ids():
+        entry = resolve(cid)
+        if len(entry.functional.domains) <= 2:
+            for strategy in dict.fromkeys((entry.default_strategy, "fourier_sweep")):
+                classify(entry, strategy)
+    compute_tube_table()
+    assert counts.calls == {"integrate": 217, "_sum_factorized": 183, "_walk_mesh": 34}
+
+
+def test_a_certificate_builds_its_jet_form_once(monkeypatch):
+    built = []
+
+    def counted(terms, points=None):
+        built.append(terms)
+        return original(terms, points)
+
+    original = catalog._jet_form
+    monkeypatch.setattr(catalog, "_jet_form", counted)
+    entry = resolve("hyperbola:n=2,r=1,3,eps=+,+")
+    verdict = classify(entry, "sos_certificate")
+    assert verdict.label == "negative_definite"
+    assert sum(terms is entry.certificate.terms for terms in built) == 1

@@ -285,7 +285,8 @@ def test_form_stacks_match_one_form_at_a_time():
     functional = CATALOG["plane:n=2,p=1"].functional
     forms = np.array([functional.jet_form, np.eye(len(functional.jet_form)), -2.0 * functional.jet_form])
     for u in (Separable([Gauss1D(1.0), HermGauss1D(2, 0.8)]), AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])):
-        field = quadrature.JetFormField(forms, u.separable_terms(), u.jet_coords)
+        terms = u.separable_terms()
+        field = quadrature.JetFormField(forms, None if terms is None else [terms], u.jet_coords)
         with counting_meshes() as calls:
             values = quadrature.integrate(field, functional.domains, SMALL, boxes=u.axis_boxes)
         assert len(calls) == (u.separable_terms() is None)

@@ -405,7 +405,7 @@ def test_form_only_field_with_a_separable_leak_raises_support_error():
     # the edge bound is far above 1e-10, so the sum-factorized path defers to the mesh
     u = Separable([Gauss1D(1.0), Gauss1D(1.0)])
     form = np.eye(6)
-    field = JetFormField(form, u.separable_terms(), u.jet_coords)
+    field = JetFormField(form, [u.separable_terms()], u.jet_coords)
     with pytest.raises(SupportError, match="box boundary"):
         integrate(field, (AxisDomain.line(), AxisDomain.line()), GridSpec(line_nodes=16), boxes=(1.5, 1.5))
 

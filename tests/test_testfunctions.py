@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamstab import testfunctions
 from hamstab.immersion import AxisDomain
 from hamstab.testfunctions import (
     AnisotropicGaussian,
@@ -226,3 +227,21 @@ def test_poly_gauss_jets_equal_numpy_polynomial_bit_for_bit():
                 want = [p(x) * g, p1(x) * g, p2(x) * g]
                 got = PolyGauss1D(coeffs, sigma).jet1(x)
                 assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (degree, coeffs, sigma)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0])), min_size=1, max_size=8),
+    st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])), min_size=1, max_size=16),
+)
+def test_horner_equals_polyval_bit_for_bit(coeffs, points):
+    # PolyGauss1D's inlined evaluation takes polyval's own steps: the same
+    # values, the same signs of zero, the same overflows
+    c, x = np.array(coeffs), np.array(points)
+    with np.errstate(all="ignore"):
+        got, want = testfunctions._horner(c, x), np.polynomial.polynomial.polyval(x, c)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
