@@ -31,7 +31,7 @@ from .testfunctions import (
     compatible_with,
     jet_orders,
 )
-from .variation import _check_compatible, _jet_form, as_functional, evaluate_functional, jet_field
+from .variation import _check_compatible, _functional_form, _jet_form, _pair_values, _point_forms, as_functional
 
 __all__ = [
     "ModeVector",
@@ -171,76 +171,23 @@ def torus_mode_function(radii, k, phase: float = 0.0) -> PlaneWaveCos:
 def assemble_form(functional, basis, gridspec: GridSpec | None = None) -> np.ndarray:
     """Polarized Gram matrix ``Q_ab = (V(u_a + u_b) - V(u_a - u_b)) / 4``.
 
-    On a functional with a constant jet form ``M`` this is ``int j_a^T M
-    j_b``, read off the block jet Gram of the basis (:func:`_pair_values`):
-    one integration per grid, the basis function's own for a diagonal entry
-    and that of ``u_a + u_b`` for the others, and no evaluation of ``u_a +
-    u_b`` or ``u_a - u_b``.  A point-dependent functional takes those two
-    evaluations per pair.  Symmetric by construction; the diagonal is the
-    direct value on each basis function.
+    This is ``int j_a^T F j_b`` for the functional's jet form ``F``,
+    constant or per point: the request ``(a, b, F)`` of
+    :func:`_pair_values` for each ``a <= b``, on the grid of ``u_a`` for a
+    diagonal entry and that of ``u_a + u_b`` for the others, one
+    integration per box set and no evaluation of ``u_a + u_b`` or ``u_a -
+    u_b``.  Symmetric by construction; the diagonal is the direct value on
+    each basis function.
     """
     functional = as_functional(functional)
     k = len(basis)
     Q = np.empty((k, k))
-    form = getattr(functional, "jet_form", None)
-    if form is not None:
-        pairs = [(a, b) for a in range(k) for b in range(a, k)]
-        for (a, b), value in zip(pairs, _pair_values(functional, basis, [(a, b, form) for a, b in pairs], gridspec)):
-            Q[a, b] = Q[b, a] = value
-        return Q
-    for a in range(k):
-        Q[a, a] = evaluate_functional(functional, basis[a], gridspec)
-        for b in range(a + 1, k):
-            plus = LinComb([(1.0, basis[a]), (1.0, basis[b])])
-            minus = LinComb([(1.0, basis[a]), (-1.0, basis[b])])
-            val = 0.25 * (
-                evaluate_functional(functional, plus, gridspec)
-                - evaluate_functional(functional, minus, gridspec)
-            )
-            Q[a, b] = Q[b, a] = val
+    form = _functional_form(functional)
+    pairs = [(a, b) for a in range(k) for b in range(a, k)]
+    values = _pair_values(functional.domains, basis, [(a, b, form) for a, b in pairs], gridspec)
+    for (a, b), value in zip(pairs, values):
+        Q[a, b] = Q[b, a] = value
     return Q
-
-
-def _pair_values(functional, probes, requests, gridspec: GridSpec | None) -> list[float]:
-    """``int j_a^T F j_b`` over the jets of ``probes`` for each request
-    ``(a, b, F)``, ``F`` a constant symmetric jet form: ``(a, a, M)`` is
-    ``V(u_a)`` and ``(a, b, M)`` the polarized entry ``Q_ab``.
-
-    A value takes the grid that integrates ``u_a`` alone, or ``u_a + u_b``
-    (per line axis the larger of their boxes) when ``a != b``.  The values
-    that share a grid's boxes are one integration: the sums of their forms
-    on the block jet Gram of the probes they involve.
-    """
-    domains = functional.domains
-    for u in probes:
-        _check_compatible(u, domains)
-    groups: dict[tuple, list[int]] = {}
-    for i, (a, b, _) in enumerate(requests):
-        groups.setdefault(_grid_boxes(domains, gridspec, probes[a], probes[b]), []).append(i)
-    values = [0.0] * len(requests)
-    for boxes, members in groups.items():
-        involved = list(dict.fromkeys(x for i in members for x in requests[i][:2]))
-        index = {x: k for k, x in enumerate(involved)}
-        field = jet_field(
-            np.array([requests[i][2] for i in members]),
-            *(probes[x] for x in involved),
-            pairs=[(index[requests[i][0]], index[requests[i][1]]) for i in members],
-        )
-        for i, value in zip(members, integrate(field, domains, gridspec, boxes=boxes)):
-            values[i] = float(value)
-    return values
-
-
-def _grid_boxes(domains, gridspec: GridSpec | None, u: TestFunction, v: TestFunction) -> tuple:
-    """The line boxes of the grid that integrates ``u + v`` (``u`` when
-    ``v`` is ``u``): ``gridspec.line_box`` when set, else per line axis the
-    larger declared box, None if either has none; None on circle axes."""
-    if gridspec is not None and gridspec.line_box is not None:
-        return tuple(None if dom.kind == "circle" else gridspec.line_box for dom in domains)
-    return tuple(
-        None if dom.kind == "circle" or x is None or y is None else max(x, y)
-        for dom, x, y in zip(domains, u.axis_boxes, v.axis_boxes)
-    )
 
 
 # --------------------------------------------------------------- mode scans
@@ -331,7 +278,7 @@ def gradient_form_value(radii, branch_signs, u: TestFunction, gridspec: GridSpec
     """Quadrature value of ``int Q(du, du) ds`` for the hyperbola gradient form:
     the jet form with ``M_Q`` in its gradient block."""
     mq = hyperbola_matrix_analysis(radii, branch_signs).matrix
-    return _form_integral(_gradient_jet_form(mq), u, tuple(AxisDomain.line() for _ in radii), gridspec)
+    return _pair_values(tuple(AxisDomain.line() for _ in radii), [u], [(0, 0, _gradient_jet_form(mq))], gridspec)[0]
 
 
 def _gradient_jet_form(mq: np.ndarray) -> np.ndarray:
@@ -425,10 +372,10 @@ def scaling_probe(
     that of ``u`` times ``t^(a + pi_c)``, ``pi_c`` its derivative count along
     the scaled axes, so every ``V(u^t)`` is ``t^-|axes|`` times the sum of the
     form ``D_t M D_t`` (``D_t = diag(t^(a + pi_c))``) on the jets of ``u``,
-    and ``int (u^t)^2`` is ``t^(2a - |axes|) int u^2``.  The whole family,
-    the norm and the extra forms then take one integration; otherwise each
-    ``t`` takes one :func:`_probe_values` on its own grid and the extra
-    forms one integration on ``u``.
+    and ``int (u^t)^2`` is ``t^(2a - |axes|) int u^2``: the whole family,
+    the norm and the extra forms are requests on ``u``, one integration.
+    Otherwise ``V(u^t)`` and ``int (u^t)^2`` are requests on each member.
+    All take one :func:`_pair_values`.
     """
     functional = as_functional(functional)
     domains = functional.domains
@@ -445,31 +392,31 @@ def scaling_probe(
         AxisScaled(u, [t if j in axes else 1.0 for j in range(n)], t**a, label=f"{label};t={t:g}") for t in schedule
     ]
     report = ScalingReport(label, axes, a, entries=[], probes=family)
-    form = getattr(functional, "jet_form", None)
+    form, norm2 = _functional_form(functional), _norm2_form(n)
     one_pass = (
-        form is not None
+        not callable(form)
         and (gridspec is None or gridspec.line_box is None)
         and all(domains[j].kind == "line" for j in axes)
         and compatible_with(u, domains)
     )
-    if not one_pass:
-        values = [_probe_values(functional, ut, gridspec) for ut in family]
-        report.entries = [(t, v) for t, (v, _) in zip(schedule, values)]
-        report.norms = [norm2 for _, norm2 in values]
-        if extra_forms:
-            report.extras = [float(v) for v in _form_integral(np.array(extra_forms), u, domains, gridspec)]
-        return report
-    for ut in family:
-        _check_compatible(ut, domains)
-        check_line_boxes(domains, gridspec, ut.axis_boxes)
-    pi = jet_orders(n)[:, list(axes)].sum(axis=1)
-    stack = [np.outer(d, d) * form for d in (t ** (a + pi) for t in schedule)] + [_norm2_form(n)]
-    sums = _form_integral(np.array(stack + list(extra_forms)), u, domains, gridspec)
-    k = len(axes)
-    m = len(schedule)
-    report.entries = [(t, float(v) * t**-k) for t, v in zip(schedule, sums[:m])]
-    report.norms = [float(sums[m]) * t ** (2 * a - k) for t in schedule]
-    report.extras = [float(v) for v in sums[m + 1 :]]
+    if one_pass:
+        for ut in family:
+            _check_compatible(ut, domains)
+            check_line_boxes(domains, gridspec, ut.axis_boxes)
+        pi = jet_orders(n)[:, list(axes)].sum(axis=1)
+        k = len(axes)
+        probes, scales = [u], [(t**-k, t ** (2 * a - k)) for t in schedule]
+        requests = [(0, 0, f) for d in (t ** (a + pi) for t in schedule) for f in (np.outer(d, d) * form, norm2)]
+    else:
+        probes, scales = [*family, u] if extra_forms else family, [(1.0, 1.0)] * len(family)
+        requests = [(i, i, f) for i in range(len(family)) for f in (form, norm2)]
+    # the extra forms on u, the last probe
+    requests += [(len(probes) - 1, len(probes) - 1, f) for f in extra_forms]
+    sums = _pair_values(domains, probes, requests, gridspec)
+    m = 2 * len(schedule)
+    report.entries = [(t, v * s) for t, v, (s, _) in zip(schedule, sums[:m:2], scales)]
+    report.norms = [v * s for v, (_, s) in zip(sums[1:m:2], scales)]
+    report.extras = sums[m:]
     return report
 
 
@@ -547,29 +494,6 @@ def _norm2_form(n: int) -> np.ndarray:
     return form
 
 
-def _form_integral(form: np.ndarray, u: TestFunction, domains, gridspec: GridSpec | None):
-    """``int j^T M j`` over the jets of ``u`` for a constant jet form or a
-    stack of them: in closed form on separable and Gaussian probes, by one
-    walk of the mesh otherwise."""
-    return integrate(jet_field(form, u), domains, gridspec, boxes=u.axis_boxes)
-
-
-def _probe_values(functional, u: TestFunction, gridspec: GridSpec | None, extra_forms=()) -> tuple[float, ...]:
-    """``(V(u), int u^2, *extras)``, the extras being the sums of the
-    constant jet forms ``extra_forms`` on the jets of ``u``.  A constant jet
-    form ``M`` takes one integration of the stack ``[M, e0 e0^T,
-    *extra_forms]`` (:func:`_pair_values` of the one probe); otherwise ``V``
-    comes from :func:`evaluate_functional` and the rest from one
-    integration of their stack."""
-    functional = as_functional(functional)
-    form = getattr(functional, "jet_form", None)
-    forms = [_norm2_form(u.n), *extra_forms]
-    if form is None:
-        value = evaluate_functional(functional, u, gridspec)
-        return (value, *(float(v) for v in _form_integral(np.array(forms), u, functional.domains, gridspec)))
-    return tuple(_pair_values(functional, [u], [(0, 0, m) for m in (form, *forms)], gridspec))
-
-
 # ------------------------------------------------------------------ classify
 
 def classify(
@@ -629,19 +553,14 @@ def _as_entry(target) -> CatalogEntry:
 
 def _sign_witnesses(entry, pool, gridspec) -> tuple[Witness | None, Witness | None, list[float]]:
     """Evaluate labeled probes; return the best +/- witnesses of
-    :func:`_witnesses` and every probe's value.  On a constant jet form
-    ``M`` each probe's ``V(u)`` and ``int u^2`` are the forms ``M`` and
-    ``e0 e0^T`` on its block of the pool's block jet Gram
-    (:func:`_pair_values`), one integration per box set; otherwise one
-    :func:`_probe_values` per probe."""
+    :func:`_witnesses` and every probe's value.  Each probe's ``V(u)`` and
+    ``int u^2`` are the requests ``(u, u, F)`` of the functional's jet form
+    ``F``, constant or per point, and of ``e0 e0^T``, all in one
+    :func:`_pair_values`: one integration per box set and kind of form."""
     functional = entry.functional
-    form = getattr(functional, "jet_form", None)
-    if form is None:
-        values = [_probe_values(functional, u, gridspec) for u in pool]
-    else:
-        forms = (form, _norm2_form(len(functional.domains)))
-        sums = _pair_values(functional, pool, [(a, a, m) for a in range(len(pool)) for m in forms], gridspec)
-        values = list(zip(sums[::2], sums[1::2]))
+    forms = (_functional_form(functional), _norm2_form(len(functional.domains)))
+    sums = _pair_values(functional.domains, pool, [(a, a, m) for a in range(len(pool)) for m in forms], gridspec)
+    values = list(zip(sums[::2], sums[1::2]))
     candidates = [(u.label, u, value, norm2) for u, (value, norm2) in zip(pool, values)]
     return (*_witnesses(entry, candidates, gridspec), [value for _, _, value, _ in candidates])
 
@@ -809,7 +728,7 @@ def verify_certificate(
         grid = build_grid(functional.domains, gridspec, boxes=boxes)
         big = grid.size > CERTIFICATE_ROWS
         pts = grid.points_at(rng.choice(grid.size, CERTIFICATE_ROWS, replace=False) if big else np.arange(grid.size))
-        forms = (_jet_form(functional.squares(pts), pts), _jet_form(cert.terms, pts))
+        forms = (_point_forms(functional, pts), _jet_form(cert.terms, pts))
     m_func, m_cert = forms
     residual, scale = float(np.max(np.abs(m_func - m_cert))), float(np.max(np.abs(m_func)))
     weight_ok = all(np.all(cert.sign * term.weight_values(pts) >= -1e-14) for term in cert.terms)
@@ -867,10 +786,11 @@ def _classify_hyperbola_scaling(entry: CatalogEntry, gridspec) -> StabilityVerdi
     n = len(radii)
     schedule = (0.05, 0.5, 2.0) if n >= 4 else (0.05, 0.1, 0.5, 1.0, 2.0, 10.0)
     # Q(u_w) and Q(u_e1) are one more column of each probe's integration
-    gradient = [_gradient_jet_form(rep.matrix)]
-    report_w = scaling_probe(entry.functional, u_w, schedule, gridspec=gridspec, extra_forms=gradient)
+    gradient = _gradient_jet_form(rep.matrix)
+    report_w = scaling_probe(entry.functional, u_w, schedule, gridspec=gridspec, extra_forms=[gradient])
     qw = report_w.extras[0]
-    v_e1, norm2_e1, qe = _probe_values(entry.functional, u_e1, gridspec, gradient)
+    forms = (_functional_form(entry.functional), _norm2_form(n), gradient)
+    v_e1, norm2_e1, qe = _pair_values(entry.functional.domains, [u_e1], [(0, 0, m) for m in forms], gridspec)
     pos, neg = _witnesses(entry, _family_candidates(report_w), gridspec)
     neg = neg or _witnesses(entry, [("dirgauss:e1;t=1", u_e1, v_e1, norm2_e1)], gridspec)[1]
     values = [v for _, v in report_w.entries]

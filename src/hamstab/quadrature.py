@@ -38,10 +38,10 @@ jets, or the Gaussian's largest value on the edge hyperplane times its
 monomials' maxima); one leak rule accepts it if ``B^T |M| B <= 1e-10`` for
 every form, with ``B = B_a`` for a form on one test function and ``B_a +
 B_b``, the bound of ``u_a + u_b``, for a form on a pair.  Otherwise the
-field is walked on the mesh like any callable field (whose coefficients
-may depend on the point), and the walk decides the leak of each
+field is walked on the mesh, and the walk decides the leak of each
 ``j_a^T M j_b`` exactly, raising :class:`SupportError`, and gives the
-value.
+value.  A per-point form ``M(x)``, of a functional whose coefficients
+depend on the point, has no closed route and is always walked.
 
 Mesh path: a field walks the grid in the blocks of :meth:`Grid._slabs`,
 runs of whole trailing sub-meshes of up to :data:`CHUNK` rows
@@ -61,8 +61,9 @@ A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 A :class:`JetFormField` may carry a ``(K, J, J)`` stack of forms, as a
 dilation family does (see :func:`hamstab.analyzer.scaling_probe`) and as
 a witness pool or a polarized form does over the jets of several test
-functions; :func:`integrate` then returns the K sums of one ``G`` (or of
-one walk), and the leak rule holds for every form.
+functions, or K pairs on one per-point form; :func:`integrate` then
+returns the K sums of one ``G`` (or of one walk), and the leak rule holds
+for every form.
 """
 
 from __future__ import annotations
@@ -225,28 +226,33 @@ class JetFormField:
     of test functions; for one test function, ``j^T M j``.
 
     ``form`` is the constant (J, J) matrix ``M`` over the jet coordinates of
-    :func:`hamstab.testfunctions.jet_orders`, or a (K, J, J) stack of such
-    matrices, symmetric where ``a != b``; ``pairs`` gives each form's test
-    functions ``(a, b)`` (None: one test function, every form on
-    ``(0, 0)``).  ``coords`` gives the (N, kJ) concatenated jet coordinates
-    of the k test functions, ``terms`` each one's separable terms (None if
-    one has none) and ``gaussian`` the Gaussian terms ``(A, center, K)`` of
-    a single test function (None if it has none).  :func:`integrate`
-    sum-factorizes with ``terms``, then takes the mesh moments of
-    ``gaussian``, and otherwise walks ``coords`` on the mesh; a field whose
-    coefficients depend on the point is a plain callable.
+    :func:`hamstab.testfunctions.jet_orders`, a (K, J, J) stack of such
+    matrices, symmetric where ``a != b``, or a per-point form: a function
+    ``points -> (N, J, J)`` of symmetric matrices that every pair shares.
+    ``pairs`` gives each form's test functions ``(a, b)`` (None: one test
+    function, every constant form on ``(0, 0)``).  ``coords`` gives the
+    (N, kJ) concatenated jet coordinates of the k test functions, ``terms``
+    each one's separable terms (None if one has none) and ``gaussian`` the
+    Gaussian terms ``(A, center, K)`` of a single test function (None if it
+    has none).  :func:`integrate` sum-factorizes a constant form with
+    ``terms``, then takes the mesh moments of ``gaussian``, and otherwise
+    walks ``coords`` on the mesh.
     """
 
-    form: np.ndarray
+    form: np.ndarray | Callable[[np.ndarray], np.ndarray]
     terms: list | None = None
     coords: Callable[[np.ndarray], np.ndarray] | None = None
     gaussian: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     pairs: list[tuple[int, int]] | None = None
 
+    @property
+    def single(self) -> bool:
+        """One constant (J, J) form, whose integral is a float."""
+        return not callable(self.form) and self.form.ndim == 2
+
     def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """The (K,) test-function indices ``a`` and ``b`` of the forms."""
-        count = 1 if self.form.ndim == 2 else len(self.form)
-        pairs = np.zeros((count, 2), dtype=int) if self.pairs is None else np.array(self.pairs, dtype=int)
+        pairs = np.array(self.pairs or [(0, 0)] * (1 if self.single else len(self.form)), dtype=int)
         return pairs[:, 0], pairs[:, 1]
 
 
@@ -357,13 +363,14 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
 
     Raises :class:`SupportError` if the field fails to vanish (relative to
     its own scale, threshold 1e-10) on the outermost line-axis node layers.
-    A :class:`JetFormField` is sum-factorized when it has separable terms,
-    else integrated from mesh moments when it has Gaussian terms, where the
-    route's edge bound passes :func:`_form_sums`; a (K, J, J) stack of forms
-    returns a (K,) array.  Any other field is walked on the mesh.
+    A :class:`JetFormField` with a constant form is sum-factorized when it
+    has separable terms, else integrated from mesh moments when it has
+    Gaussian terms, where the route's edge bound passes :func:`_form_sums`;
+    a (K, J, J) stack of forms, or K pairs on a per-point form, returns a
+    (K,) array.  Any other field is walked on the mesh.
     """
     grid = build_grid(domains, spec, boxes)
-    if isinstance(field, JetFormField):
+    if isinstance(field, JetFormField) and not callable(field.form):
         for data, route in ((field.terms, _sum_factorized), (field.gaussian, _gaussian_moments)):
             if data is not None:
                 sums = _form_sums(field, *route(grid, data))
@@ -377,29 +384,37 @@ def _walk_mesh(grid: Grid, field):
     up to :data:`CHUNK` rows at a time, with the support-leak check.  A
     :class:`JetFormField` walks blocks of :data:`STACK_CHUNK` rows and forms
     each block's jet coordinates once: the coordinates ``c_a`` of each test
-    function times every form ``M_k`` on its left, in one product
-    ``c_a @ [M_k | ...]``, give every ``c_a M_k``, and each form's
+    function times every constant form ``M_k`` on its left, in one product
+    ``c_a @ [M_k | ...]``, give every ``c_a M_k``, or, on a per-point form,
+    ``c_a M(x)`` from the block's one evaluation of ``M(x)``; each form's
     ``c_a M_k c_b`` is summed and leak-checked on its own."""
     grid._check_size()
     stack = isinstance(field, JetFormField)
     if stack:
-        forms = field.form.reshape((-1,) + field.form.shape[-2:])
-        size = forms.shape[-1]
+        size = len(jet_orders(grid.dim))
         left, right = field.pair_indices()
+        pointwise = callable(field.form)
         # the forms on each left test function, and their side-by-side matrix
         by_left = {a: np.flatnonzero(left == a) for a in dict.fromkeys(left.tolist())}
-        wide = {a: np.concatenate(forms[ks], axis=1) for a, ks in by_left.items()}
+        if not pointwise:
+            forms = field.form.reshape(-1, size, size)
+            wide = {a: np.concatenate(forms[ks], axis=1) for a, ks in by_left.items()}
 
     def values(pts):
         if not stack:
             return np.asarray(field(pts), dtype=float)[None]
         c = field.coords(pts)
-        out = np.empty((len(forms), len(c)))
+        jets = [c[:, a * size : (a + 1) * size] for a in range(c.shape[1] // size)]
+        point_form = np.broadcast_to(field.form(pts), (len(c), size, size)) if pointwise else None
+        out = np.empty((len(left), len(c)))
         for a, ks in by_left.items():
-            cm = (c[:, a * size : (a + 1) * size] @ wide[a]).reshape(len(c), len(ks), -1)
+            if pointwise:
+                cm = np.broadcast_to(np.einsum("np,npq->nq", jets[a], point_form)[:, None], (len(c), len(ks), size))
+            else:
+                cm = (jets[a] @ wide[a]).reshape(len(c), len(ks), size)
             # one contraction per form: each value rounds as a lone form's would
             for i, k in enumerate(ks):
-                out[k] = np.einsum("np,np->n", cm[:, i], c[:, right[k] * size : (right[k] + 1) * size])
+                out[k] = np.einsum("np,np->n", cm[:, i], jets[right[k]])
         return out
 
     lines = [j for j, dom in enumerate(grid.domains) if dom.kind == "line"]
@@ -426,7 +441,7 @@ def _walk_mesh(grid: Grid, field):
                     f"(threshold {threshold:.3e}); enlarge the box or shrink the support"
                 )
     sums = np.array([pairwise_sum(p) for p in np.concatenate(parts, axis=1)])
-    return sums if stack and field.form.ndim == 3 else float(sums[0])
+    return float(sums[0]) if not stack or field.single else sums
 
 
 def _form_sums(field: JetFormField, gram: np.ndarray, bounds):
@@ -445,7 +460,7 @@ def _form_sums(field: JetFormField, gram: np.ndarray, bounds):
         if np.any(np.einsum("kp,kpq,kq->k", edge, magnitudes, edge) > LEAK_RTOL):
             return None
     values = np.einsum("kpq,kpq->k", forms, (gram[a, b] + gram[b, a]) / 2)
-    return float(values[0]) if field.form.ndim == 2 else values
+    return float(values[0]) if field.single else values
 
 
 def _sum_factorized(grid: Grid, terms):

@@ -32,13 +32,16 @@ the closed-form functionals and certificates of :mod:`hamstab.catalog` are
 such lists.  The integrand is the sum of the squares, and one builder sums
 them to the jet form ``M = sum w L L^T`` with ``integrand = j^T M j``: a
 constant matrix when every weight and coefficient is a number (carried as
-``jet_form``, which :func:`evaluate_functional` and :func:`reilly_residual`
-integrate as a :func:`jet_field`), one matrix per point otherwise.
+``jet_form``), one matrix per point otherwise (:func:`_point_forms`).
+One routine, :func:`_pair_values`, integrates every request ``(a, b, F)``,
+``int j_a^T F j_b`` over the jets of test functions for a constant or
+per-point form ``F``; :func:`evaluate_functional` is one such request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable
@@ -341,13 +344,14 @@ def _check_compatible(u: TestFunction, domains) -> None:
     )
 
 
-def jet_field(form: np.ndarray, *probes: TestFunction, pairs=None) -> quadrature.JetFormField:
+def jet_field(form, *probes: TestFunction, pairs=None) -> quadrature.JetFormField:
     """The field ``j^T M j`` over the jet ``j`` of a test function, for a
     constant jet form ``M`` or a (K, J, J) stack of them, with its separable
     terms, jet coordinates and Gaussian terms.  Given several test
     functions, the fields ``j_a^T M_k j_b`` over their concatenated jets,
     ``(a, b)`` being each form's entry of ``pairs``, with each one's
-    separable terms."""
+    separable terms.  ``form`` may also be a per-point form ``points -> (N,
+    J, J)`` shared by every entry of ``pairs``."""
     terms = [u.separable_terms() for u in probes]
     return quadrature.JetFormField(
         form,
@@ -358,18 +362,73 @@ def jet_field(form: np.ndarray, *probes: TestFunction, pairs=None) -> quadrature
     )
 
 
+def _point_forms(functional, points: np.ndarray) -> np.ndarray:
+    """The functional's jet form at the points: (N, J, J), or (J, J)."""
+    return _jet_form(functional.squares(points), points)
+
+
+def _functional_form(functional):
+    """The functional's constant ``jet_form``, else its per-point form."""
+    form = getattr(functional, "jet_form", None)
+    return form if form is not None else partial(_point_forms, functional)
+
+
+def _grid_boxes(domains, gridspec: GridSpec | None, u: TestFunction, v: TestFunction) -> tuple:
+    """The line boxes of the grid that integrates ``u + v`` (``u`` when
+    ``v`` is ``u``): ``gridspec.line_box`` when set, else per line axis the
+    larger declared box, None if either has none; None on circle axes."""
+    if gridspec is not None and gridspec.line_box is not None:
+        return tuple(None if dom.kind == "circle" else gridspec.line_box for dom in domains)
+    return tuple(
+        None if dom.kind == "circle" or x is None or y is None else max(x, y)
+        for dom, x, y in zip(domains, u.axis_boxes, v.axis_boxes)
+    )
+
+
+def _pair_values(domains, probes, requests, gridspec: GridSpec | None = None) -> list[float]:
+    """``int j_a^T F j_b`` over the jets of ``probes`` for each request
+    ``(a, b, F)``, ``F`` a constant symmetric (J, J) jet form or a per-point
+    form ``points -> (N, J, J)``: ``(a, a, F)`` is the value on ``u_a`` and
+    ``(a, b, F)`` the polarized entry of ``u_a`` and ``u_b``.
+
+    A value takes the grid of ``u_a``, or of ``u_a + u_b`` when ``a != b``.
+    The requests that share a grid's boxes and kind of form are one
+    :func:`jet_field` integration over the probes they involve: constant
+    forms on their block jet Gram, a per-point form by one walk that
+    evaluates it once per block.  Mesh moments integrate one probe only, so
+    a constant form on a Gaussian probe is grouped alone.
+    """
+    for u in probes:
+        _check_compatible(u, domains)
+    gaussian = [u.gaussian_terms() is not None for u in probes]
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b, form) in enumerate(requests):
+        pointwise = form if callable(form) else None
+        lone = (a, b) if not pointwise and (gaussian[a] or gaussian[b]) else None
+        groups.setdefault((_grid_boxes(domains, gridspec, probes[a], probes[b]), pointwise, lone), []).append(i)
+    values = [0.0] * len(requests)
+    for (boxes, pointwise, _), members in groups.items():
+        involved = list(dict.fromkeys(x for i in members for x in requests[i][:2]))
+        index = {x: k for k, x in enumerate(involved)}
+        field = jet_field(
+            pointwise or np.array([requests[i][2] for i in members]),
+            *(probes[x] for x in involved),
+            pairs=[(index[requests[i][0]], index[requests[i][1]]) for i in members],
+        )
+        for i, value in zip(members, quadrature.integrate(field, domains, gridspec, boxes=boxes)):
+            values[i] = float(value)
+    return values
+
+
 def evaluate_functional(functional, u: TestFunction, gridspec: GridSpec | None = None) -> float:
-    """Quadrature value of a quadratic functional on a test function.
+    """Quadrature value of a quadratic functional on a test function, the
+    request ``(u, u, F)`` of its jet form ``F`` (:func:`_pair_values`).
 
     The grid uses the functional's domains; line boxes default to the test
-    function's declared support boxes.  A constant ``jet_form`` is
-    integrated as its :func:`jet_field`, any other integrand point by point.
+    function's declared support boxes.
     """
     functional = as_functional(functional)
-    _check_compatible(u, functional.domains)
-    form = getattr(functional, "jet_form", None)
-    field = jet_field(form, u) if form is not None else lambda pts: functional.integrand(pts, u.jet(pts))
-    return quadrature.integrate(field, functional.domains, gridspec, boxes=u.axis_boxes)
+    return _pair_values(functional.domains, [u], [(0, 0, _functional_form(functional))], gridspec)[0]
 
 
 def second_variation(target, u: TestFunction, gridspec: GridSpec | None = None) -> float:
@@ -449,7 +508,7 @@ def reilly_residual(
     support box per line axis.  Restricted to constant metrics, whose Ricci
     term vanishes, so the integrand is the constant jet form
     ``vol (M_lap - M_hess)`` of :func:`_lap_squares` and
-    :func:`_hessian_squares`, integrated as a :func:`jet_field`.
+    :func:`_hessian_squares`, one request of :func:`_pair_values`.
     """
     if not m.constant:
         raise NotImplementedError("integral trace identity implemented for constant metrics")
@@ -457,4 +516,4 @@ def reilly_residual(
     vol = float(m.vol_density(np.zeros((1, m.dim)))[0])
     ginv0 = m.g_inv(np.zeros((1, m.dim)))[0]
     form = _jet_form(_lap_squares(vol, ginv0) + _hessian_squares(-vol, ginv0))
-    return quadrature.integrate(jet_field(form, u), doms, gridspec, boxes=u.axis_boxes)
+    return _pair_values(doms, [u], [(0, 0, form)], gridspec)[0]

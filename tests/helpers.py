@@ -98,10 +98,13 @@ def minimal_null_graph_chart():
 
 
 def form_rounding_scale(field, domains, spec, boxes):
-    """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form of a jet-form field:
-    the magnitude against which a pointwise sum and a contraction of the
-    jet Gram both round."""
+    """``sum_x w(x) |j(x)|^T |M_k| |j(x)|`` per form of a jet-form field
+    (one per-point form ``M(x)``, or constant forms): the magnitude against
+    which a pointwise sum and a contraction of the jet Gram both round."""
     pts, w = build_grid(domains, spec, boxes).points_and_weights()
     coords = np.abs(field.coords(pts))
+    if callable(field.form):
+        forms = np.abs(np.broadcast_to(field.form(pts), (len(pts),) + (coords.shape[1],) * 2))
+        return np.array([np.sum(w * np.einsum("np,npq,nq->n", coords, forms, coords))])
     forms = field.form.reshape((-1,) + field.form.shape[-2:])
     return np.array([np.sum(w * np.einsum("np,pq,nq->n", coords, np.abs(m), coords)) for m in forms])

@@ -33,7 +33,15 @@ from hamstab.catalog import (
 from hamstab.quadrature import Grid, GridSpec, GridTooLargeError, JetFormField, build_grid, integrate
 from hamstab.testfunctions import jet_orders
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
-from hamstab.variation import SecondVariationFunctional, _jet_form, evaluate_functional, jet_field, second_variation
+from hamstab.variation import (
+    SecondVariationFunctional,
+    _functional_form,
+    _jet_form,
+    _pair_values,
+    evaluate_functional,
+    jet_field,
+    second_variation,
+)
 
 from helpers import gradient_graph_chart, minimal_null_graph_chart
 
@@ -281,18 +289,25 @@ def _separate_probe_values(functional, u, spec, extra_forms=()):
     return (evaluate_functional(functional, u, spec), *sums)
 
 
+def _probe_values(functional, u, spec, extra_forms=()):
+    """``V(u)``, ``int u^2`` and the sum of each extra form: their requests
+    on ``u`` in one call of the valuation routine."""
+    forms = (_functional_form(functional), analyzer._norm2_form(u.n), *extra_forms)
+    return tuple(_pair_values(functional.domains, [u], [(0, 0, m) for m in forms], spec))
+
+
 def test_probe_values_match_one_integration_per_value():
     for cid in default_catalog_ids():
         entry = resolve(cid)
         for u in witness_library(entry.functional.domains):
-            got = analyzer._probe_values(entry.functional, u, entry.default_gridspec)
+            got = _probe_values(entry.functional, u, entry.default_gridspec)
             assert got == _separate_probe_values(entry.functional, u, entry.default_gridspec), (cid, u.label)
 
 
 @pytest.mark.parametrize(
     "functional, u",
     [
-        # point-dependent V: integrated point by point, the rest as one stack
+        # point-dependent V: its per-point form walks the mesh, the rest is one stack
         (SecondVariationFunctional(gradient_graph_chart()), Separable([Gauss1D(1.0), Gauss1D(1.0)])),
         (resolve("plane:n=2,p=1").functional, Separable([Gauss1D(1.0), Gauss1D(0.7)])),
         # not separable: the Gaussian's mesh moments for the whole stack
@@ -303,8 +318,8 @@ def test_probe_values_with_an_extra_form(functional, u):
     spec = GridSpec(line_nodes=24)
     extra = np.arange(36.0).reshape(6, 6) / 36.0
     extra = extra + extra.T
-    assert analyzer._probe_values(functional, u, spec) == _separate_probe_values(functional, u, spec)
-    assert analyzer._probe_values(functional, u, spec, [extra]) == _separate_probe_values(functional, u, spec, [extra])
+    assert _probe_values(functional, u, spec) == _separate_probe_values(functional, u, spec)
+    assert _probe_values(functional, u, spec, [extra]) == _separate_probe_values(functional, u, spec, [extra])
 
 
 def test_witnesses_take_the_best_value_that_clears_its_threshold():

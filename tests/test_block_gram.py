@@ -1,17 +1,18 @@
-"""Witness values and polarized forms from one block jet Gram per box set,
-against the per-probe and per-pair integrations they replace."""
+"""Witness values and polarized forms from one block jet Gram or one mesh
+walk per box set, against the per-probe and per-pair integrations they
+replace."""
 
 import numpy as np
 import pytest
 
-from hamstab import analyzer, catalog, quadrature
+from hamstab import analyzer, catalog, quadrature, variation
 from hamstab.analyzer import assemble_form, classify, compute_tube_table, witness_library
 from hamstab.catalog import default_catalog_ids, resolve
 from hamstab.quadrature import GridSpec, SupportError
-from hamstab.testfunctions import AnisotropicGaussian, LinComb
-from hamstab.variation import evaluate_functional, jet_field
+from hamstab.testfunctions import AnisotropicGaussian, Gauss1D, LinComb, Separable
+from hamstab.variation import SecondVariationFunctional, _functional_form, _pair_values, evaluate_functional, jet_field
 
-from helpers import form_rounding_scale
+from helpers import form_rounding_scale, gradient_graph_chart, minimal_null_graph_chart
 
 SMALL = GridSpec(circle_nodes=16, line_nodes=16)
 # 8 nodes per axis on three and four axes keeps every reference mesh small
@@ -53,7 +54,7 @@ def assert_pool_matches(entry, pool, spec):
     ``[M, e0 e0^T]`` per probe on its own grid."""
     functional = entry.functional
     forms = np.array([functional.jet_form, analyzer._norm2_form(len(functional.domains))])
-    got = analyzer._pair_values(functional, pool, [(a, a, m) for a in range(len(pool)) for m in forms], spec)
+    got = _pair_values(functional.domains, pool, [(a, a, m) for a in range(len(pool)) for m in forms], spec)
     for a, u in enumerate(pool):
         field = jet_field(forms, u)
         want = quadrature.integrate(field, functional.domains, spec, boxes=u.axis_boxes)
@@ -123,7 +124,8 @@ def test_a_cut_support_raises_the_same_error_as_one_probe_at_a_time(cid):
     pool = witness_library(functional.domains)
     # gauss1 fits a box of 6; the wider gauss4 does not
     for spec in (GridSpec(line_nodes=16, line_box=3.0), GridSpec(line_nodes=16, line_box=6.0)):
-        want = _first_error(lambda: [analyzer._probe_values(functional, u, spec) for u in pool])
+        forms = (functional.jet_form, analyzer._norm2_form(len(functional.domains)))
+        want = _first_error(lambda: [_pair_values(functional.domains, [u], [(0, 0, m) for m in forms], spec) for u in pool])
         assert _first_error(lambda: analyzer._sign_witnesses(entry, pool, spec)) == want
         assert _first_error(lambda: classify(entry, "fourier_sweep", spec)) == want
         # the polarized form walks each pair's own field j_a^T M j_b, where
@@ -189,3 +191,81 @@ def test_a_certificate_builds_its_jet_form_once(monkeypatch):
     verdict = classify(entry, "sos_certificate")
     assert verdict.label == "negative_definite"
     assert sum(terms is entry.certificate.terms for terms in built) == 1
+
+
+def integrand_value(functional, u, spec):
+    """``V(u)`` with the integrand evaluated point by point on the mesh."""
+    return quadrature.integrate(
+        lambda pts: functional.integrand(pts, u.jet(pts)), functional.domains, spec, boxes=u.axis_boxes
+    )
+
+
+def pointwise_polarized(functional, basis, spec):
+    """The point-dependent reference: ``(V(u_a + u_b) - V(u_a - u_b)) / 4``
+    and the direct value on the diagonal, each ``V`` its integrand walked
+    point by point."""
+    k = len(basis)
+    Q = np.empty((k, k))
+    for a in range(k):
+        Q[a, a] = integrand_value(functional, basis[a], spec)
+        for b in range(a + 1, k):
+            plus = integrand_value(functional, LinComb([(1.0, basis[a]), (1.0, basis[b])]), spec)
+            minus = integrand_value(functional, LinComb([(1.0, basis[a]), (-1.0, basis[b])]), spec)
+            Q[a, b] = Q[b, a] = 0.25 * (plus - minus)
+    return Q
+
+
+# the fourier sweep at 32 nodes: (label, positive witness, negative witness)
+POINT_DEPENDENT = [
+    (minimal_null_graph_chart, ("inconclusive", None, "gauss1xgauss1")),
+    (gradient_graph_chart, ("indefinite", "gauss1xgauss4", "gauss4xgauss4")),
+]
+
+
+@pytest.mark.parametrize("make_chart, verdict", POINT_DEPENDENT)
+def test_point_dependent_polarized_form_matches_two_evaluations_per_pair(make_chart, verdict):
+    functional = SecondVariationFunctional(make_chart())
+    assert functional.jet_form is None
+    spec = GridSpec(line_nodes=32)
+    basis = witness_library(functional.domains)
+    Q = assemble_form(functional, basis, spec)
+    assert np.array_equal(Q, Q.T)
+    ref = pointwise_polarized(functional, basis, spec)
+    form = _functional_form(functional)
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            w = basis[a] if a == b else LinComb([(1.0, basis[a]), (1.0, basis[b])])
+            scale = form_rounding_scale(jet_field(form, w, pairs=[(0, 0)]), functional.domains, spec, w.axis_boxes)[0]
+            assert abs(Q[a, b] - ref[a, b]) <= 1e-12 * scale, (make_chart.__name__, a, b)
+    got = classify(make_chart(), "fourier_sweep", spec)
+    witnesses = [w and w.probe_id for w in (got.witness_pos, got.witness_neg)]
+    assert (got.label, *witnesses) == verdict
+
+
+class CountingWork(CountingRoutes):
+    """Counts ``integrate`` calls and the functional's geometry evaluations."""
+
+    def __init__(self, monkeypatch):
+        super().__init__(monkeypatch)
+        self.calls["induced_geometry_batch"] = 0
+        geometry = variation.induced_geometry_batch
+        monkeypatch.setattr(variation, "induced_geometry_batch", self._counted("induced_geometry_batch", geometry))
+
+    def work(self) -> tuple[int, int]:
+        return self.calls["integrate"], self.calls["induced_geometry_batch"]
+
+
+def test_point_dependent_values_take_one_walk_per_box_set(monkeypatch):
+    # four Gaussian products with four box sets: one walk each, evaluating
+    # the geometry once per walk (5 calls with the metric drift's central
+    # differences).  Two evaluations per pair took 16 walks and 80 calls;
+    # the sweep's probe values, norms and polarized form took 24 and 100.
+    spec = GridSpec(line_nodes=32)
+    functional = SecondVariationFunctional(minimal_null_graph_chart())
+    basis = [Separable([Gauss1D(s), Gauss1D(t)]) for s in (0.6, 1.0) for t in (0.6, 1.0)]
+    counts = CountingWork(monkeypatch)
+    assemble_form(functional, basis, spec)
+    assert counts.work() == (4, 20)
+    counts.calls = dict.fromkeys(counts.calls, 0)
+    classify(minimal_null_graph_chart(), "fourier_sweep", spec)
+    assert counts.work() == (12, 40)

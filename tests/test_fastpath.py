@@ -33,6 +33,7 @@ from hamstab.variation import (
     MetricField,
     RawHessianFunctional,
     SecondVariationFunctional,
+    _pair_values,
     evaluate_functional,
     jet_field,
     reilly_residual,
@@ -72,6 +73,11 @@ def mesh_value(functional, u, spec):
     return quadrature.integrate(
         lambda pts: functional.integrand(pts, u.jet(pts)), functional.domains, spec, boxes=u.axis_boxes
     )
+
+
+def norm2_value(functional, u, spec):
+    """``int u^2``: the request ``(u, u, e0 e0^T)`` on the functional's domains."""
+    return _pair_values(functional.domains, [u], [(0, 0, analyzer._norm2_form(u.n))], spec)[0]
 
 
 def factors(draw, domains):
@@ -123,7 +129,7 @@ def test_fast_path_matches_mesh_path(case):
     assert u.separable_terms() is not None
     with counting_meshes() as calls:
         fast = evaluate_functional(functional, u, SMALL)
-        fast_norm = analyzer._probe_values(functional, u, SMALL)[1]
+        fast_norm = norm2_value(functional, u, SMALL)
     assert calls == [], cid
     ref = mesh_value(functional, u, SMALL)
     assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref)), (cid, fast, ref)
@@ -205,7 +211,7 @@ def test_plane_waves_on_tori_sum_factorize(cid):
             assert u.separable_terms() is not None
             with counting_meshes() as calls:
                 fast = evaluate_functional(functional, u, SMALL)
-                fast_norm = analyzer._probe_values(functional, u, SMALL)[1]
+                fast_norm = norm2_value(functional, u, SMALL)
             assert calls == [], (cid, u.label)
             ref = mesh_value(functional, u, SMALL)
             assert abs(fast - ref) <= 1e-12 * max(1.0, abs(ref)), (cid, u.label, fast, ref)
@@ -407,13 +413,30 @@ def test_fixed_line_box_takes_the_per_t_loop():
     u = family_probe(entry)
     spec = GridSpec(line_nodes=16, line_box=60.0)
     schedule = (0.5, 1.0, 2.0)
-    # each member u^t takes the mesh moments of its own grid
+    extra = np.eye(len(jet_orders(3)))
+    # the members u^t and u share the line box, but each Gaussian takes the
+    # mesh moments of its own grid
     with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
-        report = analyzer.scaling_probe(entry.functional, u, schedule, gridspec=spec)
-    assert (len(moments), walks) == (len(schedule), [])
+        report = analyzer.scaling_probe(entry.functional, u, schedule, gridspec=spec, extra_forms=[extra])
+    assert (len(moments), walks) == (len(schedule) + 1, [])
     members = [dilated(u, t, (0, 1, 2), 0.5) for t in schedule]
     assert report.entries == [(t, evaluate_functional(entry.functional, ut, spec)) for t, ut in zip(schedule, members)]
-    assert report.norms == [analyzer._probe_values(entry.functional, ut, spec)[1] for ut in members]
+    assert report.norms == [norm2_value(entry.functional, ut, spec) for ut in members]
+    assert report.extras == _pair_values(entry.functional.domains, [u], [(0, 0, extra)], spec)
+
+
+def test_gaussians_sharing_a_box_keep_their_moments():
+    # moments integrate one probe at a time: requests on Gaussian probes are
+    # never grouped into one field, which would walk
+    functional = CATALOG["plane:n=2,p=1"].functional
+    probes = [AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]]), AnisotropicGaussian([[0.7, -0.2], [-0.2, 1.2]], [0.3, 0.0])]
+    spec = GridSpec(line_nodes=16, line_box=12.0)
+    norm2 = analyzer._norm2_form(2)
+    requests = [(a, a, m) for a in range(2) for m in (functional.jet_form, norm2)]
+    with counting_meshes(("_gaussian_moments",)) as moments, counting_meshes() as walks:
+        got = _pair_values(functional.domains, probes, requests, spec)
+    assert (len(moments), walks) == (2, [])
+    assert got == [v for u in probes for v in _pair_values(functional.domains, [u], requests[:2], spec)]
 
 
 def test_one_pass_family_keeps_the_per_t_checks():
