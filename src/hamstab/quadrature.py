@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .immersion import AxisDomain
 from .testfunctions import jet_orders
@@ -312,11 +311,52 @@ def check_line_boxes(domains, spec: GridSpec | None = None, boxes=None) -> None:
 @functools.cache
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], shared by every
-    grid with ``m`` line nodes."""
-    x, w = roots_legendre(m)
+    grid with ``m`` line nodes.
+
+    The steps and their order of operations are those of
+    ``scipy.special.roots_legendre``: Golub-Welsch eigenvalues of the Jacobi
+    matrix, one Newton step, and weights ``1 / (P_{m-1} P_m')``
+    log-normalized, symmetrized and scaled to sum to 2.  Both eigenvalue
+    solvers end in LAPACK's ``dsterf`` on the same tridiagonal matrix, so for
+    even ``m`` the rule is bit-identical to scipy's.  For odd ``m`` the nodes
+    are too; the weights differ in the last bits, because scipy evaluates
+    ``P_n`` at the middle node by a power series instead of the recurrence.
+    Witness probe IDs that rounding decides depend on the last bits of the
+    weights, so the rule keeps scipy's steps rather than a more accurate one.
+    """
+    k = np.arange(1, m, dtype=float)
+    off = k * np.sqrt(1.0 / (4 * k * k - 1))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    y = _legendre(m, x)
+    dy = (-m * x * y + m * _legendre(m - 1, x)) / (1 - x**2)
+    x -= y / dy
+    # P_{m-1} and P_m' span many orders of magnitude: normalize each by the
+    # geometric mean of its extremes before the product
+    fm = _legendre(m - 1, x)
+    log_fm = np.log(np.abs(fm))
+    log_dy = np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _legendre(n: int, x: np.ndarray) -> np.ndarray:
+    """The Legendre polynomial ``P_n``, ``n >= 1``, at ``x`` by the
+    recurrence for ``d = P_k - P_{k-1}`` that ``scipy.special.eval_legendre``
+    runs."""
+    d = x - 1
+    p = x.copy()
+    for kk in range(1, n):
+        k = float(kk)
+        d = ((2 * k + 1) / (k + 1)) * (x - 1) * p + (k / (k + 1)) * d
+        p += d
+    return p
 
 
 def pairwise_sum(values: np.ndarray) -> float:

@@ -221,15 +221,14 @@ class PolyGauss1D(Func1D):
     """p(x) * exp(-x^2 / (2 sigma^2)) for a polynomial p.
 
     ``p``, ``p1`` and ``p2`` are coefficient arrays, lowest degree first, of
-    the polynomial factors of the function and its two derivatives."""
+    the polynomial factors of the function and its two derivatives.  They
+    are read-only and shared by every instance with the same coefficients
+    and ``sigma``; each call still makes a new instance, since sum
+    factorization groups factors by identity."""
 
     def __init__(self, coeffs, sigma: float = 1.0):
-        self.p = np.array(coeffs, dtype=float, ndmin=1)
         self.sigma = float(sigma)
-        # d/dx (q * gauss) = (q' - q x/sigma^2) * gauss
-        x_over = np.array([0.0, 1.0 / self.sigma**2])
-        self.p1 = P.polysub(P.polyder(self.p), P.polymul(self.p, x_over))
-        self.p2 = P.polysub(P.polyder(self.p1), P.polymul(self.p1, x_over))
+        self.p, self.p1, self.p2 = _poly_gauss_coefficients(np.array(coeffs, dtype=float, ndmin=1).tobytes(), self.sigma)
         self.period = None
         self.box = GAUSS_BOX_SIGMAS * self.sigma
 
@@ -239,6 +238,21 @@ class PolyGauss1D(Func1D):
         # +0.0, which decides the sign of a zero value
         x = x + 0.0
         return _horner(self.p, x) * g, _horner(self.p1, x) * g, _horner(self.p2, x) * g
+
+
+# bounded: a caller may make factors from any number of coefficient draws
+@functools.lru_cache(maxsize=256)
+def _poly_gauss_coefficients(coeffs: bytes, sigma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(p, p1, p2)`` of :class:`PolyGauss1D` for the float64
+    coefficients in ``coeffs`` (bytes, so that 0.0 and -0.0 stay apart)."""
+    p = np.frombuffer(coeffs, dtype=float)
+    # d/dx (q * gauss) = (q' - q x/sigma^2) * gauss
+    x_over = np.array([0.0, 1.0 / sigma**2])
+    p1 = P.polysub(P.polyder(p), P.polymul(p, x_over))
+    p2 = P.polysub(P.polyder(p1), P.polymul(p1, x_over))
+    for a in (p, p1, p2):
+        a.flags.writeable = False
+    return p, p1, p2
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -267,8 +281,16 @@ class Scaled1D(Func1D):
 
 def HermGauss1D(degree: int, sigma: float = 1.0) -> PolyGauss1D:
     """Probabilists' Hermite polynomial of given degree times a Gaussian."""
+    return PolyGauss1D(_herme_coefficients(degree), sigma)
+
+
+@functools.cache
+def _herme_coefficients(degree: int) -> np.ndarray:
+    """Read-only power-basis coefficients of the probabilists' Hermite
+    polynomial of given degree."""
     coeffs = np.polynomial.hermite_e.herme2poly([0.0] * degree + [1.0])
-    return PolyGauss1D(coeffs, sigma)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 # ----------------------------------------------------------------- products

@@ -227,6 +227,16 @@ def test_analyze_is_identical_across_blas_thread_counts():
         assert marker in outputs[0]
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; importing it would cost most of a
+    # command's start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, hamstab, hamstab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == b"[]"
+
+
 def test_verify_paper_coarse_grid_fails_with_diagnostics(runner, tmp_path):
     out = tmp_path / "coarse.json"
     result = runner.invoke(main, ["verify-paper", "--criteria", "6", "--grid", "8", "--out", str(out)])

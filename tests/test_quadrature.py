@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamstab.immersion import AxisDomain
-from scipy.special import roots_legendre
 
 from hamstab import quadrature
 from hamstab.quadrature import (
@@ -121,15 +120,45 @@ def test_gauss_legendre_nodes_are_cached_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
-    ref_x, ref_w = roots_legendre(12)
-    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
     doms = (AxisDomain.line(), AxisDomain.circle(2 * np.pi))
     spec = GridSpec(circle_nodes=8, line_nodes=12)
     first, second = (build_grid(doms, spec, boxes=(3.0, None)) for _ in range(2))
     for a, b in zip(first.axis_nodes + first.axis_weights, second.axis_nodes + second.axis_weights):
         assert np.array_equal(a, b)
-    assert np.array_equal(first.axis_nodes[0], ref_x * 3.0)
-    assert np.array_equal(first.axis_weights[0], ref_w * 3.0)
+    assert np.array_equal(first.axis_nodes[0], x * 3.0)
+    assert np.array_equal(first.axis_weights[0], w * 3.0)
+
+
+@pytest.mark.parametrize("m", [8, 9, 40, 64, 96, 97])
+def test_gauss_legendre_rule_is_exact_for_polynomials(m):
+    # m nodes integrate x^j exactly on [-1, 1] for j < 2m, up to rounding
+    x, w = quadrature._gauss_legendre(m)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for j in range(2 * m):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        assert math.fsum(w * x**j) == pytest.approx(exact, rel=1e-12, abs=1e-14), j
+
+
+def test_gauss_legendre_even_orders_equal_scipy_bit_for_bit():
+    # golden witness IDs that rounding decides were recorded with scipy's
+    # rule; every default grid has an even line node count
+    roots_legendre = pytest.importorskip("scipy.special").roots_legendre
+    for m in range(8, 301, 2):
+        x, w = quadrature._gauss_legendre(m)
+        ref_x, ref_w = roots_legendre(m)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), m
+
+
+def test_gauss_legendre_odd_orders_match_scipy_to_rounding():
+    # scipy evaluates P_n by a power series where |x| < 1e-5, so at the
+    # middle node of an odd rule; the recurrence there moves only the weights
+    roots_legendre = pytest.importorskip("scipy.special").roots_legendre
+    for m in range(9, 300, 2):
+        x, w = quadrature._gauss_legendre(m)
+        ref_x, ref_w = roots_legendre(m)
+        assert x.tobytes() == ref_x.tobytes(), m
+        assert np.max(np.abs(w - ref_w) / ref_w) <= 4e-15, m
 
 
 def test_oversized_mesh_fails_before_allocating():

@@ -225,8 +225,13 @@ def test_poly_gauss_jets_equal_numpy_polynomial_bit_for_bit():
                 p2 = p1.deriv() - p1 * x_over
                 g = np.exp(-0.5 * x * x / sigma**2)
                 want = [p(x) * g, p1(x) * g, p2(x) * g]
-                got = PolyGauss1D(coeffs, sigma).jet1(x)
-                assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (degree, coeffs, sigma)
+                first, second = PolyGauss1D(coeffs, sigma), PolyGauss1D(coeffs, sigma)
+                for f in (first, second):
+                    got = f.jet1(x)
+                    assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (degree, coeffs, sigma)
+                    for a in (f.p, f.p1, f.p2):
+                        assert not a.flags.writeable
+                assert second.p2 is first.p2
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
