@@ -43,17 +43,18 @@ field is walked on the mesh, and the walk decides the leak of each
 value.  A per-point form ``M(x)``, of a functional whose coefficients
 depend on the point, has no closed route and is always walked.
 
-Mesh path: a field walks the grid in the blocks of :meth:`Grid._slabs`,
-runs of whole trailing sub-meshes of up to :data:`CHUNK` rows
-(:data:`STACK_CHUNK` for a jet form field), and only one block of points,
-weights and values exists at a time.  Each block folds its magnitudes into running maxima for the leak
-check and reduces its ``values * weights`` to one partial sum per aligned
-sub-block, whose length is the largest power of two dividing the first
-block's length.  Because every block starts at a multiple of that length,
-no pair of :func:`pairwise_sum`'s tree crosses a sub-block boundary below
-that level, so the pairwise sum of the partial sums is bit-identical to
-:func:`pairwise_sum` over the whole mesh.  Memory is O(block + N /
-sub-block).
+Mesh path: every field, a plain callable or a jet form field, walks the
+grid in the blocks of :meth:`Grid._slabs`, runs of whole trailing
+sub-meshes of up to :data:`BLOCK_ROWS` rows, and only one block of points,
+weights and values exists at a time.  Each block folds its magnitudes into
+running maxima for the leak check and reduces its ``values * weights`` to
+one partial sum per aligned sub-block, whose length is the largest power of
+two dividing the first block's length.  Because every block starts at a
+multiple of that length, no pair of :func:`pairwise_sum`'s tree crosses a
+sub-block boundary below that level, so the pairwise sum of the partial
+sums is bit-identical to :func:`pairwise_sum` over the whole mesh, and a
+field that is computed point by point gives the same value in blocks of
+any size.  Memory is O(block + N / sub-block).
 
 A mesh is capped at :data:`MAX_MESH_POINTS` points: a larger one raises
 :class:`GridTooLargeError` before any block is built.
@@ -92,19 +93,17 @@ __all__ = [
 
 MIN_NODES = 8
 
-# Largest number of mesh points evaluated in one vectorized block.
-CHUNK = 262144
-
-# Mesh points per block of a jet form field's walk: a block's J jet
-# coordinates (2 MB for J = 15) stay in cache through their contraction.
-# Also the most rows whose node indices :meth:`Grid._blocks` keeps.
-STACK_CHUNK = CHUNK // 16
+# Most mesh points in one block of a mesh walk or of the Gaussian moments,
+# and the most rows whose node indices :meth:`Grid._blocks` keeps: a block's
+# temporaries (128 KiB per float column, 2 MB for J = 15 jet coordinates)
+# stay in cache through the field's evaluation and contraction.
+BLOCK_ROWS = 16384
 
 # Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
-# builds.  The walk holds one block at a time, so the cap bounds run time and
-# the O(N / sub-block) partial sums rather than memory.  The largest default
-# mesh has 40^4 = 2.56 M points and 64 nodes per axis give 16.8 M; 96 nodes
-# per axis give 85 M.
+# builds.  The walk holds one block of :data:`BLOCK_ROWS` rows at a time, so
+# the cap bounds run time and the O(N / sub-block) partial sums rather than
+# memory.  The largest default mesh has 40^4 = 2.56 M points and 64 nodes
+# per axis give 16.8 M; 96 nodes per axis give 85 M.
 MAX_MESH_POINTS = 2**25
 
 # A field must vanish on the line-axis edge layers to this fraction of
@@ -190,12 +189,12 @@ class Grid:
     def _blocks(self, rows: int):
         """``(sub, leads)`` for the mesh in blocks of up to ``rows``
         consecutive rows.  A block is whole copies of the trailing sub-mesh
-        of the last axes with at most ``min(rows, STACK_CHUNK)`` points,
+        of the last axes with at most ``min(rows, BLOCK_ROWS)`` points,
         whose per-axis node indices ``sub`` (axes, points) are the same for
         every block; ``leads`` yields each block's per-axis node indices
         (axes, copies) on the leading axes.  All but the last block have
         one length."""
-        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, STACK_CHUNK))
+        split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, BLOCK_ROWS))
         lead, tail = self.shape[:split], self.shape[split:]
         step, count = max(1, rows // math.prod(tail)), math.prod(lead)
         sub = _unravel(np.arange(math.prod(tail)), tail)
@@ -421,13 +420,13 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
 
 def _walk_mesh(grid: Grid, field):
     """The mesh sum of ``field(points)``, one :meth:`Grid._slabs` block of
-    up to :data:`CHUNK` rows at a time, with the support-leak check.  A
-    :class:`JetFormField` walks blocks of :data:`STACK_CHUNK` rows and forms
-    each block's jet coordinates once: the coordinates ``c_a`` of each test
-    function times every constant form ``M_k`` on its left, in one product
-    ``c_a @ [M_k | ...]``, give every ``c_a M_k``, or, on a per-point form,
-    ``c_a M(x)`` from the block's one evaluation of ``M(x)``; each form's
-    ``c_a M_k c_b`` is summed and leak-checked on its own."""
+    up to :data:`BLOCK_ROWS` rows at a time, with the support-leak check.  A
+    :class:`JetFormField` forms each block's jet coordinates once: the
+    coordinates ``c_a`` of each test function times every constant form
+    ``M_k`` on its left, in one product ``c_a @ [M_k | ...]``, give every
+    ``c_a M_k``, or, on a per-point form, ``c_a M(x)`` from the block's one
+    evaluation of ``M(x)``; each form's ``c_a M_k c_b`` is summed and
+    leak-checked on its own."""
     grid._check_size()
     stack = isinstance(field, JetFormField)
     if stack:
@@ -462,7 +461,7 @@ def _walk_mesh(grid: Grid, field):
     leaks = [0.0] * len(lines)
     parts = []
     block = 0
-    for pts, w, edges in grid._slabs(STACK_CHUNK if stack else CHUNK):
+    for pts, w, edges in grid._slabs(BLOCK_ROWS):
         # the largest power of two dividing the first block's length: every
         # block starts at a multiple of it
         block = block or len(w) & -len(w)
@@ -587,7 +586,7 @@ def _gaussian_moments(grid: Grid, gaussian):
         w.astype(np.longdouble)[:, None] * (nodes.astype(np.longdouble) - c)[:, None] ** np.arange(5)
         for nodes, w, c in zip(grid.axis_nodes, grid.axis_weights, center)
     ]
-    sub, leads = grid._blocks(STACK_CHUNK)
+    sub, leads = grid._blocks(BLOCK_ROWS)
     split, tail = n - len(sub), grid.shape[n - len(sub) :]
     t_tail = np.reshape([t[k][i] for k, i in enumerate(sub, split)], sub.shape)
     # -q over the trailing sub-mesh, and -2 A t_tail for the cross term

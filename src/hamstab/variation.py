@@ -41,7 +41,7 @@ per-point form ``F``; :func:`evaluate_functional` is one such request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable
@@ -165,6 +165,12 @@ class JetSquareTerm:
         """``grad_coeffs``, then ``hess_coeffs`` row by row."""
         return (*self.grad_coeffs, *chain.from_iterable(self.hess_coeffs))
 
+    @cached_property
+    def live_coeffs(self) -> tuple:
+        """``(i, coeffs[i])`` for each coefficient that is a function of the
+        points or nonzero somewhere, in order: decided once per term."""
+        return tuple((i, c) for i, c in enumerate(self.coeffs) if callable(c) or np.any(c))
+
     def weight_values(self, points: np.ndarray):
         """The weight at the points: a number when it is constant."""
         return _at(self.weight, points)
@@ -176,9 +182,8 @@ def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -
     out = np.zeros(len(points))
     for term in terms:
         linear = np.zeros(len(points))
-        for c, x in zip(term.coeffs, coords):
-            if callable(c) or np.any(c):
-                linear += _at(c, points) * x
+        for i, c in term.live_coeffs:
+            linear += _at(c, points) * coords[i]
         out += term.weight_values(points) * linear**2
     return out
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hamstab.immersion import AxisDomain
 
-from hamstab import quadrature
+from hamstab import analyzer, quadrature
+from hamstab.catalog import resolve
 from hamstab.quadrature import (
     GridSpec,
     GridTooLargeError,
@@ -104,12 +105,12 @@ def test_chunked_evaluation_consistency():
     direct = integrate(fld, dom, spec, boxes=(10.0,))
     import hamstab.quadrature as q
 
-    old = q.CHUNK
+    old = q.BLOCK_ROWS
     try:
-        q.CHUNK = 7
+        q.BLOCK_ROWS = 7
         chunked = integrate(fld, dom, spec, boxes=(10.0,))
     finally:
-        q.CHUNK = old
+        q.BLOCK_ROWS = old
     assert chunked == direct
 
 
@@ -226,14 +227,15 @@ def whole_mesh_integrate(field, domains, spec, boxes):
     grid = build_grid(domains, spec, boxes)
     pts, w = grid.points_and_weights()
     stack = isinstance(field, JetFormField)
+    rows = quadrature.BLOCK_ROWS
     if stack:
         columns = np.empty((len(field.form), len(pts)))
-        for i in range(0, len(pts), quadrature.STACK_CHUNK):
-            coords = field.coords(pts[i : i + quadrature.STACK_CHUNK])
+        for i in range(0, len(pts), rows):
+            coords = field.coords(pts[i : i + rows])
             for k, m in enumerate(field.form):
-                columns[k, i : i + quadrature.STACK_CHUNK] = np.einsum("np,np->n", coords @ m, coords)
+                columns[k, i : i + rows] = np.einsum("np,np->n", coords @ m, coords)
     else:
-        columns = [np.concatenate([field(pts[i : i + quadrature.CHUNK]) for i in range(0, len(pts), quadrature.CHUNK)])]
+        columns = [np.concatenate([field(pts[i : i + rows]) for i in range(0, len(pts), rows)])]
     edges = []
     for j, dom in enumerate(grid.domains):
         if dom.kind == "line":
@@ -268,15 +270,14 @@ def stack_field(factors, scales=(1.0, 1.0, 1.0)):
 @pytest.fixture(params=[None, 64], ids=["default-blocks", "blocks-64"])
 def block_rows(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(quadrature, "CHUNK", request.param)
-        monkeypatch.setattr(quadrature, "STACK_CHUNK", request.param)
+        monkeypatch.setattr(quadrature, "BLOCK_ROWS", request.param)
     return request.param
 
 
 def test_mesh_walk_matches_whole_mesh_single_form(block_rows):
     # 91^2 = 8281 rows: not a multiple of a 64-row block; 21^3 rows walk in
     # blocks of 63 under 64-row blocks (sub-block 1), and 96^3 in blocks of
-    # 28 * 96^2 = 2^12 * 63 rows at the default blocks
+    # one 96^2 = 2^10 * 9-row sub-mesh at the default blocks (sub-block 2^10)
     circle_line = (AxisDomain.circle(2 * np.pi), AxisDomain.line())
 
     def fld(p):
@@ -361,8 +362,8 @@ def test_mesh_walk_leak_error_matches_whole_mesh(block_rows):
 def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
     # 128^3 = 2.1 M points; the whole mesh alone would take 8 * 4 * 2.1 M
     # = 64 MiB for points and weights, and over 100 MiB through evaluation.
-    # 64^3 is one block, whose per-axis node indices would add 6 MiB if
-    # they were kept for every row
+    # 64^3 walks in 16 blocks of 4 * 64^2 rows, whose per-axis node indices
+    # would add 6 MiB if they were kept for every row of the mesh
     def no_mesh(grid):
         raise AssertionError("integrate built the whole mesh")
 
@@ -377,6 +378,42 @@ def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
             tracemalloc.stop()
         assert val == pytest.approx(np.pi**1.5, rel=1e-12)
         assert peak < bound * 2**20, (nodes, peak / 2**20)
+
+
+@pytest.mark.parametrize("label", ["gauss4xgauss1xgauss4", "gauss1xgauss4xgauss4"])
+def test_tie_walk_is_bit_identical_in_bounded_blocks(monkeypatch, label):
+    # fourier_sweep on hyperbola:n=3 orders these mirror-image probes, whose
+    # values tie to the last bit, by their mesh values on the 64^3 default
+    # grid: 16 blocks, each value equal to the whole mesh's in one block
+    entry = resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+")
+    functional, spec = entry.functional, entry.default_gridspec
+    u = next(p for p in analyzer.witness_library(functional.domains) if p.label == label)
+    rows = []
+
+    def spied_integrate(field, *args, **kwargs):
+        def spied(pts):
+            rows.append(len(pts))
+            return field(pts)
+
+        return integrate(spied, *args, **kwargs)
+
+    monkeypatch.setattr(analyzer, "integrate", spied_integrate)
+    tracemalloc.start()
+    try:
+        got = analyzer._mesh_value(functional, u, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(rows) == 64**3 and len(rows) == 16
+    assert max(rows) <= quadrature.BLOCK_ROWS
+    assert peak < 16 * 2**20, peak / 2**20
+
+    def field(pts):
+        return functional.integrand(pts, u.jet(pts))
+
+    assert same_float(got, whole_mesh_integrate(field, functional.domains, spec, u.axis_boxes))
+    monkeypatch.setattr(quadrature, "BLOCK_ROWS", 64**3)
+    assert same_float(got, whole_mesh_integrate(field, functional.domains, spec, u.axis_boxes))
 
 
 def test_form_stack_walk_memory_is_a_few_blocks(monkeypatch):
