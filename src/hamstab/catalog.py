@@ -142,7 +142,10 @@ def _curve_product_chart(
     ``oracle="dual_number"`` the chart is built by
     :func:`chart_from_components` from ``curve_jet(j, S_j)``, the jets of
     ``(x, y)`` at the coordinate jet ``S_j``.  Every curve here has constant
-    curvature, so the chart's metric and geometry are constant.
+    curvature, so the chart's metric and geometry are constant.  The
+    closed-form chart is marked ``curve_product``, so its structural checks
+    read the axis lines (:func:`hamstab.immersion.structural_residuals`);
+    the dual-number chart keeps the grid walk, an independent route.
     """
     if oracle not in ("closed_form", "dual_number"):
         raise ValueError(f"unknown oracle {oracle!r}; expected 'closed_form' or 'dual_number'")
@@ -170,6 +173,7 @@ def _curve_product_chart(
         name=name,
         geometry_is_constant=True,
         d3f=lambda points: derivatives(points, (3,))[0],
+        curve_product=True,
     )
 
 

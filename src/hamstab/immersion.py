@@ -16,6 +16,13 @@ as one pass because every operation is per point; :func:`check_lagrangian`,
 :func:`check_h_minimal` and :func:`trisymmetry_residual` are its entries.  A
 chart may also supply third derivatives (``d3f``); the mean-curvature
 divergence is then exact instead of a central difference.
+
+On a chart marked ``curve_product`` the default sample grid is not walked:
+each residual is a function of one axis at a time, and ``div X`` is a sum
+``sum_l phi_l(s_l)`` of per-axis functions, so one geometry pass over the
+axis lines through the grid's first node gives the grid's extremes
+(``1 + 16 n`` points instead of ``17^n``).  An explicit grid, any other
+chart, and a one-axis chart are walked.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "check_h_minimal",
     "central_divergence",
     "trisymmetry_residual",
+    "sample_axes",
     "sample_grid",
 ]
 
@@ -52,12 +60,14 @@ ImmersionOracle = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarra
 # Third-derivative signature: points (N, n) -> d3f (N, n, n, n, 2n)
 ThirdDerivatives = Callable[[np.ndarray], np.ndarray]
 
-# Sample points per slice in the structural checks.  One slice's geometry
+# Sample points per slice in the structural walk.  One slice's geometry
 # and divergence arrays are alive at a time (``d3f`` alone is 4 KB a point on
-# n = 4), so the slice size bounds the walk's peak memory: the 17^4-point
-# ``hyperbola:n=4`` walk peaks under 10 MB at 1024 points, about 52 MB at
-# 8192.  Slices of 512 to 2048 points walk it in about the same time, 8192
-# more slowly; below that numpy's per-call overhead grows.
+# n = 4), so the slice size bounds the walk's peak memory: a 17^4-point walk
+# on ``hyperbola:n=4`` (an explicit grid; the default grid of that curve
+# product reads its 65 axis-line points instead) peaks under 10 MB at 1024
+# points, about 52 MB at 8192.  Slices of 512 to 2048 points walk it in
+# about the same time, 8192 more slowly; below that numpy's per-call
+# overhead grows.
 SLICE = 1024
 
 # Central-difference step, relative to the axis scale, of the H-minimal
@@ -114,6 +124,12 @@ class LagrangianChart:
     grid and raises ``ValueError`` when it does not hold.  ``d3f``, when
     given, returns the third partials ``f_ijk``; :func:`structural_residuals`
     then takes the exact divergence.
+
+    ``curve_product`` marks a product of planar curves, axis j's curve in the
+    coordinate pair ``(2j, 2j + 1)``: every derivative is zero off the block
+    diagonal.  :func:`structural_residuals` then reads the default sample
+    grid's residuals from its axis lines, and raises ``ValueError`` when a
+    derivative on them couples two axes.
     """
 
     ambient: AmbientFlat
@@ -122,6 +138,7 @@ class LagrangianChart:
     name: str = ""
     geometry_is_constant: bool = False
     d3f: ThirdDerivatives | None = field(default=None, repr=False)
+    curve_product: bool = False
 
     def __post_init__(self) -> None:
         if len(self.domains) != self.ambient.n:
@@ -242,8 +259,8 @@ def induced_geometry(chart: LagrangianChart, s) -> InducedGeometry:
     )
 
 
-def sample_grid(chart: LagrangianChart, per_axis: int = 17, line_window: float = 4.0) -> np.ndarray:
-    """Evaluation points for structural checks: equispaced around circles,
+def sample_axes(chart: LagrangianChart, per_axis: int = 17, line_window: float = 4.0) -> list[np.ndarray]:
+    """Per-axis nodes of the structural checks: equispaced around circles,
     symmetric window on line axes."""
     axes = []
     for dom in chart.domains:
@@ -252,16 +269,19 @@ def sample_grid(chart: LagrangianChart, per_axis: int = 17, line_window: float =
         else:
             w = min(dom.size, line_window)
             axes.append(np.linspace(-w, w, per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return axes
+
+
+def sample_grid(chart: LagrangianChart, per_axis: int = 17, line_window: float = 4.0) -> np.ndarray:
+    """Evaluation points for structural checks: the tensor grid of
+    :func:`sample_axes`, last axis fastest."""
+    mesh = np.meshgrid(*sample_axes(chart, per_axis, line_window), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def structural_residuals(chart: LagrangianChart, grid: np.ndarray | None = None) -> dict[str, float]:
     """Worst Lagrangian, H-minimal and trisymmetry residuals over the grid.
 
-    The grid is walked in slices of :data:`SLICE` points with one geometry
-    pass each, which all three read; only one slice's arrays are alive at a
-    time, so the slice size, not the grid, bounds the walk's peak memory.
     ``lagrangian`` is the worst symplectic pairing ``|omega(f_i, f_j)|``.
     ``hminimal`` is the worst ``|div X|`` for ``X^l = g^{lk} H_k``, the
     tangent field of ``n J H`` (sign conventions drop out of the zero
@@ -269,13 +289,24 @@ def structural_residuals(chart: LagrangianChart, grid: np.ndarray | None = None)
     ``d3f`` (:func:`_exact_divergence`), else a central difference of step
     :data:`REL_STEP` times the axis scale, ``2n`` more passes.
     ``trisymmetry`` is the worst deviation of ``C_ijk`` from full symmetry.
-    A degenerate induced metric at a grid point raises
+    A degenerate induced metric at a sample point raises
     :class:`DegenerateMetricError`.
+
+    With no grid, a ``curve_product`` chart of two or more axes makes one
+    geometry pass over the "cross" of axis lines through the first node
+    ``b`` of :func:`sample_axes` (:func:`_curve_product_residuals`).  Every
+    other call walks the grid (by default :func:`sample_grid`) in slices of
+    :data:`SLICE` points with one geometry pass each, which all three read;
+    only one slice's arrays are alive at a time, so the slice size, not the
+    grid, bounds the walk's peak memory.
     """
-    pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
-    if len(pts) == 0:
-        raise ValueError("empty sample grid")
-    worst = np.max([_slice_residuals(chart, pts[i : i + SLICE]) for i in range(0, len(pts), SLICE)], axis=0)
+    if grid is None and chart.curve_product and chart.dim > 1:
+        worst = _curve_product_residuals(chart, sample_axes(chart))
+    else:
+        pts = sample_grid(chart) if grid is None else np.atleast_2d(grid)
+        if len(pts) == 0:
+            raise ValueError("empty sample grid")
+        worst = np.max([_slice_residuals(chart, pts[i : i + SLICE]) for i in range(0, len(pts), SLICE)], axis=0)
     return {"lagrangian": float(worst[0]), "hminimal": float(worst[1]), "trisymmetry": float(worst[2])}
 
 
@@ -283,18 +314,69 @@ def _slice_residuals(chart: LagrangianChart, pts: np.ndarray) -> list:
     """``max |omega|``, ``max |div X|`` and the largest ``|C - C^T|`` over
     the transposes of ``C`` on one slice; the slice's geometry is freed on
     return."""
+    lagrangian, div, trisymmetry = _residuals(chart, induced_geometry_batch(chart, pts))
+    return [lagrangian, np.max(np.abs(div)), trisymmetry]
+
+
+def _residuals(chart: LagrangianChart, geo: dict[str, np.ndarray], d3f: np.ndarray | None = None) -> tuple:
+    """``max |omega|``, ``div X`` at each point and the largest
+    ``|C - C^T|`` of one geometry pass; ``d3f``, when given, is the chart's
+    third derivatives at its points."""
     amb = chart.ambient
-    geo = induced_geometry_batch(chart, pts)
-    df, C = geo["df"], geo["C"]
     # omega stays an einsum: it sums each product in turn, so a Lagrangian
     # pairing x*y - y*x is exactly 0, where a BLAS product's fused
     # multiply-add leaves rounding noise
-    omega = amb.eps * np.einsum("nia,nja,a->nij", amb.j_apply(df), df, amb.signature.as_array())
+    omega = amb.eps * np.einsum("nia,nja,a->nij", amb.j_apply(geo["df"]), geo["df"], amb.signature.as_array())
     if chart.d3f is not None:
-        div = _exact_divergence(chart, geo)
+        div = _exact_divergence(chart, geo, d3f)
     else:
         div = _central_h_divergence(chart, [REL_STEP * dom.scale for dom in chart.domains], geo)
-    return [np.max(np.abs(omega)), np.max(np.abs(div)), _trisymmetry(C)]
+    return np.max(np.abs(omega)), div, _trisymmetry(geo["C"])
+
+
+def _curve_product_residuals(chart: LagrangianChart, axes: list[np.ndarray]) -> list:
+    """The residuals over the tensor grid of ``axes`` on a curve product,
+    from one geometry pass over the ``1 + sum_l (m_l - 1)`` points of the
+    axis lines through ``b = (axes[0][0], ..., axes[n-1][0])``.
+
+    The pass first checks the declaration: ``df``, ``d2f`` and ``d3f`` must
+    be exactly zero off the block diagonal, else ``ValueError``.  Then
+    ``omega`` and ``C - C^sigma`` are per-axis (off-block entries are sums
+    of exact zeros), so their extremes lie on the lines.  ``D = div X`` is
+    ``sum_l phi_l(s_l)``, and on line ``l`` it reads ``D_l(t) = D(b) +
+    phi_l(t) - phi_l(b_l)``; so over the grid ``max D = D(b) + sum_l max_t
+    (D_l(t) - D(b))``, ``min D`` likewise, and ``hminimal = max(max D, -min
+    D)``, the grid's ``max |D|`` in exact arithmetic.
+    """
+    base = np.array([nodes[0] for nodes in axes])
+    lines = []
+    for l, nodes in enumerate(axes):
+        line = np.repeat(base[None], len(nodes) - 1, axis=0)
+        line[:, l] = nodes[1:]
+        lines.append(line)
+    pts = np.concatenate([base[None]] + lines)
+    geo = induced_geometry_batch(chart, pts)
+    d3f = None if chart.d3f is None else chart.d3f(pts)
+    for k, arr in enumerate((geo["df"], geo["d2f"], d3f), start=1):
+        if arr is not None and np.any(arr[:, _off_block(chart.dim, k)]):
+            raise ValueError(
+                f"chart {chart.name!r} is declared curve_product, but its order-{k} "
+                "derivatives couple two axes"
+            )
+    lagrangian, div, trisymmetry = _residuals(chart, geo, d3f)
+    offsets = np.split(div[1:] - div[0], np.cumsum([len(line) for line in lines])[:-1])
+    top = div[0] + sum(d.max(initial=0.0) for d in offsets)
+    bottom = div[0] + sum(d.min(initial=0.0) for d in offsets)
+    return [lagrangian, max(top, -bottom), trisymmetry]
+
+
+@functools.cache
+def _off_block(n: int, order: int) -> np.ndarray:
+    """Mask of the entries ``[i_1, ..., i_order, a]`` of an order-``order``
+    derivative array of an ``n``-axis chart that are off the block
+    diagonal: not ``i_1 = ... = i_order = a // 2``."""
+    idx = np.indices((n,) * order + (2 * n,))
+    return ~np.all(idx[:-1] == idx[-1] // 2, axis=0)
 
 
 def _trisymmetry(C: np.ndarray) -> float:
@@ -340,9 +422,9 @@ def _central_h_divergence(chart: LagrangianChart, steps, geo: dict[str, np.ndarr
     return central_divergence(weighted_components, geo["points"], steps) / geo["vol"]
 
 
-def _exact_divergence(chart: LagrangianChart, geo: dict[str, np.ndarray]) -> np.ndarray:
+def _exact_divergence(chart: LagrangianChart, geo: dict[str, np.ndarray], d3f: np.ndarray | None = None) -> np.ndarray:
     """``div X`` for ``X^l = g^{lk} H_k`` from the geometry pass ``geo`` and
-    the third derivatives.
+    the third derivatives ``d3f`` at its points (by default the chart's).
 
     With ``sigma`` the ambient inner product and ``C_ijk = sigma(f_ij, J f_k)``,
     the product rule gives
@@ -366,7 +448,10 @@ def _exact_divergence(chart: LagrangianChart, geo: dict[str, np.ndarray]) -> np.
     df, d2f, g_inv, H = geo["df"], geo["d2f"], geo["g_inv"], geo["nH_cov"]
     npts, n = geo["points"].shape
     m = n * n
-    T = (g_inv.reshape(npts, 1, m) @ chart.d3f(geo["points"]).reshape(npts, m, 2 * m)).reshape(npts, n, 2 * n)
+    # the chart's d3f is a temporary, freed once T is formed
+    d3f = chart.d3f(geo["points"]) if d3f is None else d3f
+    T = (g_inv.reshape(npts, 1, m) @ d3f.reshape(npts, m, 2 * m)).reshape(npts, n, 2 * n)
+    del d3f
     half = (d2f.reshape(npts, m, 2 * n) @ (df * sgn).swapaxes(1, 2)).reshape(npts, n, n, n).swapaxes(1, 2)
     dg = half + half.swapaxes(2, 3)
     dg_inv = -(g_inv[:, None] @ dg @ g_inv[:, None])

@@ -28,7 +28,7 @@ from .analyzer import (
     wirtinger_bound,
 )
 from .catalog import ClosedFormFunctional, CurveData, default_catalog_ids, make_hyperbola_product, make_torus, resolve
-from .immersion import AxisDomain, induced_geometry_batch, sample_grid, structural_residuals
+from .immersion import AxisDomain, induced_geometry_batch, structural_residuals
 from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
 from .variation import MetricField, _lap_squares, bochner_residual, evaluate_functional, reilly_residual, second_variation
@@ -642,7 +642,7 @@ def _criterion_11(ctx) -> list[CheckResult]:
     worst = {"lagrangian": 0.0, "hminimal": 0.0, "trisymmetry": 0.0}
     for cid in _FLAT_CHART_IDS:
         chart = resolve(cid).chart
-        for name, value in structural_residuals(chart, sample_grid(chart, per_axis=17)).items():
+        for name, value in structural_residuals(chart).items():
             worst[name] = max(worst[name], value)
     tols = {"lagrangian": 1e-10, "hminimal": 1e-8, "trisymmetry": 1e-8}
     for name, value in worst.items():

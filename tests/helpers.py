@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 
+from dataclasses import replace
+
+from hamstab.catalog import _curve_product_chart
 from hamstab.geometry import AmbientFlat
 from hamstab.immersion import AxisDomain, LagrangianChart, chart_from_components
 from hamstab.jets import jcos, jsin
@@ -73,6 +76,26 @@ def polynomial_graph_chart():
     return LagrangianChart(
         amb, (AxisDomain.line(), AxisDomain.line()), oracle, name="polynomial-graph", d3f=d3f
     )
+
+
+def cubic_curve_product_chart(coeffs):
+    """Product in ``C^n`` of the curves ``(s, a s^2 + b s^3)``, one ``(a, b)``
+    per axis, with closed-form derivatives up to the third.  Lagrangian and
+    a curve product, but neither of constant curvature nor H-minimal: on
+    axis l, ``div X`` is the arc-length derivative of the curve's
+    curvature."""
+
+    def curve(j, s):
+        a, b = coeffs[j]
+        return (s, a * s**2 + b * s**3), (1.0, 2 * a * s + 3 * b * s**2), (0.0, 2 * a + 6 * b * s), (0.0, 6 * b)
+
+    chart = _curve_product_chart(
+        AmbientFlat.pseudo_kahler(len(coeffs), 0),
+        tuple(AxisDomain.line() for _ in coeffs),
+        f"cubic-curves:{coeffs}",
+        curve,
+    )
+    return replace(chart, geometry_is_constant=False)
 
 
 def minimal_null_graph_chart():

@@ -21,7 +21,7 @@ from hamstab.immersion import (
 )
 from hamstab.catalog import make_hyperbola_product, make_lagrangian_plane, make_torus, resolve
 from hamstab.verification import _FLAT_CHART_IDS
-from helpers import gradient_graph_chart, polynomial_graph_chart
+from helpers import cubic_curve_product_chart, gradient_graph_chart, polynomial_graph_chart
 
 
 def test_unit_torus_geometry():
@@ -329,15 +329,87 @@ def test_structural_walk_matches_separate_checks(name):
     got = structural_residuals(chart, sample_grid(chart, per_axis=17))
     want = _SEPARATE_CHECK_VALUES[name]
     assert got == dict(zip(("lagrangian", "hminimal", "trisymmetry"), want))
-    assert (check_lagrangian(chart), check_h_minimal(chart), trisymmetry_residual(chart)) == want
+    entries = (check_lagrangian(chart), check_h_minimal(chart), trisymmetry_residual(chart))
+    if chart.curve_product and chart.dim > 1:
+        # with no grid these read the axis lines, the route that
+        # test_curve_product_route_matches_the_walk holds to this walk
+        assert entries == tuple(structural_residuals(chart).values())
+    else:
+        assert entries == want
 
 
-def test_criterion_11_takes_one_geometry_pass_per_slice(monkeypatch):
-    # the flat charts at 17 points per axis, one geometry pass per slice of
-    # immersion.SLICE points plus 2n shifted passes per slice on the
-    # dual-number plane charts, and 8 small passes of the oracle-equivalence
-    # check; every oracle call of a resolved chart is one of its geometry
-    # passes
+@pytest.mark.parametrize("cid", _FLAT_CHART_IDS)
+def test_curve_product_route_matches_the_walk(cid):
+    # the flat charts' default residuals from their axis lines against the
+    # 17^n-point walk: the per-axis residuals exactly, hminimal to its
+    # rounding (measured 2.3e-17 on torus:n=2,r=1,1,p=1)
+    chart = resolve(cid).chart
+    assert chart.curve_product
+    fast, walk = structural_residuals(chart), structural_residuals(chart, sample_grid(chart, 17))
+    assert (fast["lagrangian"], fast["trisymmetry"]) == (walk["lagrangian"], walk["trisymmetry"])
+    assert abs(fast["hminimal"] - walk["hminimal"]) <= 1e-12
+
+
+# (a, b) of the curves (s, a s^2 + b s^3): phi_l, the arc-length derivative
+# of the curvature, takes both signs on every axis, and the dominant sign
+# alternates, so max |div X| over the grid is below the sum of the per-axis
+# maxima of |phi_l|
+_CUBIC_CURVES = [(0.3, 0.1), (-0.2, -0.15), (0.5, -0.05)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_curve_product_route_finds_the_extreme_divergence(n):
+    phis = []
+    for ab in _CUBIC_CURVES[:n]:
+        axis = cubic_curve_product_chart([ab])
+        pts = sample_grid(axis)
+        phis.append(immersion._exact_divergence(axis, induced_geometry_batch(axis, pts)))
+        assert phis[-1].min() < 0 < phis[-1].max()
+    chart = cubic_curve_product_chart(_CUBIC_CURVES[:n])
+    fast, walk = structural_residuals(chart), structural_residuals(chart, sample_grid(chart, 17))
+    assert walk["hminimal"] < sum(np.max(np.abs(phi)) for phi in phis) - 0.1
+    assert (fast["lagrangian"], fast["trisymmetry"]) == (walk["lagrangian"], walk["trisymmetry"])
+    assert abs(fast["hminimal"] - walk["hminimal"]) <= 1e-12 * walk["hminimal"]
+
+
+def test_false_curve_product_declaration_raises():
+    # the polynomial graph's derivatives couple its two axes
+    from dataclasses import replace
+
+    chart = replace(polynomial_graph_chart(), curve_product=True)
+    with pytest.raises(ValueError, match="declared curve_product"):
+        structural_residuals(chart)
+
+
+def test_dual_number_product_keeps_the_walk(monkeypatch):
+    chart = make_torus((1.0, 2.0, 3.0), 1, oracle="dual_number")
+    assert not chart.curve_product
+    want = structural_residuals(chart, sample_grid(chart, 17))
+    points = []
+    original = immersion.induced_geometry_batch
+
+    def counting_geometry(chart, pts):
+        points.append(len(pts))
+        return original(chart, pts)
+
+    monkeypatch.setattr(immersion, "induced_geometry_batch", counting_geometry)
+    assert structural_residuals(chart) == want
+    # one pass per slice and 2n central-difference passes per slice
+    assert sum(points) == 7 * 17**3
+
+
+def test_sample_grid_is_the_tensor_grid_of_the_sample_axes():
+    chart = make_hyperbola_product((1.0, 2.0, 3.0), (1, -1, 1))
+    axes = immersion.sample_axes(chart, 5, line_window=2.0)
+    assert [len(a) for a in axes] == [5, 5, 5]
+    assert sample_grid(chart, 5, line_window=2.0).tolist() == [list(p) for p in itertools.product(*axes)]
+
+
+def test_criterion_11_takes_one_geometry_pass_per_chart(monkeypatch):
+    # one geometry pass per flat chart (each a curve product, read from its
+    # 1 + 16n axis-line points; the 17-point walk on one axis), and 8 passes
+    # of 7 points in the oracle-equivalence check: 14 + 16 * 30 + 56 points.
+    # Every oracle call of a resolved chart is one of its geometry passes
     from dataclasses import replace
 
     from hamstab import verification
@@ -367,13 +439,8 @@ def test_criterion_11_takes_one_geometry_pass_per_slice(monkeypatch):
     results = verification.run_criterion(11)
     assert all(r.passed for r in results)
 
-    def passes(cid):
-        chart = original_resolve(cid).chart
-        slices = -(-(17**chart.dim) // immersion.SLICE)
-        return slices * (1 if chart.d3f is not None else 1 + 2 * chart.dim)
-
-    assert len(geometry) == sum(map(passes, verification._FLAT_CHART_IDS)) + 8
-    assert sum(npts for _, npts in geometry) == 100390
+    assert len(geometry) == len(verification._FLAT_CHART_IDS) + 8
+    assert sum(npts for _, npts in geometry) == 550
     assert oracle_calls == [npts for own, npts in geometry if own]
 
 
