@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .testfunctions import (
     compatible_with,
     jet_orders,
 )
-from .variation import _check_compatible, _functional_form, _jet_form, _pair_values, _point_forms, as_functional
+from .variation import _check_compatible, _functional_form, _jet_form, _pair_values, _point_forms, as_functional, symbol
 
 __all__ = [
     "ModeVector",
@@ -64,6 +65,8 @@ TIE_RTOL = 1e-12
 SOS_RESIDUAL_TOL = 1e-10
 # Grid rows at which a point-dependent certificate's jet form is compared.
 CERTIFICATE_ROWS = 20000
+# Largest |k_j| of the modes k of a lattice scan.
+MODE_BOUND = 4
 
 LABEL_POSITIVE = "positive_definite"
 LABEL_NEGATIVE = "negative_definite"
@@ -150,7 +153,7 @@ def torus_mode_value(radii, p: int, k) -> float:
         raise ValueError("zero mode")
     if not 0 <= p <= len(r):
         raise ValueError(f"p out of range for n={len(r)}")
-    if min(radii) <= 0:  # once per mode of a scan: the builtin is the cheapest test
+    if min(radii) <= 0:  # once per row of a mode sweep: the builtin is the cheapest test
         raise ValueError("radii must be positive")
     eps = np.array([-1.0] * p + [1.0] * (len(r) - p))
     m = np.asarray(kk, dtype=float) / r
@@ -192,14 +195,12 @@ def assemble_form(functional, basis, gridspec: GridSpec | None = None) -> np.nda
 
 # --------------------------------------------------------------- mode scans
 
-def _canonical_modes(n: int, bound: int):
-    for k in itertools.product(range(-bound, bound + 1), repeat=n):
-        if not any(k):
-            continue
-        first = next(x for x in k if x != 0)
-        if first < 0:
-            continue
-        yield k
+def _canonical_modes(n: int, bound: int) -> np.ndarray:
+    """The (N, n) nonzero integer modes with ``|k_j| <= bound`` whose first
+    nonzero entry is positive: one of each pair ``k, -k``."""
+    k = np.indices((2 * bound + 1,) * n).reshape(n, -1).T - bound
+    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    return k[first > 0]
 
 
 @dataclass
@@ -210,7 +211,7 @@ class SpectralReport:
     mode_table: list[tuple[tuple[int, ...], float, float]]
 
 
-def spectral_criterion(lattice_radii, c: float, mode_bound: int = 4) -> SpectralReport:
+def spectral_criterion(lattice_radii, c: float, mode_bound: int = MODE_BOUND) -> SpectralReport:
     """First-eigenvalue criterion on a flat torus with the given radii.
 
     ``lam_k = sum (k_j / r_j)^2`` over nonzero integer modes; the form
@@ -218,7 +219,7 @@ def spectral_criterion(lattice_radii, c: float, mode_bound: int = 4) -> Spectral
     """
     r = np.asarray(lattice_radii, dtype=float)
     rows = []
-    for k in _canonical_modes(len(r), mode_bound):
+    for k in map(tuple, _canonical_modes(len(r), mode_bound).tolist()):
         lam = float(np.sum((np.asarray(k) / r) ** 2))
         rows.append((k, lam, lam * (lam - c)))
     rows.sort(key=lambda row: (row[1], row[0]))
@@ -505,10 +506,11 @@ def classify(
     """Run a classification strategy and return a sound verdict.
 
     ``target`` is a catalog entry, a chart, or a closed-form functional.
-    Strategies: ``fourier_sweep`` (witness library scan),
-    ``scaling_probe`` (dilation families), ``sos_certificate`` (pointwise
-    signed sum of squares), ``spectral_criterion`` (first-eigenvalue and
-    curve-length bounds).  ``inconclusive`` is a valid outcome.
+    Strategies: ``fourier_sweep`` (witness library scan; the lattice scan
+    on tori), ``scaling_probe`` (dilation families), ``sos_certificate``
+    (pointwise signed sum of squares), ``spectral_criterion`` (the lattice
+    scan of :func:`_lattice_scan` on circle axes, the curve-length bound on
+    rank-one surfaces).  ``inconclusive`` is a valid outcome.
     """
     entry = _as_entry(target)
     strategy = strategy or entry.default_strategy
@@ -539,7 +541,6 @@ def _as_entry(target) -> CatalogEntry:
     if isinstance(target, CatalogEntry):
         return target
     functional = as_functional(target)
-    expected = getattr(functional, "expected_verdict", None)
     return CatalogEntry(
         catalog_id=getattr(functional, "name", "") or getattr(target, "name", "") or "adhoc",
         kind="adhoc",
@@ -547,7 +548,6 @@ def _as_entry(target) -> CatalogEntry:
         chart=target if isinstance(target, LagrangianChart) else None,
         default_strategy="fourier_sweep",
         params={},
-        expected_verdict=expected,
     )
 
 
@@ -617,7 +617,7 @@ def _mesh_value(functional, u: TestFunction, gridspec: GridSpec | None) -> float
 
 def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     if entry.kind == "torus":
-        return _classify_torus_modes(entry, gridspec)
+        return _lattice_scan(entry, gridspec, partial(torus_mode_function, entry.params["radii"]))
     pool = witness_library(entry.functional.domains)
     pos, neg, values = _sign_witnesses(entry, pool, gridspec)
     evidence = [
@@ -639,32 +639,43 @@ def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     )
 
 
-def _classify_torus_modes(entry: CatalogEntry, gridspec, bound: int = 4) -> StabilityVerdict:
-    radii = entry.params["radii"]
-    p = entry.params["p"]
-    scan = [(k, torus_mode_value(radii, p, k)) for k in _canonical_modes(len(radii), bound)]
-    values = [v for _, v in scan]
-    evidence = [
-        EvidenceRecord(
-            len(scan),
-            float(np.min(values)),
-            float(np.max(values)),
-            f"closed-form mode values, |k| <= {bound} (modes are orthogonal)",
-        )
-    ]
-    # prefer the simplest mode of each sign (lowest total order, first axes first)
+def _lattice_scan(entry: CatalogEntry, gridspec, probe) -> StabilityVerdict:
+    """Sign pattern of a constant jet form on circle axes from its Fourier
+    symbol, with quadrature witnesses.
+
+    The mode ``k`` is the plane wave of frequency ``xi = 2 pi k / L`` and
+    value ``Vol/2 * P(xi)`` (:func:`hamstab.variation.symbol`), computed
+    over the canonical modes ``|k_j| <= MODE_BOUND`` at once.  The simplest
+    mode of each sign (lowest total order, first axes first) is the test
+    function ``probe(k)``, valued by quadrature; the modes where the symbol
+    vanishes are named in a note.
+    """
+    domains = entry.functional.domains
+    sizes = np.array([dom.size for dom in domains])
+    modes = _canonical_modes(len(domains), MODE_BOUND)
+    values = 0.5 * np.prod(sizes) * symbol(entry.functional.jet_form, modes * (2 * np.pi / sizes))
+    note = f"Vol/2 * P(2 pi k / L) from the jet form's Fourier symbol, |k_j| <= {MODE_BOUND} (modes are orthogonal)"
+    evidence = [EvidenceRecord(len(modes), float(np.min(values)), float(np.max(values)), note)]
     tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
-    simplicity = lambda kv: (sum(abs(x) for x in kv[0]), tuple(-x for x in kv[0]))
-    pos_c = sorted((kv for kv in scan if kv[1] > tol), key=simplicity)
-    neg_c = sorted((kv for kv in scan if kv[1] < -tol), key=simplicity)
-    pool = [torus_mode_function(radii, c[0][0]) for c in (pos_c, neg_c) if c]
-    pos, neg, _ = _sign_witnesses(entry, pool, gridspec)
+    # simplest first: lowest total order, then the larger entry on the first axis that differs
+    order = np.lexsort((*-modes.T[::-1], np.abs(modes).sum(axis=1)))
+    modes, values = modes[order], values[order]
+    chosen = np.concatenate([modes[sign * values > tol][:1] for sign in (1, -1)])
+    pos, neg, _ = _sign_witnesses(entry, [probe(tuple(k)) for k in chosen.tolist()], gridspec)
+    zeros = modes[np.abs(values) <= tol]
+    notes = []
+    if len(zeros):
+        named = ", ".join(probe(tuple(k)).label for k in zeros[:4].tolist())
+        notes.append(
+            f"the symbol vanishes on {len(zeros)} of {len(modes)} scanned modes (value 0), simplest first: {named}"
+        )
     return _sign_verdict(
         pos,
         neg,
         evidence,
-        one_sign="no negative mode in the scanned lattice; definiteness of the definite-sign "
-        "cases needs the circle spectral argument, which is not certified here",
+        notes,
+        one_sign="the symbol takes one sign on the scanned lattice; definiteness needs an analytic "
+        "certificate, which this scan does not give",
     )
 
 
@@ -816,37 +827,21 @@ def _with_sign(value: float) -> str:
 def _classify_spectral(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     if entry.kind == "tn":
         return _classify_tn_spectral(entry, gridspec)
-    if not entry.spectral:
+    domains = entry.functional.domains
+    if getattr(entry.functional, "jet_form", None) is None or any(dom.kind != "circle" for dom in domains):
         return StabilityVerdict(
-            LABEL_INCONCLUSIVE, notes=["no spectral data attached to this entry"]
+            LABEL_INCONCLUSIVE, notes=["the lattice scan needs circle axes only and a constant jet form"]
         )
-    radii = entry.spectral["radii"]
-    c = entry.spectral["c"]
-    rep = spectral_criterion(radii, c)
-    signed = [s for _, _, s in rep.mode_table]
-    evidence = [
-        EvidenceRecord(
-            len(rep.mode_table),
-            float(np.min(signed)),
-            float(np.max(signed)),
-            f"lam(lam - c) over modes; lam1 = {rep.lam1:g}, c = {c:g}",
-        )
-    ]
-    # the S3 tube case is Kahler-Einstein with eps = +1
-    if rep.verdict == "stable":
-        return StabilityVerdict(LABEL_POSITIVE, evidence=evidence, notes=[f"lam1 = {rep.lam1:g} >= c = {c:g}"])
-    base = 2 * np.pi / entry.functional.domains[0].size
-    pool = [
-        Separable([Cos1D(2 * base), Const1D()], label="mode:cos(2s)"),
-        Separable([Cos1D(base), Const1D()], label="mode:cos(s)"),
-    ]
-    pos, neg, _ = _sign_witnesses(entry, pool, gridspec)
-    notes = [
-        f"lam1 = {rep.lam1:g} < c = {c:g}",
-        "the diagonal mode cos(s+t) sits exactly at lam = c and evaluates to 0; "
-        "cos(s) is the negative witness",
-    ]
-    return _sign_verdict(pos, neg, evidence, notes)
+    base = 2 * np.pi / np.array([dom.size for dom in domains])
+    return _lattice_scan(entry, gridspec, lambda k: PlaneWaveCos(np.multiply(k, base), label=_mode_label(k)))
+
+
+def _mode_label(k) -> str:
+    """``mode:cos(2s-t)``: the mode's linear form in the axis names ``s``,
+    ``t``, ``w`` (``s1``, ``s2``, ... beyond three axes)."""
+    names = "stw" if len(k) <= 3 else [f"s{j + 1}" for j in range(len(k))]
+    terms = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}{x}" for c, x in zip(k, names) if c)
+    return f"mode:cos({terms.lstrip('+')})"
 
 
 def _sup_evidence(sup: float, threshold) -> list[EvidenceRecord]:

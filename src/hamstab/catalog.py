@@ -6,7 +6,7 @@ split-complex coordinate pair (circles in ``C^n_p``, hyperbola branches in
 constructor; the curved-ambient families (normal congruences of geodesic
 tubes in the spaces of geodesics of 3-dimensional space forms, rank-one
 surfaces in the tangent bundle of a Riemannian surface) enter through
-closed-form quadratic functionals with their sign data.
+closed-form quadratic functionals.
 
 A closed-form functional is one list of weighted squares ``w(s) * (L . jet)^2``
 (:class:`hamstab.variation.JetSquareTerm`), as every functional and
@@ -84,9 +84,6 @@ class ClosedFormFunctional:
 
     domains: tuple[AxisDomain, ...]
     terms: tuple[JetSquareTerm, ...]
-    eps_tuple: tuple[int, int, int, int] | None = None
-    expected_verdict: str | None = None
-    provenance: str = ""
     name: str = ""
     integrand: Callable[[np.ndarray, tuple], np.ndarray] = field(init=False, repr=False, compare=False)
     jet_form: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
@@ -364,13 +361,9 @@ def make_geodesic_tube(space_form, row, metric_choice: str = "G") -> ClosedFormF
             f"valid selectors: {sorted({t.row_key for t in candidates})}"
         )
     t = matches[0]
-    expected = t.g_verdict if metric_choice == "G" else t.gprime_verdict
     return ClosedFormFunctional(
         domains=_tube_domains(t),
         terms=_tube_terms(t, metric_choice),
-        eps_tuple=t.eps_tuple,
-        expected_verdict=expected,
-        provenance=f"geodesic-tube table row {t.space}:{t.row_key}, metric {metric_choice}",
         name=f"tube:{t.space}:{t.row_key}:{metric_choice}",
     )
 
@@ -451,8 +444,6 @@ def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) 
             JetSquareTerm(4.0, (0.0, 0.0), ((0.0, 1.0), (0.0, utt))),
             JetSquareTerm(weight, (0.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),
         ),
-        expected_verdict=None,
-        provenance="rank-one surface in the tangent bundle of a Riemannian surface",
         name=tag,
     )
 
@@ -485,11 +476,8 @@ class CatalogEntry:
     default_strategy: str
     params: dict
     certificate: SumOfSquares | None = None
-    expected_verdict: str | None = None
-    spectral: dict | None = None
     curve: CurveData | None = None
     default_gridspec: GridSpec | None = None
-    provenance: str = ""
 
 
 def _parse_kv(segment: str, allowed: dict[str, bool]) -> dict[str, list[str]]:
@@ -564,8 +552,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=chart,
             default_strategy="fourier_sweep",
             params={"n": n, "radii": radii, "p": p},
-            expected_verdict="unstable" if 0 < p < n else "stable",
-            provenance="product of circles in indefinite complex space",
         )
 
     if kind == "hyperbola":
@@ -588,8 +574,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=chart,
             default_strategy="sos_certificate" if n <= 2 else "scaling_probe",
             params={"n": n, "radii": radii, "eps": eps},
-            expected_verdict="stable" if n <= 2 else "unstable",
-            provenance="product of hyperbola branches in split-complex space",
         )
         entry.certificate = _hyperbola_certificate(radii, eps) if n <= 2 else None
         if n == 3:
@@ -631,8 +615,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             default_strategy="sos_certificate",
             params={"n": n, "p": p, "para": para},
             certificate=cert,
-            expected_verdict="stable",
-            provenance="totally geodesic Lagrangian plane (minimal, Ricci-flat ambient)",
         )
 
     if kind == "tube":
@@ -662,9 +644,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             default_strategy=strategy,
             params={"space": t.space, "row": t.row_key, "metric": metric, "eps_tuple": t.eps_tuple},
             certificate=cert,
-            expected_verdict=functional.expected_verdict,
-            spectral={"radii": (1.0, 1.0), "c": 2.0} if (t.space, metric) == ("S3", "G") else None,
-            provenance=functional.provenance,
         )
 
     if kind == "tn":
@@ -680,13 +659,10 @@ def resolve(catalog_id: str) -> CatalogEntry:
         certified = coeff < 0 or (coeff == 0 and not curve.closed)
         if certified:
             strategy = "sos_certificate"
-            expected = "stable"
         elif curve.closed:
             strategy = "spectral_criterion"
-            expected = "stable" if 0 < coeff <= 16 * np.pi**2 / length**2 else None
         else:
             strategy = "scaling_probe"
-            expected = "unstable"
         return CatalogEntry(
             catalog_id=catalog_id,
             kind="tn",
@@ -695,9 +671,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
             default_strategy=strategy,
             params={"kappa": kappa, "K": K, "length": length},
             certificate=tn_sos_certificate(functional) if certified else None,
-            expected_verdict=expected,
             curve=curve,
-            provenance=functional.provenance,
         )
 
     raise CatalogIdError(

@@ -36,6 +36,15 @@ constant matrix when every weight and coefficient is a number (carried as
 One routine, :func:`_pair_values`, integrates every request ``(a, b, F)``,
 ``int j_a^T F j_b`` over the jets of test functions for a constant or
 per-point form ``F``; :func:`evaluate_functional` is one such request.
+
+A constant jet form ``M`` has the Fourier symbol ``P(xi) = Re v^* M v``
+(:func:`symbol`), ``v = a + i b`` the jet of ``exp(i xi . s)`` at 0, so
+``P = a^T M a + b^T M b`` with ``a = (1, 0, -xi_i xi_j)``, ``b = (0, xi, 0)``.
+Plane waves of distinct frequencies are orthogonal for the form, and
+``cos(xi . s)`` on a torus of volume ``Vol`` has value ``Vol/2 * P(xi)``
+(Plancherel; Hormander, *The Analysis of Linear Partial Differential
+Operators* I): on circle axes the lattice ``xi = 2 pi k / L`` carries the
+functional's sign pattern.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ __all__ = [
     "second_variation_raw",
     "bochner_residual",
     "reilly_residual",
+    "symbol",
 ]
 
 
@@ -209,6 +219,21 @@ def _jet_form(terms: tuple[JetSquareTerm, ...], points: np.ndarray | None = None
     for w, v in zip(c[..., 0], vectors):
         form = form + w[:, None, None] * (v[:, :, None] * v[:, None, :])
     return form if pointwise else form[0]
+
+
+def symbol(form: np.ndarray, xi) -> np.ndarray:
+    """The (N,) values of the Fourier symbol ``a^T M a + b^T M b`` of the
+    constant jet form ``M`` (module docstring) at (N, n) frequencies."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    n = xi.shape[1]
+    out = np.empty(len(xi))
+    # blocks of rows bound the (rows, J) temporaries
+    for i in range(0, len(xi), quadrature.BLOCK_ROWS):
+        x = xi[i : i + quadrature.BLOCK_ROWS]
+        a = jet_coordinates((np.ones(len(x)), np.zeros_like(x), -x[:, :, None] * x[:, None, :]))
+        # b^T M b reads only the gradient block
+        out[i : i + len(x)] = np.sum((a @ form) * a, axis=1) + np.sum((x @ form[1 : n + 1, 1 : n + 1]) * x, axis=1)
+    return out
 
 
 def _quadratic_squares(A: np.ndarray, rows: np.ndarray, n: int) -> list[JetSquareTerm]:

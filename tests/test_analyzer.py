@@ -621,14 +621,13 @@ def test_tn_closed_curve_with_vanishing_coefficient_is_not_certified():
     entry = resolve(f"tn:kappa=0,K=0,L={2 * np.pi:.17g}")
     null = Separable([Const1D(), Gauss1D(1.0)], label="fibre-only")
     assert evaluate_functional(entry.functional, null) == 0.0
-    assert entry.certificate is None and entry.expected_verdict is None
+    assert entry.certificate is None
     assert classify(entry, strategy="sos_certificate").label == "inconclusive"
     verdict = classify(entry, strategy="spectral_criterion")
     assert verdict.label == "inconclusive"
     assert "null direction" in verdict.notes[0]
     # the open curve has compact support on both line axes: certified
     for open_entry in (resolve("tn:kappa=0,K=0"), resolve("tn:kappa=1,K=-0.5")):
-        assert open_entry.expected_verdict == "stable"
         verdict = classify(open_entry, strategy="sos_certificate")
         assert verdict.label == "positive_definite"
         assert "u = f(s) + g(t)" in verdict.notes[1]

@@ -1,0 +1,130 @@
+"""The Fourier symbol of a constant jet form against the paper's closed forms
+and against quadrature, and the lattice scan that reads its sign pattern."""
+
+import re
+
+import numpy as np
+import pytest
+
+from hamstab.analyzer import (
+    _canonical_modes,
+    _mode_label,
+    classify,
+    hyperbola_matrix_analysis,
+    spectral_criterion,
+    torus_mode_value,
+)
+from hamstab.catalog import default_catalog_ids, resolve
+from hamstab.immersion import AxisDomain
+from hamstab.testfunctions import PlaneWaveCos, jet_orders
+from hamstab.variation import _pair_values, symbol
+
+TORI = [cid for cid in default_catalog_ids() if cid.startswith("torus:")]
+# the products with n >= 2, where the gradient form M_Q is defined
+HYPERBOLAS = [cid for cid in default_catalog_ids() if cid.startswith("hyperbola:") and "n=1," not in cid]
+
+
+def _lattice_values(entry, modes):
+    """``Vol/2 * P(2 pi k / L)`` over the rows of ``modes``."""
+    sizes = np.array([dom.size for dom in entry.functional.domains])
+    return 0.5 * np.prod(sizes) * symbol(entry.functional.jet_form, np.asarray(modes) * (2 * np.pi / sizes))
+
+
+@pytest.mark.parametrize("cid", TORI)
+def test_symbol_equals_the_closed_form_torus_mode_values(cid):
+    assert len(TORI) == 5
+    entry = resolve(cid)
+    radii, p = entry.params["radii"], entry.params["p"]
+    modes = _canonical_modes(len(radii), 3)
+    closed = np.array([torus_mode_value(radii, p, k) for k in modes.tolist()])
+    assert np.all(np.abs(_lattice_values(entry, modes) - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+
+
+def test_symbol_on_the_sphere_tube_equals_the_spectral_closed_forms():
+    entry = resolve("tube:S3:closed-definite:G")
+    single = _lattice_values(entry, [(k, 0) for k in range(1, 6)])
+    k = np.arange(1, 6)
+    assert np.allclose(single, 2 * np.pi**2 * k**2 * (k**2 - 2), rtol=1e-13, atol=0)  # criterion 8
+    rep = spectral_criterion((1.0, 1.0), 2.0)
+    values = _lattice_values(entry, [row[0] for row in rep.mode_table])
+    closed = np.array([2 * np.pi**2 * lam * (lam - rep.c) for _, lam, _ in rep.mode_table])
+    assert np.all(np.abs(values - closed) <= 1e-12 * np.maximum(1.0, np.abs(closed)))
+
+
+@pytest.mark.parametrize("cid", HYPERBOLAS)
+def test_symbol_quadratic_part_is_minus_the_gradient_form(cid):
+    assert len(HYPERBOLAS) == 4
+    entry = resolve(cid)
+    n = entry.params["n"]
+    form = entry.functional.jet_form
+    mq = hyperbola_matrix_analysis(entry.params["radii"], entry.params["eps"]).matrix
+    assert np.array_equal(form[1 : n + 1, 1 : n + 1], -mq)
+    assert not np.any(form[0])
+    # so P(t xi) = -t^2 xi^T M_Q xi + O(t^4)
+    xi = np.random.default_rng(7).normal(size=(8, n))
+    t = 1e-6
+    assert np.allclose(symbol(form, t * xi) / t**2, -np.einsum("ni,ij,nj->n", xi, mq, xi), rtol=1e-6, atol=0)
+
+
+def test_symbol_equals_the_quadrature_value_of_a_plane_wave():
+    rng = np.random.default_rng(3)
+    J = len(jet_orders(2))
+    a = rng.normal(size=(J, J))
+    form = a + a.T
+    sizes = np.array([2 * np.pi, 3.0])
+    domains = tuple(AxisDomain.circle(L) for L in sizes)
+    for k in ((1, 0), (0, 2), (1, -1), (2, 3)):
+        xi = np.array(k) * (2 * np.pi / sizes)
+        quad = _pair_values(domains, [PlaneWaveCos(xi)], [(0, 0, form)])[0]
+        assert 0.5 * np.prod(sizes) * symbol(form, xi)[0] == pytest.approx(quad, rel=1e-12, abs=1e-12)
+
+
+def _parse_mode_label(label: str, n: int) -> tuple:
+    names = "stw"
+    m = re.fullmatch(r"mode:cos\((.*)\)", label)
+    k = [0] * n
+    for sign, coeff, name in re.findall(r"([+-]?)(\d*)([a-z])", m.group(1)):
+        k[names.index(name)] = (-1 if sign == "-" else 1) * int(coeff or 1)
+    return tuple(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mode_labels_are_unambiguous_on_one_to_three_axes(n):
+    modes = [tuple(k) for k in _canonical_modes(n, 4).tolist()]
+    labels = [_mode_label(k) for k in modes]
+    assert len(set(labels)) == len(labels)
+    assert [_parse_mode_label(label, n) for label in labels] == modes
+
+
+def test_mode_labels_keep_the_sphere_tube_probe_ids():
+    assert _mode_label((2, 0)) == "mode:cos(2s)"
+    assert _mode_label((1, 0)) == "mode:cos(s)"
+    assert _mode_label((1, 1)) == "mode:cos(s+t)"
+    assert _mode_label((1, -2, 0)) == "mode:cos(s-2t)"
+    assert _mode_label((0, 0, 0, 3)) == "mode:cos(3s4)"
+
+
+@pytest.mark.parametrize("cid", TORI)
+def test_lattice_scan_agrees_across_strategies_on_tori(cid):
+    entry = resolve(cid)
+    sweep, spectral = (classify(entry, strategy=s) for s in ("fourier_sweep", "spectral_criterion"))
+    assert spectral.label == sweep.label
+    for a, b in ((sweep.witness_pos, spectral.witness_pos), (sweep.witness_neg, spectral.witness_neg)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert b.value == pytest.approx(a.value, rel=1e-12)
+    assert spectral.evidence[0].to_json_dict() == sweep.evidence[0].to_json_dict()
+
+
+def test_lattice_scan_names_the_zero_modes_on_the_sphere_tube():
+    verdict = classify(resolve("tube:S3:closed-definite:G"), strategy="spectral_criterion")
+    assert (verdict.witness_pos.probe_id, verdict.witness_neg.probe_id) == ("mode:cos(2s)", "mode:cos(s)")
+    assert verdict.notes == [
+        "the symbol vanishes on 2 of 40 scanned modes (value 0), simplest first: mode:cos(s+t), mode:cos(s-t)"
+    ]
+
+
+def test_spectral_criterion_needs_circle_axes_and_a_constant_form():
+    verdict = classify(resolve("hyperbola:n=2,r=1,3,eps=+,+"), strategy="spectral_criterion")
+    assert verdict.label == "inconclusive" and verdict.witness_pos is None and verdict.witness_neg is None
+    assert "circle axes" in verdict.notes[0]
