@@ -18,7 +18,7 @@ import numpy as np
 
 from .catalog import CatalogEntry, SumOfSquares
 from .immersion import AxisDomain, LagrangianChart
-from .quadrature import GridSpec, build_grid, check_line_boxes, integrate
+from .quadrature import MAX_MESH_POINTS, GridSpec, GridTooLargeError, MeshField, build_grid, check_line_boxes, integrate
 from .testfunctions import (
     AnisotropicGaussian,
     AxisScaled,
@@ -196,11 +196,29 @@ def assemble_form(functional, basis, gridspec: GridSpec | None = None) -> np.nda
 # --------------------------------------------------------------- mode scans
 
 def _canonical_modes(n: int, bound: int) -> np.ndarray:
-    """The (N, n) nonzero integer modes with ``|k_j| <= bound`` whose first
-    nonzero entry is positive: one of each pair ``k, -k``."""
-    k = np.indices((2 * bound + 1,) * n).reshape(n, -1).T - bound
-    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-    return k[first > 0]
+    """The (N, n) ``int8`` nonzero integer modes with ``|k_j| <= bound``
+    whose first nonzero entry is positive, one of each pair ``k, -k``, in
+    lexicographic order.  Each block of rows has its first nonzero axis
+    ``j``, from the last axis to the first, with ``k_j`` in ``1..bound`` and
+    the axes after ``j`` free, so only the N rows are built.  Raises
+    :class:`~hamstab.quadrature.GridTooLargeError` before allocating when N
+    exceeds :data:`~hamstab.quadrature.MAX_MESH_POINTS`."""
+    side = 2 * bound + 1
+    count = (side**n - 1) // 2
+    if count > MAX_MESH_POINTS:
+        raise GridTooLargeError(
+            f"a lattice scan of {n} axes with |k_j| <= {bound} has {count} modes, "
+            f"more than the {MAX_MESH_POINTS} allowed"
+        )
+    out = np.zeros((count, n), dtype=np.int8)
+    start = 0
+    for j in reversed(range(n)):
+        free = n - j - 1
+        block = out[start : start + bound * side**free].reshape(bound, side**free, n)
+        block[:, :, j] = np.arange(1, bound + 1)[:, None]
+        block[:, :, j + 1 :] = np.indices((side,) * free, dtype=np.int8).reshape(free, side**free).T - bound
+        start += len(block) * side**free
+    return out
 
 
 @dataclass
@@ -610,9 +628,17 @@ def _sign_verdict(pos, neg, evidence, notes=(), one_sign=None) -> StabilityVerdi
 
 
 def _mesh_value(functional, u: TestFunction, gridspec: GridSpec | None) -> float:
-    """The functional's value on ``u`` by the reference mesh quadrature."""
+    """The functional's value on ``u`` by the reference mesh quadrature.
+
+    Each block takes ``u``'s jet from its open mesh
+    (:meth:`~hamstab.testfunctions.TestFunction.jet_axes`): a
+    :class:`~hamstab.testfunctions.Separable` probe evaluates each factor on
+    its axis's distinct nodes and forms its products left to right in axis
+    order, so every jet value, and so the walk's value, is bit-identical to
+    the dense ``u.jet(points)``'s."""
     functional = as_functional(functional)
-    return integrate(lambda pts: functional.integrand(pts, u.jet(pts)), functional.domains, gridspec, boxes=u.axis_boxes)
+    field = MeshField(lambda pts, axes: functional.integrand(pts, u.jet_axes(axes)))
+    return integrate(field, functional.domains, gridspec, boxes=u.axis_boxes)
 
 
 def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:

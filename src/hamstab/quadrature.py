@@ -43,10 +43,13 @@ field is walked on the mesh, and the walk decides the leak of each
 value.  A per-point form ``M(x)``, of a functional whose coefficients
 depend on the point, has no closed route and is always walked.
 
-Mesh path: every field, a plain callable or a jet form field, walks the
-grid in the blocks of :meth:`Grid._slabs`, runs of whole trailing
-sub-meshes of up to :data:`BLOCK_ROWS` rows, and only one block of points,
-weights and values exists at a time.  Each block folds its magnitudes into
+Mesh path: every field, a plain callable, a :class:`MeshField` or a jet
+form field, walks the grid in the blocks of :meth:`Grid._slabs`, runs of
+whole trailing sub-meshes of up to :data:`BLOCK_ROWS` rows, and only one
+block of points, weights and values exists at a time.  A
+:class:`MeshField` also receives the block's open mesh, one coordinate
+array per axis, on which a separable jet evaluates each factor once per
+distinct node.  Each block folds its magnitudes into
 running maxima for the leak check and reduces its ``values * weights`` to
 one partial sum per aligned sub-block, whose length is the largest power of
 two dividing the first block's length.  Because every block starts at a
@@ -84,6 +87,7 @@ __all__ = [
     "Grid",
     "GridTooLargeError",
     "JetFormField",
+    "MeshField",
     "SupportError",
     "build_grid",
     "check_line_boxes",
@@ -93,10 +97,10 @@ __all__ = [
 
 MIN_NODES = 8
 
-# Most mesh points in one block of a mesh walk or of the Gaussian moments,
-# and the most rows whose node indices :meth:`Grid._blocks` keeps: a block's
-# temporaries (128 KiB per float column, 2 MB for J = 15 jet coordinates)
-# stay in cache through the field's evaluation and contraction.
+# Most mesh points in one block of a mesh walk or of the Gaussian moments
+# (so also in the trailing sub-mesh whose node indices the moments keep): a
+# block's temporaries (128 KiB per float column, 2 MB for J = 15 jet
+# coordinates) stay in cache through the field's evaluation and contraction.
 BLOCK_ROWS = 16384
 
 # Largest mesh :func:`integrate` walks or :meth:`Grid.points_and_weights`
@@ -177,7 +181,7 @@ class Grid:
         mesh has more than :data:`MAX_MESH_POINTS` points.
         """
         self._check_size()
-        pts, w, _ = next(self._slabs(self.size))
+        pts, w, _, _ = next(self._slabs(self.size))
         return pts, w
 
     def points_at(self, flat_indices) -> np.ndarray:
@@ -187,35 +191,54 @@ class Grid:
         return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
 
     def _blocks(self, rows: int):
-        """``(sub, leads)`` for the mesh in blocks of up to ``rows``
+        """``(split, leads)`` for the mesh in blocks of up to ``rows``
         consecutive rows.  A block is whole copies of the trailing sub-mesh
-        of the last axes with at most ``min(rows, BLOCK_ROWS)`` points,
-        whose per-axis node indices ``sub`` (axes, points) are the same for
-        every block; ``leads`` yields each block's per-axis node indices
-        (axes, copies) on the leading axes.  All but the last block have
-        one length."""
+        of the axes from ``split`` on, with at most ``min(rows,
+        BLOCK_ROWS)`` points; ``leads`` yields each block's per-axis node
+        indices (axes, copies) on the leading axes.  All but the last block
+        have one length."""
         split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, BLOCK_ROWS))
         lead, tail = self.shape[:split], self.shape[split:]
         step, count = max(1, rows // math.prod(tail)), math.prod(lead)
-        sub = _unravel(np.arange(math.prod(tail)), tail)
-        return sub, (_unravel(np.arange(start, min(start + step, count)), lead) for start in range(0, count, step))
+        return split, (_unravel(np.arange(start, min(start + step, count)), lead) for start in range(0, count, step))
 
     def _slabs(self, rows: int):
         """The mesh in the blocks of :meth:`_blocks` as ``(points, weights,
-        edges)``: (P, dim) points (a view of a (dim, P) array), weights
-        ``((1 * w0) * w1) * ...`` and, per line axis, the rows on its
-        outermost node layers."""
-        sub, leads = self._blocks(rows)
+        edges, axes)``: (P, dim) points (a view of a (dim, P) array), weights
+        ``((1 * w0) * w1) * ...``, per line axis the rows on its outermost
+        node layers, and the block's open mesh ``axes``.  ``axes[k]`` holds
+        axis k's nodes: a ``(copies, 1, ..., 1)`` array on a leading axis,
+        and on a trailing axis its distinct nodes along its own dimension of
+        the sub-mesh.  They broadcast against each other to the block's
+        shape ``(copies, *trailing shape)``, whose C order is the row order
+        of the points.  A product over axes formed on them, left to right
+        in axis order as the weights are, gives every row the value the
+        dense columns would, to the bit; only the products across the
+        lead/tail split are full size."""
+        split, leads = self._blocks(rows)
+        tail = self.shape[split:]
+        trailing = [i[None] for i in np.ix_(*map(np.arange, tail))]
         for lead in leads:
-            idx = [i[:, None] for i in lead] + [i[None] for i in sub]
-            pts = np.empty((self.dim, lead.shape[1], sub.shape[1]))
+            idx = [i.reshape((-1,) + (1,) * len(tail)) for i in lead] + trailing
+            axes = [nodes[i] for nodes, i in zip(self.axis_nodes, idx)]
+            pts = np.empty((self.dim, lead.shape[1]) + tail)
             w, edges = np.ones(1), []
             for k, (dom, nodes, weights, i) in enumerate(zip(self.domains, self.axis_nodes, self.axis_weights, idx)):
-                pts[k] = nodes[i]
+                pts[k] = axes[k]
                 w = w * weights[i]
                 if dom.kind == "line":
                     edges.append(np.flatnonzero(np.broadcast_to((i == 0) | (i == len(nodes) - 1), pts.shape[1:])))
-            yield pts.reshape(self.dim, -1).T, np.broadcast_to(w, pts.shape[1:]).ravel(), edges
+            yield pts.reshape(self.dim, -1).T, np.broadcast_to(w, pts.shape[1:]).ravel(), edges, axes
+
+
+@dataclass(frozen=True)
+class MeshField:
+    """The field ``points -> fn(points, axes)`` that also reads each block's
+    open mesh ``axes`` (see :meth:`Grid._slabs`), so that a separable
+    factor is evaluated once per distinct node of its axis.  It has no
+    closed route and is always walked."""
+
+    fn: Callable[[np.ndarray, list], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -439,9 +462,9 @@ def _walk_mesh(grid: Grid, field):
             forms = field.form.reshape(-1, size, size)
             wide = {a: np.concatenate(forms[ks], axis=1) for a, ks in by_left.items()}
 
-    def values(pts):
+    def values(pts, axes):
         if not stack:
-            return np.asarray(field(pts), dtype=float)[None]
+            return np.asarray(field.fn(pts, axes) if isinstance(field, MeshField) else field(pts), dtype=float)[None]
         c = field.coords(pts)
         jets = [c[:, a * size : (a + 1) * size] for a in range(c.shape[1] // size)]
         point_form = np.broadcast_to(field.form(pts), (len(c), size, size)) if pointwise else None
@@ -461,11 +484,11 @@ def _walk_mesh(grid: Grid, field):
     leaks = [0.0] * len(lines)
     parts = []
     block = 0
-    for pts, w, edges in grid._slabs(BLOCK_ROWS):
+    for pts, w, edges, axes in grid._slabs(BLOCK_ROWS):
         # the largest power of two dividing the first block's length: every
         # block starts at a multiple of it
         block = block or len(w) & -len(w)
-        vals = values(pts)
+        vals = values(pts, axes)
         mags = np.abs(vals)
         peaks = np.maximum(peaks, np.max(mags, axis=1, initial=0.0))
         for a, edge in enumerate(edges):
@@ -586,8 +609,9 @@ def _gaussian_moments(grid: Grid, gaussian):
         w.astype(np.longdouble)[:, None] * (nodes.astype(np.longdouble) - c)[:, None] ** np.arange(5)
         for nodes, w, c in zip(grid.axis_nodes, grid.axis_weights, center)
     ]
-    sub, leads = grid._blocks(BLOCK_ROWS)
-    split, tail = n - len(sub), grid.shape[n - len(sub) :]
+    split, leads = grid._blocks(BLOCK_ROWS)
+    tail = grid.shape[split:]
+    sub = _unravel(np.arange(math.prod(tail)), tail)
     t_tail = np.reshape([t[k][i] for k, i in enumerate(sub, split)], sub.shape)
     # -q over the trailing sub-mesh, and -2 A t_tail for the cross term
     q_tail = -np.einsum("kx,kl,lx->x", t_tail, A[split:, split:], t_tail)

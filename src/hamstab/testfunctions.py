@@ -70,6 +70,12 @@ class TestFunction:
     def jet(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
+    def jet_axes(self, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The jet on the open mesh of the per-axis coordinate arrays
+        ``axes``, which broadcast against each other, at its points in C
+        order: the jet of those points."""
+        return self.jet(np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, self.n))
+
     def jet_coords(self, points: np.ndarray) -> np.ndarray:
         """(N, J) jet coordinates at the points, ordered as in :func:`jet_orders`."""
         return jet_coordinates(self.jet(points))
@@ -296,7 +302,18 @@ def _herme_coefficients(degree: int) -> np.ndarray:
 # ----------------------------------------------------------------- products
 
 class Separable(TestFunction):
-    """Product of one-variable factors, one per axis."""
+    """Product of one-variable factors, one per axis.
+
+    :meth:`jet_axes` is the one product routine: each factor's ``jet1``
+    runs on its own axis's coordinates, and the products broadcast.  Every
+    product associates left to right in axis order: ``u = (v_0 v_1) v_2
+    ...``, ``du_j = d1_j (prod_{k != j} v_k)``, ``d2u_jj = d2_j (prod_{k !=
+    j} v_k)`` and ``d2u_jk = (d1_j d1_k) (prod_{l != j, k} v_l)``, with no
+    seed of ones (``1.0 * x == x``).  So a jet value is the same to the bit
+    on the columns of scattered points (:meth:`jet`) and on a mesh block's
+    open mesh, where the per-axis arrays are small and only the products
+    across the lead/tail split of :meth:`hamstab.quadrature.Grid._slabs`
+    are full size."""
 
     def __init__(self, factors, label: str = ""):
         self.factors = list(factors)
@@ -307,32 +324,33 @@ class Separable(TestFunction):
 
     def jet(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        npts, n = pts.shape
-        v = np.empty((n, npts))
-        d1 = np.empty((n, npts))
-        d2 = np.empty((n, npts))
-        for j, f in enumerate(self.factors):
-            v[j], d1[j], d2[j] = f.jet1(pts[:, j])
-        u = np.prod(v, axis=0)
-        du = np.empty((npts, n))
-        hess = np.empty((npts, n, n))
+        return self.jet_axes(list(pts.T))
+
+    def jet_axes(self, axes):
+        v, d1, d2 = zip(*(f.jet1(x) for f, x in zip(self.factors, axes)))
+        n = self.n
+        shape = np.broadcast_shapes(*(np.shape(a) for a in v))
+        u = np.empty(shape)
+        du = np.empty(shape + (n,))
+        hess = np.empty(shape + (n, n))
+        u[...] = _product(v)
         for j in range(n):
-            pj = np.ones(npts)
-            for k in range(n):
-                if k != j:
-                    pj = pj * v[k]
-            du[:, j] = d1[j] * pj
-            hess[:, j, j] = d2[j] * pj
+            others = _product([v[k] for k in range(n) if k != j])
+            np.multiply(d1[j], others, out=du[..., j])
+            np.multiply(d2[j], others, out=hess[..., j, j])
             for k in range(j + 1, n):
-                pjk = np.ones(npts)
-                for l in range(n):
-                    if l != j and l != k:
-                        pjk = pjk * v[l]
-                hess[:, j, k] = hess[:, k, j] = d1[j] * d1[k] * pjk
-        return u, du, hess
+                rest = _product([v[l] for l in range(n) if l not in (j, k)])
+                np.multiply(d1[j] * d1[k], rest, out=hess[..., j, k])
+                hess[..., k, j] = hess[..., j, k]
+        return u.reshape(-1), du.reshape(-1, n), hess.reshape(-1, n, n)
 
     def separable_terms(self):
         return [(1.0, self.factors)]
+
+
+def _product(arrays):
+    """``(a_0 a_1) a_2 ...``, left to right; 1.0 for no arrays."""
+    return functools.reduce(np.multiply, arrays[1:], arrays[0]) if arrays else 1.0
 
 
 class PlaneWaveCos(TestFunction):

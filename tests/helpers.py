@@ -131,3 +131,41 @@ def form_rounding_scale(field, domains, spec, boxes):
         return np.array([np.sum(w * np.einsum("np,npq,nq->n", coords, forms, coords))])
     forms = field.form.reshape((-1,) + field.form.shape[-2:])
     return np.array([np.sum(w * np.einsum("np,pq,nq->n", coords, np.abs(m), coords)) for m in forms])
+
+
+def reference_separable_jet(factors, points):
+    """The jet of the product of one-variable ``factors`` at (N, n) points by
+    the dense loop :class:`hamstab.testfunctions.Separable` once ran: every
+    factor on every point, then products seeded with ones."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    npts, n = pts.shape
+    v = np.empty((n, npts))
+    d1 = np.empty((n, npts))
+    d2 = np.empty((n, npts))
+    for j, f in enumerate(factors):
+        v[j], d1[j], d2[j] = f.jet1(pts[:, j])
+    u = np.prod(v, axis=0)
+    du = np.empty((npts, n))
+    hess = np.empty((npts, n, n))
+    for j in range(n):
+        pj = np.ones(npts)
+        for k in range(n):
+            if k != j:
+                pj = pj * v[k]
+        du[:, j] = d1[j] * pj
+        hess[:, j, j] = d2[j] * pj
+        for k in range(j + 1, n):
+            pjk = np.ones(npts)
+            for l in range(n):
+                if l != j and l != k:
+                    pjk = pjk * v[l]
+            hess[:, j, k] = hess[:, k, j] = d1[j] * d1[k] * pjk
+    return u, du, hess
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays with equal signs of zero, piece by piece of a jet."""
+    return all(
+        np.shape(a) == np.shape(b) and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+        for a, b in zip(got, want, strict=True)
+    )

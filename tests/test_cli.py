@@ -281,6 +281,16 @@ def test_analyze_oversized_grid_is_a_usage_error(runner):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_analyze_oversized_lattice_scan_is_a_usage_error(runner):
+    # 9 circle axes have (9^9 - 1) / 2 = 194 M canonical modes: exit 2
+    # before the mode table exists
+    cid = "torus:n=9,r=" + ",".join(["1"] * 9) + ",p=3"
+    result = runner.invoke(main, ["analyze", "--catalog-id", cid])
+    assert result.exit_code == 2
+    assert "193710244 modes" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

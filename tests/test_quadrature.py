@@ -391,11 +391,12 @@ def test_tie_walk_is_bit_identical_in_bounded_blocks(monkeypatch, label):
     rows = []
 
     def spied_integrate(field, *args, **kwargs):
-        def spied(pts):
+        # the walk hands the field each block's points and open mesh
+        def spied(pts, axes):
             rows.append(len(pts))
-            return field(pts)
+            return field.fn(pts, axes)
 
-        return integrate(spied, *args, **kwargs)
+        return integrate(quadrature.MeshField(spied), *args, **kwargs)
 
     monkeypatch.setattr(analyzer, "integrate", spied_integrate)
     tracemalloc.start()
@@ -414,6 +415,24 @@ def test_tie_walk_is_bit_identical_in_bounded_blocks(monkeypatch, label):
     assert same_float(got, whole_mesh_integrate(field, functional.domains, spec, u.axis_boxes))
     monkeypatch.setattr(quadrature, "BLOCK_ROWS", 64**3)
     assert same_float(got, whole_mesh_integrate(field, functional.domains, spec, u.axis_boxes))
+
+
+def test_tie_walk_evaluates_each_factor_on_its_axis_nodes(monkeypatch):
+    # the 64^3 walk's 16 blocks of 4 x 64 x 64 rows hand the factors 4 + 64
+    # + 64 distinct nodes each, where a factor on every row would see 3 x 64^3
+    entry = resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+")
+    functional, spec = entry.functional, entry.default_gridspec
+    u = next(p for p in analyzer.witness_library(functional.domains) if p.label == "gauss4xgauss1xgauss4")
+    points = []
+    for kind in {type(f) for f in u.factors}:
+
+        def counted(f, x, jet1=kind.jet1):
+            points.append(np.size(x))
+            return jet1(f, x)
+
+        monkeypatch.setattr(kind, "jet1", counted)
+    analyzer._mesh_value(functional, u, spec)
+    assert 0 < sum(points) <= 16 * (4 + 64 + 64)
 
 
 def test_form_stack_walk_memory_is_a_few_blocks(monkeypatch):

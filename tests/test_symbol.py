@@ -2,6 +2,7 @@
 and against quadrature, and the lattice scan that reads its sign pattern."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hamstab.analyzer import (
 )
 from hamstab.catalog import default_catalog_ids, resolve
 from hamstab.immersion import AxisDomain
+from hamstab.quadrature import MAX_MESH_POINTS, GridTooLargeError
 from hamstab.testfunctions import PlaneWaveCos, jet_orders
 from hamstab.variation import _pair_values, symbol
 
@@ -128,3 +130,38 @@ def test_spectral_criterion_needs_circle_axes_and_a_constant_form():
     verdict = classify(resolve("hyperbola:n=2,r=1,3,eps=+,+"), strategy="spectral_criterion")
     assert verdict.label == "inconclusive" and verdict.witness_pos is None and verdict.witness_neg is None
     assert "circle axes" in verdict.notes[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_canonical_modes_are_one_of_each_pair_in_lexicographic_order(n):
+    # the nonzero modes of the full table whose first nonzero entry is positive
+    full = np.indices((9,) * n).reshape(n, -1).T - 4
+    first = full[np.arange(len(full)), np.argmax(full != 0, axis=1)]
+    modes = _canonical_modes(n, 4)
+    assert modes.dtype == np.int8
+    assert np.array_equal(modes, full[first > 0])
+
+
+def test_canonical_modes_build_only_the_canonical_half():
+    # n = 7: 2.4 M rows of 7 int8 entries, 16 MiB, where the full int64
+    # table would take 268 MiB
+    tracemalloc.start()
+    try:
+        modes = _canonical_modes(7, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert modes.shape == ((9**7 - 1) // 2, 7)
+    assert peak < 32 * 2**20, peak / 2**20
+
+
+def test_oversized_lattice_scan_fails_before_allocating():
+    assert (9**8 - 1) // 2 <= MAX_MESH_POINTS < (9**9 - 1) // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLargeError, match="193710244 modes"):
+            _canonical_modes(9, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamstab import testfunctions
+from hamstab.analyzer import witness_library
+from hamstab.catalog import default_catalog_ids, resolve
 from hamstab.immersion import AxisDomain
+from hamstab.quadrature import GridSpec, build_grid
 from hamstab.testfunctions import (
     AnisotropicGaussian,
     AxisScaled,
@@ -15,6 +20,7 @@ from hamstab.testfunctions import (
     LinComb,
     PlaneWaveCos,
     PolyGauss1D,
+    Scaled1D,
     Separable,
     compatible_with,
     isotropic_rescale,
@@ -23,6 +29,8 @@ from hamstab.testfunctions import (
     random_bump_poly,
     random_trig_poly,
 )
+
+from helpers import reference_separable_jet, same_bits
 
 
 def fd_check(u, pts, rtol=1e-6):
@@ -250,3 +258,63 @@ def test_horner_equals_polyval_bit_for_bit(coeffs, points):
         got, want = testfunctions._horner(c, x), np.polynomial.polynomial.polyval(x, c)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# one factor of every Func1D kind; zeros of the factors and their
+# derivatives (Gauss1D's d1 at its center, Const1D's derivatives) carry signs
+FACTOR_KINDS = [
+    Const1D(),
+    Const1D(-0.5),
+    Cos1D(2.0, 0.3),
+    Gauss1D(0.8),
+    Gauss1D(1.5, center=-0.25),
+    PolyGauss1D([0.5, -1.0, 0.0, 2.0], 1.3),
+    HermGauss1D(3, 0.9),
+    Scaled1D(Gauss1D(1.0), 1.7),
+    Scaled1D(Cos1D(1.0, -np.pi / 2), 0.6),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_separable_jet_equals_the_dense_product_loop_bit_for_bit(n):
+    # points with signed zeros, the Gaussians' centers and far tails where
+    # the factors underflow to zero
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-4.0, 4.0, (48, n))
+    pts[rng.random(pts.shape) < 0.1] = 0.0
+    pts[rng.random(pts.shape) < 0.1] = -0.0
+    pts[rng.random(pts.shape) < 0.05] = -0.25
+    pts[rng.random(pts.shape) < 0.05] = 40.0
+    combos = list(itertools.product(FACTOR_KINDS, repeat=n)) if n <= 2 else [
+        [FACTOR_KINDS[i] for i in rng.integers(len(FACTOR_KINDS), size=n)] for _ in range(60)
+    ]
+    for factors in combos:
+        u = Separable(factors)
+        assert same_bits(u.jet(pts), reference_separable_jet(factors, pts))
+        assert same_bits(u.jet(pts[0]), reference_separable_jet(factors, pts[:1]))
+
+
+def test_open_mesh_jets_equal_dense_points_for_every_library_probe():
+    # every Separable probe of the catalog's witness libraries, on blocks
+    # with two, one and no leading axes, and on the whole mesh in one block
+    spec = GridSpec(circle_nodes=8, line_nodes=8)
+    probes = 0
+    for cid in default_catalog_ids():
+        domains = resolve(cid).functional.domains
+        for u in witness_library(domains):
+            if not isinstance(u, Separable):
+                continue
+            probes += 1
+            grid = build_grid(domains, spec, u.axis_boxes)
+            for rows in (20, grid.size):
+                for pts, _, _, axes in grid._slabs(rows):
+                    assert same_bits(u.jet_axes(axes), reference_separable_jet(u.factors, pts)), (cid, u.label, rows)
+    assert probes == 228
+
+
+def test_default_open_mesh_jet_is_the_jet_of_the_mesh_points():
+    u = AnisotropicGaussian([[1.0, 0.3], [0.3, 0.8]])
+    axes = [np.array([[-0.5], [0.0], [1.25]]), np.array([[0.5, -2.0]])]
+    # the open mesh's points in C order: the last axis fastest
+    pts = np.array([[-0.5, 0.5], [-0.5, -2.0], [0.0, 0.5], [0.0, -2.0], [1.25, 0.5], [1.25, -2.0]])
+    assert same_bits(u.jet_axes(axes), u.jet(pts))
