@@ -163,10 +163,11 @@ def torus_mode_value(radii, p: int, k) -> float:
     return 0.5 * vol * (a * a + b * b - 2.0 * float(np.sum(m * m / r / r)))
 
 
-def torus_mode_function(radii, k, phase: float = 0.0) -> PlaneWaveCos:
+def torus_mode_function(radii, k) -> PlaneWaveCos:
+    """The torus mode ``cos(sum_j k_j s_j / r_j)`` as a labeled plane wave."""
     r = np.asarray(radii, dtype=float)
     kk = np.asarray(k.k if isinstance(k, ModeVector) else k, dtype=float)
-    return PlaneWaveCos(kk / r, phase, label=f"mode:k={','.join(f'{int(x)}' for x in kk)}")
+    return PlaneWaveCos(kk / r, label=f"mode:k={','.join(f'{int(x)}' for x in kk)}")
 
 
 # ------------------------------------------------------------ form assembly
@@ -198,11 +199,10 @@ def assemble_form(functional, basis, gridspec: GridSpec | None = None) -> np.nda
 def _canonical_modes(n: int, bound: int) -> np.ndarray:
     """The (N, n) ``int8`` nonzero integer modes with ``|k_j| <= bound``
     whose first nonzero entry is positive, one of each pair ``k, -k``, in
-    lexicographic order.  Each block of rows has its first nonzero axis
-    ``j``, from the last axis to the first, with ``k_j`` in ``1..bound`` and
-    the axes after ``j`` free, so only the N rows are built.  Raises
-    :class:`~hamstab.quadrature.GridTooLargeError` before allocating when N
-    exceeds :data:`~hamstab.quadrature.MAX_MESH_POINTS`."""
+    lexicographic order: the flat indices above the centre of the ``(2
+    bound + 1)^n`` box, unravelled axis by axis into ``int8`` columns.
+    Raises :class:`~hamstab.quadrature.GridTooLargeError` before allocating
+    when N exceeds :data:`~hamstab.quadrature.MAX_MESH_POINTS`."""
     side = 2 * bound + 1
     count = (side**n - 1) // 2
     if count > MAX_MESH_POINTS:
@@ -210,14 +210,13 @@ def _canonical_modes(n: int, bound: int) -> np.ndarray:
             f"a lattice scan of {n} axes with |k_j| <= {bound} has {count} modes, "
             f"more than the {MAX_MESH_POINTS} allowed"
         )
-    out = np.zeros((count, n), dtype=np.int8)
-    start = 0
+    # the cap keeps side**n = 2 count + 1 within int32
+    flat = np.arange(count + 1, side**n, dtype=np.int32)
+    out = np.empty((count, n), dtype=np.int8)
     for j in reversed(range(n)):
-        free = n - j - 1
-        block = out[start : start + bound * side**free].reshape(bound, side**free, n)
-        block[:, :, j] = np.arange(1, bound + 1)[:, None]
-        block[:, :, j + 1 :] = np.indices((side,) * free, dtype=np.int8).reshape(free, side**free).T - bound
-        start += len(block) * side**free
+        np.remainder(flat, side, out=out[:, j], casting="unsafe")
+        flat //= side
+    out -= bound
     return out
 
 
@@ -229,15 +228,16 @@ class SpectralReport:
     mode_table: list[tuple[tuple[int, ...], float, float]]
 
 
-def spectral_criterion(lattice_radii, c: float, mode_bound: int = MODE_BOUND) -> SpectralReport:
+def spectral_criterion(lattice_radii, c: float) -> SpectralReport:
     """First-eigenvalue criterion on a flat torus with the given radii.
 
-    ``lam_k = sum (k_j / r_j)^2`` over nonzero integer modes; the form
+    ``lam_k = sum (k_j / r_j)^2`` over the nonzero integer modes with
+    ``|k_j| <= MODE_BOUND``; the form
     ``sum a_i^2 lam_i (lam_i - c)`` is definite iff ``lam_1 >= c``.
     """
     r = np.asarray(lattice_radii, dtype=float)
     rows = []
-    for k in map(tuple, _canonical_modes(len(r), mode_bound).tolist()):
+    for k in map(tuple, _canonical_modes(len(r), MODE_BOUND).tolist()):
         lam = float(np.sum((np.asarray(k) / r) ** 2))
         rows.append((k, lam, lam * (lam - c)))
     rows.sort(key=lambda row: (row[1], row[0]))
@@ -449,7 +449,7 @@ class WirtingerReport:
     branch: str
 
 
-def wirtinger_bound(curve, samples: int = 1024) -> WirtingerReport:
+def wirtinger_bound(curve) -> WirtingerReport:
     """Stability criterion for the rank-one surface over a curve.
 
     Unconditional branch: ``sup (kappa^2 + 2K) <= 0`` gives stability for
@@ -457,7 +457,7 @@ def wirtinger_bound(curve, samples: int = 1024) -> WirtingerReport:
     first-Fourier-mode bound with threshold ``16 pi^2 / L^2``.  A sup above
     the threshold is inconclusive (the criterion is sufficient only).
     """
-    sup = _curvature_sup(curve, samples)
+    sup = _curvature_sup(curve)
     if sup <= 0.0:
         return WirtingerReport(sup, None, "stable", "pointwise")
     if not curve.closed:
@@ -466,31 +466,31 @@ def wirtinger_bound(curve, samples: int = 1024) -> WirtingerReport:
     return WirtingerReport(sup, thr, "stable" if sup <= thr else "inconclusive", "wirtinger")
 
 
-def _curvature_sup(curve, samples: int = 1024) -> float:
-    """``sup (kappa^2 + 2K)`` over one period of a closed curve, or over
-    ``[-20, 20]`` on an open one."""
+def _curvature_sup(curve) -> float:
+    """``sup (kappa^2 + 2K)`` at 1024 samples over one period of a closed
+    curve, or over ``[-20, 20]`` on an open one."""
     if curve.closed:
-        s = np.linspace(0.0, curve.length, samples, endpoint=False)
+        s = np.linspace(0.0, curve.length, 1024, endpoint=False)
     else:
-        s = np.linspace(-20.0, 20.0, samples)
+        s = np.linspace(-20.0, 20.0, 1024)
     return float(np.max(curve.kappa_fn()(s) ** 2 + 2.0 * curve.K_fn()(s)))
 
 
 # ------------------------------------------------------------ witness library
 
-def witness_library(domains, widths=(1.0, 4.0), max_mode: int = 2) -> list[TestFunction]:
-    """Named probes adapted to the domain product: Fourier modes on circle
-    axes, Gaussian bumps of several widths on line axes, and their
-    products; plus diagonal plane waves on pure torus domains."""
+def witness_library(domains) -> list[TestFunction]:
+    """Named probes adapted to the domain product: ``const``, ``cos1`` and
+    ``cos2`` on circle axes, ``gauss1`` and ``gauss4`` on line axes, and
+    their products; plus diagonal plane waves on pure torus domains."""
     domains = tuple(domains)
     per_axis: list[list] = []
     for dom in domains:
         if dom.kind == "circle":
             base = 2 * np.pi / dom.size
             opts = [("const", Const1D())]
-            opts += [(f"cos{k}", Cos1D(k * base)) for k in range(1, max_mode + 1)]
+            opts += [(f"cos{k}", Cos1D(k * base)) for k in (1, 2)]
         else:
-            opts = [(f"gauss{w:g}", Gauss1D(w)) for w in widths]
+            opts = [(f"gauss{w:g}", Gauss1D(w)) for w in (1.0, 4.0)]
         per_axis.append(opts)
     out: list[TestFunction] = []
     for combo in itertools.product(*per_axis):
@@ -576,10 +576,19 @@ def _sign_witnesses(entry, pool, gridspec) -> tuple[Witness | None, Witness | No
     ``F``, constant or per point, and of ``e0 e0^T``, all in one
     :func:`_pair_values`: one integration per box set and kind of form."""
     functional = entry.functional
-    forms = (_functional_form(functional), _norm2_form(len(functional.domains)))
-    sums = _pair_values(functional.domains, pool, [(a, a, m) for a in range(len(pool)) for m in forms], gridspec)
-    values = list(zip(sums[::2], sums[1::2]))
-    candidates = [(u.label, u, value, norm2) for u, (value, norm2) in zip(pool, values)]
+    requests = _value_requests(functional, _functional_form(functional), len(pool))
+    return _pool_witnesses(entry, pool, _pair_values(functional.domains, pool, requests, gridspec), gridspec)
+
+
+def _value_requests(functional, form, count: int) -> list[tuple]:
+    """The requests of ``V(u_a)`` and ``int u_a^2`` for ``a < count``."""
+    norm2 = _norm2_form(len(functional.domains))
+    return [(a, a, m) for a in range(count) for m in (form, norm2)]
+
+
+def _pool_witnesses(entry, pool, sums, gridspec) -> tuple[Witness | None, Witness | None, list[float]]:
+    """:func:`_sign_witnesses` from sums led by :func:`_value_requests`."""
+    candidates = [(u.label, u, value, norm2) for u, value, norm2 in zip(pool, sums[::2], sums[1::2])]
     return (*_witnesses(entry, candidates, gridspec), [value for _, _, value, _ in candidates])
 
 
@@ -642,17 +651,28 @@ def _mesh_value(functional, u: TestFunction, gridspec: GridSpec | None) -> float
 
 
 def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
+    """The lattice scan on tori; elsewhere the witness library, then, with
+    one sign only, the ``eigmix`` probes of the polarized form of its first
+    8 probes.  Its values, norms and off-diagonal entries are one
+    :func:`_pair_values`: a pair's box set is another probe's."""
     if entry.kind == "torus":
         return _lattice_scan(entry, gridspec, partial(torus_mode_function, entry.params["radii"]))
-    pool = witness_library(entry.functional.domains)
-    pos, neg, values = _sign_witnesses(entry, pool, gridspec)
+    functional = entry.functional
+    pool = witness_library(functional.domains)
+    small = pool[:8]
+    form = _functional_form(functional)
+    pairs = [(a, b) for a in range(len(small)) for b in range(a + 1, len(small))]
+    requests = _value_requests(functional, form, len(pool)) + [(a, b, form) for a, b in pairs]
+    sums = _pair_values(functional.domains, pool, requests, gridspec)
+    pos, neg, values = _pool_witnesses(entry, pool, sums, gridspec)
     evidence = [
         EvidenceRecord(len(pool), float(np.min(values)), float(np.max(values)), "library diagonal values")
     ]
     if not (pos and neg):
         # look for sign mixing inside the span before giving up
-        small = pool[: min(len(pool), 8)]
-        Q = assemble_form(entry.functional, small, gridspec)
+        Q = np.diag(values[: len(small)])
+        for (a, b), value in zip(pairs, sums[2 * len(pool) :]):
+            Q[a, b] = Q[b, a] = value
         eigvals, eigvecs = np.linalg.eigh(Q)
         evidence.append(EvidenceRecord(len(small), float(eigvals[0]), float(eigvals[-1]), "polarized form eigenvalues"))
         if eigvals[0] < 0 < eigvals[-1]:

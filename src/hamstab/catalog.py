@@ -64,8 +64,6 @@ __all__ = [
     "default_catalog_ids",
 ]
 
-LINE_TRUNCATION = 1e4
-
 
 class CatalogIdError(ValueError):
     """Malformed or unknown catalog ID."""
@@ -201,9 +199,7 @@ def make_torus(radii, p: int, oracle: str = "closed_form") -> LagrangianChart:
     )
 
 
-def make_hyperbola_product(
-    radii, branch_signs, oracle: str = "closed_form", truncation: float = LINE_TRUNCATION
-) -> LagrangianChart:
+def make_hyperbola_product(radii, branch_signs, oracle: str = "closed_form") -> LagrangianChart:
     """Product of hyperbola branches ``f(s) = (r_j ex_j(tau s_j / r_j))`` in ``D^n``.
 
     Branch sign +1 is ``x^2 - y^2 = r^2, x > 0`` (factor cosh + tau sinh),
@@ -226,7 +222,7 @@ def make_hyperbola_product(
     eps_str = ",".join("+" if e == 1 else "-" for e in eps)
     return _curve_product_chart(
         AmbientFlat.para_kahler(n),
-        tuple(AxisDomain.line(truncation) for _ in range(n)),
+        tuple(AxisDomain.line() for _ in range(n)),
         f"hyperbola:n={n},r={','.join(f'{x:g}' for x in r)},eps={eps_str}",
         branch,
         lambda j, S: (jcosh(S / r[j]) * r[j], jsinh(S / r[j]) * r[j])[:: eps[j]],
@@ -234,9 +230,7 @@ def make_hyperbola_product(
     )
 
 
-def make_lagrangian_plane(
-    n: int, p: int = 0, para: bool = False, truncation: float = LINE_TRUNCATION
-) -> LagrangianChart:
+def make_lagrangian_plane(n: int, p: int = 0, para: bool = False) -> LagrangianChart:
     """Totally geodesic plane ``{y = 0}``: ``f(s) = s`` on the real axes.
 
     Minimal (not just H-minimal); the Hamiltonian second variation reduces
@@ -244,7 +238,7 @@ def make_lagrangian_plane(
     """
     return _curve_product_chart(
         AmbientFlat("para_kahler" if para else "pseudo_kahler", n, p),
-        tuple(AxisDomain.line(truncation) for _ in range(n)),
+        tuple(AxisDomain.line() for _ in range(n)),
         f"plane:n={n},amb=para" if para else f"plane:n={n},p={p}",
         lambda j, s: ((s, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)),
     )
@@ -286,10 +280,7 @@ _SPACE_BY_P = {0: "S3", 1: "dS3", 2: "AdS3", 3: "H3"}
 
 
 def _tube_domains(row: TubeRow) -> tuple[AxisDomain, AxisDomain]:
-    return tuple(
-        AxisDomain.circle(2 * np.pi) if kind == "circle" else AxisDomain.line(LINE_TRUNCATION)
-        for kind in row.domain_kinds
-    )
+    return tuple(AxisDomain.circle(2 * np.pi) if kind == "circle" else AxisDomain.line() for kind in row.domain_kinds)
 
 
 def _tube_terms(row: TubeRow, metric_choice: str) -> tuple[JetSquareTerm, ...]:
@@ -415,7 +406,7 @@ class CurveData:
         return _as_curve_fn(self.K_along)
 
 
-def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) -> ClosedFormFunctional:
+def make_rank_one_bundle(curve: CurveData) -> ClosedFormFunctional:
     """Second-variation functional of the rank-one surface over a curve.
 
     For the normal bundle (``a == 0``) the integrand is
@@ -433,13 +424,13 @@ def make_rank_one_bundle(curve: CurveData, truncation: float = LINE_TRUNCATION) 
         )
     utt = _along_curve(lambda a, k: -a * k, curve.a_profile, curve.kappa)
     weight = _along_curve(lambda k, K: -(k**2 + 2.0 * K), curve.kappa, curve.K_along)
-    s_dom = AxisDomain.circle(curve.length) if curve.closed else AxisDomain.line(truncation)
+    s_dom = AxisDomain.circle(curve.length) if curve.closed else AxisDomain.line()
     if curve.closed:
         tag = f"tn:closed,L={curve.length:g}"
     else:
         tag = "tn:open"
     return ClosedFormFunctional(
-        domains=(s_dom, AxisDomain.line(truncation)),
+        domains=(s_dom, AxisDomain.line()),
         terms=(
             JetSquareTerm(4.0, (0.0, 0.0), ((0.0, 1.0), (0.0, utt))),
             JetSquareTerm(weight, (0.0, 1.0), ((0.0, 0.0), (0.0, 0.0))),

@@ -150,11 +150,9 @@ def analyze(catalog_id, strategy, grid, box, fmt, out, seed) -> None:
 @click.option("--axis", "axis_spec", required=True, help="sweep axis, e.g. 'mode:kmax=6', 'radius:lo=0.5,hi=2,steps=16', 'kappa:lo=0,hi=2,steps=21'")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--grid", type=int, default=None, help="accepted but unused: sweep rows are closed-form")
-@click.option("--box", type=float, default=None, help="accepted but unused: sweep rows are closed-form")
-@click.option("--seed", type=int, default=0, help="accepted but unused: sweep rows are closed-form")
-def sweep(catalog_id, axis_spec, fmt, out, grid, box, seed) -> None:
-    """Sweep one parameter of a catalog family; deterministic row order."""
+def sweep(catalog_id, axis_spec, fmt, out) -> None:
+    """Sweep one parameter of a catalog family; deterministic row order.
+    Rows are closed-form, so a sweep takes no grid, box or seed."""
     try:
         entry = resolve(catalog_id)
         header, rows = _run_sweep(entry, axis_spec)

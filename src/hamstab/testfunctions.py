@@ -568,15 +568,16 @@ def isotropic_rescale(u: TestFunction, t: float) -> AxisScaled:
 
 # ------------------------------------------------------------ random fields
 
-def random_trig_poly(periods, rng, n_terms: int = 4, kmax: int = 3) -> LinComb:
-    """Random real trigonometric polynomial respecting the given periods."""
+def random_trig_poly(periods, rng) -> LinComb:
+    """Random real trigonometric polynomial respecting the given periods:
+    four plane waves of nonzero integer modes ``|k_j| <= 3``."""
     periods = np.asarray(periods, dtype=float)
     n = len(periods)
     terms = []
-    for _ in range(n_terms):
+    for _ in range(4):
         k = np.zeros(n, dtype=int)
         while not k.any():
-            k = rng.integers(-kmax, kmax + 1, size=n)
+            k = rng.integers(-3, 4, size=n)
         freqs = 2 * np.pi * k / periods
         coef = rng.uniform(-1.0, 1.0)
         phase = rng.uniform(0.0, 2 * np.pi)
@@ -584,10 +585,11 @@ def random_trig_poly(periods, rng, n_terms: int = 4, kmax: int = 3) -> LinComb:
     return LinComb(terms, label="random-trig")
 
 
-def random_bump_poly(n: int, rng, sigma: float = 1.0, max_degree: int = 3, n_terms: int = 3) -> LinComb:
-    """Random combination of Hermite-modulated Gaussian bump products."""
+def random_bump_poly(n: int, rng) -> LinComb:
+    """Random combination of three products of unit-width
+    :func:`HermGauss1D` factors of degree at most 3."""
     terms = []
-    for _ in range(n_terms):
-        factors = [HermGauss1D(int(rng.integers(0, max_degree + 1)), sigma) for _ in range(n)]
+    for _ in range(3):
+        factors = [HermGauss1D(int(rng.integers(0, 4))) for _ in range(n)]
         terms.append((rng.uniform(-1.0, 1.0), Separable(factors)))
     return LinComb(terms, label="random-bump")

@@ -475,14 +475,15 @@ def second_variation_raw(chart: LagrangianChart, u: TestFunction, gridspec: Grid
 
 # ---------------------------------------------------------- identity checks
 
-def bochner_residual(u: TestFunction, m: MetricField, s, step: float = 1e-3) -> float:
+def bochner_residual(u: TestFunction, m: MetricField, s) -> float:
     """Pointwise residual of the curvature identity
 
     ``(1/2) lap g(grad u, grad u) = Ric(grad u, grad u)
       + g(grad u, grad lap u) + g(hess u, hess u)``
 
     with exact first-level quantities and the outer derivatives as
-    divergences ``(4 D(h/2) - D(h)) / 3`` of :func:`central_divergence`:
+    divergences ``(4 D(h/2) - D(h)) / 3``, ``h = 1e-3``, of
+    :func:`central_divergence`:
     ``lap w = d_l (g^{lk} d_k w)`` for ``w = g(grad u, grad u)`` and
     ``g(grad u, grad lap u) = d_l (lap u (grad u)^l)``, ``grad u`` fixed at
     the point.  Restricted to constant metrics, whose Ricci term vanishes.
@@ -504,7 +505,7 @@ def bochner_residual(u: TestFunction, m: MetricField, s, step: float = 1e-3) -> 
         return np.einsum("ij,nij->n", ginv, d2u)[:, None] * grad_up
 
     def divergence(weighted) -> float:
-        coarse, fine = (central_divergence(weighted, pt, [h] * len(grad_up))[0] for h in (step, step / 2))
+        coarse, fine = (central_divergence(weighted, pt, [h] * len(grad_up))[0] for h in (1e-3, 5e-4))
         return float((4.0 * fine - coarse) / 3.0)
 
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u0[0], d2u0[0]))

@@ -22,6 +22,7 @@ from hamstab.analyzer import (
     witness_library,
 )
 from hamstab.catalog import (
+    ClosedFormFunctional,
     CurveData,
     JetSquareTerm,
     SumOfSquares,
@@ -30,6 +31,7 @@ from hamstab.catalog import (
     make_rank_one_bundle,
     resolve,
 )
+from hamstab.immersion import AxisDomain
 from hamstab.quadrature import Grid, GridSpec, GridTooLargeError, JetFormField, build_grid, integrate
 from hamstab.testfunctions import jet_orders
 from hamstab.testfunctions import AnisotropicGaussian, Const1D, Cos1D, Gauss1D, Separable, isotropic_rescale
@@ -184,6 +186,35 @@ def test_classify_bare_functional():
     verdict = classify(functional)
     assert verdict.label == "indefinite"
     assert verdict.strategy == "fourier_sweep"
+
+
+def test_fourier_sweep_finds_the_second_sign_in_the_polarized_form():
+    # every library value is positive (6.57 to 51.1), but the polarized form
+    # of the four probes has a negative eigenvalue, whose eigenvector is the
+    # negative witness
+    functional = ClosedFormFunctional(
+        (AxisDomain.line(), AxisDomain.line()),
+        (
+            JetSquareTerm(-0.68, (0.5, -0.26), ((2.05, 1.0), (0.29, 0.19))),
+            JetSquareTerm(-1.31, (0.22, 0.11), ((0.5, 2.41), (-0.27, 0.78))),
+            JetSquareTerm(1.99, (0.33, -1.66), ((1.57, 0.99), (0.1, -1.21))),
+        ),
+        name="mixed-squares",
+    )
+    verdict = classify(functional, "fourier_sweep")
+    assert verdict.label == "indefinite"
+    assert verdict.witness_pos.probe_id == "gauss4xgauss1"
+    assert verdict.witness_pos.value == pytest.approx(51.1147, rel=1e-5)
+    assert verdict.witness_neg.probe_id == "eigmix:low"
+    assert verdict.witness_neg.value == pytest.approx(-0.6518, rel=1e-4)
+    library, polarized = verdict.evidence
+    assert library.min_eig == pytest.approx(6.5716, rel=1e-4) and library.max_eig == verdict.witness_pos.value
+    pool = witness_library(functional.domains)
+    want = np.linalg.eigvalsh(assemble_form(functional, pool[:8]))
+    assert polarized.basis_size == len(pool) == 4
+    assert polarized.min_eig == pytest.approx(-0.3267, rel=1e-3)
+    assert abs(polarized.min_eig - want[0]) <= 1e-12 * want[-1]
+    assert abs(polarized.max_eig - want[-1]) <= 1e-12 * want[-1]
 
 
 def test_openness_of_the_wave_witness():

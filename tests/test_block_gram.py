@@ -154,13 +154,15 @@ class CountingRoutes:
 
 
 def test_fourier_sweep_integrates_once_per_box_set(monkeypatch):
-    # 8 library probes with 8 box sets, then the 8 x 8 polarized form: 8
-    # box sets again, then the reference mesh for 3 tied values.  Probe by
-    # probe and pair by pair this took 8 + 8 + 2 * 28 sum factorizations.
+    # 8 library probes with 8 box sets; the 8 x 8 polarized form's pairs take
+    # the larger box per axis, another probe's box set, so they ride in the
+    # same 8 sum factorizations; then the reference mesh for 3 tied values.
+    # Probe by probe and pair by pair this took 8 + 8 + 2 * 28 sum
+    # factorizations.
     counts = CountingRoutes(monkeypatch)
     verdict = classify(resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+"), "fourier_sweep")
     assert verdict.witness_neg.probe_id == "gauss4xgauss1xgauss4"
-    assert counts.calls == {"integrate": 19, "_sum_factorized": 16, "_walk_mesh": 3}
+    assert counts.calls == {"integrate": 11, "_sum_factorized": 8, "_walk_mesh": 3}
 
 
 def test_catalog_verdicts_integrate_once_per_box_set(monkeypatch):
@@ -175,7 +177,7 @@ def test_catalog_verdicts_integrate_once_per_box_set(monkeypatch):
             for strategy in dict.fromkeys((entry.default_strategy, "fourier_sweep")):
                 classify(entry, strategy)
     compute_tube_table()
-    assert counts.calls == {"integrate": 217, "_sum_factorized": 183, "_walk_mesh": 34}
+    assert counts.calls == {"integrate": 171, "_sum_factorized": 137, "_walk_mesh": 34}
 
 
 def test_a_certificate_builds_its_jet_form_once(monkeypatch):
@@ -258,8 +260,10 @@ class CountingWork(CountingRoutes):
 def test_point_dependent_values_take_one_walk_per_box_set(monkeypatch):
     # four Gaussian products with four box sets: one walk each, evaluating
     # the geometry once per walk (5 calls with the metric drift's central
-    # differences).  Two evaluations per pair took 16 walks and 80 calls;
-    # the sweep's probe values, norms and polarized form took 24 and 100.
+    # differences).  Two evaluations per pair took 16 walks and 80 calls.
+    # The sweep's probe values and polarized form share those four walks,
+    # and the norms take four more integrations; pair by pair they took 24
+    # and 100.
     spec = GridSpec(line_nodes=32)
     functional = SecondVariationFunctional(minimal_null_graph_chart())
     basis = [Separable([Gauss1D(s), Gauss1D(t)]) for s in (0.6, 1.0) for t in (0.6, 1.0)]
@@ -268,4 +272,4 @@ def test_point_dependent_values_take_one_walk_per_box_set(monkeypatch):
     assert counts.work() == (4, 20)
     counts.calls = dict.fromkeys(counts.calls, 0)
     classify(minimal_null_graph_chart(), "fourier_sweep", spec)
-    assert counts.work() == (12, 40)
+    assert counts.work() == (8, 20)

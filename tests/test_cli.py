@@ -132,10 +132,13 @@ def test_analyze_multi_valued_tn_parameter_is_a_usage_error(runner, cid, bad):
     assert bad in result.output
 
 
-def test_sweep_help_marks_unused_options(runner):
-    result = runner.invoke(main, ["sweep", "--help"])
-    assert result.exit_code == 0
-    assert result.output.count("accepted but unused") == 3
+@pytest.mark.parametrize("option", [["--grid", "8"], ["--box", "10"], ["--seed", "1"]], ids=["grid", "box", "seed"])
+def test_sweep_takes_no_grid_box_or_seed(runner, option):
+    result = runner.invoke(
+        main, ["sweep", "--catalog-id", "torus:n=1,r=1,p=0", "--axis", "mode:kmax=4", *option]
+    )
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option[0] in result.output
 
 
 def test_sweep_bad_axis(runner):

@@ -260,6 +260,17 @@ def test_criterion_4_takes_two_moment_integrations_and_no_mesh_walk():
     assert walks == []
 
 
+def test_criterion_4_reads_the_gradient_form_on_the_default_grid():
+    # at another grid the probes' gradient form is integrated on each
+    # entry's default grid, so the text matches the default run's
+    def probes(results):
+        return {r.check_id: r.actual for r in results if r.check_id.startswith("hyperbola-probes:")}
+
+    default = probes(verification.run_criterion(4))
+    assert sorted(default) == ["hyperbola-probes:n=3", "hyperbola-probes:n=4"]
+    assert probes(verification.run_criterion(4, SMALL)) == default
+
+
 def test_diagonal_anisotropic_gaussian_sum_factorizes():
     functional = CATALOG["plane:n=2,p=1"].functional
     u = AnisotropicGaussian(np.diag([1.0, 0.25]), center=[0.3, -0.5])
