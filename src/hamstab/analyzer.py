@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from . import quadrature
 from .catalog import CatalogEntry, SumOfSquares
 from .immersion import AxisDomain, LagrangianChart
 from .quadrature import MAX_MESH_POINTS, GridSpec, GridTooLargeError, MeshField, build_grid, check_line_boxes, integrate
@@ -267,13 +268,7 @@ def hyperbola_matrix_analysis(radii, branch_signs) -> HyperbolaMatrixReport:
     ``w^T M_Q w = 2n - n^2`` (negative for n >= 3) and ``e_1`` with value
     ``1 / r_1^2``.
     """
-    r = np.asarray(radii, dtype=float)
-    eps = np.asarray(branch_signs, dtype=float)
-    n = len(r)
-    if n < 2:
-        raise ValueError("the matrix analysis needs n >= 2")
-    v = eps / r
-    mq = 2.0 * np.diag(1.0 / r**2) - np.outer(v, v)
+    mq = _mq_matrix(radii, branch_signs)
     eigvals, eigvecs = np.linalg.eigh(mq)
     tol = 1e-12 * max(1.0, float(np.max(np.abs(eigvals))))
     inertia = (
@@ -281,7 +276,7 @@ def hyperbola_matrix_analysis(radii, branch_signs) -> HyperbolaMatrixReport:
         int(np.sum(eigvals < -tol)),
         int(np.sum(np.abs(eigvals) <= tol)),
     )
-    w = eps * r
+    w = np.asarray(branch_signs, dtype=float) * np.asarray(radii, dtype=float)
     return HyperbolaMatrixReport(
         matrix=mq,
         eigenvalues=eigvals,
@@ -293,10 +288,20 @@ def hyperbola_matrix_analysis(radii, branch_signs) -> HyperbolaMatrixReport:
     )
 
 
+def _mq_matrix(radii, branch_signs) -> np.ndarray:
+    """``M_Q = 2 diag(1/r_j^2) - v v^T``, ``v_j = e_j / r_j``, of
+    :func:`hyperbola_matrix_analysis`, without its eigen-analysis."""
+    r = np.asarray(radii, dtype=float)
+    if len(r) < 2:
+        raise ValueError("the matrix analysis needs n >= 2")
+    v = np.asarray(branch_signs, dtype=float) / r
+    return 2.0 * np.diag(1.0 / r**2) - np.outer(v, v)
+
+
 def gradient_form_value(radii, branch_signs, u: TestFunction, gridspec: GridSpec | None = None) -> float:
     """Quadrature value of ``int Q(du, du) ds`` for the hyperbola gradient form:
     the jet form with ``M_Q`` in its gradient block."""
-    mq = hyperbola_matrix_analysis(radii, branch_signs).matrix
+    mq = _mq_matrix(radii, branch_signs)
     return _pair_values(tuple(AxisDomain.line() for _ in radii), [u], [(0, 0, _gradient_jet_form(mq))], gridspec)[0]
 
 
@@ -690,30 +695,23 @@ def _lattice_scan(entry: CatalogEntry, gridspec, probe) -> StabilityVerdict:
     symbol, with quadrature witnesses.
 
     The mode ``k`` is the plane wave of frequency ``xi = 2 pi k / L`` and
-    value ``Vol/2 * P(xi)`` (:func:`hamstab.variation.symbol`), computed
-    over the canonical modes ``|k_j| <= MODE_BOUND`` at once.  The simplest
-    mode of each sign (lowest total order, first axes first) is the test
-    function ``probe(k)``, valued by quadrature; the modes where the symbol
-    vanishes are named in a note.
+    value ``Vol/2 * P(xi)`` (:func:`hamstab.variation.symbol`), scanned
+    over the canonical modes ``|k_j| <= MODE_BOUND`` by :func:`_symbol_scan`.
+    The simplest mode of each sign (lowest total order, first axes first) is
+    the test function ``probe(k)``, valued by quadrature; the modes where
+    the symbol vanishes are named in a note.
     """
     domains = entry.functional.domains
-    sizes = np.array([dom.size for dom in domains])
     modes = _canonical_modes(len(domains), MODE_BOUND)
-    values = 0.5 * np.prod(sizes) * symbol(entry.functional.jet_form, modes * (2 * np.pi / sizes))
+    lo, hi, chosen, zero_count, zeros = _symbol_scan(entry.functional.jet_form, [dom.size for dom in domains], modes)
     note = f"Vol/2 * P(2 pi k / L) from the jet form's Fourier symbol, |k_j| <= {MODE_BOUND} (modes are orthogonal)"
-    evidence = [EvidenceRecord(len(modes), float(np.min(values)), float(np.max(values)), note)]
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
-    # simplest first: lowest total order, then the larger entry on the first axis that differs
-    order = np.lexsort((*-modes.T[::-1], np.abs(modes).sum(axis=1)))
-    modes, values = modes[order], values[order]
-    chosen = np.concatenate([modes[sign * values > tol][:1] for sign in (1, -1)])
+    evidence = [EvidenceRecord(len(modes), lo, hi, note)]
     pos, neg, _ = _sign_witnesses(entry, [probe(tuple(k)) for k in chosen.tolist()], gridspec)
-    zeros = modes[np.abs(values) <= tol]
     notes = []
-    if len(zeros):
-        named = ", ".join(probe(tuple(k)).label for k in zeros[:4].tolist())
+    if zero_count:
+        named = ", ".join(probe(tuple(k)).label for k in zeros.tolist())
         notes.append(
-            f"the symbol vanishes on {len(zeros)} of {len(modes)} scanned modes (value 0), simplest first: {named}"
+            f"the symbol vanishes on {zero_count} of {len(modes)} scanned modes (value 0), simplest first: {named}"
         )
     return _sign_verdict(
         pos,
@@ -723,6 +721,62 @@ def _lattice_scan(entry: CatalogEntry, gridspec, probe) -> StabilityVerdict:
         one_sign="the symbol takes one sign on the scanned lattice; definiteness needs an analytic "
         "certificate, which this scan does not give",
     )
+
+
+def _symbol_scan(form: np.ndarray, sizes, modes: np.ndarray):
+    """``(min, max, chosen, zero_count, zeros)`` of the values ``Vol/2 *
+    P(2 pi k / L)`` of the constant jet form ``form`` over the (N, n) int8
+    ``modes``: ``chosen`` holds the simplest mode of value above the zero
+    tolerance ``1e-12 max(1, max |value|)``, then the simplest below minus
+    it (each when there is one), and ``zeros`` the first 4 of the
+    ``zero_count`` modes within it, simplest first.
+
+    The modes are valued in blocks of :data:`~hamstab.quadrature.BLOCK_ROWS`
+    rows, the blocks :func:`~hamstab.variation.symbol` takes, so no
+    per-mode table is formed.  Each block keeps its own simplest modes
+    under the tolerance of the values seen so far, and the least magnitude
+    it took for nonzero; a block whose least nonzero magnitude is within the
+    final tolerance is valued again."""
+    scale, step = 0.5 * np.prod(sizes), 2 * np.pi / np.asarray(sizes)
+    lo, hi = np.inf, -np.inf
+    blocks = []
+    for start in range(0, len(modes), quadrature.BLOCK_ROWS):
+        k = modes[start : start + quadrature.BLOCK_ROWS]
+        values = scale * symbol(form, k * step)
+        lo, hi = np.minimum(lo, np.min(values)), np.maximum(hi, np.max(values))
+        blocks.append((k, _mode_signs(k, values, _zero_tol(lo, hi))))
+    tol = _zero_tol(lo, hi)
+    signs = [
+        found if found[-1] > tol else _mode_signs(k, scale * symbol(form, k * step), tol) for k, found in blocks
+    ]
+    pos, neg, zeros, counts, _ = zip(*signs)
+    chosen = np.concatenate([_simplest(np.concatenate(pos), 1), _simplest(np.concatenate(neg), 1)])
+    return float(lo), float(hi), chosen, sum(counts), _simplest(np.concatenate(zeros), 4)
+
+
+def _zero_tol(lo, hi) -> float:
+    """The zero tolerance of symbol values between ``lo`` and ``hi``."""
+    return 1e-12 * max(1.0, float(np.maximum(-lo, hi)))
+
+
+def _mode_signs(modes: np.ndarray, values: np.ndarray, tol: float) -> tuple:
+    """The simplest mode of value above ``tol``, the simplest below
+    ``-tol``, the first 4 within it, simplest first, their count and the
+    least magnitude above ``tol``."""
+    zero = np.abs(values) <= tol
+    return (
+        _simplest(modes[values > tol], 1),
+        _simplest(modes[values < -tol], 1),
+        _simplest(modes[zero], 4),
+        int(np.count_nonzero(zero)),
+        float(np.min(np.abs(values[~zero]), initial=np.inf)),
+    )
+
+
+def _simplest(modes: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` rows of ``modes``, simplest first: lowest total
+    order, then the larger entry on the first axis that differs."""
+    return modes[np.lexsort((*-modes.T[::-1], np.abs(modes).sum(axis=1)))[:count]]
 
 
 def _classify_sos(entry: CatalogEntry, gridspec, seed: int) -> StabilityVerdict:

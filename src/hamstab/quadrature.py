@@ -205,8 +205,11 @@ class Grid:
     def _slabs(self, rows: int):
         """The mesh in the blocks of :meth:`_blocks` as ``(points, weights,
         edges, axes)``: (P, dim) points (a view of a (dim, P) array), weights
-        ``((1 * w0) * w1) * ...``, per line axis the rows on its outermost
-        node layers, and the block's open mesh ``axes``.  ``axes[k]`` holds
+        ``((1 * w0) * w1) * ...``, per line axis the index of its outermost
+        node layers in the block's shape, and the block's open mesh
+        ``axes``.  On a trailing axis the index takes the first and last
+        entry of its dimension, on a leading axis the copies at its first
+        and last node (often none).  ``axes[k]`` holds
         axis k's nodes: a ``(copies, 1, ..., 1)`` array on a leading axis,
         and on a trailing axis its distinct nodes along its own dimension of
         the sub-mesh.  They broadcast against each other to the block's
@@ -218,16 +221,20 @@ class Grid:
         split, leads = self._blocks(rows)
         tail = self.shape[split:]
         trailing = [i[None] for i in np.ix_(*map(np.arange, tail))]
+        lines = [k for k, dom in enumerate(self.domains) if dom.kind == "line"]
         for lead in leads:
             idx = [i.reshape((-1,) + (1,) * len(tail)) for i in lead] + trailing
             axes = [nodes[i] for nodes, i in zip(self.axis_nodes, idx)]
             pts = np.empty((self.dim, lead.shape[1]) + tail)
-            w, edges = np.ones(1), []
-            for k, (dom, nodes, weights, i) in enumerate(zip(self.domains, self.axis_nodes, self.axis_weights, idx)):
+            w = np.ones(1)
+            for k, (weights, i) in enumerate(zip(self.axis_weights, idx)):
                 pts[k] = axes[k]
                 w = w * weights[i]
-                if dom.kind == "line":
-                    edges.append(np.flatnonzero(np.broadcast_to((i == 0) | (i == len(nodes) - 1), pts.shape[1:])))
+            edges = [
+                (slice(None),) * (1 + k - split) + ([0, -1],) if k >= split
+                else (np.flatnonzero((lead[k] == 0) | (lead[k] == self.shape[k] - 1)),)
+                for k in lines
+            ]
             yield pts.reshape(self.dim, -1).T, np.broadcast_to(w, pts.shape[1:]).ravel(), edges, axes
 
 
@@ -491,8 +498,11 @@ def _walk_mesh(grid: Grid, field):
         vals = values(pts, axes)
         mags = np.abs(vals)
         peaks = np.maximum(peaks, np.max(mags, axis=1, initial=0.0))
+        # each form's values in the block's shape (copies, *trailing shape)
+        shaped = mags.reshape(len(mags), *np.broadcast_shapes(*(x.shape for x in axes)))
+        rest = tuple(range(1, shaped.ndim))
         for a, edge in enumerate(edges):
-            leaks[a] = np.maximum(leaks[a], np.max(mags[:, edge], axis=1, initial=0.0))
+            leaks[a] = np.maximum(leaks[a], np.max(shaped[(slice(None), *edge)], axis=rest, initial=0.0))
         parts.append(_block_sums(vals * w, block))
     for k, peak in enumerate(peaks):
         threshold = LEAK_RTOL * (1.0 + float(peak))

@@ -30,6 +30,7 @@ threshold.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "PolyGauss1D",
     "HermGauss1D",
     "Separable",
+    "ProductJet",
     "PlaneWaveCos",
     "AnisotropicGaussian",
     "LinComb",
@@ -70,10 +72,11 @@ class TestFunction:
     def jet(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def jet_axes(self, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jet_axes(self, axes):
         """The jet on the open mesh of the per-axis coordinate arrays
         ``axes``, which broadcast against each other, at its points in C
-        order: the jet of those points."""
+        order: the jet ``(u, du, d2u)`` of those points, or a
+        :class:`ProductJet` that forms them as they are read."""
         return self.jet(np.stack(np.broadcast_arrays(*axes), axis=-1).reshape(-1, self.n))
 
     def jet_coords(self, points: np.ndarray) -> np.ndarray:
@@ -305,15 +308,12 @@ class Separable(TestFunction):
     """Product of one-variable factors, one per axis.
 
     :meth:`jet_axes` is the one product routine: each factor's ``jet1``
-    runs on its own axis's coordinates, and the products broadcast.  Every
-    product associates left to right in axis order: ``u = (v_0 v_1) v_2
-    ...``, ``du_j = d1_j (prod_{k != j} v_k)``, ``d2u_jj = d2_j (prod_{k !=
-    j} v_k)`` and ``d2u_jk = (d1_j d1_k) (prod_{l != j, k} v_l)``, with no
-    seed of ones (``1.0 * x == x``).  So a jet value is the same to the bit
-    on the columns of scattered points (:meth:`jet`) and on a mesh block's
-    open mesh, where the per-axis arrays are small and only the products
-    across the lead/tail split of :meth:`hamstab.quadrature.Grid._slabs`
-    are full size."""
+    runs on its own axis's coordinates, and :class:`ProductJet` forms the
+    products.  So a jet value is the same to the bit on the columns of
+    scattered points (:meth:`jet`) and on a mesh block's open mesh, where
+    the per-axis arrays are small and only the products across the
+    lead/tail split of :meth:`hamstab.quadrature.Grid._slabs` are full
+    size."""
 
     def __init__(self, factors, label: str = ""):
         self.factors = list(factors)
@@ -324,28 +324,86 @@ class Separable(TestFunction):
 
     def jet(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.jet_axes(list(pts.T))
+        return tuple(self.jet_axes(list(pts.T)))
 
-    def jet_axes(self, axes):
-        v, d1, d2 = zip(*(f.jet1(x) for f, x in zip(self.factors, axes)))
-        n = self.n
-        shape = np.broadcast_shapes(*(np.shape(a) for a in v))
-        u = np.empty(shape)
-        du = np.empty(shape + (n,))
-        hess = np.empty(shape + (n, n))
-        u[...] = _product(v)
-        for j in range(n):
-            others = _product([v[k] for k in range(n) if k != j])
-            np.multiply(d1[j], others, out=du[..., j])
-            np.multiply(d2[j], others, out=hess[..., j, j])
-            for k in range(j + 1, n):
-                rest = _product([v[l] for l in range(n) if l not in (j, k)])
-                np.multiply(d1[j] * d1[k], rest, out=hess[..., j, k])
-                hess[..., k, j] = hess[..., j, k]
-        return u.reshape(-1), du.reshape(-1, n), hess.reshape(-1, n, n)
+    def jet_axes(self, axes) -> "ProductJet":
+        """The jet on the open mesh, each coordinate formed when it is read."""
+        return ProductJet(*zip(*(f.jet1(x) for f, x in zip(self.factors, axes))))
 
     def separable_terms(self):
         return [(1.0, self.factors)]
+
+
+class ProductJet:
+    """The jet ``(u, du, d2u)`` of a product of one-variable factors on an
+    open mesh, from each factor's values ``v``, first derivatives ``d1`` and
+    second derivatives ``d2`` on its axis's coordinate array (the arrays
+    broadcast against each other).
+
+    Each coordinate is formed on its first read, as a contiguous row over
+    the points in C order: :meth:`grad` and :meth:`hess` form one, and
+    iterating gives the whole jet, ``du`` and ``d2u`` as (N, n) and
+    (N, n, n) transposed views of (n, N) and (n, n, N) rows.  Every product
+    associates left to right in axis order: ``u = (v_0 v_1) v_2 ...``,
+    ``du_j = d1_j (prod_{k != j} v_k)``, ``d2u_jj = d2_j (prod_{k != j}
+    v_k)`` and ``d2u_jk = (d1_j d1_k) (prod_{l != j, k} v_l)``, with no seed
+    of ones (``1.0 * x == x``), whichever coordinates are formed."""
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+        self.n = n = len(v)
+        self.shape = np.broadcast_shapes(*(np.shape(a) for a in v))
+        # the rows u, du_j, then d2u_jk row by row; only the rows read are written
+        self._rows = np.empty((1 + n + n * n, math.prod(self.shape)))
+        self._formed: set[int] = set()
+        self._others: dict[tuple, np.ndarray | float] = {}
+
+    def grad(self, j: int) -> np.ndarray:
+        """The (N,) row of ``du_j``."""
+        return self._row(1 + j)
+
+    def hess(self, j: int, k: int) -> np.ndarray:
+        """The (N,) row of ``d2u_jk``, formed once for ``d2u_kj`` too."""
+        return self._row(1 + self.n * (1 + min(j, k)) + max(j, k))
+
+    def __iter__(self):
+        n = self.n
+        for j in range(n):
+            self.grad(j)
+            self.hess(j, j)
+            for k in range(j + 1, n):
+                self._rows[1 + n * (1 + k) + j] = self.hess(j, k)
+        yield self._row(0)
+        yield self._rows[1 : n + 1].T
+        yield self._rows[n + 1 :].reshape(n, n, -1).transpose(2, 0, 1)
+
+    def _row(self, r: int) -> np.ndarray:
+        """Row ``r`` of the jet, formed on its first read."""
+        row = self._rows[r]
+        if r not in self._formed:
+            self._form(r, row.reshape(self.shape))
+            self._formed.add(r)
+        return row
+
+    def _form(self, r: int, out: np.ndarray) -> None:
+        """Write row ``r`` of the jet into ``out``, of the mesh's shape."""
+        n = self.n
+        if r == 0:
+            np.multiply(_product(self.v[:-1]), self.v[-1], out=out)
+        elif r <= n:
+            np.multiply(self.d1[r - 1], self._without(r - 1), out=out)
+        else:
+            j, k = divmod(r - 1 - n, n)
+            if j == k:
+                np.multiply(self.d2[j], self._without(j), out=out)
+            else:
+                np.multiply(self.d1[j] * self.d1[k], self._without(j, k), out=out)
+
+    def _without(self, *axes: int) -> np.ndarray | float:
+        """``prod_{k not in axes} v_k``, left to right, kept for the block."""
+        if axes not in self._others:
+            self._others[axes] = _product([x for k, x in enumerate(self.v) if k not in axes])
+        return self._others[axes]
 
 
 def _product(arrays):

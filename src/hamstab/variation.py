@@ -60,7 +60,7 @@ import numpy as np
 from . import quadrature
 from .immersion import REL_STEP, AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch, sample_grid
 from .quadrature import GridSpec
-from .testfunctions import LinComb, TestFunction, compatible_with, jet_coordinates
+from .testfunctions import LinComb, ProductJet, TestFunction, compatible_with, jet_coordinates
 
 __all__ = [
     "MetricField",
@@ -187,14 +187,22 @@ class JetSquareTerm:
 
 
 def _sum_of_squares(terms: tuple[JetSquareTerm, ...], points: np.ndarray, jet) -> np.ndarray:
-    _, du, d2u = jet
-    coords = [*du.T, *d2u.reshape(len(d2u), -1).T]
+    """``sum_i w_i (L_i . jet)^2`` at the points, reading only the jet
+    coordinates of the terms' live coefficients: of a :class:`ProductJet`,
+    only those are formed.  The sums accumulate in place."""
+    if isinstance(jet, ProductJet):
+        n = jet.n
+        coordinate = lambda i: jet.grad(i) if i < n else jet.hess(*divmod(i - n, n))
+    else:
+        _, du, d2u = jet
+        coordinate = [*du.T, *d2u.reshape(len(d2u), -1).T].__getitem__
     out = np.zeros(len(points))
+    linear, product = np.empty(len(points)), np.empty(len(points))
     for term in terms:
-        linear = np.zeros(len(points))
+        linear.fill(0.0)
         for i, c in term.live_coeffs:
-            linear += _at(c, points) * coords[i]
-        out += term.weight_values(points) * linear**2
+            linear += np.multiply(_at(c, points), coordinate(i), out=product)
+        out += np.multiply(term.weight_values(points), np.square(linear, out=linear), out=linear)
     return out
 
 

@@ -302,9 +302,8 @@ def _criterion_5(ctx) -> list[CheckResult]:
         radii = rng.uniform(0.5, 3.0, size=n)
         eps = rng.choice([-1, 1], size=n)
         w = rng.uniform(-2.0, 2.0, size=n)
-        rep = hyperbola_matrix_analysis(radii, eps)
         direct = _q_direct(w, radii, eps)
-        matrix = float(w @ rep.matrix @ w)
+        matrix = float(w @ analyzer._mq_matrix(radii, eps) @ w)
         worst = max(worst, abs(direct - matrix) / max(abs(direct), 1.0))
     rep3 = hyperbola_matrix_analysis((1.0, 1.0, 1.0), (1, 1, 1))
     eig_sorted = np.sort(rep3.eigenvalues)

@@ -19,8 +19,19 @@ from hamstab.quadrature import (
     integrate,
     pairwise_sum,
 )
-from hamstab.testfunctions import AnisotropicGaussian, Cos1D, Gauss1D, Separable, jet_coordinates, jet_orders
-from hamstab.variation import jet_field
+from hamstab.testfunctions import (
+    AnisotropicGaussian,
+    Cos1D,
+    Gauss1D,
+    HermGauss1D,
+    ProductJet,
+    Separable,
+    jet_coordinates,
+    jet_orders,
+)
+from hamstab.variation import SecondVariationFunctional, jet_field
+
+from helpers import minimal_null_graph_chart
 
 
 def test_cos_squared_on_circle():
@@ -380,7 +391,7 @@ def test_mesh_walk_memory_is_a_few_blocks(monkeypatch):
         assert peak < bound * 2**20, (nodes, peak / 2**20)
 
 
-@pytest.mark.parametrize("label", ["gauss4xgauss1xgauss4", "gauss1xgauss4xgauss4"])
+@pytest.mark.parametrize("label", ["gauss4xgauss1xgauss4", "gauss1xgauss4xgauss4", "gauss4xgauss4xgauss1"])
 def test_tie_walk_is_bit_identical_in_bounded_blocks(monkeypatch, label):
     # fourier_sweep on hyperbola:n=3 orders these mirror-image probes, whose
     # values tie to the last bit, by their mesh values on the 64^3 default
@@ -433,6 +444,43 @@ def test_tie_walk_evaluates_each_factor_on_its_axis_nodes(monkeypatch):
         monkeypatch.setattr(kind, "jet1", counted)
     analyzer._mesh_value(functional, u, spec)
     assert 0 < sum(points) <= 16 * (4 + 64 + 64)
+
+
+def test_tie_walk_forms_only_the_jet_coordinates_it_reads(monkeypatch):
+    # the hyperbola integrand reads du and the diagonal d2u_jj: each block
+    # forms those 6 of the 13 coordinates, each once, and never u
+    entry = resolve("hyperbola:n=3,r=1,1,1,eps=+,+,+")
+    functional, spec = entry.functional, entry.default_gridspec
+    u = next(p for p in analyzer.witness_library(functional.domains) if p.label == "gauss4xgauss1xgauss4")
+    formed = {}
+    form = ProductJet._form
+
+    def counted(jet, r, out):
+        # keyed by the jet itself, which stays alive, so no key is reused
+        formed.setdefault(jet, []).append(r)
+        return form(jet, r, out)
+
+    monkeypatch.setattr(ProductJet, "_form", counted)
+    analyzer._mesh_value(functional, u, spec)
+    # rows: u, du_0..du_2, then d2u_jk at 4 + 3 j + k
+    assert len(formed) == 16
+    assert all(sorted(rows) == [1, 2, 3, 4, 8, 12] for rows in formed.values())
+
+
+def test_walk_on_a_point_dependent_off_diagonal_form_is_bit_identical(block_rows):
+    # the minimal null graph's Laplacian 2 u_12 + cos(s_1) u_22 reads the
+    # off-diagonal d2u_12 (as d2u_12 and d2u_21), with coefficients that
+    # depend on the point; the open-mesh walk matches the dense jet's
+    functional = SecondVariationFunctional(minimal_null_graph_chart())
+    u = Separable([Gauss1D(0.7, 0.3), HermGauss1D(2, 0.8)])
+    spec = GridSpec(line_nodes=40)
+    got = analyzer._mesh_value(functional, u, spec)
+
+    def field(pts):
+        return functional.integrand(pts, u.jet(pts))
+
+    assert same_float(got, whole_mesh_integrate(field, functional.domains, spec, u.axis_boxes))
+    assert got != 0.0
 
 
 def test_form_stack_walk_memory_is_a_few_blocks(monkeypatch):

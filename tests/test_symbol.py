@@ -7,9 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hamstab import quadrature
 from hamstab.analyzer import (
+    MODE_BOUND,
     _canonical_modes,
     _mode_label,
+    _symbol_scan,
     classify,
     hyperbola_matrix_analysis,
     spectral_criterion,
@@ -124,6 +127,55 @@ def test_lattice_scan_names_the_zero_modes_on_the_sphere_tube():
     assert verdict.notes == [
         "the symbol vanishes on 2 of 40 scanned modes (value 0), simplest first: mode:cos(s+t), mode:cos(s-t)"
     ]
+
+
+def _whole_table_scan(form, sizes, modes):
+    """:func:`_symbol_scan` as one table: every value, then one sort of
+    every mode, simplest first."""
+    values = 0.5 * np.prod(sizes) * symbol(form, modes * (2 * np.pi / np.asarray(sizes)))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    order = np.lexsort((*-modes.T[::-1], np.abs(modes).sum(axis=1)))
+    modes, values = modes[order], values[order]
+    chosen = np.concatenate([modes[sign * values > tol][:1] for sign in (1, -1)])
+    zeros = modes[np.abs(values) <= tol]
+    return float(np.min(values)), float(np.max(values)), chosen, len(zeros), zeros[:4]
+
+
+def _same_scan(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("cid", [*(c for c in TORI if c.startswith("torus:n=3,")), "torus:n=4,r=1,1,1,1,p=3"])
+def test_lattice_scan_in_small_blocks_equals_the_whole_table_scan(monkeypatch, cid):
+    entry = resolve(cid)
+    form, sizes = entry.functional.jet_form, [dom.size for dom in entry.functional.domains]
+    modes = _canonical_modes(len(sizes), MODE_BOUND)
+    verdict = classify(entry, strategy="fourier_sweep").to_json_dict()
+    # 64-row blocks: 6 blocks on 3 axes, 52 on 4; the symbol takes the same blocks
+    monkeypatch.setattr(quadrature, "BLOCK_ROWS", 64)
+    tracemalloc.start()
+    try:
+        got = _symbol_scan(form, sizes, modes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _same_scan(got, _whole_table_scan(form, sizes, modes))
+    assert classify(entry, strategy="fourier_sweep").to_json_dict() == verdict
+    # the 4-axis whole table's frequencies alone take 3280 * 4 * 8 = 103 KiB
+    assert peak < 96 * 2**10, peak / 2**10
+
+
+def test_lattice_scan_values_a_block_again_when_the_tolerance_grows(monkeypatch):
+    # P(xi) = m0 + m2 xi^4 on one axis of length 2 pi: the first block's
+    # value pi * 1e-11 clears the tolerance of the values seen so far, but
+    # not 1e-12 * pi * 100, the tolerance after the second block
+    m2 = (100.0 - 1e-11) / 255.0
+    form = np.diag([1e-11 - m2, 0.0, m2])
+    modes = np.array([[1], [4]], dtype=np.int8)
+    monkeypatch.setattr(quadrature, "BLOCK_ROWS", 1)
+    got = _symbol_scan(form, [2 * np.pi], modes)
+    assert _same_scan(got, _whole_table_scan(form, [2 * np.pi], modes))
+    assert got[2].tolist() == [[4]] and got[3] == 1 and got[4].tolist() == [[1]]
 
 
 def test_spectral_criterion_needs_circle_axes_and_a_constant_form():
