@@ -48,6 +48,8 @@ __all__ = [
     "structural_residuals",
     "check_lagrangian",
     "check_h_minimal",
+    "central_stencil",
+    "central_difference",
     "central_divergence",
     "trisymmetry_residual",
     "sample_axes",
@@ -467,18 +469,35 @@ def _exact_divergence(chart: LagrangianChart, geo: dict[str, np.ndarray], d3f: n
     )
 
 
+def central_stencil(pts: np.ndarray, steps):
+    """Yield the shifted copies ``p + h_0 e_0, p - h_0 e_0, p + h_1 e_1, ...``
+    of the (N, n) points that :func:`central_difference` reads, ``h_i = steps[i]``."""
+    pts = np.atleast_2d(pts)
+    for i, h in enumerate(steps):
+        shift = np.zeros(pts.shape[1])
+        shift[i] = h
+        yield pts + shift
+        yield pts - shift
+
+
+def central_difference(values, steps) -> np.ndarray:
+    """``sum_i (w_{2i}[:, i] - w_{2i+1}[:, i]) / (2 h_i)``, accumulated in
+    axis order, of the (N, n, ...) values ``w_k`` of a field on the shifted
+    points of :func:`central_stencil`, read in that order from an iterable."""
+    values = iter(values)
+    out = 0.0
+    for i, h in enumerate(steps):
+        plus, minus = next(values), next(values)
+        out = out + (plus[:, i] - minus[:, i]) / (2 * h)
+    return out
+
+
 def central_divergence(weighted, pts: np.ndarray, steps) -> np.ndarray:
     """Central-difference divergence ``sum_i d_i w[:, i]`` of a batched field.
 
     ``weighted`` maps (N, n) points to (N, n, ...) values (a vector or
-    matrix field); the result is ``sum_i (w(p + h_i e_i)[:, i] -
-    w(p - h_i e_i)[:, i]) / (2 h_i)`` with ``h_i = steps[i]``, accumulated in
-    axis order, of shape (N, ...).
+    matrix field), evaluated once per shifted point set of
+    :func:`central_stencil`, one set at a time; the result is
+    :func:`central_difference` of those values, of shape (N, ...).
     """
-    pts = np.atleast_2d(pts)
-    out = 0.0
-    for i, h in enumerate(steps):
-        shift = np.zeros(pts.shape[1])
-        shift[i] = h
-        out = out + (weighted(pts + shift)[:, i] - weighted(pts - shift)[:, i]) / (2 * h)
-    return out
+    return central_difference((weighted(p) for p in central_stencil(pts, steps)), steps)

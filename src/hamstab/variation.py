@@ -35,7 +35,8 @@ constant matrix when every weight and coefficient is a number (carried as
 ``jet_form``), one matrix per point otherwise (:func:`_point_forms`).
 One routine, :func:`_pair_values`, integrates every request ``(a, b, F)``,
 ``int j_a^T F j_b`` over the jets of test functions for a constant or
-per-point form ``F``; :func:`evaluate_functional` is one such request.
+per-point form ``F``; :func:`evaluate_functional` makes one such request
+per test function.
 
 A constant jet form ``M`` has the Fourier symbol ``P(xi) = Re v^* M v``
 (:func:`symbol`), ``v = a + i b`` the jet of ``exp(i xi . s)`` at 0, so
@@ -53,12 +54,21 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import quadrature
-from .immersion import REL_STEP, AxisDomain, LagrangianChart, central_divergence, induced_geometry_batch, sample_grid
+from .immersion import (
+    REL_STEP,
+    AxisDomain,
+    LagrangianChart,
+    central_difference,
+    central_divergence,
+    central_stencil,
+    induced_geometry_batch,
+    sample_grid,
+)
 from .quadrature import GridSpec
 from .testfunctions import LinComb, ProductJet, TestFunction, compatible_with, jet_coordinates
 
@@ -458,15 +468,24 @@ def _pair_values(domains, probes, requests, gridspec: GridSpec | None = None) ->
     return values
 
 
-def evaluate_functional(functional, u: TestFunction, gridspec: GridSpec | None = None) -> float:
-    """Quadrature value of a quadratic functional on a test function, the
-    request ``(u, u, F)`` of its jet form ``F`` (:func:`_pair_values`).
+def evaluate_functional(
+    functional, u: TestFunction | Sequence[TestFunction], gridspec: GridSpec | None = None
+) -> float | list[float]:
+    """Quadrature value of a quadratic functional on a test function ``u``,
+    the request ``(u, u, F)`` of its jet form ``F`` (:func:`_pair_values`);
+    given a list of test functions, the list of their values, one request
+    each in one :func:`_pair_values` call, so test functions on the same
+    grid share its integration.
 
     The grid uses the functional's domains; line boxes default to the test
     function's declared support boxes.
     """
     functional = as_functional(functional)
-    return _pair_values(functional.domains, [u], [(0, 0, _functional_form(functional))], gridspec)[0]
+    single = isinstance(u, TestFunction)
+    probes = [u] if single else list(u)
+    form = _functional_form(functional)
+    values = _pair_values(functional.domains, probes, [(a, a, form) for a in range(len(probes))], gridspec)
+    return values[0] if single else values
 
 
 def second_variation(target, u: TestFunction, gridspec: GridSpec | None = None) -> float:
@@ -490,33 +509,33 @@ def bochner_residual(u: TestFunction, m: MetricField, s) -> float:
       + g(grad u, grad lap u) + g(hess u, hess u)``
 
     with exact first-level quantities and the outer derivatives as
-    divergences ``(4 D(h/2) - D(h)) / 3``, ``h = 1e-3``, of
-    :func:`central_divergence`:
+    divergences ``(4 D(h/2) - D(h)) / 3``, ``h = 1e-3``:
     ``lap w = d_l (g^{lk} d_k w)`` for ``w = g(grad u, grad u)`` and
     ``g(grad u, grad lap u) = d_l (lap u (grad u)^l)``, ``grad u`` fixed at
-    the point.  Restricted to constant metrics, whose Ricci term vanishes.
+    the point.  One ``u.jet`` call values the point and both steps'
+    :func:`central_stencil` (``1 + 4n`` points); the two fluxes are rows of
+    it, and each ``D`` is :func:`central_difference` of its stencil's rows,
+    the rule of :func:`central_divergence`.  Restricted to constant metrics,
+    whose Ricci term vanishes.
     """
     if not m.constant:
         raise NotImplementedError("pointwise identity check needs flat-coordinate metrics")
     pt = np.atleast_2d(np.asarray(s, dtype=float))
     ginv = m.g_inv(pt)[0]
-    _, du0, d2u0 = u.jet(pt)
-    grad_up = ginv @ du0[0]
+    steps = [[h] * pt.shape[1] for h in (1e-3, 5e-4)]
+    _, du, d2u = u.jet(np.concatenate([pt, *chain.from_iterable(central_stencil(pt, hs) for hs in steps)]))
+    grad_up = ginv @ du[0]
+    # g^{lk} d_k w, with the exact d_k w = 2 g^{ij} u_{ik} u_j
+    grad_w = 2.0 * np.einsum("ij,nik,nj->nk", ginv, d2u, du) @ ginv
+    lap_flux = np.einsum("ij,nij->n", ginv, d2u)[:, None] * grad_up
 
-    def grad_w(pts):
-        # g^{lk} d_k w, with the exact d_k w = 2 g^{ij} u_{ik} u_j
-        _, du, d2u = u.jet(pts)
-        return 2.0 * np.einsum("ij,nik,nj->nk", ginv, d2u, du) @ ginv
-
-    def lap_flux(pts):
-        _, _, d2u = u.jet(pts)
-        return np.einsum("ij,nij->n", ginv, d2u)[:, None] * grad_up
-
-    def divergence(weighted) -> float:
-        coarse, fine = (central_divergence(weighted, pt, [h] * len(grad_up))[0] for h in (1e-3, 5e-4))
+    def divergence(flux) -> float:
+        # rows 1 + 2n k .. 2n (k + 1) hold step k's stencil, one point each
+        stencils = np.split(flux[1:, None], len(steps))
+        coarse, fine = (central_difference(rows, hs)[0] for rows, hs in zip(stencils, steps))
         return float((4.0 * fine - coarse) / 3.0)
 
-    hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u0[0], d2u0[0]))
+    hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u[0], d2u[0]))
     return 0.5 * divergence(grad_w) - divergence(lap_flux) - hess_sq
 
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from hamstab.catalog import _curve_product_chart
 from hamstab.geometry import AmbientFlat
-from hamstab.immersion import AxisDomain, LagrangianChart, chart_from_components
+from hamstab.immersion import AxisDomain, LagrangianChart, central_divergence, chart_from_components
 from hamstab.jets import jcos, jsin
 from hamstab.quadrature import build_grid
 
@@ -169,3 +169,29 @@ def same_bits(got, want) -> bool:
         np.shape(a) == np.shape(b) and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
         for a, b in zip(got, want, strict=True)
     )
+
+
+def reference_bochner_residual(u, m, s) -> float:
+    """The Bochner residual of :func:`hamstab.variation.bochner_residual` by
+    the per-shift route it once took: one ``u.jet`` at the point, then one
+    per shifted point of each :func:`central_divergence` (17 calls on two
+    axes)."""
+    pt = np.atleast_2d(np.asarray(s, dtype=float))
+    ginv = m.g_inv(pt)[0]
+    _, du0, d2u0 = u.jet(pt)
+    grad_up = ginv @ du0[0]
+
+    def grad_w(pts):
+        _, du, d2u = u.jet(pts)
+        return 2.0 * np.einsum("ij,nik,nj->nk", ginv, d2u, du) @ ginv
+
+    def lap_flux(pts):
+        _, _, d2u = u.jet(pts)
+        return np.einsum("ij,nij->n", ginv, d2u)[:, None] * grad_up
+
+    def divergence(weighted) -> float:
+        coarse, fine = (central_divergence(weighted, pt, [h] * len(grad_up))[0] for h in (1e-3, 5e-4))
+        return float((4.0 * fine - coarse) / 3.0)
+
+    hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u0[0], d2u0[0]))
+    return 0.5 * divergence(grad_w) - divergence(lap_flux) - hess_sq

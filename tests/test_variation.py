@@ -45,9 +45,14 @@ from hamstab.variation import (
     second_variation,
     second_variation_raw,
 )
-from hamstab.verification import _FLAT_CHART_IDS
+from hamstab.verification import _FLAT_CHART_IDS, _lap_sq_functional
 
-from helpers import gradient_graph_chart, minimal_null_graph_chart, polynomial_graph_chart
+from helpers import (
+    gradient_graph_chart,
+    minimal_null_graph_chart,
+    polynomial_graph_chart,
+    reference_bochner_residual,
+)
 
 
 class _Bilinear(TestFunction):
@@ -354,6 +359,58 @@ def test_bochner_random_bumps():
             u = random_bump_poly(2, rng)
             pt = rng.uniform(-1.5, 1.5, size=2)
             assert abs(bochner_residual(u, m, pt)) <= 1e-5
+
+
+FLAT_METRICS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)]
+
+
+class _CountingJets(TestFunction):
+    """A test function that counts its ``jet`` calls and their points."""
+
+    def __init__(self, u: TestFunction):
+        self.u = u
+        self.n, self.axis_periods, self.axis_boxes = u.n, u.axis_periods, u.axis_boxes
+        self.calls = []
+
+    def jet(self, points):
+        self.calls.append(len(np.atleast_2d(points)))
+        return self.u.jet(points)
+
+
+@pytest.mark.parametrize("signs", FLAT_METRICS)
+def test_bochner_residual_equals_the_per_shift_reference_bit_for_bit(signs):
+    m = MetricField.flat(signs)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        u = random_bump_poly(2, rng)
+        pt = rng.uniform(-1.5, 1.5, size=2)
+        assert bochner_residual(u, m, pt).hex() == reference_bochner_residual(u, m, pt).hex()
+    for u, pt in ((_Linear(), [0.3, 0.4]), (_SaddleSquare(), [0.7, -0.2])):
+        assert bochner_residual(u, m, pt).hex() == reference_bochner_residual(u, m, pt).hex()
+    assert bochner_residual(_Linear(), m, [0.3, 0.4]) == 0.0
+
+
+def test_bochner_residual_takes_one_jet_call_on_its_stencils():
+    u = _CountingJets(random_bump_poly(2, np.random.default_rng(5)))
+    bochner_residual(u, MetricField.flat([1.0, -1.0]), [0.2, -0.9])
+    # the point, then 2 steps x 2 axes x +-
+    assert u.calls == [1 + 4 * 2]
+    reference_bochner_residual(u, MetricField.flat([1.0, -1.0]), [0.2, -0.9])
+    assert u.calls == [9] + [1] * 17
+
+
+@pytest.mark.parametrize("cid", ["plane:n=2,p=0", "plane:n=2,p=1", "plane:n=2,p=2", "plane:n=2,amb=para"])
+def test_evaluate_functional_over_a_list_equals_one_probe_calls_bit_for_bit(cid):
+    entry = resolve(cid)
+    signs = np.ones(2) if entry.params["para"] else entry.chart.ambient.axis_signs
+    rng = np.random.default_rng(7)
+    # bumps share one grid; a Gaussian and a wider product take their own
+    us = [random_bump_poly(2, rng) for _ in range(6)]
+    us += [Separable([Gauss1D(0.7), Gauss1D(1.3)]), Separable([Gauss1D(2.0, 0.5), Gauss1D()]) + us[0]]
+    for functional in (entry.chart, _lap_sq_functional(MetricField.flat(signs), periodic=False)):
+        batched = evaluate_functional(functional, us)
+        assert [v.hex() for v in batched] == [evaluate_functional(functional, u).hex() for u in us]
+    assert evaluate_functional(entry.chart, []) == []
 
 
 def test_bochner_needs_constant_metric():
