@@ -4,14 +4,16 @@ A verdict label is never certified from finitely many eigenvalues alone:
 ``indefinite`` requires explicit test functions of both signs (re-evaluated
 through the quadrature path), while ``positive_definite`` and
 ``negative_definite`` require an analytic certificate, either a signed
-pointwise sum-of-squares rewriting of the integrand or a first-eigenvalue
-criterion.  Everything else is ``inconclusive``, with the evidence used.
+pointwise sum-of-squares rewriting of the integrand (derived from a
+constant jet form, supplied for a point-dependent one) or a
+first-eigenvalue criterion.  Everything else is ``inconclusive``, with the
+evidence used.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -33,7 +35,17 @@ from .testfunctions import (
     compatible_with,
     jet_orders,
 )
-from .variation import _check_compatible, _functional_form, _jet_form, _pair_values, _point_forms, as_functional, symbol
+from .variation import (
+    SOS_RESIDUAL_TOL,
+    _check_compatible,
+    _functional_form,
+    _jet_form,
+    _pair_values,
+    _point_forms,
+    as_functional,
+    sos_certificate,
+    symbol,
+)
 
 __all__ = [
     "ModeVector",
@@ -63,7 +75,6 @@ WITNESS_RTOL = 1e-8
 GRADIENT_FORM_NOTE = "gradient-form values Q(u_w), Q(u_e1) of the direction probes"
 # Relative gap below which two probe values are a rounding-level tie.
 TIE_RTOL = 1e-12
-SOS_RESIDUAL_TOL = 1e-10
 # Grid rows at which a point-dependent certificate's jet form is compared.
 CERTIFICATE_ROWS = 20000
 # Largest |k_j| of the modes k of a lattice scan.
@@ -534,6 +545,14 @@ def classify(
     (pointwise signed sum of squares), ``spectral_criterion`` (the lattice
     scan of :func:`_lattice_scan` on circle axes, the curve-length bound on
     rank-one surfaces).  ``inconclusive`` is a valid outcome.
+
+    ``sos_certificate`` derives a constant jet form's certificate from the
+    form alone (:func:`hamstab.variation.sos_certificate`): semidefinite
+    within ``SOS_RESIDUAL_TOL``, with the kernel read from its blocks on the
+    admissible class (periodic on circle axes, compactly supported on line
+    axes, constants excluded only when every axis is a circle).  A
+    point-dependent form takes the entry's caller-supplied ``SumOfSquares``,
+    compared with the integrand at rows that ``seed`` draws.
     """
     entry = _as_entry(target)
     strategy = strategy or entry.default_strategy
@@ -683,11 +702,29 @@ def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
         if eigvals[0] < 0 < eigvals[-1]:
             lo = LinComb(list(zip(eigvecs[:, 0], small)), label="eigmix:low")
             hi = LinComb(list(zip(eigvecs[:, -1], small)), label="eigmix:high")
-            pos2, neg2, _ = _sign_witnesses(entry, [lo, hi], gridspec)
+            try:
+                pos2, neg2, _ = _sign_witnesses(entry, [lo, hi], _mixture_gridspec(gridspec, small))
+            except GridTooLargeError:
+                pos2 = neg2 = None
             pos, neg = pos or pos2, neg or neg2
     return _sign_verdict(
         pos, neg, evidence, one_sign="no certificate applies and the witness library found only one sign"
     )
+
+
+def _mixture_gridspec(gridspec: GridSpec | None, members) -> GridSpec:
+    """The grid for a mixture of ``members``: its line axes span the
+    largest member box, so their node count grows by the largest ratio of
+    that box to a member's own, and the narrowest member keeps the node
+    density of its own grid.  A ``line_box`` puts every member on one box."""
+    spec = gridspec or GridSpec()
+    if spec.line_box is not None:
+        return spec
+    ratio = 1.0
+    for boxes in zip(*(u.axis_boxes for u in members)):
+        sizes = [b for b in boxes if b is not None]
+        ratio = max(ratio, max(sizes, default=1.0) / min(sizes, default=1.0))
+    return replace(spec, line_nodes=spec.line_nodes * int(np.ceil(ratio)))
 
 
 def _lattice_scan(entry: CatalogEntry, gridspec, probe) -> StabilityVerdict:
@@ -780,67 +817,62 @@ def _simplest(modes: np.ndarray, count: int) -> np.ndarray:
 
 
 def _classify_sos(entry: CatalogEntry, gridspec, seed: int) -> StabilityVerdict:
-    cert = entry.certificate
-    if cert is None:
+    """A constant jet form takes the certificate derived from it
+    (:func:`sos_certificate`); a point-dependent one the caller's
+    ``entry.certificate``, compared at sampled rows."""
+    functional = as_functional(entry.functional)
+    form = getattr(functional, "jet_form", None)
+    if form is not None:
+        sign, residual, trivial, kernel = sos_certificate(form, functional.domains)
+        ok, comparison = residual <= SOS_RESIDUAL_TOL, "least eigenvalue of the signed jet form"
+    elif entry.certificate is not None:
+        sign, trivial, kernel = entry.certificate.sign, True, entry.certificate.kernel_note
+        residual, weights_ok = verify_certificate(functional, entry.certificate, gridspec, seed)
+        ok = weights_ok and residual <= SOS_RESIDUAL_TOL
+        comparison = f"jet-form comparison at up to {CERTIFICATE_ROWS} sampled rows"
+    else:
         return StabilityVerdict(
-            LABEL_INCONCLUSIVE, notes=["no sum-of-squares certificate attached to this entry"]
+            LABEL_INCONCLUSIVE, notes=["no sum-of-squares certificate attached to this point-dependent form"]
         )
-    residual, weight_ok = verify_certificate(entry.functional, cert, gridspec, seed)
-    sampled = f"jet-form comparison at up to {CERTIFICATE_ROWS} sampled rows"
-    comparison = "exact jet-form comparison" if _constant_forms(entry.functional, cert) else sampled
     notes = [f"pointwise certificate residual {residual:.3e} ({comparison})"]
-    if cert.kernel_note:
-        notes.append(f"kernel: {cert.kernel_note}")
-    if not weight_ok or residual > SOS_RESIDUAL_TOL:
-        return StabilityVerdict(
-            LABEL_INCONCLUSIVE,
-            notes=notes + ["certificate failed verification"],
-            tolerances={"sos_residual": residual},
-        )
-    pool = witness_library(entry.functional.domains)[:3]
+    tolerances = {"sos_residual": residual}
+    if not ok:
+        notes.append("certificate failed verification")
+        return StabilityVerdict(LABEL_INCONCLUSIVE, notes=notes, tolerances=tolerances)
+    notes += [f"kernel: {kernel}"] if kernel else []
+    if not trivial:
+        return StabilityVerdict(LABEL_INCONCLUSIVE, notes=notes, tolerances=tolerances)
+    pool = witness_library(functional.domains)[:3]
     pos, neg, values = _sign_witnesses(entry, pool, gridspec)
     evidence = [
         EvidenceRecord(len(pool), float(np.min(values)), float(np.max(values)), "sample values")
     ]
-    label = LABEL_POSITIVE if cert.sign > 0 else LABEL_NEGATIVE
     return StabilityVerdict(
-        label,
-        pos if cert.sign > 0 else None,
-        neg if cert.sign < 0 else None,
+        LABEL_POSITIVE if sign > 0 else LABEL_NEGATIVE,
+        pos if sign > 0 else None,
+        neg if sign < 0 else None,
         evidence,
-        tolerances={"sos_residual": residual},
+        tolerances=tolerances,
         notes=notes,
     )
-
-
-def _constant_forms(functional, cert: SumOfSquares):
-    """``(M_func, M_cert)``, or None when either side depends on the point."""
-    forms = (getattr(as_functional(functional), "jet_form", None), cert.jet_form)
-    return None if any(m is None for m in forms) else forms
 
 
 def verify_certificate(
     functional, cert: SumOfSquares, gridspec: GridSpec | None = None, seed: int = 0
 ) -> tuple[float, bool]:
     """Residual ``max|M_func - M_cert| / max(1, max|M_func|)`` between the
-    jet forms of the integrand and the certificate, plus a same-sign check
-    of the certificate's weights.  Constant forms are compared exactly, with
-    no grid or random draw.  When either side depends on the point, both
-    forms are taken at ``CERTIFICATE_ROWS`` rows drawn from the grid (all
-    rows of a smaller grid) and compared entrywise row by row, with the
-    weights checked at those rows.
+    jet forms of the integrand and a caller-supplied certificate, plus a
+    same-sign check of the certificate's weights, both at
+    ``CERTIFICATE_ROWS`` rows drawn from the grid (all rows of a smaller
+    grid), the forms compared entrywise row by row.
     """
     functional = as_functional(functional)
-    forms = _constant_forms(functional, cert)
-    pts = None  # constant weights take no points
-    if forms is None:
-        rng = np.random.default_rng(seed)
-        boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
-        grid = build_grid(functional.domains, gridspec, boxes=boxes)
-        big = grid.size > CERTIFICATE_ROWS
-        pts = grid.points_at(rng.choice(grid.size, CERTIFICATE_ROWS, replace=False) if big else np.arange(grid.size))
-        forms = (_point_forms(functional, pts), _jet_form(cert.terms, pts))
-    m_func, m_cert = forms
+    rng = np.random.default_rng(seed)
+    boxes = tuple(10.0 if d.kind == "line" else None for d in functional.domains)
+    grid = build_grid(functional.domains, gridspec, boxes=boxes)
+    big = grid.size > CERTIFICATE_ROWS
+    pts = grid.points_at(rng.choice(grid.size, CERTIFICATE_ROWS, replace=False) if big else np.arange(grid.size))
+    m_func, m_cert = _point_forms(functional, pts), _jet_form(cert.terms, pts)
     residual, scale = float(np.max(np.abs(m_func - m_cert))), float(np.max(np.abs(m_func)))
     weight_ok = all(np.all(cert.sign * term.weight_values(pts) >= -1e-14) for term in cert.terms)
     return residual / max(1.0, scale), weight_ok

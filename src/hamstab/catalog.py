@@ -9,15 +9,15 @@ surfaces in the tangent bundle of a Riemannian surface) enter through
 closed-form quadratic functionals.
 
 A closed-form functional is one list of weighted squares ``w(s) * (L . jet)^2``
-(:class:`hamstab.variation.JetSquareTerm`), as every functional and
-certificate is, and everything else derives from that list: the pointwise
-integrand is the sum of the squares, and the one jet-form builder of
-:mod:`hamstab.variation` sums ``sum w L L^T``, a constant matrix when every
-weight and coefficient is a number and one matrix per point otherwise.  A
-tube or rank-one certificate is the functional's own term list, so its
-residual against the integrand is zero; the hyperbola and plane
-certificates stay independent term lists, checked against the jet form of
-the chart functional.
+(:class:`hamstab.variation.JetSquareTerm`), as every functional is, and
+everything else derives from that list: the pointwise integrand is the sum
+of the squares, and the one jet-form builder of :mod:`hamstab.variation`
+sums ``sum w L L^T``, a constant matrix when every weight and coefficient
+is a number and one matrix per point otherwise.  No entry carries a
+hand-built certificate: every catalog functional has a constant jet form,
+and :func:`hamstab.variation.sos_certificate` derives its certificate and
+kernel from that form, which also picks the ``sos_certificate`` default
+strategy of the tube and rank-one entries.
 
 The geodesic-tube functionals are a single two-parameter family driven by
 the sign tuple ``(e1, e2, e3, e4)`` of the first metric in the adapted
@@ -44,7 +44,7 @@ from .geometry import AmbientFlat
 from .immersion import AxisDomain, LagrangianChart, chart_from_components
 from .jets import Jet2, jcos, jcosh, jsin, jsinh
 from .quadrature import GridSpec
-from .variation import JetSquareTerm, SecondVariationFunctional, _jet_form, _sum_of_squares
+from .variation import JetSquareTerm, SecondVariationFunctional, _jet_form, _sum_of_squares, sos_certificate
 
 __all__ = [
     "CatalogIdError",
@@ -97,24 +97,20 @@ class ClosedFormFunctional:
 
 @dataclass(frozen=True)
 class SumOfSquares:
-    """Signed sum-of-squares decomposition of an integrand.
+    """Caller-supplied signed sum-of-squares decomposition of an integrand
+    whose jet form depends on the point.
 
     All weights must share ``sign``; the decomposition certifies semi-
     definiteness pointwise, and ``kernel_note`` records why the kernel is
     trivial on the admissible class, upgrading it to definiteness.  The
-    analyzer compares the certificate's jet form with the integrand's:
-    ``jet_form`` when both are constant, at sampled points otherwise.
-    ``jet_form`` is the terms' constant matrix ``M = sum_i w_i L_i L_i^T``,
-    built once, None when the terms depend on the point.
+    analyzer compares the certificate's jet form with the integrand's at
+    sampled points.  A functional with a constant jet form takes the
+    certificate derived from that form instead.
     """
 
     terms: tuple[JetSquareTerm, ...]
     sign: int
     kernel_note: str = ""
-    jet_form: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "jet_form", _jet_form(self.terms))
 
 
 # ------------------------------------------------------------ flat families
@@ -302,23 +298,6 @@ def _tube_terms(row: TubeRow, metric_choice: str) -> tuple[JetSquareTerm, ...]:
     )
 
 
-def tube_sos_certificate(functional: ClosedFormFunctional) -> SumOfSquares | None:
-    """The tube functional's own terms as a certificate, when all their
-    weights share a sign."""
-    signs = {np.sign(t.weight) for t in functional.terms}
-    if len(signs) != 1:
-        return None
-    return SumOfSquares(
-        terms=functional.terms,
-        sign=int(signs.pop()),
-        kernel_note=(
-            "value 0 forces u_s = u_t = 0 pointwise, and a function constant on the "
-            "whole domain is excluded by compact support on line axes (it represents "
-            "the zero variation on tori)"
-        ),
-    )
-
-
 def make_geodesic_tube(space_form, row, metric_choice: str = "G") -> ClosedFormFunctional:
     """Second-variation functional of the normal congruence of a geodesic
     tube, selected by space form (0..3 or name), row descriptor and metric.
@@ -439,26 +418,13 @@ def make_rank_one_bundle(curve: CurveData) -> ClosedFormFunctional:
     )
 
 
-def tn_sos_certificate(functional: ClosedFormFunctional) -> SumOfSquares:
-    """The rank-one functional's own terms ``4 u_st^2 + (-(kappa^2 + 2K))(s)
-    u_t^2`` as a certificate, for curves with ``kappa^2 + 2K < 0`` everywhere
-    or ``= 0`` on an open curve (on a closed one, any ``u(t)`` has value 0).
-    Constant weights are compared exactly, others at sampled points."""
-    return SumOfSquares(
-        terms=functional.terms,
-        sign=1,
-        kernel_note=(
-            "value 0 forces u_st = 0, so u = f(s) + g(t), and u_t = 0 where kappa^2 + 2K < 0; "
-            "compact support in the fibre (and along the curve when kappa^2 + 2K = 0) gives u = 0"
-        ),
-    )
-
-
 # ------------------------------------------------------------- the registry
 
 @dataclass
 class CatalogEntry:
-    """A resolvable catalog item: the object to analyze plus its metadata."""
+    """A resolvable catalog item: the object to analyze plus its metadata.
+    ``certificate`` is a caller-supplied one for a functional whose jet form
+    depends on the point; no catalog ID sets it."""
 
     catalog_id: str
     kind: str
@@ -566,7 +532,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             default_strategy="sos_certificate" if n <= 2 else "scaling_probe",
             params={"n": n, "radii": radii, "eps": eps},
         )
-        entry.certificate = _hyperbola_certificate(radii, eps) if n <= 2 else None
         if n == 3:
             entry.default_gridspec = GridSpec(line_nodes=64)
         elif n >= 4:
@@ -585,19 +550,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             raise CatalogIdError("para-Kahler planes take no p")
         p = _int(kv["p"], "p") if "p" in kv else 0
         chart = make_lagrangian_plane(n, p=p, para=para)
-        eps = chart.ambient.eps
-        # induced metric diag(axis_signs), the identity for para, so
-        # lap u = sum_j ginv_jj u_jj with ginv_jj = +-1
-        ginv = chart.ambient.axis_signs
-        lap_coeffs = tuple(tuple(ginv[i] if i == j else 0.0 for j in range(n)) for i in range(n))
-        cert = SumOfSquares(
-            terms=(JetSquareTerm(float(eps), (0.0,) * n, lap_coeffs),),
-            sign=eps,
-            kernel_note=(
-                "value 0 forces lap u = 0 pointwise; the flat Laplacian (any signature) "
-                "has no nontrivial compactly supported null solutions"
-            ),
-        )
         return CatalogEntry(
             catalog_id=chart.name,
             kind="plane",
@@ -605,7 +557,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=chart,
             default_strategy="sos_certificate",
             params={"n": n, "p": p, "para": para},
-            certificate=cert,
         )
 
     if kind == "tube":
@@ -618,8 +569,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
             for tr in TUBE_ROWS
             if functional.name == f"tube:{tr.space}:{tr.row_key}:{metric}"
         )
-        cert = tube_sos_certificate(functional)
-        if cert is not None:
+        if sos_certificate(functional.jet_form, functional.domains).definite:
             strategy = "sos_certificate"
         elif t.space == "S3" and metric == "G":
             strategy = "spectral_criterion"
@@ -634,7 +584,6 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=None,
             default_strategy=strategy,
             params={"space": t.space, "row": t.row_key, "metric": metric, "eps_tuple": t.eps_tuple},
-            certificate=cert,
         )
 
     if kind == "tn":
@@ -646,9 +595,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
         length = _float(kv["L"], "L") if "L" in kv else None
         curve = CurveData(kappa=kappa, K_along=K, closed=length is not None, length=length)
         functional = make_rank_one_bundle(curve)
-        coeff = kappa**2 + 2 * K
-        certified = coeff < 0 or (coeff == 0 and not curve.closed)
-        if certified:
+        if sos_certificate(functional.jet_form, functional.domains).definite:
             strategy = "sos_certificate"
         elif curve.closed:
             strategy = "spectral_criterion"
@@ -661,31 +608,11 @@ def resolve(catalog_id: str) -> CatalogEntry:
             chart=None,
             default_strategy=strategy,
             params={"kappa": kappa, "K": K, "length": length},
-            certificate=tn_sos_certificate(functional) if certified else None,
             curve=curve,
         )
 
     raise CatalogIdError(
         f"unknown catalog kind {kind!r} (known: torus, hyperbola, plane, tube, tn)"
-    )
-
-
-def _hyperbola_certificate(radii, eps) -> SumOfSquares:
-    """Signed sum of squares for hyperbola products with one or two factors,
-    ``-(e1 u_ss + e2 u_tt)^2 - (e1 u_s / r1 - e2 u_t / r2)^2`` and its
-    first-axis part ``-(lap u)^2 - (u_s / r)^2`` for n = 1."""
-    n = len(radii)
-    if n > 2:
-        raise ValueError("sum-of-squares certificates exist only for n <= 2")
-    hess = tuple(tuple(float(eps[i]) if i == j else 0.0 for j in range(n)) for i in range(n))
-    grad = tuple(sign * e / float(r) for sign, e, r in zip((1, -1), eps, radii))
-    return SumOfSquares(
-        terms=(JetSquareTerm(-1.0, (0.0,) * n, hess), JetSquareTerm(-1.0, grad, ((0.0,) * n,) * n)),
-        sign=-1,
-        kernel_note=(
-            "value 0 forces the gradient combination to vanish identically, so u is "
-            "constant along unbounded lines; compact support then gives u = 0"
-        ),
     )
 
 

@@ -1,8 +1,10 @@
 """Batch front door: reproduction suite, per-entry analysis, parameter
 sweeps, and the geodesic-tube table.
 
-Reports are deterministic functions of (grid, seed): identical invocations
-produce byte-identical output regardless of --threads.  Exit codes:
+Reports are deterministic functions of (grid, seed), the seed for
+verify-paper only (analyze, sweep and tube-table make no random draw):
+identical invocations produce byte-identical output regardless of
+--threads.  Exit codes:
 0 success, 1 check failure (for tube-table, a row mismatch), 2 usage error,
 including a --grid whose quadrature mesh would exceed the point cap
 (:data:`hamstab.quadrature.MAX_MESH_POINTS`) on some entry's axes and a
@@ -121,15 +123,16 @@ def verify_paper(grid, box, fmt, out, seed, threads, criteria) -> None:
 @click.option("--box", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", type=click.Path(), default=None)
-@click.option("--seed", type=int, default=0)
-def analyze(catalog_id, strategy, grid, box, fmt, out, seed) -> None:
-    """Classify one catalog entry and emit the verdict record."""
+def analyze(catalog_id, strategy, grid, box, fmt, out) -> None:
+    """Classify one catalog entry and emit the verdict record.  Every
+    catalog functional has a constant jet form, so no random draw runs and
+    it takes no seed."""
     try:
         entry = resolve(catalog_id)
     except CatalogIdError as exc:
         raise click.UsageError(str(exc))
     try:
-        verdict = classify(entry, strategy=strategy, gridspec=_gridspec(grid, box), seed=seed)
+        verdict = classify(entry, strategy=strategy, gridspec=_gridspec(grid, box))
     except (GridTooLargeError, SupportError) as exc:
         raise click.UsageError(str(exc))
     payload = verdict.to_json_dict()
@@ -226,11 +229,11 @@ def _run_sweep(entry, axis_spec: str):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--grid", type=int, default=None)
 @click.option("--box", type=float, default=None)
-@click.option("--seed", type=int, default=0)
-def tube_table(fmt, out, grid, box, seed) -> None:
-    """Recompute all eight tube rows and compare with the stated columns."""
+def tube_table(fmt, out, grid, box) -> None:
+    """Recompute all eight tube rows and compare with the stated columns;
+    no random draw runs, so it takes no seed."""
     try:
-        table = compute_tube_table(gridspec=_gridspec(grid, box), seed=seed)
+        table = compute_tube_table(gridspec=_gridspec(grid, box))
     except (GridTooLargeError, SupportError) as exc:
         raise click.UsageError(str(exc))
     all_match = all(row[m]["match"] for row in table for m in ("G", "Gprime"))

@@ -28,8 +28,8 @@ Every quadratic functional is stated once, as weighted squares
 ``w (L . jet)^2`` (:class:`JetSquareTerm`) in the jet ``j = (u, du, d2u)``:
 a chart functional's come from its geometry (the cubic term as a quadratic
 form in ``du``, the Laplacian's metric drift as ``du`` coefficients), and
-the closed-form functionals and certificates of :mod:`hamstab.catalog` are
-such lists.  The integrand is the sum of the squares, and one builder sums
+the closed-form functionals of :mod:`hamstab.catalog` and caller-supplied
+certificates are such lists.  The integrand is the sum of the squares, and one builder sums
 them to the jet form ``M = sum w L L^T`` with ``integrand = j^T M j``: a
 constant matrix when every weight and coefficient is a number (carried as
 ``jet_form``), one matrix per point otherwise (:func:`_point_forms`).
@@ -45,7 +45,9 @@ Plane waves of distinct frequencies are orthogonal for the form, and
 ``cos(xi . s)`` on a torus of volume ``Vol`` has value ``Vol/2 * P(xi)``
 (Plancherel; Hormander, *The Analysis of Linear Partial Differential
 Operators* I): on circle axes the lattice ``xi = 2 pi k / L`` carries the
-functional's sign pattern.
+functional's sign pattern.  :func:`sos_certificate` reads a constant jet
+form's sum-of-squares certificate, and whether its kernel is trivial, off
+``M`` and this symbol.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,7 +72,7 @@ from .immersion import (
     sample_grid,
 )
 from .quadrature import GridSpec
-from .testfunctions import LinComb, ProductJet, TestFunction, compatible_with, jet_coordinates
+from .testfunctions import LinComb, ProductJet, TestFunction, compatible_with, jet_coordinates, jet_orders
 
 __all__ = [
     "MetricField",
@@ -87,6 +89,8 @@ __all__ = [
     "bochner_residual",
     "reilly_residual",
     "symbol",
+    "FormCertificate",
+    "sos_certificate",
 ]
 
 
@@ -252,6 +256,100 @@ def symbol(form: np.ndarray, xi) -> np.ndarray:
         # b^T M b reads only the gradient block
         out[i : i + len(x)] = np.sum((a @ form) * a, axis=1) + np.sum((x @ form[1 : n + 1, 1 : n + 1]) * x, axis=1)
     return out
+
+
+# Largest relative defect max(0, -lambda_min(sign * M)) / max(1, max|M|) of
+# a certified jet form; the blocks of sign * M count as zero or definite
+# with the same margin.
+SOS_RESIDUAL_TOL = 1e-10
+
+
+class FormCertificate(NamedTuple):
+    """:func:`sos_certificate`'s reading of a constant jet form ``M``."""
+
+    sign: int
+    residual: float
+    kernel_trivial: bool
+    kernel: str  # why value 0 forces u = 0, or what it does not rule out
+
+    @property
+    def definite(self) -> bool:
+        return self.residual <= SOS_RESIDUAL_TOL and self.kernel_trivial
+
+
+def sos_certificate(form: np.ndarray, domains) -> FormCertificate:
+    """The sum-of-squares certificate of the constant jet form ``M`` on
+    ``domains``, read off ``M`` alone.
+
+    ``sign`` is that of the larger-magnitude eigenvalue of ``M``; when
+    ``S = sign * M`` is positive semidefinite, ``j^T S j`` is a sum of
+    squares, and value 0 forces ``S j = 0``, so the Fourier transform of
+    ``u`` vanishes wherever the symbol of ``S`` is positive.  The admissible
+    class: periodic on circle axes, compactly supported (so analytic in the
+    line frequencies) on line axes, constants excluded only when every axis
+    is a circle (the zero Hamiltonian variation).  With ``G`` the gradient
+    block of ``S`` (the symbol is at least ``xi^T G xi``) the kernel is
+    trivial when all axes are lines, iff ``S != 0``; on circle and line
+    axes, if ``G`` on the line axes is definite, or if ``G`` on the circle
+    axes is definite (every mode ``k != 0``) and ``S`` on the jet
+    coordinates of the line axes alone (mode 0) is nonzero; when all axes
+    are circles, if ``G`` is definite.  A form that is not semidefinite gets
+    no kernel reading.
+    """
+    circles = [j for j, dom in enumerate(domains) if dom.kind == "circle"]
+    lines = [j for j, dom in enumerate(domains) if dom.kind == "line"]
+    eig = np.linalg.eigvalsh(form)
+    sign = 1 if eig[-1] >= -eig[0] else -1
+    peak = float(np.max(np.abs(form)))
+    scale = max(1.0, peak)
+    residual = max(0.0, -float(eig[0] if sign > 0 else -eig[-1])) / scale
+    if residual > SOS_RESIDUAL_TOL:
+        return FormCertificate(sign, residual, False, "the signed jet form is not semidefinite")
+    margin = SOS_RESIDUAL_TOL * scale
+    S = sign * form
+
+    def definite(axes) -> bool:
+        grad = [1 + j for j in axes]
+        return np.linalg.eigvalsh(S[grad][:, grad])[0] > margin
+
+    if not circles:
+        trivial = peak > margin
+        kernel = (
+            "the signed jet form is nonzero, so its symbol is not identically zero"
+            if trivial
+            else "the jet form is zero: every u has value 0"
+        )
+    elif not lines:
+        trivial = definite(circles)
+        kernel = (
+            "the gradient block is definite, so the symbol is positive at every mode k != 0"
+            if trivial
+            else "modes k != 0 are not ruled out: the gradient block is not definite"
+        )
+    elif definite(lines):
+        trivial = True
+        kernel = "the gradient block on the line axes is definite, so the symbol is nonzero at every circle mode"
+    else:
+        # the symbol at mode 0: S on the jet coordinates no circle axis differentiates
+        line_jets = np.flatnonzero(~jet_orders(len(domains))[:, circles].any(axis=1))
+        line_part = np.max(np.abs(S[line_jets][:, line_jets])) > margin
+        trivial = line_part and definite(circles)
+        if trivial:
+            kernel = (
+                "the gradient block on the circle axes is definite and the jet form on the line axes' "
+                "jets is nonzero, so the symbol is nonzero at every circle mode"
+            )
+        elif line_part:
+            kernel = (
+                "circle modes k != 0 are not ruled out: neither the line axes' nor the circle axes' "
+                "gradient block is definite"
+            )
+        else:
+            kernel = (
+                "functions constant along the circle axes are not ruled out: the jet form on the line "
+                "axes' jets is zero"
+            )
+    return FormCertificate(sign, residual, bool(trivial), kernel)
 
 
 def _quadratic_squares(A: np.ndarray, rows: np.ndarray, n: int) -> list[JetSquareTerm]:

@@ -11,6 +11,28 @@ from hamstab.geometry import AmbientFlat
 from hamstab.immersion import AxisDomain, LagrangianChart, central_divergence, chart_from_components
 from hamstab.jets import jcos, jsin
 from hamstab.quadrature import build_grid
+from hamstab.variation import JetSquareTerm
+
+
+def hyperbola_reference_squares(radii, eps) -> tuple[JetSquareTerm, ...]:
+    """The second-variation integrand of a hyperbola product with one or
+    two factors as the closed-form negative sum of squares
+    ``-(e1 u_ss + e2 u_tt)^2 - (e1 u_s / r1 - e2 u_t / r2)^2``, and its
+    first-axis part ``-(u_ss)^2 - (u_s / r)^2`` for n = 1: a reference
+    independent of the chart geometry."""
+    n = len(radii)
+    assert n <= 2, "the closed form holds for n <= 2"
+    hess = tuple(tuple(float(eps[i]) if i == j else 0.0 for j in range(n)) for i in range(n))
+    grad = tuple(sign * e / float(r) for sign, e, r in zip((1, -1), eps, radii))
+    return (JetSquareTerm(-1.0, (0.0,) * n, hess), JetSquareTerm(-1.0, grad, ((0.0,) * n,) * n))
+
+
+def plane_reference_squares(chart) -> tuple[JetSquareTerm, ...]:
+    """``eps (lap u)^2`` of a flat Lagrangian plane, whose induced metric is
+    ``diag(axis_signs)``, so ``lap u = sum_j ginv_jj u_jj``."""
+    n, ginv = chart.dim, chart.ambient.axis_signs
+    lap = tuple(tuple(float(ginv[i]) if i == j else 0.0 for j in range(n)) for i in range(n))
+    return (JetSquareTerm(float(chart.ambient.eps), (0.0,) * n, lap),)
 
 
 def gradient_graph_chart():

@@ -180,19 +180,23 @@ def test_catalog_verdicts_integrate_once_per_box_set(monkeypatch):
     assert counts.calls == {"integrate": 171, "_sum_factorized": 137, "_walk_mesh": 34}
 
 
-def test_a_certificate_builds_its_jet_form_once(monkeypatch):
+def test_a_derived_certificate_reads_the_functionals_jet_form(monkeypatch):
+    # the certificate comes from the jet form built with the functional: no
+    # jet form is built again
     built = []
 
     def counted(terms, points=None):
         built.append(terms)
         return original(terms, points)
 
-    original = catalog._jet_form
-    monkeypatch.setattr(catalog, "_jet_form", counted)
+    original = variation._jet_form
     entry = resolve("hyperbola:n=2,r=1,3,eps=+,+")
+    monkeypatch.setattr(variation, "_jet_form", counted)
+    monkeypatch.setattr(catalog, "_jet_form", counted)
+    monkeypatch.setattr(analyzer, "_jet_form", counted)
     verdict = classify(entry, "sos_certificate")
     assert verdict.label == "negative_definite"
-    assert sum(terms is entry.certificate.terms for terms in built) == 1
+    assert built == []
 
 
 def integrand_value(functional, u, spec):

@@ -19,7 +19,9 @@ from hamstab.catalog import (
 )
 from hamstab.immersion import check_h_minimal, induced_geometry, induced_geometry_batch, sample_grid
 from hamstab.testfunctions import jet_from_coordinates
-from hamstab.variation import _sum_of_squares
+from hamstab.variation import SOS_RESIDUAL_TOL, SecondVariationFunctional, _jet_form, _sum_of_squares, sos_certificate
+
+from helpers import hyperbola_reference_squares, plane_reference_squares
 
 
 def test_unit_circle_chart():
@@ -233,19 +235,56 @@ def test_closed_form_integrand_is_its_jet_form(functional, seed):
     assert np.all(np.abs(got - want) <= 1e-12 * scale), functional.name
 
 
+def _reference_squares(entry):
+    """The closed-form squares of a hyperbola product with n <= 2 or of a
+    plane, None for other entries."""
+    if entry.kind == "hyperbola" and entry.params["n"] <= 2:
+        return hyperbola_reference_squares(entry.params["radii"], entry.params["eps"])
+    return plane_reference_squares(entry.chart) if entry.kind == "plane" else None
+
+
 def _jet_form_cases():
     """(name, quadratic, jet form, domains) of every catalog functional and of
-    every certificate with a constant jet form; a quadratic maps points and
-    jets to values."""
+    every closed-form reference; a quadratic maps points and jets to
+    values."""
     cases = []
     for cid in default_catalog_ids():
         entry = resolve(cid)
-        functional, cert = entry.functional, entry.certificate
+        functional, reference = entry.functional, _reference_squares(entry)
         assert functional.jet_form is not None, cid
         cases.append((cid, functional.integrand, functional.jet_form, functional.domains))
-        if cert is not None and cert.jet_form is not None:
-            cases.append((f"{cid}|certificate", partial(_sum_of_squares, cert.terms), cert.jet_form, functional.domains))
+        if reference is not None:
+            cases.append((f"{cid}|reference", partial(_sum_of_squares, reference), _jet_form(reference), functional.domains))
     return cases
+
+
+REFERENCE_IDS = [cid for cid in default_catalog_ids() if _reference_squares(resolve(cid)) is not None]
+
+
+def _assert_reference_form(functional, reference) -> None:
+    form = functional.jet_form
+    residual = np.max(np.abs(form - _jet_form(reference))) / max(1.0, np.max(np.abs(form)))
+    assert residual <= SOS_RESIDUAL_TOL, (functional.chart.name, residual)
+
+
+@pytest.mark.parametrize("cid", REFERENCE_IDS)
+def test_chart_jet_form_is_the_closed_form_sum_of_squares(cid):
+    # the chart pipeline (geometry, cubic term, Laplacian squares) against
+    # -(e1 u_ss + e2 u_tt)^2 - (e1 u_s/r1 - e2 u_t/r2)^2 and eps (lap u)^2
+    assert len(REFERENCE_IDS) == 7
+    entry = resolve(cid)
+    _assert_reference_form(entry.functional, _reference_squares(entry))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    radii=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=2),
+    signs=st.lists(st.sampled_from([1, -1]), min_size=2, max_size=2),
+)
+def test_hyperbola_jet_form_is_the_closed_form_sum_of_squares_for_any_radii(radii, signs):
+    eps = signs[: len(radii)]
+    chart = make_hyperbola_product(radii, eps)
+    _assert_reference_form(SecondVariationFunctional(chart), hyperbola_reference_squares(radii, eps))
 
 
 @pytest.mark.parametrize("case", _jet_form_cases(), ids=lambda case: case[0])
@@ -284,11 +323,22 @@ def test_point_dependent_rank_one_curve_has_no_jet_form():
         assert make_rank_one_bundle(curve).jet_form is None
 
 
-def test_tube_and_tn_certificates_are_their_functionals_terms():
-    for cid in default_catalog_ids():
-        entry = resolve(cid)
-        if entry.kind in ("tube", "tn") and entry.certificate is not None:
-            assert entry.certificate.terms == entry.functional.terms, cid
+def test_tube_and_tn_are_certified_exactly_under_their_stated_conditions():
+    # a tube row when its three weights share a sign; a rank-one curve when
+    # kappa^2 + 2K < 0, or = 0 on an open curve
+    for t in TUBE_ROWS:
+        for metric in ("G", "Gprime"):
+            entry = resolve(f"tube:{t.space}:{t.row_key}:{metric}")
+            same_sign = len({np.sign(term.weight) for term in entry.functional.terms}) == 1
+            assert (entry.default_strategy == "sos_certificate") == same_sign, entry.catalog_id
+    for closed in (False, True):
+        tail = f",L={2 * np.pi:.17g}" if closed else ""
+        for kappa in (0.0, 0.5, 1.0):
+            for K in (-1.0, -0.5, -0.125, 0.0, 0.5):
+                entry = resolve(f"tn:kappa={kappa:g},K={K:g}{tail}")
+                coeff = kappa**2 + 2 * K
+                certified = coeff < 0 or (coeff == 0 and not closed)
+                assert (entry.default_strategy == "sos_certificate") == certified, entry.catalog_id
 
 
 def test_curve_data_validation():
@@ -311,7 +361,8 @@ def test_resolve_round_trip():
     entry = resolve("hyperbola:n=2,r=1,3,eps=+,+")
     assert entry.params["eps"] == [1, 1]
     entry = resolve("tube:AdS3:closed-indefinite:Gprime")
-    assert entry.certificate is not None and entry.certificate.sign == -1
+    cert = sos_certificate(entry.functional.jet_form, entry.functional.domains)
+    assert cert.definite and cert.sign == -1 and entry.certificate is None
     entry = resolve("plane:n=2,amb=para")
     assert entry.params["para"] is True
 

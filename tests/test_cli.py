@@ -132,11 +132,23 @@ def test_analyze_multi_valued_tn_parameter_is_a_usage_error(runner, cid, bad):
     assert bad in result.output
 
 
-@pytest.mark.parametrize("option", [["--grid", "8"], ["--box", "10"], ["--seed", "1"]], ids=["grid", "box", "seed"])
-def test_sweep_takes_no_grid_box_or_seed(runner, option):
-    result = runner.invoke(
-        main, ["sweep", "--catalog-id", "torus:n=1,r=1,p=0", "--axis", "mode:kmax=4", *option]
-    )
+SWEEP = ["sweep", "--catalog-id", "torus:n=1,r=1,p=0", "--axis", "mode:kmax=4"]
+
+
+@pytest.mark.parametrize(
+    ("command", "option"),
+    [
+        (SWEEP, ["--grid", "8"]),
+        (SWEEP, ["--box", "10"]),
+        (SWEEP, ["--seed", "1"]),
+        (["analyze", "--catalog-id", "tn:kappa=0,K=-1"], ["--seed", "1"]),
+        (["tube-table"], ["--seed", "1"]),
+    ],
+    ids=["grid", "box", "seed", "analyze-seed", "tube-table-seed"],
+)
+def test_sweep_takes_no_grid_box_or_seed(runner, command, option):
+    # sweep rows are closed-form; analyze and tube-table make no random draw
+    result = runner.invoke(main, [*command, *option])
     assert result.exit_code == 2
     assert "No such option" in result.output and option[0] in result.output
 
