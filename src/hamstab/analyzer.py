@@ -692,6 +692,7 @@ def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
     evidence = [
         EvidenceRecord(len(pool), float(np.min(values)), float(np.max(values)), "library diagonal values")
     ]
+    notes = []
     if not (pos and neg):
         # look for sign mixing inside the span before giving up
         Q = np.diag(values[: len(small)])
@@ -704,11 +705,12 @@ def _classify_fourier(entry: CatalogEntry, gridspec) -> StabilityVerdict:
             hi = LinComb(list(zip(eigvecs[:, -1], small)), label="eigmix:high")
             try:
                 pos2, neg2, _ = _sign_witnesses(entry, [lo, hi], _mixture_gridspec(gridspec, small))
-            except GridTooLargeError:
+            except GridTooLargeError as err:
                 pos2 = neg2 = None
+                notes.append(f"eigmix probes not valued: {err}")
             pos, neg = pos or pos2, neg or neg2
     return _sign_verdict(
-        pos, neg, evidence, one_sign="no certificate applies and the witness library found only one sign"
+        pos, neg, evidence, notes, one_sign="no certificate applies and the witness library found only one sign"
     )
 
 

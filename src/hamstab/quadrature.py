@@ -440,18 +440,11 @@ def integrate(field, domains, spec: GridSpec | None = None, boxes=None):
     """
     grid = build_grid(domains, spec, boxes)
     if isinstance(field, JetFormField) and not callable(field.form):
-        a, b = field.pair_indices()
-        # each form's blocks G_ab, then its G_ba
-        rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
-        if field.terms is not None:
-            sums = _form_sums(field, *_sum_factorized(grid, field.terms, rows, cols))
-            if sums is not None:
-                return sums
-        if field.gaussian is not None:
-            gram, bounds = _gaussian_moments(grid, field.gaussian)
-            sums = _form_sums(field, gram[rows, cols], bounds)
-            if sums is not None:
-                return sums
+        for data, route in ((field.terms, _sum_factorized), (field.gaussian, _gaussian_moments)):
+            if data is not None:
+                sums = _form_sums(field, *route(grid, data))
+                if sums is not None:
+                    return sums
     return _walk_mesh(grid, field)
 
 
@@ -523,10 +516,9 @@ def _walk_mesh(grid: Grid, field):
     return float(sums[0]) if not stack or field.single else sums
 
 
-def _form_sums(field: JetFormField, blocks: np.ndarray, bounds):
+def _form_sums(field: JetFormField, gram: np.ndarray, bounds):
     """``<M_k, (G_ab + G_ba) / 2>`` for each form ``M_k`` of the field and
-    its pair ``(a, b)``, from the (2K, J, J) ``blocks`` of the block Gram
-    ``G``, each form's ``G_ab`` and then each one's ``G_ba`` (``<M, G_aa>``
+    its pair ``(a, b)``, from the (k, k, J, J) block Gram ``G`` (``<M, G_aa>``
     when ``a == b``): a float for a (J, J) form, a (K,) array for a stack.
     None when ``B^T |M_k| B > 1e-10`` for a form and a line axis's bound
     ``B`` on ``|j_a|``, or on ``|j_a + j_b|`` (``B_a + B_b``) when ``a !=
@@ -539,17 +531,15 @@ def _form_sums(field: JetFormField, blocks: np.ndarray, bounds):
         edge = np.where((a != b)[:, None], B[a] + B[b], B[a])
         if np.any(np.einsum("kp,kpq,kq->k", edge, magnitudes, edge) > LEAK_RTOL):
             return None
-    values = np.einsum("kpq,kpq->k", forms, (blocks[: len(forms)] + blocks[len(forms) :]) / 2)
+    values = np.einsum("kpq,kpq->k", forms, (gram[a, b] + gram[b, a]) / 2)
     return float(values[0]) if field.single else values
 
 
-def _sum_factorized(grid: Grid, terms, rows: np.ndarray, cols: np.ndarray):
-    """``(G, bounds)`` for the blocks ``G_ab = sum_x w(x) j_a(x) j_b(x)^T``
-    of the block Gram of k test functions given as lists of separable
-    terms, one (J, J) block for each ``(a, b)`` of ``rows`` and ``cols``,
-    from one table of per-axis Gram matrices of all their factor terms,
-    with (k, J) edge bounds per line axis from per-axis maxima.  Only the
-    term pairs of the requested blocks are formed.
+def _sum_factorized(grid: Grid, terms):
+    """``(G, bounds)`` for the (k, k, J, J) block Gram ``G_ab = sum_x w(x)
+    j_a(x) j_b(x)^T`` of k test functions given as lists of separable
+    terms, from one table of per-axis Gram matrices of all their factor
+    terms, with (k, J) edge bounds per line axis from per-axis maxima.
 
     With ``j_ap = sum_{t in a} c_t prod_k f_tk^(o_pk)`` for the orders
     ``o_p`` of coordinate ``p``, ``G_ab[p, q] = sum_{t in a, s in b} c_t c_s
@@ -583,29 +573,13 @@ def _sum_factorized(grid: Grid, terms, rows: np.ndarray, cols: np.ndarray):
                 if k != j:
                     term_bounds = term_bounds * peaks[k]
             bounds.append(np.add.reduceat(term_bounds, starts))
-    # one term per test function: each block is the pair (a, b); otherwise
-    # each distinct block's term pairs (t, s), s by s, a run of a's terms t
-    # for each
-    t, s = rows, cols
-    several = len(flat) > len(terms)
-    if several:
-        index: dict = {}
-        inverse = [index.setdefault(code, len(index)) for code in (rows * len(terms) + cols).tolist()]
-        spans = [range(start, start + len(probe)) for start, probe in zip(starts.tolist(), terms)]
-        blocks = [(spans[a], spans[b]) for a, b in (divmod(code, len(terms)) for code in index)]
-        runs = [[(t, s) for t in ta] for ta, sb in blocks for s in sb]
-        t, s = np.array([pair for run in runs for pair in run]).T
     prod = 1.0
     for k, (jk, i) in enumerate(zip(jets, which)):
         gram = np.einsum("tai,i,sbi->tsab", jk, grid.axis_weights[k], jk)
         o = orders[:, k]
-        prod = prod * gram[i[t][:, None, None], i[s][:, None, None], o[:, None], o[None, :]]
-    pairs = (coefs[t] * coefs[s])[:, None, None] * prod
-    if several:
-        # sum each run over t, then each block's runs over s
-        sums = np.add.reduceat(pairs, np.cumsum([0] + [len(run) for run in runs[:-1]]), axis=0)
-        pairs = np.add.reduceat(sums, np.cumsum([0] + [len(sb) for _, sb in blocks[:-1]]), axis=0)[inverse]
-    return pairs, bounds
+        prod = prod * gram[i[:, None, None, None], i[None, :, None, None], o[:, None], o[None, :]]
+    pairs = np.multiply.outer(coefs, coefs)[:, :, None, None] * prod
+    return np.add.reduceat(np.add.reduceat(pairs, starts, axis=0), starts, axis=1), bounds
 
 
 def _gaussian_moments(grid: Grid, gaussian):

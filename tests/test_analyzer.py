@@ -189,11 +189,8 @@ def test_classify_bare_functional():
     assert verdict.strategy == "fourier_sweep"
 
 
-def test_fourier_sweep_finds_the_second_sign_in_the_polarized_form():
-    # every library value is positive (6.57 to 51.1), but the polarized form
-    # of the four probes has a negative eigenvalue, whose eigenvector is the
-    # negative witness
-    functional = ClosedFormFunctional(
+def _mixed_squares() -> ClosedFormFunctional:
+    return ClosedFormFunctional(
         (AxisDomain.line(), AxisDomain.line()),
         (
             JetSquareTerm(-0.68, (0.5, -0.26), ((2.05, 1.0), (0.29, 0.19))),
@@ -202,6 +199,13 @@ def test_fourier_sweep_finds_the_second_sign_in_the_polarized_form():
         ),
         name="mixed-squares",
     )
+
+
+def test_fourier_sweep_finds_the_second_sign_in_the_polarized_form():
+    # every library value is positive (6.57 to 51.1), but the polarized form
+    # of the four probes has a negative eigenvalue, whose eigenvector is the
+    # negative witness
+    functional = _mixed_squares()
     verdict = classify(functional, "fourier_sweep")
     assert verdict.label == "indefinite"
     assert verdict.witness_pos.probe_id == "gauss4xgauss1"
@@ -219,6 +223,23 @@ def test_fourier_sweep_finds_the_second_sign_in_the_polarized_form():
     assert polarized.min_eig == pytest.approx(-0.3267, rel=1e-3)
     assert abs(polarized.min_eig - want[0]) <= 1e-12 * want[-1]
     assert abs(polarized.max_eig - want[-1]) <= 1e-12 * want[-1]
+
+
+def test_fourier_sweep_notes_an_eigmix_grid_over_the_mesh_cap(monkeypatch):
+    # with every sum-factorized value refused, as at a failed edge check,
+    # each probe is valued on its mesh: the library's 96 x 96 meshes stay
+    # under the cap, the mixture's 4 x 96 nodes per line axis (147456
+    # points) do not
+    monkeypatch.setattr(quadrature, "_form_sums", lambda field, gram, bounds: None)
+    monkeypatch.setattr(quadrature, "MAX_MESH_POINTS", 100_000)
+    verdict = classify(_mixed_squares(), "fourier_sweep")
+    assert verdict.label == "inconclusive"
+    assert verdict.witness_pos.probe_id == "gauss4xgauss1" and verdict.witness_neg is None
+    assert verdict.notes == [
+        "eigmix probes not valued: a 384 x 384 quadrature mesh has 147456 points, more than the "
+        "100000 allowed; building its points and weights alone would take about 0.0 GiB",
+        "no certificate applies and the witness library found only one sign",
+    ]
 
 
 def test_openness_of_the_wave_witness():
@@ -677,7 +698,10 @@ def test_tn_closed_curve_with_vanishing_coefficient_is_not_certified():
     assert entry.certificate is None
     verdict = classify(entry, strategy="sos_certificate")
     assert verdict.label == "inconclusive"
-    assert "functions constant along the circle axes are not ruled out" in verdict.notes[1]
+    # with kappa^2 + 2K = 0 only 4 u_st^2 is left: neither gradient block is definite
+    assert verdict.notes[1] == (
+        "kernel: not shown trivial (circle gradient block definite: False; line gradient block definite: False)"
+    )
     verdict = classify(entry, strategy="spectral_criterion")
     assert verdict.label == "inconclusive"
     assert "null direction" in verdict.notes[0]
@@ -685,7 +709,7 @@ def test_tn_closed_curve_with_vanishing_coefficient_is_not_certified():
     for open_entry in (resolve("tn:kappa=0,K=0"), resolve("tn:kappa=1,K=-0.5")):
         verdict = classify(open_entry, strategy="sos_certificate")
         assert verdict.label == "positive_definite"
-        assert verdict.notes[1] == "kernel: the signed jet form is nonzero, so its symbol is not identically zero"
+        assert verdict.notes[1] == "kernel: trivial (line-jet part nonzero: True)"
 
 
 def test_tn_spectral_open_positive_is_inconclusive():
