@@ -61,6 +61,7 @@ __all__ = [
     "make_geodesic_tube",
     "make_rank_one_bundle",
     "resolve",
+    "resolve_chart",
     "default_catalog_ids",
 ]
 
@@ -487,8 +488,12 @@ def _float(vals: list[str], what: str) -> float:
     return _single(vals, what, float)
 
 
-def resolve(catalog_id: str) -> CatalogEntry:
-    """Resolve a catalog ID string to an entry; strict grammar."""
+CHART_KINDS = ("torus", "hyperbola", "plane")
+
+
+def resolve_chart(catalog_id: str) -> tuple[LagrangianChart, dict]:
+    """The chart and parameters of a torus, hyperbola or plane ID: the step
+    of :func:`resolve` that builds no functional; strict grammar."""
     parts = catalog_id.split(":")
     kind = parts[0]
 
@@ -501,15 +506,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
         p = _int(kv["p"], "p")
         if len(radii) != n:
             raise CatalogIdError(f"expected {n} radii, got {len(radii)}")
-        chart = make_torus(radii, p)
-        return CatalogEntry(
-            catalog_id=chart.name,
-            kind="torus",
-            functional=SecondVariationFunctional(chart),
-            chart=chart,
-            default_strategy="fourier_sweep",
-            params={"n": n, "radii": radii, "p": p},
-        )
+        return make_torus(radii, p), {"n": n, "radii": radii, "p": p}
 
     if kind == "hyperbola":
         if len(parts) != 2:
@@ -523,20 +520,7 @@ def resolve(catalog_id: str) -> CatalogEntry:
             raise CatalogIdError(f"branch signs must be '+' or '-', got {kv['eps']!r}")
         if len(radii) != n or len(eps) != n:
             raise CatalogIdError(f"expected {n} radii and {n} branch signs")
-        chart = make_hyperbola_product(radii, eps)
-        entry = CatalogEntry(
-            catalog_id=chart.name,
-            kind="hyperbola",
-            functional=SecondVariationFunctional(chart),
-            chart=chart,
-            default_strategy="sos_certificate" if n <= 2 else "scaling_probe",
-            params={"n": n, "radii": radii, "eps": eps},
-        )
-        if n == 3:
-            entry.default_gridspec = GridSpec(line_nodes=64)
-        elif n >= 4:
-            entry.default_gridspec = GridSpec(line_nodes=40)
-        return entry
+        return make_hyperbola_product(radii, eps), {"n": n, "radii": radii, "eps": eps}
 
     if kind == "plane":
         if len(parts) != 2:
@@ -549,15 +533,30 @@ def resolve(catalog_id: str) -> CatalogEntry:
         if para and "p" in kv:
             raise CatalogIdError("para-Kahler planes take no p")
         p = _int(kv["p"], "p") if "p" in kv else 0
-        chart = make_lagrangian_plane(n, p=p, para=para)
-        return CatalogEntry(
+        return make_lagrangian_plane(n, p=p, para=para), {"n": n, "p": p, "para": para}
+
+    raise CatalogIdError(f"{kind!r} IDs name no chart (chart kinds: {', '.join(CHART_KINDS)})")
+
+
+def resolve(catalog_id: str) -> CatalogEntry:
+    """Resolve a catalog ID string to an entry; strict grammar."""
+    parts = catalog_id.split(":")
+    kind = parts[0]
+
+    if kind in CHART_KINDS:
+        chart, params = resolve_chart(catalog_id)
+        entry = CatalogEntry(
             catalog_id=chart.name,
-            kind="plane",
+            kind=kind,
             functional=SecondVariationFunctional(chart),
             chart=chart,
-            default_strategy="sos_certificate",
-            params={"n": n, "p": p, "para": para},
+            default_strategy="fourier_sweep" if kind == "torus" else "sos_certificate",
+            params=params,
         )
+        if kind == "hyperbola" and params["n"] >= 3:
+            entry.default_strategy = "scaling_probe"
+            entry.default_gridspec = GridSpec(line_nodes=64 if params["n"] == 3 else 40)
+        return entry
 
     if kind == "tube":
         if len(parts) != 4:

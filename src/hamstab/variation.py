@@ -640,13 +640,19 @@ def reilly_residual(
     domain defaults to one period per periodic axis and the declared
     support box per line axis.  Restricted to constant metrics, whose Ricci
     term vanishes, so the integrand is the constant jet form
-    ``vol (M_lap - M_hess)`` of :func:`_lap_squares` and
-    :func:`_hessian_squares`, one request of :func:`_pair_values`.
+    :func:`_reilly_form`, one request of :func:`_pair_values`.
     """
+    form = _reilly_form(m)
+    doms = tuple(domains) if domains is not None else _domains_from_support(u)
+    return _pair_values(doms, [u], [(0, 0, form)], gridspec)[0]
+
+
+def _reilly_form(m: MetricField) -> np.ndarray:
+    """The constant jet form ``vol (M_lap - M_hess)`` of the integral trace
+    identity's integrand over the constant metric ``m``, from
+    :func:`_lap_squares` and :func:`_hessian_squares`."""
     if not m.constant:
         raise NotImplementedError("integral trace identity implemented for constant metrics")
-    doms = tuple(domains) if domains is not None else _domains_from_support(u)
     vol = float(m.vol_density(np.zeros((1, m.dim)))[0])
     ginv0 = m.g_inv(np.zeros((1, m.dim)))[0]
-    form = _jet_form(_lap_squares(vol, ginv0) + _hessian_squares(-vol, ginv0))
-    return _pair_values(doms, [u], [(0, 0, form)], gridspec)[0]
+    return _jet_form(_lap_squares(vol, ginv0) + _hessian_squares(-vol, ginv0))

@@ -26,11 +26,29 @@ from .analyzer import (
     spectral_criterion,
     wirtinger_bound,
 )
-from .catalog import ClosedFormFunctional, CurveData, default_catalog_ids, make_hyperbola_product, make_torus, resolve
+from .catalog import (
+    CHART_KINDS,
+    ClosedFormFunctional,
+    CurveData,
+    default_catalog_ids,
+    make_hyperbola_product,
+    make_torus,
+    resolve,
+    resolve_chart,
+)
 from .immersion import AxisDomain, induced_geometry_batch, structural_residuals
 from .quadrature import GridSpec, GridTooLargeError, SupportError
 from .testfunctions import Const1D, Cos1D, Gauss1D, PlaneWaveCos, Separable, random_bump_poly, random_trig_poly
-from .variation import MetricField, _lap_squares, bochner_residual, evaluate_functional, reilly_residual, second_variation
+from .variation import (
+    MetricField,
+    _domains_from_support,
+    _functional_form,
+    _lap_squares,
+    _pair_values,
+    _reilly_form,
+    bochner_residual,
+    evaluate_functional,
+)
 
 __all__ = ["CheckResult", "run_criterion", "run_all", "CRITERIA"]
 
@@ -74,13 +92,10 @@ def _criterion_1(ctx) -> list[CheckResult]:
     out = []
     radii_by_n = {1: (1.0,), 2: (1.0, 2.0), 3: (1.0, 2.0, 3.0)}
     for n, radii in radii_by_n.items():
+        modes = [analyzer.torus_mode_function(radii, [k] + [0] * (n - 1)) for k in (2, 3)]
         for p in range(n + 1):
-            chart = make_torus(radii, p)
-            for k in (2, 3):
-                mode = [0] * n
-                mode[0] = k
-                u = analyzer.torus_mode_function(radii, mode)
-                val = second_variation(chart, u, ctx.gridspec)
+            # one functional per chart values both modes on one grid
+            for k, val in zip((2, 3), evaluate_functional(make_torus(radii, p), modes, ctx.gridspec)):
                 tail = float(np.prod([2 * np.pi * r for r in radii[1:]])) if n > 1 else 1.0
                 expect = tail * np.pi * (k**4 - k**2) / radii[0] ** 3
                 rel = abs(val - expect) / abs(expect)
@@ -104,14 +119,11 @@ def _criterion_1(ctx) -> list[CheckResult]:
 def _criterion_2(ctx) -> list[CheckResult]:
     """Null-Laplacian wave direction on the indefinite square torus."""
     radii = (1.0, 1.0)
-    chart = make_torus(radii, 1)
-    u = analyzer.torus_mode_function(radii, (1, 1))
-    val = second_variation(chart, u, ctx.gridspec)
+    u, u_marginal = (analyzer.torus_mode_function(radii, mode) for mode in ((1, 1), (1, -1)))
+    val, val_marginal = evaluate_functional(make_torus(radii, 1), [u, u_marginal], ctx.gridspec)
     expect = -8 * np.pi**2
     lap_sq = _lap_sq_functional(MetricField.flat([-1.0, 1.0]), periodic=True)
     delta_term = evaluate_functional(lap_sq, u, ctx.gridspec)
-    u_marginal = analyzer.torus_mode_function(radii, (1, -1))
-    val_marginal = second_variation(chart, u_marginal, ctx.gridspec)
     return [
         _check(
             2,
@@ -283,6 +295,7 @@ def _gradient_form_values(entry, verdict) -> tuple[float, float]:
 # ------------------------------------------------------------- criterion 5
 
 def _q_direct(w, radii, eps) -> float:
+    """The direct expansion of ``Q(w, w)`` over sequences of Python numbers."""
     total = 0.0
     n = len(w)
     for j in range(n):
@@ -301,7 +314,7 @@ def _criterion_5(ctx) -> list[CheckResult]:
         radii = rng.uniform(0.5, 3.0, size=n)
         eps = rng.choice([-1, 1], size=n)
         w = rng.uniform(-2.0, 2.0, size=n)
-        direct = _q_direct(w, radii, eps)
+        direct = _q_direct(w.tolist(), radii.tolist(), eps.tolist())
         matrix = float(w @ analyzer._mq_matrix(radii, eps) @ w)
         worst = max(worst, abs(direct - matrix) / max(abs(direct), 1.0))
     rep3 = hyperbola_matrix_analysis((1.0, 1.0, 1.0), (1, 1, 1))
@@ -337,26 +350,35 @@ def _criterion_5(ctx) -> list[CheckResult]:
 def _criterion_6(ctx) -> list[CheckResult]:
     rng = np.random.default_rng(ctx.seed + 6)
     worst_reilly = 0.0
-    # each metric with its periodic and its line int (lap u)^2, built once
+    # each metric with its trace-identity form and its periodic and line
+    # int (lap u)^2, built once
     torus_metrics = [
-        (m, _lap_sq_functional(m, periodic=True), _lap_sq_functional(m, periodic=False))
+        (_reilly_form(m), _lap_sq_functional(m, periodic=True), _lap_sq_functional(m, periodic=False))
         for m in map(MetricField.flat, [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
     ]
+
+    def relative_residual(u, domains, reilly, lap_sq) -> float:
+        """The residual on ``domains`` over ``1 + |int (lap u)^2|``: one grid
+        for both when the domains give the scale's grid (the same circles; a
+        line axis takes the probe's box on either), else one grid each."""
+        if all(d.kind == e.kind and (d.kind == "line" or d.size == e.size) for d, e in zip(domains, lap_sq.domains)):
+            (res,), (lap,) = _form_values(domains, [u], (reilly, lap_sq.jet_form), ctx.gridspec)
+        else:
+            [[res]] = _form_values(domains, [u], (reilly,), ctx.gridspec)
+            lap = evaluate_functional(lap_sq, u, ctx.gridspec)
+        return abs(res) / (1.0 + abs(lap))
+
     for i in range(10):
-        m, lap_sq, _ = torus_metrics[i % len(torus_metrics)]
+        reilly, lap_sq, _ = torus_metrics[i % len(torus_metrics)]
         u = random_trig_poly([2 * np.pi, 2 * np.pi], rng)
         # an axis on which every drawn wavenumber is 0 has period 0.0 and no
         # inferable domain; it gets the full 2 pi circle
         domains = tuple(AxisDomain.circle(2 * np.pi if p == 0.0 else p) for p in u.axis_periods)
-        res = reilly_residual(u, m, domains=domains, gridspec=ctx.gridspec)
-        scale = 1.0 + abs(evaluate_functional(lap_sq, u, ctx.gridspec))
-        worst_reilly = max(worst_reilly, abs(res) / scale)
+        worst_reilly = max(worst_reilly, relative_residual(u, domains, reilly, lap_sq))
     for i in range(10):
-        m, _, lap_sq = torus_metrics[i % len(torus_metrics)]
+        reilly, _, lap_sq = torus_metrics[i % len(torus_metrics)]
         u = random_bump_poly(2, rng)
-        res = reilly_residual(u, m, gridspec=ctx.gridspec)
-        scale = 1.0 + abs(evaluate_functional(lap_sq, u, ctx.gridspec))
-        worst_reilly = max(worst_reilly, abs(res) / scale)
+        worst_reilly = max(worst_reilly, relative_residual(u, _domains_from_support(u), reilly, lap_sq))
     worst_bochner = 0.0
     metrics3 = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, -1.0)]
     for i in range(20):
@@ -390,6 +412,14 @@ def _criterion_6(ctx) -> list[CheckResult]:
     ]
 
 
+def _form_values(domains, probes, forms, gridspec: GridSpec | None) -> list[list[float]]:
+    """Each jet form's values on the probes, from one :func:`_pair_values`
+    call: the probes that share a grid share its block Gram, which serves
+    every form."""
+    values = _pair_values(domains, probes, [(a, a, f) for f in forms for a in range(len(probes))], gridspec)
+    return [values[i : i + len(probes)] for i in range(0, len(values), len(probes))]
+
+
 def _lap_sq_functional(m: MetricField, periodic: bool) -> ClosedFormFunctional:
     """``int (lap u)^2`` for a constant metric over one period (``periodic``)
     or the default line truncation per axis."""
@@ -406,13 +436,14 @@ def _criterion_7(ctx) -> list[CheckResult]:
     cases = [("plane:n=2,p=0", 1), ("plane:n=2,p=1", 1), ("plane:n=2,p=2", 1), ("plane:n=2,amb=para", -1)]
     for cid, eps in cases:
         entry = resolve(cid)
-        chart = entry.chart
-        signs = np.ones(2) if entry.params["para"] else chart.ambient.axis_signs
-        m = MetricField.flat(signs)
-        # the draws share one grid: each functional values them in one call
+        signs = np.ones(2) if entry.params["para"] else entry.chart.ambient.axis_signs
+        lap_sq = _lap_sq_functional(MetricField.flat(signs), periodic=False)
+        # the draws share one grid: one call values the functional and
+        # int (lap u)^2 on them from one block Gram
         us = [random_bump_poly(2, rng) for _ in range(10)]
-        vals = evaluate_functional(chart, us, ctx.gridspec)
-        refs = [eps * r for r in evaluate_functional(_lap_sq_functional(m, periodic=False), us, ctx.gridspec)]
+        forms = (_functional_form(entry.functional), lap_sq.jet_form)
+        vals, laps = _form_values(entry.functional.domains, us, forms, ctx.gridspec)
+        refs = [eps * r for r in laps]
         worst = 0.0
         sign_ok = True
         for val, ref in zip(vals, refs):
@@ -454,9 +485,8 @@ def _criterion_8(ctx) -> list[CheckResult]:
     )
     entry = resolve("tube:S3:closed:G")
     worst = 0.0
-    for k in range(1, 6):
-        u = Separable([Cos1D(float(k)), Const1D()], label=f"cos({k}s)")
-        val = evaluate_functional(entry.functional, u, ctx.gridspec)
+    modes = [Separable([Cos1D(float(k)), Const1D()], label=f"cos({k}s)") for k in range(1, 6)]
+    for k, val in zip(range(1, 6), evaluate_functional(entry.functional, modes, ctx.gridspec)):
         expect = 2 * np.pi**2 * k**2 * (k**2 - 2)
         worst = max(worst, abs(val - expect) / max(abs(expect), 1.0))
     out.append(
@@ -633,14 +663,14 @@ def _criterion_10(ctx) -> list[CheckResult]:
 
 # ------------------------------------------------------------ criterion 11
 
-_FLAT_CHART_IDS = [cid for cid in default_catalog_ids() if cid.startswith(("torus:", "hyperbola:", "plane:"))]
+_FLAT_CHART_IDS = [cid for cid in default_catalog_ids() if cid.split(":")[0] in CHART_KINDS]
 
 
 def _criterion_11(ctx) -> list[CheckResult]:
     out = []
     worst = {"lagrangian": 0.0, "hminimal": 0.0, "trisymmetry": 0.0}
     for cid in _FLAT_CHART_IDS:
-        chart = resolve(cid).chart
+        chart, _ = resolve_chart(cid)
         for name, value in structural_residuals(chart).items():
             worst[name] = max(worst[name], value)
     tols = {"lagrangian": 1e-10, "hminimal": 1e-8, "trisymmetry": 1e-8}

@@ -217,3 +217,17 @@ def reference_bochner_residual(u, m, s) -> float:
 
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, d2u0[0], d2u0[0]))
     return 0.5 * divergence(grad_w) - divergence(lap_flux) - hess_sq
+
+
+def reference_q_direct(w, radii, eps) -> float:
+    """The direct expansion of ``Q(w, w)`` by the route
+    :func:`hamstab.verification._q_direct` once took: on the numpy arrays
+    the draws come in, so every step is a numpy scalar."""
+    total = 0.0
+    n = len(w)
+    for j in range(n):
+        total += w[j] ** 2 / radii[j] ** 2
+    for j in range(n):
+        for k in range(j + 1, n):
+            total -= 2.0 * eps[j] * eps[k] * w[j] * w[k] / (radii[j] * radii[k])
+    return total

@@ -409,39 +409,42 @@ def test_criterion_11_takes_one_geometry_pass_per_chart(monkeypatch):
     # one geometry pass per flat chart (each a curve product, read from its
     # 1 + 16n axis-line points; the 17-point walk on one axis), and 8 passes
     # of 7 points in the oracle-equivalence check: 14 + 16 * 30 + 56 points.
-    # Every oracle call of a resolved chart is one of its geometry passes
+    # Every oracle call of a chart from the chart step is one of its
+    # geometry passes, one per chart
     from dataclasses import replace
 
     from hamstab import verification
 
-    geometry, oracle_calls, resolved = [], [], []
-    original_geometry, original_resolve = immersion.induced_geometry_batch, verification.resolve
+    geometry, oracle_calls, charts = [], [], []
+    original_geometry, original_chart = immersion.induced_geometry_batch, verification.resolve_chart
 
     def counting_geometry(chart, points):
         geo = original_geometry(chart, points)
-        geometry.append((any(chart is c for c in resolved), len(geo["points"])))
+        geometry.append((any(chart is c for c in charts), len(geo["points"])))
         return geo
 
-    def counting_resolve(cid):
-        entry = original_resolve(cid)
-        oracle = entry.chart.oracle
+    def counting_chart(cid):
+        chart, params = original_chart(cid)
+        oracle = chart.oracle
 
         def counting_oracle(points):
             oracle_calls.append(len(points))
             return oracle(points)
 
-        resolved.append(replace(entry.chart, oracle=counting_oracle))
-        return replace(entry, chart=resolved[-1])
+        charts.append(replace(chart, oracle=counting_oracle))
+        return charts[-1], params
 
     monkeypatch.setattr(immersion, "induced_geometry_batch", counting_geometry)
     monkeypatch.setattr(verification, "induced_geometry_batch", counting_geometry)
-    monkeypatch.setattr(verification, "resolve", counting_resolve)
+    monkeypatch.setattr(verification, "resolve_chart", counting_chart)
     results = verification.run_criterion(11)
     assert all(r.passed for r in results)
 
+    assert len(charts) == len(verification._FLAT_CHART_IDS) == 14
     assert len(geometry) == len(verification._FLAT_CHART_IDS) + 8
     assert sum(npts for _, npts in geometry) == 550
     assert oracle_calls == [npts for own, npts in geometry if own]
+    assert len(oracle_calls) == len(charts)
 
 
 def test_degenerate_metric_fails_every_structural_check():
