@@ -301,12 +301,15 @@ def hyperbola_matrix_analysis(radii, branch_signs) -> HyperbolaMatrixReport:
 
 def _mq_matrix(radii, branch_signs) -> np.ndarray:
     """``M_Q = 2 diag(1/r_j^2) - v v^T``, ``v_j = e_j / r_j``, of
-    :func:`hyperbola_matrix_analysis`, without its eigen-analysis."""
+    :func:`hyperbola_matrix_analysis`, without its eigen-analysis; for
+    ``(..., n)`` stacks of radii and signs, the ``(..., n, n)`` stack of
+    their matrices, each elementwise, so with the bits of its own call."""
     r = np.asarray(radii, dtype=float)
-    if len(r) < 2:
+    n = r.shape[-1]
+    if n < 2:
         raise ValueError("the matrix analysis needs n >= 2")
     v = np.asarray(branch_signs, dtype=float) / r
-    return 2.0 * np.diag(1.0 / r**2) - np.outer(v, v)
+    return 2.0 * (np.eye(n) * (1.0 / r**2)[..., None, :]) - v[..., :, None] * v[..., None, :]
 
 
 def gradient_form_value(radii, branch_signs, u: TestFunction, gridspec: GridSpec | None = None) -> float:

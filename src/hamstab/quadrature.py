@@ -21,8 +21,9 @@ routes to ``G``, in order:
    one-variable factors (bumps, cosine products and plane waves, and sums
    and dilations of them): each entry of ``G`` is a sum of products of
    per-axis 1-D Gram matrices of the factor jets on the same nodes and
-   weights, one table over all the factor terms of the k test functions,
-   at a cost linear in the node counts.
+   weights, one table over the distinct factors of the k test functions
+   (equal by value, not only by identity), at a cost linear in the node
+   counts.
 2. Mesh moments, for an anisotropic Gaussian ``u = exp(-t^T A t / 2)``,
    ``t = s - c``, and its dilations: its jet is ``u K m(t)`` for the
    monomials ``m`` of degree at most 2, so ``G = K Mom K^T`` with
@@ -547,6 +548,12 @@ def _sum_factorized(grid: Grid, terms):
     w_ki f^(o)(x_ki) g^(o')(x_ki)`` over the distinct axis-k factors, which
     the test functions of a witness pool share.  A single test function is
     ``k = 1``.
+
+    Factors are distinct by value: those with equal
+    :attr:`~hamstab.testfunctions.Func1D.key` have the same jet to the bit,
+    so each key takes one ``jet1`` call and one row of ``G_k``.  An entry of
+    ``G_k`` does not depend on the other rows it is computed with, so the
+    grouping changes no bit of ``G``.  Nothing is kept between calls.
     """
     flat = [term for probe in terms for term in probe]
     # each test function's first term
@@ -557,9 +564,13 @@ def _sum_factorized(grid: Grid, terms):
     # factors, and which[k] each term's factor among them
     jets, which = [], []
     for k, nodes in enumerate(grid.axis_nodes):
-        distinct: dict = {}
-        which.append(np.array([distinct.setdefault(factors[k], len(distinct)) for _, factors in flat]))
-        jets.append(np.array([f.jet1(nodes) for f in distinct]))
+        distinct: dict = {}  # each key's row and its first factor
+        rows = []
+        for _, factors in flat:
+            f = factors[k]
+            rows.append(distinct.setdefault(f if f.key is None else f.key, (len(distinct), f))[0])
+        which.append(np.array(rows))
+        jets.append(np.array([f.jet1(nodes) for _, f in distinct.values()]))
     # per axis, each term's largest |f^(o)| over the nodes at the orders o
     # of the coordinates (T, J); an edge bound takes its axis's edge nodes
     magnitudes = [np.abs(jk) for jk in jets]

@@ -173,11 +173,27 @@ def jet_coordinates(jet) -> np.ndarray:
 # --------------------------------------------------------------------- 1-d
 
 class Func1D:
+    """A function of one variable with exact first and second derivatives.
+
+    ``key`` is a hashable value, set once in the constructor, that two
+    factors share only when their ``jet1`` values are bit-identical on
+    every node array: the class and the parameters, floats by their bit
+    patterns (:func:`_bits`), so that 0.0 and -0.0 stay apart.  Sum
+    factorization evaluates one factor per key.  A factor whose key is
+    None is keyed by itself."""
+
     period: float | None = None
     box: float | None = None
+    key = None
 
     def jet1(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+
+def _bits(*values: float) -> bytes:
+    """The float64 bit patterns of ``values``, a key that keeps 0.0 and
+    -0.0 apart."""
+    return np.array(values, dtype=float).tobytes()
 
 
 @dataclass(frozen=True)
@@ -185,6 +201,9 @@ class Const1D(Func1D):
     value: float = 1.0
     period = 0.0
     box = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (type(self), _bits(self.value)))
 
     def jet1(self, x):
         z = np.zeros_like(x)
@@ -201,6 +220,7 @@ class Cos1D(Func1D):
         self.phase = float(phase)
         self.period = 2 * np.pi / self.freq
         self.box = None
+        self.key = (type(self), _bits(self.freq, self.phase))
 
     def jet1(self, x):
         arg = self.freq * x + self.phase
@@ -219,6 +239,7 @@ class Gauss1D(Func1D):
         self.center = float(center)
         self.period = None
         self.box = abs(center) + GAUSS_BOX_SIGMAS * self.sigma
+        self.key = (type(self), _bits(self.sigma, self.center))
 
     def jet1(self, x):
         t = (x - self.center) / self.sigma**2
@@ -232,14 +253,16 @@ class PolyGauss1D(Func1D):
     ``p``, ``p1`` and ``p2`` are coefficient arrays, lowest degree first, of
     the polynomial factors of the function and its two derivatives.  They
     are read-only and shared by every instance with the same coefficients
-    and ``sigma``; each call still makes a new instance, since sum
-    factorization groups factors by identity."""
+    and ``sigma``, as is the key, so sum factorization evaluates such
+    instances once."""
 
     def __init__(self, coeffs, sigma: float = 1.0):
         self.sigma = float(sigma)
-        self.p, self.p1, self.p2 = _poly_gauss_coefficients(np.array(coeffs, dtype=float, ndmin=1).tobytes(), self.sigma)
+        coeff_bytes = np.array(coeffs, dtype=float, ndmin=1).tobytes()
+        self.p, self.p1, self.p2 = _poly_gauss_coefficients(coeff_bytes, self.sigma)
         self.period = None
         self.box = GAUSS_BOX_SIGMAS * self.sigma
+        self.key = (type(self), coeff_bytes, _bits(self.sigma))
 
     def jet1(self, x):
         g = np.exp(-0.5 * x * x / self.sigma**2)
@@ -282,6 +305,8 @@ class Scaled1D(Func1D):
         self.scale = float(scale)
         self.period = None if base.period is None else base.period / self.scale
         self.box = None if base.box is None else base.box / self.scale
+        # a base without a key leaves its dilations keyed by themselves
+        self.key = None if base.key is None else (type(self), base.key, _bits(self.scale))
 
     def jet1(self, x):
         v, d1, d2 = self.base.jet1(self.scale * x)

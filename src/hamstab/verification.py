@@ -306,17 +306,30 @@ def _q_direct(w, radii, eps) -> float:
     return total
 
 
-def _criterion_5(ctx) -> list[CheckResult]:
-    rng = np.random.default_rng(ctx.seed + 5)
-    worst = 0.0
+def _mq_oracle_errors(rng) -> list[float]:
+    """The relative gap between the direct expansion of ``Q(w, w)`` and
+    ``w^T M_Q w`` on 1000 random draws of ``(n, radii, eps, w)``.  Every
+    draw is made first; then the ``M_Q`` of each ``n`` come from one
+    stacked :func:`hamstab.analyzer._mq_matrix` call."""
+    samples = []
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         radii = rng.uniform(0.5, 3.0, size=n)
         eps = rng.choice([-1, 1], size=n)
-        w = rng.uniform(-2.0, 2.0, size=n)
-        direct = _q_direct(w.tolist(), radii.tolist(), eps.tolist())
-        matrix = float(w @ analyzer._mq_matrix(radii, eps) @ w)
-        worst = max(worst, abs(direct - matrix) / max(abs(direct), 1.0))
+        samples.append((radii, eps, rng.uniform(-2.0, 2.0, size=n)))
+    errors = [0.0] * len(samples)
+    for n in sorted({len(w) for _, _, w in samples}):
+        which = [i for i, (_, _, w) in enumerate(samples) if len(w) == n]
+        stack = analyzer._mq_matrix([samples[i][0] for i in which], [samples[i][1] for i in which])
+        for i, m in zip(which, stack):
+            radii, eps, w = samples[i]
+            direct = _q_direct(w.tolist(), radii.tolist(), eps.tolist())
+            errors[i] = abs(direct - float(w @ m @ w)) / max(abs(direct), 1.0)
+    return errors
+
+
+def _criterion_5(ctx) -> list[CheckResult]:
+    worst = max([0.0, *_mq_oracle_errors(np.random.default_rng(ctx.seed + 5))])
     rep3 = hyperbola_matrix_analysis((1.0, 1.0, 1.0), (1, 1, 1))
     eig_sorted = np.sort(rep3.eigenvalues)
     eig_ok = np.allclose(eig_sorted, [-1.0, 2.0, 2.0], atol=1e-12)
@@ -349,36 +362,7 @@ def _criterion_5(ctx) -> list[CheckResult]:
 
 def _criterion_6(ctx) -> list[CheckResult]:
     rng = np.random.default_rng(ctx.seed + 6)
-    worst_reilly = 0.0
-    # each metric with its trace-identity form and its periodic and line
-    # int (lap u)^2, built once
-    torus_metrics = [
-        (_reilly_form(m), _lap_sq_functional(m, periodic=True), _lap_sq_functional(m, periodic=False))
-        for m in map(MetricField.flat, [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
-    ]
-
-    def relative_residual(u, domains, reilly, lap_sq) -> float:
-        """The residual on ``domains`` over ``1 + |int (lap u)^2|``: one grid
-        for both when the domains give the scale's grid (the same circles; a
-        line axis takes the probe's box on either), else one grid each."""
-        if all(d.kind == e.kind and (d.kind == "line" or d.size == e.size) for d, e in zip(domains, lap_sq.domains)):
-            (res,), (lap,) = _form_values(domains, [u], (reilly, lap_sq.jet_form), ctx.gridspec)
-        else:
-            [[res]] = _form_values(domains, [u], (reilly,), ctx.gridspec)
-            lap = evaluate_functional(lap_sq, u, ctx.gridspec)
-        return abs(res) / (1.0 + abs(lap))
-
-    for i in range(10):
-        reilly, lap_sq, _ = torus_metrics[i % len(torus_metrics)]
-        u = random_trig_poly([2 * np.pi, 2 * np.pi], rng)
-        # an axis on which every drawn wavenumber is 0 has period 0.0 and no
-        # inferable domain; it gets the full 2 pi circle
-        domains = tuple(AxisDomain.circle(2 * np.pi if p == 0.0 else p) for p in u.axis_periods)
-        worst_reilly = max(worst_reilly, relative_residual(u, domains, reilly, lap_sq))
-    for i in range(10):
-        reilly, _, lap_sq = torus_metrics[i % len(torus_metrics)]
-        u = random_bump_poly(2, rng)
-        worst_reilly = max(worst_reilly, relative_residual(u, _domains_from_support(u), reilly, lap_sq))
+    worst_reilly = max([0.0, *_reilly_residuals(rng, ctx.gridspec)])
     worst_bochner = 0.0
     metrics3 = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, -1.0)]
     for i in range(20):
@@ -410,6 +394,44 @@ def _criterion_6(ctx) -> list[CheckResult]:
             worst_bochner <= 1e-5,
         ),
     ]
+
+
+def _reilly_residuals(rng, gridspec: GridSpec | None) -> list[float]:
+    """The trace identity's residual over ``1 + |int (lap u)^2|`` on 10
+    trigonometric draws, then 10 bump draws, the metrics taken in turn.
+
+    A trig draw is integrated over its own period: one grid for both values
+    when that gives the scale's grid (the full 2 pi circles), else one grid
+    each.  The bumps share one box, so one call values both forms on all of
+    them from one block Gram."""
+    # each metric with its trace-identity form and its periodic and line
+    # int (lap u)^2, built once
+    metrics = [
+        (_reilly_form(m), _lap_sq_functional(m, periodic=True), _lap_sq_functional(m, periodic=False))
+        for m in map(MetricField.flat, [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)])
+    ]
+    out = []
+    for i in range(10):
+        reilly, lap_sq, _ = metrics[i % len(metrics)]
+        u = random_trig_poly([2 * np.pi, 2 * np.pi], rng)
+        # an axis on which every drawn wavenumber is 0 has period 0.0 and no
+        # inferable domain; it gets the full 2 pi circle
+        domains = tuple(AxisDomain.circle(2 * np.pi if p == 0.0 else p) for p in u.axis_periods)
+        if domains == lap_sq.domains:
+            (res,), (lap,) = _form_values(domains, [u], (reilly, lap_sq.jet_form), gridspec)
+        else:
+            [[res]] = _form_values(domains, [u], (reilly,), gridspec)
+            lap = evaluate_functional(lap_sq, u, gridspec)
+        out.append(abs(res) / (1.0 + abs(lap)))
+    bumps = [random_bump_poly(2, rng) for _ in range(10)]
+    # every bump takes the box of its unit-width factors
+    (domains,) = {_domains_from_support(u) for u in bumps}
+    requests = []
+    for a in range(len(bumps)):
+        reilly, _, lap_sq = metrics[a % len(metrics)]
+        requests += [(a, a, reilly), (a, a, lap_sq.jet_form)]
+    values = _pair_values(domains, bumps, requests, gridspec)
+    return out + [abs(res) / (1.0 + abs(lap)) for res, lap in zip(values[::2], values[1::2])]
 
 
 def _form_values(domains, probes, forms, gridspec: GridSpec | None) -> list[list[float]]:
@@ -604,24 +626,15 @@ def _criterion_10(ctx) -> list[CheckResult]:
             and circle_verdict.label == "positive_definite",
         )
     )
-    func = resolve(f"tn:kappa=1,K=0,L={length:.17g}").functional
-    # the functional's own terms 4 u_st^2 and -(kappa^2 + 2K) u_t^2, the
-    # second with unit weight
-    ust_term, ut_term = func.terms
-    four_ust2 = ClosedFormFunctional(func.domains, (ust_term,))
-    ut2 = ClosedFormFunctional(func.domains, (replace(ut_term, weight=1.0),))
     worst_margin = np.inf
     holds = True
     thr = 16 * np.pi**2 / length**2
-    for k in range(1, 5):
-        for sigma in (1.0, 2.0):
-            u = Separable([Cos1D(k * 2 * np.pi / length), Gauss1D(sigma)], label=f"cos({k}s)b{sigma:g}(t)")
-            lhs = evaluate_functional(four_ust2, u, ctx.gridspec)
-            rhs = thr * evaluate_functional(ut2, u, ctx.gridspec)
-            margin = lhs - rhs
-            worst_margin = min(worst_margin, margin / max(abs(lhs), 1.0))
-            if margin < -1e-9 * max(abs(lhs), 1.0):
-                holds = False
+    for lhs, ut2_value in _fourier_bound_terms(length, ctx.gridspec):
+        rhs = thr * ut2_value
+        margin = lhs - rhs
+        worst_margin = min(worst_margin, margin / max(abs(lhs), 1.0))
+        if margin < -1e-9 * max(abs(lhs), 1.0):
+            holds = False
     out.append(
         _check(
             10,
@@ -659,6 +672,25 @@ def _criterion_10(ctx) -> list[CheckResult]:
         )
     )
     return out
+
+
+def _fourier_bound_terms(length: float, gridspec: GridSpec | None) -> list[tuple[float, float]]:
+    """``(int 4 u_st^2, int u_t^2)`` on the closed flat-plane curve of the
+    given length for the mode library ``cos(k s) exp(-t^2 / (2 sigma^2))``,
+    ``k = 1..4``, ``sigma = 1, 2``: both forms on every mode from one call,
+    one grid per box."""
+    func = resolve(f"tn:kappa=1,K=0,L={length:.17g}").functional
+    # the functional's own terms 4 u_st^2 and -(kappa^2 + 2K) u_t^2, the
+    # second with unit weight
+    ust_term, ut_term = func.terms
+    four_ust2 = ClosedFormFunctional(func.domains, (ust_term,))
+    ut2 = ClosedFormFunctional(func.domains, (replace(ut_term, weight=1.0),))
+    probes = [
+        Separable([Cos1D(k * 2 * np.pi / length), Gauss1D(sigma)], label=f"cos({k}s)b{sigma:g}(t)")
+        for k in range(1, 5)
+        for sigma in (1.0, 2.0)
+    ]
+    return list(zip(*_form_values(func.domains, probes, (four_ust2.jet_form, ut2.jet_form), gridspec)))
 
 
 # ------------------------------------------------------------ criterion 11

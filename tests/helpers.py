@@ -1,17 +1,20 @@
 """Shared chart builders and quadrature helpers for the test modules."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 
 from dataclasses import replace
 
+from hamstab import quadrature
 from hamstab.catalog import _curve_product_chart
 from hamstab.geometry import AmbientFlat
 from hamstab.immersion import AxisDomain, LagrangianChart, central_divergence, chart_from_components
 from hamstab.jets import jcos, jsin
 from hamstab.quadrature import build_grid
-from hamstab.variation import JetSquareTerm
+from hamstab.testfunctions import Func1D
+from hamstab.variation import JetSquareTerm, _pair_values
 
 
 def hyperbola_reference_squares(radii, eps) -> tuple[JetSquareTerm, ...]:
@@ -231,3 +234,33 @@ def reference_q_direct(w, radii, eps) -> float:
         for k in range(j + 1, n):
             total -= 2.0 * eps[j] * eps[k] * w[j] * w[k] / (radii[j] * radii[k])
     return total
+
+
+class _Unkeyed(Func1D):
+    """A stand-in for the factor ``f`` that has no value key, so sum
+    factorization groups it by identity."""
+
+    def __init__(self, f: Func1D):
+        self.f = f
+
+    def jet1(self, x):
+        return self.f.jet1(x)
+
+
+def pair_values_by_identity(domains, probes, requests, gridspec=None) -> list[float]:
+    """:func:`hamstab.variation._pair_values` with the 1-D factors of each
+    sum factorization grouped as they were before value keys: by the
+    factors' own equality, which is identity for every kind but the
+    :class:`~hamstab.testfunctions.Const1D` dataclass.  Each call gives the
+    factors that compare equal one keyless stand-in."""
+    factorized = quadrature._sum_factorized
+
+    def by_identity(grid, terms):
+        stand_ins: dict = {}
+        return factorized(
+            grid,
+            [[(c, [stand_ins.setdefault(f, _Unkeyed(f)) for f in factors]) for c, factors in probe] for probe in terms],
+        )
+
+    with mock.patch.object(quadrature, "_sum_factorized", by_identity):
+        return _pair_values(domains, probes, requests, gridspec)

@@ -4,15 +4,29 @@ replace."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamstab import analyzer, catalog, quadrature, variation
 from hamstab.analyzer import assemble_form, classify, compute_tube_table, witness_library
 from hamstab.catalog import default_catalog_ids, resolve
+from hamstab.immersion import AxisDomain
 from hamstab.quadrature import GridSpec, SupportError
-from hamstab.testfunctions import AnisotropicGaussian, Gauss1D, LinComb, Separable
+from hamstab.testfunctions import (
+    AnisotropicGaussian,
+    AxisScaled,
+    Const1D,
+    Cos1D,
+    Gauss1D,
+    HermGauss1D,
+    LinComb,
+    Separable,
+    random_bump_poly,
+    random_trig_poly,
+)
 from hamstab.variation import SecondVariationFunctional, _functional_form, _pair_values, evaluate_functional, jet_field
 
-from helpers import form_rounding_scale, gradient_graph_chart, minimal_null_graph_chart
+from helpers import form_rounding_scale, gradient_graph_chart, minimal_null_graph_chart, pair_values_by_identity
 
 SMALL = GridSpec(circle_nodes=16, line_nodes=16)
 # 8 nodes per axis on three and four axes keeps every reference mesh small
@@ -84,6 +98,46 @@ def test_block_gram_matches_per_probe_and_per_pair_integrations(cid):
     assert_pool_matches(entry, mix, spec)
     Q2 = assemble_form(functional, mix, spec)
     assert abs(Q2[0, 1] - polarized(functional, mix, spec)[0, 1]) <= 1e-12 * sum_scale(functional, *mix, spec)
+
+
+def _grouping_probes(periodic: bool, rng, picks) -> tuple:
+    """Probes on two circles of length 2 pi (``periodic``) or two lines, one
+    per pick: 0 a random trig or bump polynomial, 1 a library probe, 2 a
+    dilation of the previous probe, 3 a product of new factors equal in
+    value to factors of other probes."""
+    domains = (AxisDomain.circle(2 * np.pi) if periodic else AxisDomain.line(),) * 2
+    library = witness_library(domains)
+    out = []
+    for pick in picks:
+        if pick == 0:
+            u = random_trig_poly([2 * np.pi] * 2, rng) if periodic else random_bump_poly(2, rng)
+        elif pick == 1:
+            u = library[rng.integers(len(library))]
+        elif pick == 2:
+            # whole scales keep a dilation periodic on the circles
+            scales = rng.integers(1, 3, size=2) if periodic else rng.uniform(0.5, 2.0, size=2)
+            u = AxisScaled(out[-1] if out else library[0], scales, rng.uniform(-1.0, 1.0))
+        elif periodic:
+            u = Separable([Cos1D(float(rng.integers(1, 3))) if rng.random() < 0.7 else Const1D() for _ in range(2)])
+        else:
+            u = Separable([HermGauss1D(int(rng.integers(0, 4))) if rng.random() < 0.7 else Gauss1D(1.0) for _ in range(2)])
+        out.append(u)
+    return domains, out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(0, 2**32 - 1), st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_value_keys_give_the_bits_of_identity_grouping(periodic, seed, picks):
+    # one row per distinct value of a 1-D factor in the per-axis Grams gives
+    # the same values, norms and polarized entries to the bit as one row
+    # per factor object
+    domains, probes = _grouping_probes(periodic, np.random.default_rng(seed), picks)
+    form = resolve("torus:n=2,r=1,1,p=1" if periodic else "plane:n=2,p=1").functional.jet_form
+    requests = [(a, a, m) for a in range(len(probes)) for m in (form, analyzer._norm2_form(2))]
+    requests += [(a, a + 1, form) for a in range(len(probes) - 1)]
+    got = _pair_values(domains, probes, requests, SMALL)
+    want = pair_values_by_identity(domains, probes, requests, SMALL)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_a_group_without_a_closed_route_walks_each_pair(monkeypatch):

@@ -318,3 +318,34 @@ def test_default_open_mesh_jet_is_the_jet_of_the_mesh_points():
     # the open mesh's points in C order: the last axis fastest
     pts = np.array([[-0.5, 0.5], [-0.5, -2.0], [0.0, 0.5], [0.0, -2.0], [1.25, 0.5], [1.25, -2.0]])
     assert same_bits(u.jet_axes(axes), u.jet(pts))
+
+
+def test_equal_parameters_share_a_key_and_signed_zeros_do_not():
+    # every kind keys on its class and parameters, floats by their bits
+    equal = [
+        (Const1D(-0.5), Const1D(-0.5)),
+        (Cos1D(2.0, 0.3), Cos1D(2, 0.3)),
+        (Gauss1D(1.5, center=-0.25), Gauss1D(1.5, -0.25)),
+        (PolyGauss1D([0.5, -1.0, 0.0, 2.0], 1.3), PolyGauss1D(np.array([0.5, -1.0, 0.0, 2.0]), 1.3)),
+        (HermGauss1D(3, 0.9), PolyGauss1D([0.0, -3.0, 0.0, 1.0], 0.9)),
+        (Scaled1D(Gauss1D(1.0), 1.7), Scaled1D(Gauss1D(1.0), 1.7)),
+    ]
+    x = np.array([-3.0, -0.25, -0.0, 0.0, 0.5, 40.0])
+    for f, g in equal:
+        assert f is not g and f.key == g.key and hash(f.key) == hash(g.key)
+        assert same_bits(f.jet1(x), g.jet1(x))
+    apart = [
+        (Const1D(0.0), Const1D(-0.0)),
+        (Cos1D(1.0, 0.0), Cos1D(1.0, -0.0)),
+        (Gauss1D(1.0, 0.0), Gauss1D(1.0, -0.0)),
+        (PolyGauss1D([0.0, 1.0]), PolyGauss1D([-0.0, 1.0])),
+        (Scaled1D(Cos1D(1.0, 0.0), 2.0), Scaled1D(Cos1D(1.0, -0.0), 2.0)),
+        # equal parameters of different kinds
+        (Gauss1D(1.0, 0.0), Cos1D(1.0, 0.0)),
+        (Gauss1D(2.0), Scaled1D(Gauss1D(1.0), 0.5)),
+        (PolyGauss1D([1.0], 2.0), Gauss1D(2.0)),
+    ]
+    for f, g in apart:
+        assert f.key != g.key
+    # a factor kind without a key leaves its dilations keyed by themselves
+    assert Scaled1D(testfunctions.Func1D(), 2.0).key is None
