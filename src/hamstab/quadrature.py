@@ -28,7 +28,9 @@ routes to ``G``, in order:
    ``t = s - c``, and its dilations: its jet is ``u K m(t)`` for the
    monomials ``m`` of degree at most 2, so ``G = K Mom K^T`` with
    ``Mom[a, b] = sum_x w(x) u(x)^2 t^(a + b)``.  ``u^2`` is evaluated once
-   per mesh point and each node axis is contracted in turn against its
+   per point of the mesh's leading rows that can reach the last bit of
+   ``G`` (rows where ``t^T A t`` stays past a cut derived from the Gram
+   are not summed), and each node axis is contracted in turn against its
    table ``w_k t_k^g``; nothing else is formed per point.  ``K m(t)``
    cancels along the Gaussian's wide directions, so the moments are
    carried in ``np.longdouble`` until ``G`` is formed.
@@ -191,17 +193,19 @@ class Grid:
         idx = np.unravel_index(flat_indices, self.shape)
         return np.stack([nodes[i] for nodes, i in zip(self.axis_nodes, idx)], axis=-1)
 
-    def _blocks(self, rows: int):
-        """``(split, leads)`` for the mesh in blocks of up to ``rows``
-        consecutive rows.  A block is whole copies of the trailing sub-mesh
-        of the axes from ``split`` on, with at most ``min(rows,
+    def _blocks(self, rows: int, selected=None):
+        """``(split, step, leads)`` for the mesh in blocks of up to ``rows``
+        consecutive rows.  A block is ``step`` whole copies of the trailing
+        sub-mesh of the axes from ``split`` on, with at most ``min(rows,
         BLOCK_ROWS)`` points; ``leads`` yields each block's per-axis node
         indices (axes, copies) on the leading axes.  All but the last block
-        have one length."""
+        have one length.  ``selected``, flat indices into the leading axes'
+        mesh, restricts the blocks to those copies, in that order."""
         split = next(s for s in range(self.dim + 1) if math.prod(self.shape[s:]) <= min(rows, BLOCK_ROWS))
         lead, tail = self.shape[:split], self.shape[split:]
-        step, count = max(1, rows // math.prod(tail)), math.prod(lead)
-        return split, (_unravel(np.arange(start, min(start + step, count)), lead) for start in range(0, count, step))
+        step = max(1, rows // math.prod(tail))
+        selected = np.arange(math.prod(lead)) if selected is None else selected
+        return split, step, (_unravel(selected[start : start + step], lead) for start in range(0, len(selected), step))
 
     def _slabs(self, rows: int):
         """The mesh in the blocks of :meth:`_blocks` as ``(points, weights,
@@ -219,7 +223,7 @@ class Grid:
         in axis order as the weights are, gives every row the value the
         dense columns would, to the bit; only the products across the
         lead/tail split are full size."""
-        split, leads = self._blocks(rows)
+        split, _, leads = self._blocks(rows)
         tail = self.shape[split:]
         trailing = [i[None] for i in np.ix_(*map(np.arange, tail))]
         lines = [k for k, dom in enumerate(self.domains) if dom.kind == "line"]
@@ -603,13 +607,25 @@ def _gaussian_moments(grid: Grid, gaussian):
     ``u K m(t)`` for the monomials ``m(t) = t^a``, ``|a| <= 2``, so
     ``G = K Mom K^T`` with ``Mom[a, b] = S[a + b]`` and
     ``S[g] = sum_x w(x) u(x)^2 t^g``, ``g`` of degree at most 4 per axis.
-    Only ``u^2`` does not separate: it is evaluated once per mesh point, in
-    the blocks of :meth:`Grid._blocks`, as ``exp(-(q_lead + q_tail + 2
-    t_lead^T A t_tail))`` over a block's leading rows and its trailing
-    sub-mesh, and each node axis is contracted in turn against its table
-    ``w_k t_k^g``.  A line axis k bounds ``|j|`` on its edge layers by
-    ``exp(-t_edge^2 / (2 (A^-1)_kk))``, the largest ``u`` on the hyperplane
-    of the edge node nearer to ``c``, times ``|K| T^a`` for ``T_l = max |t_l|``.
+    Only ``u^2`` does not separate: it is evaluated once per point of the
+    leading rows summed, in the blocks of :meth:`Grid._blocks`, as
+    ``exp(-(q_lead + q_tail + 2 t_lead^T A t_tail))`` over a block's leading
+    rows and its trailing sub-mesh, and each node axis is contracted in turn
+    against its table ``w_k t_k^g``.  A line axis k bounds ``|j|`` on its
+    edge layers by ``exp(-t_edge^2 / (2 (A^-1)_kk))``, the largest ``u`` on
+    the hyperplane of the edge node nearer to ``c``, times ``B = |K| T^a``
+    for ``T_l = max |t_l|``.
+
+    A leading row whose ``u^2`` cannot reach the last bit of ``G`` is not
+    summed.  Over its trailing sub-mesh, ``t^T A t`` is at least ``t_lead^T
+    S t_lead`` for the Schur complement ``S = A_ll - A_lt A_tt^-1 A_tl``, so
+    the rows past a cut ``L`` add at most ``e^-L W B_p B_q`` to ``G_pq``,
+    with ``W = prod_k sum_i w_ki``.  :func:`_moment_cut` gives the least
+    ``L`` that keeps this within ``2^-64 sqrt(G_pp G_qq)``.  It is derived
+    first from the one block of rows nearest ``c``, with a factor 2 to
+    spare, and checked on the Gram of the rows kept.  Both diagonals are
+    lower bounds of the full one, so the check is conservative; when it
+    fails, every row is summed.  A mesh of one block is summed whole.
 
     ``K m(t)`` cancels where ``|t|`` is large along a wide direction of
     ``u``: ``y = A t`` is then much smaller than its terms ``A_kl t_l``, and
@@ -630,40 +646,74 @@ def _gaussian_moments(grid: Grid, gaussian):
         w.astype(np.longdouble)[:, None] * (nodes.astype(np.longdouble) - c)[:, None] ** np.arange(5)
         for nodes, w, c in zip(grid.axis_nodes, grid.axis_weights, center)
     ]
-    split, leads = grid._blocks(BLOCK_ROWS)
+    split, step, _ = grid._blocks(BLOCK_ROWS)
     tail = grid.shape[split:]
     sub = _unravel(np.arange(math.prod(tail)), tail)
     t_tail = np.reshape([t[k][i] for k, i in enumerate(sub, split)], sub.shape)
     # -q over the trailing sub-mesh, and -2 A t_tail for the cross term
     q_tail = -np.einsum("kx,kl,lx->x", t_tail, A[split:, split:], t_tail)
     cross = -2.0 * A[:split, split:] @ t_tail
-    moments = np.longdouble(0.0)
-    for lead in leads:
-        t_lead = np.reshape([t[k][i] for k, i in enumerate(lead)], lead.shape)
-        u2 = t_lead.T @ cross
-        u2 -= np.einsum("kx,kl,lx->x", t_lead, A[:split, :split], t_lead)[:, None]
-        u2 += q_tail
-        np.exp(u2, out=u2)
-        # contract the trailing axes from the last: their powers come out in
-        # reverse axis order
-        y = u2.astype(np.longdouble).reshape(u2.shape[:1] + tail)
-        for k in reversed(range(split, n)):
-            y = np.tensordot(y, tables[k], axes=([k - split + 1], [0]))
-        lead_table = np.ones((len(u2), 1), dtype=np.longdouble)
-        for k, i in enumerate(lead):
-            lead_table = (lead_table[:, :, None] * tables[k][i][:, None, :]).reshape(len(u2), -1)
-        moments = moments + lead_table.T @ y.reshape(len(u2), -1)
-    moments = np.reshape(moments, (5,) * n).transpose(list(range(split)) + list(range(n - 1, split - 1, -1)))
     K_ext = K.astype(np.longdouble)
-    gram = (K_ext @ moments[tuple(np.moveaxis(orders[:, None] + orders[None], -1, 0))] @ K_ext.T).astype(float)
+    monomials = tuple(np.moveaxis(orders[:, None] + orders[None], -1, 0))
+
+    def gram(rows):
+        # G summed over the given leading rows (flat indices, in order)
+        moments = np.longdouble(0.0)
+        for lead in grid._blocks(BLOCK_ROWS, rows)[2]:
+            t_lead = np.reshape([t[k][i] for k, i in enumerate(lead)], lead.shape)
+            u2 = t_lead.T @ cross
+            u2 -= np.einsum("kx,kl,lx->x", t_lead, A[:split, :split], t_lead)[:, None]
+            u2 += q_tail
+            np.exp(u2, out=u2)
+            # contract the trailing axes from the last: their powers come out in
+            # reverse axis order
+            y = u2.astype(np.longdouble).reshape(u2.shape[:1] + tail)
+            for k in reversed(range(split, n)):
+                y = np.tensordot(y, tables[k], axes=([k - split + 1], [0]))
+            lead_table = np.ones((len(u2), 1), dtype=np.longdouble)
+            for k, i in enumerate(lead):
+                lead_table = (lead_table[:, :, None] * tables[k][i][:, None, :]).reshape(len(u2), -1)
+            moments = moments + lead_table.T @ y.reshape(len(u2), -1)
+        moments = np.reshape(moments, (5,) * n).transpose(list(range(split)) + list(range(n - 1, split - 1, -1)))
+        return (K_ext @ moments[monomials] @ K_ext.T).astype(float)
+
     peaks = np.prod(np.array([np.max(np.abs(tk)) for tk in t]) ** orders, axis=1)
+    jet_bound = np.abs(K) @ peaks
     variances = np.diag(np.linalg.inv(A))
     bounds = [
-        np.exp(-min(abs(t[k][0]), abs(t[k][-1])) ** 2 / (2.0 * variances[k])) * (np.abs(K) @ peaks)[None]
+        np.exp(-min(abs(t[k][0]), abs(t[k][-1])) ** 2 / (2.0 * variances[k])) * jet_bound[None]
         for k, dom in enumerate(grid.domains)
         if dom.kind == "line"
     ]
-    return gram[None, None], bounds
+    volume = math.prod(float(np.sum(w)) for w in grid.axis_weights)
+    lead_shape = grid.shape[:split]
+    lead_rows = _unravel(np.arange(math.prod(lead_shape)), lead_shape)
+    t_rows = np.reshape([t[k][i] for k, i in enumerate(lead_rows)], lead_rows.shape)
+    schur = A[:split, :split] - A[:split, split:] @ np.linalg.solve(A[split:, split:], A[split:, :split])
+    # each leading row's least t^T A t over every t_tail
+    least = np.einsum("kx,kl,lx->x", t_rows, schur, t_rows)
+    every = np.arange(len(least))
+    if len(least) <= step:
+        return gram(every)[None, None], bounds
+    # the block nearest c bounds G_pp from below and is always kept
+    nearest = np.sort(np.argsort(least, kind="stable")[:step])
+    cut = _moment_cut(np.diag(gram(nearest)), jet_bound, volume) + math.log(2.0)
+    kept = np.flatnonzero(least <= max(cut, least[nearest].max()))
+    G = gram(kept)
+    if len(kept) < len(least) and _moment_cut(np.diag(G), jet_bound, volume) > cut:
+        G = gram(every)
+    return G[None, None], bounds
+
+
+def _moment_cut(diagonal: np.ndarray, jet_bound: np.ndarray, volume: float) -> float:
+    """The least ``L`` with ``e^-L W B_p B_q <= 2^-64 sqrt(G_pp G_qq)`` for
+    every ``p, q`` (see :func:`_gaussian_moments`), given the diagonal
+    ``G_pp``, the jet bounds ``B`` and the mesh volume ``W``; infinite when
+    some ``G_pp <= 0`` has ``B_p > 0``."""
+    live = jet_bound > 0
+    if np.any(diagonal[live] <= 0):
+        return math.inf
+    return 64 * math.log(2.0) + math.log(volume) + float(np.max(np.log(jet_bound[live] ** 2 / diagonal[live])))
 
 
 def _unravel(flat: np.ndarray, shape) -> np.ndarray:

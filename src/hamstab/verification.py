@@ -306,6 +306,11 @@ def _q_direct(w, radii, eps) -> float:
     return total
 
 
+# the signs criterion 5 draws from: indexing them by ``rng.integers(0, 2)``
+# draws what ``rng.choice([-1, 1])`` draws, in about half its time
+_SIGNS = np.array([-1, 1])
+
+
 def _mq_oracle_errors(rng) -> list[float]:
     """The relative gap between the direct expansion of ``Q(w, w)`` and
     ``w^T M_Q w`` on 1000 random draws of ``(n, radii, eps, w)``.  Every
@@ -315,7 +320,7 @@ def _mq_oracle_errors(rng) -> list[float]:
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         radii = rng.uniform(0.5, 3.0, size=n)
-        eps = rng.choice([-1, 1], size=n)
+        eps = _SIGNS[rng.integers(0, 2, size=n)]
         samples.append((radii, eps, rng.uniform(-2.0, 2.0, size=n)))
     errors = [0.0] * len(samples)
     for n in sorted({len(w) for _, _, w in samples}):

@@ -1,6 +1,8 @@
 """Shared chart builders and quadrature helpers for the test modules."""
 
 import itertools
+import math
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -264,3 +266,22 @@ def pair_values_by_identity(domains, probes, requests, gridspec=None) -> list[fl
 
     with mock.patch.object(quadrature, "_sum_factorized", by_identity):
         return _pair_values(domains, probes, requests, gridspec)
+
+
+@contextmanager
+def counting_lead_rows():
+    """Record ``(mesh shape, rows, lead rows)`` for every walk of a
+    selection of a mesh's leading rows inside the block: the ``rows``
+    selected for :meth:`hamstab.quadrature.Grid._blocks` out of the mesh's
+    ``lead rows``, the copies of its trailing sub-mesh."""
+    walks = []
+    blocks = quadrature.Grid._blocks
+
+    def counted(grid, size, selected=None):
+        split, step, leads = blocks(grid, size, selected)
+        if selected is not None:
+            walks.append((grid.shape, len(selected), math.prod(grid.shape[:split])))
+        return split, step, leads
+
+    with mock.patch.object(quadrature.Grid, "_blocks", counted):
+        yield walks

@@ -39,7 +39,7 @@ from hamstab.variation import (
     reilly_residual,
 )
 
-from helpers import form_rounding_scale, gradient_graph_chart
+from helpers import counting_lead_rows, form_rounding_scale, gradient_graph_chart
 
 SMALL = GridSpec(circle_nodes=16, line_nodes=16)
 CATALOG = {cid: resolve(cid) for cid in default_catalog_ids()}
@@ -258,6 +258,17 @@ def test_criterion_4_takes_two_moment_integrations_and_no_mesh_walk():
     assert all(r.passed for r in results)
     assert sorted(moments) == [64**3, 40**4]
     assert walks == []
+
+
+def test_criterion_4_sums_under_half_of_the_n_4_lead_rows():
+    # on hyperbola:n=4's 40^4 mesh u^2 is below the cut on most of the 1600
+    # leading rows of 40^2 points; the nearest block and the rows kept are
+    # the only ones contracted
+    with counting_lead_rows() as walks:
+        verification.run_criterion(4)
+    n4 = [(kept, lead_rows) for shape, kept, lead_rows in walks if shape == (40,) * 4]
+    assert len(n4) == 2 and n4[0][1] == 1600
+    assert sum(kept for kept, _ in n4) < 1600 / 2
 
 
 def test_criterion_4_reads_the_gradient_form_on_the_default_grid():

@@ -124,6 +124,20 @@ def test_stacked_mq_matrices_take_the_bits_of_one_matrix_per_draw(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 316])
+def test_sign_draws_by_index_match_rng_choice(seed):
+    # criterion 5's draw sequence: the signs and every draw after them come
+    # out the same, with the same dtype
+    choice, index = np.random.default_rng(seed + 5), np.random.default_rng(seed + 5)
+    for _ in range(1000):
+        n = int(choice.integers(2, 6))
+        assert n == int(index.integers(2, 6))
+        want = choice.choice([-1, 1], size=n)
+        got = verification._SIGNS[index.integers(0, 2, size=n)]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert same_bits(index.uniform(-2.0, 2.0, size=n), choice.uniform(-2.0, 2.0, size=n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 316])
 def test_reilly_residuals_take_the_bits_of_one_integration_per_draw_and_form(seed):
     # criterion 6's draws, each form on each draw on its own grid
     rng = np.random.default_rng(seed + 6)

@@ -31,7 +31,7 @@ from hamstab.testfunctions import (
 )
 from hamstab.variation import SecondVariationFunctional, jet_field
 
-from helpers import minimal_null_graph_chart
+from helpers import counting_lead_rows, minimal_null_graph_chart
 
 
 def test_cos_squared_on_circle():
@@ -554,14 +554,14 @@ def anisotropic_gaussians(draw):
     return AnisotropicGaussian((A + A.T) / 2, center=rng.uniform(-2.0, 2.0, n))
 
 
-def assert_moments_match_the_long_double_gram(u, nodes):
+def assert_moments_match_the_long_double_gram(u, nodes, line_box=None):
     """Every entry of the weighted jet Gram of ``u`` from its mesh moments
     within ``2e-14`` of the rounding scale ``sum w |j_p| |j_q|`` of the Gram
-    of the jet ``u [1, -y, y_i y_j - A_ij]`` summed in long double.  By
-    Cauchy-Schwarz that scale is at most ``sqrt(G_pp G_qq)``.  (Moments
-    rounded to float64 before ``K`` combines them erred by up to 5e-13 of
-    that scale where ``K m(t)`` cancels.)"""
-    grid = build_grid((AxisDomain.line(),) * u.n, GridSpec(line_nodes=nodes), u.axis_boxes)
+    of the jet ``u [1, -y, y_i y_j - A_ij]`` summed in long double over
+    every mesh point.  By Cauchy-Schwarz that scale is at most ``sqrt(G_pp
+    G_qq)``.  (Moments rounded to float64 before ``K`` combines them erred
+    by up to 5e-13 of that scale where ``K m(t)`` cancels.)"""
+    grid = build_grid((AxisDomain.line(),) * u.n, GridSpec(line_nodes=nodes, line_box=line_box), u.axis_boxes)
     got, _ = quadrature._gaussian_moments(grid, u.gaussian_terms())
     pts, w = grid.points_and_weights()
     t = (pts.astype(np.longdouble) - u.center).T
@@ -588,6 +588,47 @@ def test_gaussian_moments_match_the_long_double_gram_in_any_blocks(block_rows, a
     # is a single trailing sub-mesh
     A = np.eye(axes) + 0.3 * (np.ones((axes, axes)) - np.eye(axes))
     assert_moments_match_the_long_double_gram(AnisotropicGaussian(A, center=np.linspace(-0.5, 0.5, axes)), nodes)
+
+
+@pytest.mark.parametrize(
+    "A, nodes",
+    [
+        (np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3)), 32),
+        (np.array([[2.0, -0.6, 0.3], [-0.6, 1.0, 0.2], [0.3, 0.2, 0.5]]), 30),
+        (np.full((4, 4), 5 / 24) + np.eye(4) / 6, 16),
+    ],
+)
+def test_gaussian_moments_past_the_cut_match_the_long_double_gram(block_rows, A, nodes):
+    # on a box three times the probe's, the leading rows far from the centre
+    # lie past the cut and are not summed; the reference sums every point
+    u = AnisotropicGaussian(A, center=np.linspace(-0.5, 0.5, len(A)))
+    with counting_lead_rows() as walks:
+        assert_moments_match_the_long_double_gram(u, nodes, line_box=3 * max(u.axis_boxes))
+    _, kept, lead_rows = walks[-1]
+    assert kept < lead_rows
+
+
+def test_gaussian_moments_sum_every_row_when_the_kept_gram_fails_the_cut(monkeypatch):
+    # a cut that the Gram of the rows it keeps does not confirm is caught
+    # after the sum, and the Gram of every row replaces it
+    u = AnisotropicGaussian(np.eye(3) + 0.3 * (np.ones((3, 3)) - np.eye(3)))
+    grid = build_grid((AxisDomain.line(),) * 3, GridSpec(line_nodes=32, line_box=3 * max(u.axis_boxes)))
+    cut = quadrature._moment_cut
+    monkeypatch.setattr(quadrature, "_moment_cut", lambda *args: math.inf)
+    want, _ = quadrature._gaussian_moments(grid, u.gaussian_terms())
+    cuts = []
+
+    def too_small_first(*args):
+        cuts.append(cut(*args))
+        return 0.0 if len(cuts) == 1 else cuts[-1]
+
+    monkeypatch.setattr(quadrature, "_moment_cut", too_small_first)
+    with counting_lead_rows() as walks:
+        got, _ = quadrature._gaussian_moments(grid, u.gaussian_terms())
+    assert len(cuts) == 2 and cuts[1] > math.log(2.0)
+    # the nearest block, the rows the cut keeps, then every row
+    assert len(walks) == 3 and walks[-1][1] == walks[-1][2]
+    assert np.array_equal(got, want)
 
 
 def test_gaussian_moments_leak_raises_the_pointwise_error(monkeypatch):
