@@ -54,6 +54,8 @@ __all__ = [
     "trisymmetry_residual",
     "sample_axes",
     "sample_grid",
+    "axis_lines",
+    "check_curve_product",
 ]
 
 # Oracle signature: points (N, n) -> (f (N, 2n), df (N, n, 2n), d2f (N, n, n, 2n))
@@ -351,25 +353,42 @@ def _curve_product_residuals(chart: LagrangianChart, axes: list[np.ndarray]) -> 
     D)``, the grid's ``max |D|`` in exact arithmetic.
     """
     base = np.array([nodes[0] for nodes in axes])
-    lines = []
-    for l, nodes in enumerate(axes):
-        line = np.repeat(base[None], len(nodes) - 1, axis=0)
-        line[:, l] = nodes[1:]
-        lines.append(line)
+    lines = axis_lines(base, axes)
     pts = np.concatenate([base[None]] + lines)
     geo = induced_geometry_batch(chart, pts)
     d3f = None if chart.d3f is None else chart.d3f(pts)
+    check_curve_product(chart, geo, d3f)
+    lagrangian, div, trisymmetry = _residuals(chart, geo, d3f)
+    offsets = np.split(div[1:] - div[0], np.cumsum([len(line) for line in lines])[:-1])
+    top = div[0] + sum(d.max(initial=0.0) for d in offsets)
+    bottom = div[0] + sum(d.min(initial=0.0) for d in offsets)
+    return [lagrangian, max(top, -bottom), trisymmetry]
+
+
+def axis_lines(base: np.ndarray, axes: list[np.ndarray]) -> list[np.ndarray]:
+    """The lines through ``base`` along each axis: line ``l`` is ``base``
+    with coordinate ``l`` set to each node of ``axes[l]`` other than
+    ``base[l]``.  With ``base`` the lines hold every value each coordinate
+    takes on the tensor grid of ``axes``."""
+    lines = []
+    for l, nodes in enumerate(axes):
+        others = nodes[nodes != base[l]]
+        line = np.repeat(base[None], len(others), axis=0)
+        line[:, l] = others
+        lines.append(line)
+    return lines
+
+
+def check_curve_product(chart: LagrangianChart, geo: dict[str, np.ndarray], d3f: np.ndarray | None = None) -> None:
+    """Raise ``ValueError`` unless ``df``, ``d2f`` and ``d3f`` (when given)
+    of a geometry pass are exactly zero off the block diagonal, as a
+    ``curve_product`` chart declares."""
     for k, arr in enumerate((geo["df"], geo["d2f"], d3f), start=1):
         if arr is not None and np.any(arr[:, _off_block(chart.dim, k)]):
             raise ValueError(
                 f"chart {chart.name!r} is declared curve_product, but its order-{k} "
                 "derivatives couple two axes"
             )
-    lagrangian, div, trisymmetry = _residuals(chart, geo, d3f)
-    offsets = np.split(div[1:] - div[0], np.cumsum([len(line) for line in lines])[:-1])
-    top = div[0] + sum(d.max(initial=0.0) for d in offsets)
-    bottom = div[0] + sum(d.min(initial=0.0) for d in offsets)
-    return [lagrangian, max(top, -bottom), trisymmetry]
 
 
 @functools.cache

@@ -65,10 +65,13 @@ from .immersion import (
     REL_STEP,
     AxisDomain,
     LagrangianChart,
+    axis_lines,
     central_difference,
     central_divergence,
     central_stencil,
+    check_curve_product,
     induced_geometry_batch,
+    sample_axes,
     sample_grid,
 )
 from .quadrature import GridSpec
@@ -366,12 +369,35 @@ def _hessian_squares(weight, ginv: np.ndarray) -> list[JetSquareTerm]:
 CONSTANT_GEOMETRY_RTOL = 1e-12
 
 
-def _constancy_deviation(chart: LagrangianChart, origin: dict, points: np.ndarray) -> float:
+def _constancy_deviation(origin: dict, geo: dict) -> float:
     """Worst ``|x - x_0| / max(1, |x_0|)`` of ``g``, ``C``, ``nH_cov`` and
-    ``vol`` at the points against their values ``x_0`` at the origin."""
-    geo = induced_geometry_batch(chart, points)
+    ``vol`` of a geometry pass against their values ``x_0`` at the origin."""
     keys = ("g", "C", "nH_cov", "vol")
     return max(float(np.max(np.abs(geo[k] - origin[k]) / np.maximum(1.0, np.abs(origin[k])))) for k in keys)
+
+
+def _sample_constancy_deviation(chart: LagrangianChart, origin: dict) -> float:
+    """:func:`_constancy_deviation` over the 3-per-axis sample grid.
+
+    On a ``curve_product`` chart one pass over the ``2n`` points of the
+    axis lines through the origin stands for the ``3^n`` grid points: with
+    the block diagonal checked there, entry ``(j, j)`` of ``g``, ``(j, j,
+    j)`` of ``C`` and ``j`` of ``nH_cov`` depend on ``s_j`` alone and every
+    other entry is zero, so the lines hold every value those take on the
+    grid; ``vol`` is ``vol_0`` times the product of per-axis ratios, so its
+    grid extremes are ``vol_0`` times the products of the lines' least and
+    greatest ratios.
+    """
+    if not chart.curve_product:
+        grid = sample_grid(chart, per_axis=3, line_window=1.0)
+        return _constancy_deviation(origin, induced_geometry_batch(chart, grid))
+    lines = axis_lines(np.zeros(chart.dim), sample_axes(chart, per_axis=3, line_window=1.0))
+    geo = induced_geometry_batch(chart, np.concatenate(lines))
+    check_curve_product(chart, geo)
+    vol = float(origin["vol"][0])
+    ratios = np.split(geo["vol"] / vol, np.cumsum([len(line) for line in lines])[:-1])
+    extremes = (np.prod([r.max(initial=1.0) for r in ratios]), np.prod([r.min(initial=1.0) for r in ratios]))
+    return max(_constancy_deviation(origin, geo), *(abs(x - 1.0) * vol / max(1.0, vol) for x in extremes))
 
 
 class SecondVariationFunctional:
@@ -379,8 +405,8 @@ class SecondVariationFunctional:
 
     :meth:`squares` takes them from a geometry with a leading point axis: on
     charts with ``geometry_is_constant`` (checked on a 3-per-axis sample
-    grid) the origin's with a length-1 axis, once, which also give
-    ``jet_form``; on other charts the induced geometry at the points, with
+    grid by :func:`_sample_constancy_deviation`) the origin's with a
+    length-1 axis, once, which also give ``jet_form``; on other charts the induced geometry at the points, with
     the finite-difference metric drift as the ``du`` coefficients of the
     Laplacian square.  Subclasses replace :meth:`second_order_squares`.
     """
@@ -391,7 +417,7 @@ class SecondVariationFunctional:
         self._origin_squares = self.jet_form = None
         if chart.geometry_is_constant:
             origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
-            deviation = _constancy_deviation(chart, origin, sample_grid(chart, per_axis=3, line_window=1.0))
+            deviation = _sample_constancy_deviation(chart, origin)
             if deviation > CONSTANT_GEOMETRY_RTOL:
                 raise ValueError(
                     f"chart {chart.name!r} is declared geometry_is_constant, but its geometry "

@@ -294,47 +294,73 @@ def _gradient_form_values(entry, verdict) -> tuple[float, float]:
 
 # ------------------------------------------------------------- criterion 5
 
-def _q_direct(w, radii, eps) -> float:
-    """The direct expansion of ``Q(w, w)`` over sequences of Python numbers."""
-    total = 0.0
-    n = len(w)
-    for j in range(n):
-        total += w[j] ** 2 / radii[j] ** 2
-    for j in range(n):
-        for k in range(j + 1, n):
-            total -= 2.0 * eps[j] * eps[k] * w[j] * w[k] / (radii[j] * radii[k])
-    return total
-
+# criterion 5 draws this many samples, each of n = 2 .. _MQ_MAX_N axes
+_MQ_DRAWS, _MQ_MAX_N = 1000, 5
 
 # the signs criterion 5 draws from: indexing them by ``rng.integers(0, 2)``
-# draws what ``rng.choice([-1, 1])`` draws, in about half its time
+# draws what ``rng.choice([-1, 1])`` draws
 _SIGNS = np.array([-1, 1])
 
 
-def _mq_oracle_errors(rng) -> list[float]:
+def _mq_draws(rng) -> tuple[np.ndarray, ...]:
+    """Criterion 5's samples ``(n, radii, eps, w)``, one generator call per
+    quantity: ``n`` of shape ``(_MQ_DRAWS,)`` and the rest of shape
+    ``(_MQ_DRAWS, _MQ_MAX_N)``, of which draw ``i`` uses the first ``n[i]``
+    columns."""
+    shape = (_MQ_DRAWS, _MQ_MAX_N)
+    n = rng.integers(2, _MQ_MAX_N + 1, size=_MQ_DRAWS)
+    radii = rng.uniform(0.5, 3.0, size=shape)
+    eps = _SIGNS[rng.integers(0, 2, size=shape)]
+    return n, radii, eps, rng.uniform(-2.0, 2.0, size=shape)
+
+
+def _q_columns(w, radii, eps) -> np.ndarray:
+    """The direct expansion ``sum_j w_j^2 / r_j^2 - 2 sum_{j<k} e_j e_k w_j
+    w_k / (r_j r_k)`` of ``Q(w, w)`` for each row of ``(draws, n)`` arrays,
+    a column at a time in the order of the scalar expansion, so each row
+    takes the bits that expansion gives it.  Squares are products: libm's
+    ``pow``, which a Python float's ``** 2`` calls, can be an ulp off."""
+    n = w.shape[1]
+    total = np.zeros(len(w))
+    for j in range(n):
+        total += w[:, j] * w[:, j] / (radii[:, j] * radii[:, j])
+    for j in range(n):
+        for k in range(j + 1, n):
+            total -= 2.0 * eps[:, j] * eps[:, k] * w[:, j] * w[:, k] / (radii[:, j] * radii[:, k])
+    return total
+
+
+def _quadratic_columns(w, m) -> np.ndarray:
+    """``w^T m w`` for each row of ``(draws, n)`` vectors and ``(draws, n,
+    n)`` matrices as explicit elementwise sums, ``sum_l (sum_j w_j m_jl)
+    w_l``: no BLAS call, so the bits do not depend on the BLAS kernel."""
+    n = w.shape[1]
+    total = np.zeros(len(w))
+    for l in range(n):
+        wm = np.zeros(len(w))
+        for j in range(n):
+            wm += w[:, j] * m[:, j, l]
+        total += wm * w[:, l]
+    return total
+
+
+def _mq_oracle_errors(rng) -> np.ndarray:
     """The relative gap between the direct expansion of ``Q(w, w)`` and
-    ``w^T M_Q w`` on 1000 random draws of ``(n, radii, eps, w)``.  Every
-    draw is made first; then the ``M_Q`` of each ``n`` come from one
-    stacked :func:`hamstab.analyzer._mq_matrix` call."""
-    samples = []
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        radii = rng.uniform(0.5, 3.0, size=n)
-        eps = _SIGNS[rng.integers(0, 2, size=n)]
-        samples.append((radii, eps, rng.uniform(-2.0, 2.0, size=n)))
-    errors = [0.0] * len(samples)
-    for n in sorted({len(w) for _, _, w in samples}):
-        which = [i for i, (_, _, w) in enumerate(samples) if len(w) == n]
-        stack = analyzer._mq_matrix([samples[i][0] for i in which], [samples[i][1] for i in which])
-        for i, m in zip(which, stack):
-            radii, eps, w = samples[i]
-            direct = _q_direct(w.tolist(), radii.tolist(), eps.tolist())
-            errors[i] = abs(direct - float(w @ m @ w)) / max(abs(direct), 1.0)
+    ``w^T M_Q w`` on the :func:`_mq_draws` samples.  The ``M_Q`` of each
+    ``n`` come from one stacked :func:`hamstab.analyzer._mq_matrix` call."""
+    n, radii, eps, w = _mq_draws(rng)
+    errors = np.empty(len(n))
+    for size in np.unique(n):
+        rows = n == size
+        r, e, x = radii[rows, :size], eps[rows, :size], w[rows, :size]
+        direct = _q_columns(x, r, e)
+        matrix_side = _quadratic_columns(x, analyzer._mq_matrix(r, e))
+        errors[rows] = np.abs(direct - matrix_side) / np.maximum(np.abs(direct), 1.0)
     return errors
 
 
 def _criterion_5(ctx) -> list[CheckResult]:
-    worst = max([0.0, *_mq_oracle_errors(np.random.default_rng(ctx.seed + 5))])
+    worst = float(_mq_oracle_errors(np.random.default_rng(ctx.seed + 5)).max())
     rep3 = hyperbola_matrix_analysis((1.0, 1.0, 1.0), (1, 1, 1))
     eig_sorted = np.sort(rep3.eigenvalues)
     eig_ok = np.allclose(eig_sorted, [-1.0, 2.0, 2.0], atol=1e-12)

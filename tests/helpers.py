@@ -224,14 +224,17 @@ def reference_bochner_residual(u, m, s) -> float:
     return 0.5 * divergence(grad_w) - divergence(lap_flux) - hess_sq
 
 
-def reference_q_direct(w, radii, eps) -> float:
-    """The direct expansion of ``Q(w, w)`` by the route
-    :func:`hamstab.verification._q_direct` once took: on the numpy arrays
-    the draws come in, so every step is a numpy scalar."""
+def q_direct(w, radii, eps) -> float:
+    """The direct expansion of ``Q(w, w)``, a term at a time: the scalar
+    reference for criterion 5's column expansion
+    (:func:`hamstab.verification._q_columns`).  It squares by products, as
+    that does: on Python floats ``r ** 2`` calls libm's ``pow``, which at
+    criterion 5's seed 7 draws rounds one radius's square an ulp away from
+    ``r * r``."""
     total = 0.0
     n = len(w)
     for j in range(n):
-        total += w[j] ** 2 / radii[j] ** 2
+        total += w[j] * w[j] / (radii[j] * radii[j])
     for j in range(n):
         for k in range(j + 1, n):
             total -= 2.0 * eps[j] * eps[k] * w[j] * w[k] / (radii[j] * radii[k])

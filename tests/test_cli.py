@@ -306,6 +306,35 @@ def test_analyze_oversized_lattice_scan_is_a_usage_error(runner):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_analyze_on_a_12_axis_torus_is_a_usage_error(runner):
+    # the constant-geometry check reads 25 points, not the 3^12 of a sample
+    # grid whose oracle Hessian would not fit in memory, so the lattice-scan
+    # guard is what refuses it
+    cid = "torus:n=12,r=" + ",".join(["1"] * 12) + ",p=6"
+    result = runner.invoke(main, ["analyze", "--catalog-id", cid])
+    assert result.exit_code == 2
+    assert "141214768240 modes" in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_criterion_5_report_is_the_same_under_three_blas_kernels():
+    # OpenBLAS reads OPENBLAS_CORETYPE when numpy loads: one fresh process
+    # per kernel; criterion 5's oracle makes no BLAS call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for coretype in (None, "Nehalem", "Prescott"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if coretype is not None:
+            env["OPENBLAS_CORETYPE"] = coretype
+        args = ["verify-paper", "--criteria", "5", "--seed", "0"]
+        proc = subprocess.run([sys.executable, "-m", "hamstab", *args], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"mq-oracle" in outputs[0]
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

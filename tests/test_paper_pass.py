@@ -2,9 +2,10 @@
 
 Criteria 6, 7 and 10 value two jet forms on one probe list in one
 :func:`_pair_values` call, which must give the bits of one call per form
-and probe; criterion 5 forms its matrices as one stack per dimension and
-runs its direct expansion on Python floats, which must give the bits of one
-matrix per draw and of the numpy scalars it once ran on; one pass builds
+and probe; criterion 5 makes its draws as arrays, forms its matrices as one
+stack per dimension and runs its direct expansion and ``w^T M_Q w`` a
+column at a time, which must give the bits of one matrix and one scalar
+expansion per draw; one pass builds
 each chart's functional once, none for the structural checks of criterion
 11; and sum factorization evaluates each distinct 1-D factor once.
 """
@@ -21,7 +22,7 @@ from hamstab.quadrature import GridSpec
 from hamstab.testfunctions import Cos1D, Gauss1D, Separable, random_bump_poly, random_trig_poly
 from hamstab.variation import MetricField, _domains_from_support, _functional_form, _pair_values, evaluate_functional
 
-from helpers import reference_q_direct, same_bits
+from helpers import q_direct, same_bits
 
 PLANES = ["plane:n=2,p=0", "plane:n=2,p=1", "plane:n=2,p=2", "plane:n=2,amb=para"]
 METRICS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)]
@@ -58,16 +59,16 @@ def test_reilly_residual_and_scale_on_bumps_take_the_bits_of_one_call_each(seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 316])
-def test_direct_expansion_on_python_floats_takes_the_bits_of_numpy_scalars(seed):
-    # criterion 5's draws
-    rng = np.random.default_rng(seed + 5)
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        radii = rng.uniform(0.5, 3.0, size=n)
-        eps = rng.choice([-1, 1], size=n)
-        w = rng.uniform(-2.0, 2.0, size=n)
-        got = verification._q_direct(w.tolist(), radii.tolist(), eps.tolist())
-        assert got.hex() == float(reference_q_direct(w, radii, eps)).hex()
+def test_column_expansion_takes_the_bits_of_the_scalar_expansion(seed):
+    # each draw's direct expansion on Python floats against the column
+    # expansion of the draws of its n
+    n, radii, eps, w = verification._mq_draws(np.random.default_rng(seed + 5))
+    for size in np.unique(n):
+        rows = n == size
+        x, r, e = w[rows, :size], radii[rows, :size], eps[rows, :size]
+        got = verification._q_columns(x, r, e)
+        want = [q_direct(*(a.tolist() for a in draw)) for draw in zip(x, r, e)]
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
 def test_a_pass_builds_each_charts_functional_once(monkeypatch):
@@ -100,27 +101,76 @@ def test_a_pass_builds_each_charts_functional_once(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 316])
-def test_stacked_mq_matrices_take_the_bits_of_one_matrix_per_draw(seed):
-    # criterion 5's loop as it ran before: each draw's M_Q from its own
-    # diag and outer product
-    rng = np.random.default_rng(seed + 5)
+def test_mq_oracle_takes_the_bits_of_one_matrix_and_scalar_sums_per_draw(seed):
+    # criterion 5 draw by draw: M_Q from its own diag and outer product,
+    # both sides of the comparison summed on Python floats
     want = []
     by_n: dict = {}
-    for _ in range(1000):
-        n = int(rng.integers(2, 6))
-        radii = rng.uniform(0.5, 3.0, size=n)
-        eps = rng.choice([-1, 1], size=n)
-        w = rng.uniform(-2.0, 2.0, size=n)
-        direct = verification._q_direct(w.tolist(), radii.tolist(), eps.tolist())
-        v = eps / radii
-        mq = 2.0 * np.diag(1.0 / radii**2) - np.outer(v, v)
-        want.append(abs(direct - float(w @ mq @ w)) / max(abs(direct), 1.0))
+    draws = verification._mq_draws(np.random.default_rng(seed + 5))
+    for n, *arrays in zip(*draws):
+        radii, eps, w = (a[:n].tolist() for a in arrays)
+        v = np.divide(eps, radii)
+        mq = 2.0 * np.diag(1.0 / np.square(radii)) - np.outer(v, v)
+        quad = 0.0
+        for l in range(n):
+            wm = 0.0
+            for j in range(n):
+                wm += w[j] * float(mq[j, l])
+            quad += wm * w[l]
+        direct = q_direct(w, radii, eps)
+        want.append(abs(direct - quad) / max(abs(direct), 1.0))
         by_n.setdefault(n, []).append((radii, eps, mq))
     for draws in by_n.values():
         radii, eps, mqs = zip(*draws)
         assert same_bits(analyzer._mq_matrix(radii, eps), mqs)
     got = verification._mq_oracle_errors(np.random.default_rng(seed + 5))
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 316])
+def test_explicit_sum_quadratic_is_within_1e_14_of_the_blas_product(seed):
+    # relative to sum |w_j| |m_jl| |w_l|, the scale of either sum's rounding:
+    # w^T M_Q w cancels to near 0 on some draws
+    n, radii, eps, w = verification._mq_draws(np.random.default_rng(seed + 5))
+    for size in np.unique(n):
+        rows = n == size
+        x, mq = w[rows, :size], analyzer._mq_matrix(radii[rows, :size], eps[rows, :size])
+        got = verification._quadratic_columns(x, mq)
+        want = np.array([float(xi @ mi @ xi) for xi, mi in zip(x, mq)])
+        scale = np.einsum("dj,djl,dl->d", np.abs(x), np.abs(mq), np.abs(x))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+class _CountingGenerator:
+    """A generator that counts the calls made to it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_criterion_5_draws_in_four_calls_and_forms_one_matrix_stack_per_n(monkeypatch):
+    stacks = []
+    mq_matrix = analyzer._mq_matrix
+
+    def counting_mq_matrix(radii, branch_signs):
+        stacks.append(np.shape(radii))
+        return mq_matrix(radii, branch_signs)
+
+    monkeypatch.setattr(analyzer, "_mq_matrix", counting_mq_matrix)
+    rng = _CountingGenerator(np.random.default_rng(6))
+    errors = verification._mq_oracle_errors(rng)
+    assert rng.calls == 4
+    assert [size for _, size in stacks] == [2, 3, 4, 5]
+    assert sum(draws for draws, _ in stacks) == len(errors) == 1000
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 316])
@@ -128,13 +178,13 @@ def test_sign_draws_by_index_match_rng_choice(seed):
     # criterion 5's draw sequence: the signs and every draw after them come
     # out the same, with the same dtype
     choice, index = np.random.default_rng(seed + 5), np.random.default_rng(seed + 5)
-    for _ in range(1000):
-        n = int(choice.integers(2, 6))
-        assert n == int(index.integers(2, 6))
-        want = choice.choice([-1, 1], size=n)
-        got = verification._SIGNS[index.integers(0, 2, size=n)]
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert same_bits(index.uniform(-2.0, 2.0, size=n), choice.uniform(-2.0, 2.0, size=n))
+    shape = (verification._MQ_DRAWS, verification._MQ_MAX_N)
+    assert np.array_equal(index.integers(2, 6, size=shape[0]), choice.integers(2, 6, size=shape[0]))
+    assert same_bits(index.uniform(0.5, 3.0, size=shape), choice.uniform(0.5, 3.0, size=shape))
+    want = choice.choice([-1, 1], size=shape)
+    got = verification._SIGNS[index.integers(0, 2, size=shape)]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert same_bits(index.uniform(-2.0, 2.0, size=shape), choice.uniform(-2.0, 2.0, size=shape))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 316])

@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamstab.catalog import default_catalog_ids, make_hyperbola_product, make_lagrangian_plane, make_torus, resolve
+from hamstab.catalog import CHART_KINDS, default_catalog_ids, make_hyperbola_product, make_lagrangian_plane, make_torus, resolve
 from hamstab.geometry import AmbientFlat
 from hamstab.immersion import (
     REL_STEP,
     AxisDomain,
+    axis_lines,
     chart_from_components,
     induced_geometry_batch,
+    sample_axes,
     sample_grid,
     structural_residuals,
 )
@@ -48,6 +52,7 @@ from hamstab.variation import (
 from hamstab.verification import _FLAT_CHART_IDS, _lap_sq_functional
 
 from helpers import (
+    cubic_curve_product_chart,
     gradient_graph_chart,
     minimal_null_graph_chart,
     polynomial_graph_chart,
@@ -305,7 +310,85 @@ def test_chart_jet_form_is_the_integrand_at_the_local_geometry(cid, raw):
 def test_flat_chart_geometry_is_constant_on_the_structural_grid(cid):
     chart = resolve(cid).chart
     origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
-    assert _constancy_deviation(chart, origin, sample_grid(chart, 17)) < CONSTANT_GEOMETRY_RTOL
+    assert _constancy_deviation(origin, induced_geometry_batch(chart, sample_grid(chart, 17))) < CONSTANT_GEOMETRY_RTOL
+
+
+def _counting_geometry(monkeypatch):
+    """Record the number of points of each ``induced_geometry_batch`` call
+    that :mod:`hamstab.variation` makes."""
+    calls = []
+    original = variation.induced_geometry_batch
+
+    def counting(chart, points):
+        calls.append(len(points))
+        return original(chart, points)
+
+    monkeypatch.setattr(variation, "induced_geometry_batch", counting)
+    return calls
+
+
+def test_constancy_of_a_12_axis_torus_is_checked_on_its_axis_lines(monkeypatch):
+    # 1 + 2 * 12 points where the 3-per-axis grid has 3^12, whose oracle
+    # Hessian alone would take 13.7 GiB
+    calls = _counting_geometry(monkeypatch)
+    entry = resolve("torus:n=12,r=" + ",".join(["1"] * 12) + ",p=6")
+    assert sum(calls) <= 25
+    assert entry.functional.jet_form is not None
+
+
+@pytest.mark.parametrize("cid", ["torus:n=3,r=1,2,3,p=1", "hyperbola:n=3,r=1,2,0.5,eps=+,-,+", "plane:n=2,p=1"])
+def test_axis_line_constancy_reads_the_sample_grids_deviation(cid):
+    # on a constant curve product both routes read rounding noise; the line
+    # route's reading bounds the grid's
+    chart = resolve(cid).chart
+    origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
+    grid = _constancy_deviation(origin, induced_geometry_batch(chart, sample_grid(chart, per_axis=3, line_window=1.0)))
+    assert grid <= variation._sample_constancy_deviation(chart, origin) < CONSTANT_GEOMETRY_RTOL
+
+
+def test_a_curve_product_with_one_varying_factor_is_not_constant():
+    # two straight factors and one cubic: only the last axis's line varies
+    chart = replace(cubic_curve_product_chart([(0.0, 0.0), (0.0, 0.0), (0.3, 0.1)]), geometry_is_constant=True)
+    origin = induced_geometry_batch(chart, np.zeros((1, 3)))
+    grid = _constancy_deviation(origin, induced_geometry_batch(chart, sample_grid(chart, per_axis=3, line_window=1.0)))
+    assert variation._sample_constancy_deviation(chart, origin) == grid > CONSTANT_GEOMETRY_RTOL
+    with pytest.raises(ValueError, match="declared geometry_is_constant"):
+        SecondVariationFunctional(chart)
+
+
+def test_a_curve_products_volume_is_checked_at_the_grid_corners():
+    # four factors (s, a s^2) whose metrics each deviate by 4 a^2 = 0.8e-12 at
+    # s = +-1: every line reads under the tolerance, but vol multiplies the
+    # four deviations to 1.6e-12 at the grid's corners
+    a = np.sqrt(0.2e-12)
+    chart = replace(cubic_curve_product_chart([(a, 0.0)] * 4), geometry_is_constant=True)
+    origin = induced_geometry_batch(chart, np.zeros((1, 4)))
+    lines = np.concatenate(axis_lines(np.zeros(4), sample_axes(chart, per_axis=3, line_window=1.0)))
+    assert _constancy_deviation(origin, induced_geometry_batch(chart, lines)) < CONSTANT_GEOMETRY_RTOL
+    grid = _constancy_deviation(origin, induced_geometry_batch(chart, sample_grid(chart, per_axis=3, line_window=1.0)))
+    assert grid > CONSTANT_GEOMETRY_RTOL
+    assert variation._sample_constancy_deviation(chart, origin) == pytest.approx(grid, rel=1e-3)
+    with pytest.raises(ValueError, match="declared geometry_is_constant"):
+        SecondVariationFunctional(chart)
+
+
+def test_a_false_curve_product_declaration_fails_the_constancy_check():
+    # the polynomial graph couples its axes, so its axis lines stand for nothing
+    chart = replace(polynomial_graph_chart(), curve_product=True, geometry_is_constant=True)
+    with pytest.raises(ValueError, match="declared curve_product"):
+        SecondVariationFunctional(chart)
+
+
+@pytest.mark.parametrize("cid", [c for c in default_catalog_ids() if c.split(":")[0] in CHART_KINDS])
+def test_chart_jet_form_is_the_origin_geometrys(cid):
+    # the constancy check reads no value into the form: a direct build from
+    # the origin's geometry gives its bits (the other default ids are closed
+    # forms and build no chart functional)
+    entry = resolve(cid)
+    chart = entry.chart
+    origin = induced_geometry_batch(chart, np.zeros((1, chart.dim)))
+    want = variation._jet_form(entry.functional._jet_terms(origin))[0]
+    assert entry.functional.jet_form.tobytes() == want.tobytes()
 
 
 def test_polarized_bilinearity():
